@@ -14,9 +14,9 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
-                       DEFAULT_ORACLE_SAMPLES, analyze, extract_witness,
-                       verify_witness)
-from .errors import EvasionError
+                       DEFAULT_ORACLE_SAMPLES, _event_doc, analyze,
+                       extract_witness, verify_witness)
+from .errors import EvasionError, KnobError
 from .limit import LimitError, inverse_limit
 from .planar_homology import HomologyError
 from .rasterize import RasterError, grid_for_scenario
@@ -197,16 +197,7 @@ def _cmd_events(args: argparse.Namespace) -> int:
     doc = {
         "time_base": s.time_base,
         "count": len(events),
-        "events": [
-            {
-                "window": [e.window[0], e.window[1]],
-                "time": e.time,
-                "locus": [int(v) for v in reversed(e.locus)],
-                "type_uncovered": e.type_x,
-                "type_covered": e.type_c,
-            }
-            for e in events
-        ],
+        "events": [_event_doc(e) for e in events],
         "sample_times": [float(t) for t in samples],
     }
     _emit(doc, args.output)
@@ -328,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioError, FileNotFoundError, IsADirectoryError,
+    except (ScenarioError, KnobError, FileNotFoundError, IsADirectoryError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(_error_doc(exc))
         return 2

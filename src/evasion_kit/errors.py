@@ -2,10 +2,15 @@
 
 __all__ = [
     "EvasionError",
+    "KnobError",
     "ResolutionError",
     "SimultaneousEventsError",
     "WitnessError",
 ]
+
+
+class KnobError(ValueError):
+    """An analysis option is outside its valid range (bad input, not a failure)."""
 
 
 class EvasionError(RuntimeError):

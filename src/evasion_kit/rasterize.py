@@ -115,15 +115,20 @@ def cell_center(grid: GridSpec, cell: Tuple[int, ...]) -> Tuple[float, ...]:
 
 
 @lru_cache(maxsize=32)
-def _center_grids(grid: GridSpec) -> Tuple[np.ndarray, ...]:
+def _axis_centers(grid: GridSpec) -> Tuple[np.ndarray, ...]:
+    """Cell center coordinates along each world axis: (xs,) or (xs, ys)."""
     h = grid.cell_size
+    sizes = grid.shape if grid.dimension == 1 else grid.shape[::-1]
+    return tuple(o + (np.arange(n) + 0.5) * h for o, n in zip(grid.origin, sizes))
+
+
+@lru_cache(maxsize=32)
+def _center_grids(grid: GridSpec) -> Tuple[np.ndarray, ...]:
     if grid.dimension == 1:
-        xs = grid.origin[0] + (np.arange(grid.shape[0]) + 0.5) * h
-        return (xs,)
-    ny, nx = grid.shape
-    xs = grid.origin[0] + (np.arange(nx) + 0.5) * h
-    ys = grid.origin[1] + (np.arange(ny) + 0.5) * h
-    return (np.broadcast_to(xs[None, :], (ny, nx)), np.broadcast_to(ys[:, None], (ny, nx)))
+        return _axis_centers(grid)
+    xs, ys = _axis_centers(grid)
+    shape = grid.shape
+    return (np.broadcast_to(xs[None, :], shape), np.broadcast_to(ys[:, None], shape))
 
 
 @lru_cache(maxsize=64)
@@ -181,23 +186,40 @@ def _static_union(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, Tuple[int, .
     return union, tuple(moving)
 
 
+def _windows(centers: np.ndarray, p: np.ndarray, width: int, reach: float) -> np.ndarray:
+    """Per time, `width` consecutive cell indices holding every center within reach of p."""
+    start = np.clip(np.searchsorted(centers, p - reach), 0, centers.size - width)
+    return start[:, None] + np.arange(width)
+
+
 def _coverage_chunk(s: Scenario, times: np.ndarray, grid: GridSpec) -> np.ndarray:
-    cg = _center_grids(grid)
-    r2 = s.sensing_radius * s.sensing_radius
+    """Coverage of the times; a moving ball is tested only on a window around it.
+
+    Cells beyond one cell of the ball's extent on an axis fail the distance
+    test on that coordinate alone, so the window leaves the result exact.
+    """
+    r = s.sensing_radius
+    r2 = r * r
     if not s.tracks:
         return np.zeros((times.size,) + grid.shape, dtype=bool)
     static, moving = _static_union(s, grid)
     ball = np.broadcast_to(static, (times.size,) + grid.shape).copy()
     if moving:
         pos = positions_at(s, times)
+        axes = _axis_centers(grid)
+        reach = r + grid.cell_size
+        width = int(np.ceil(2.0 * r / grid.cell_size)) + 3
+        steps = np.arange(times.size)
         for j in moving:
+            idx = [_windows(c, pos[j, :, k], min(width, c.size), reach)
+                   for k, c in enumerate(axes)]
+            dx = axes[0][idx[0]] - pos[j, :, 0][:, None]
             if s.dimension == 1:
-                dx = cg[0][None, :] - pos[j, :, 0][:, None]
-                ball |= dx * dx <= r2
+                ball[steps[:, None], idx[0]] |= dx * dx <= r2
             else:
-                dx = cg[0][None, :, :] - pos[j, :, 0][:, None, None]
-                dy = cg[1][None, :, :] - pos[j, :, 1][:, None, None]
-                ball |= dx * dx + dy * dy <= r2
+                dy = axes[1][idx[1]] - pos[j, :, 1][:, None]
+                near = (dx * dx)[:, None, :] + (dy * dy)[:, :, None] <= r2
+                ball[steps[:, None, None], idx[1][:, :, None], idx[0][:, None, :]] |= near
     return ball
 
 

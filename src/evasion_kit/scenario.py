@@ -35,6 +35,8 @@ __all__ = [
 
 TIME_SPAN = (0.0, 1.0)
 
+Point = Tuple[float, ...]
+
 
 class ScenarioError(ValueError):
     """Malformed scenario document or violated scenario invariant."""

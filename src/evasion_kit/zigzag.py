@@ -17,18 +17,19 @@ the covered region sees the opposite letter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ResolutionError, SimultaneousEventsError
+from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
 from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
-                        FiberComplex, GridSpec, components, count_holes,
-                        grid_for_scenario, rasterize_cobordism,
-                        rasterize_fiber, rasterize_fibers)
+                        FiberComplex, GridSpec, components, coverage_masks,
+                        domain_masks, grid_for_scenario, rasterize_cobordism,
+                        rasterize_fibers)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -67,16 +68,99 @@ class Event:
         return "N" if self.type_x == "D" else "D"
 
 
+def _slice_structure(ndim: int) -> np.ndarray:
+    """Face adjacency within a slice of a (T, *shape) stack, none across slices."""
+    structure = np.zeros((3,) * ndim, dtype=bool)
+    structure[1] = ndimage.generate_binary_structure(ndim - 1, 1)
+    return structure
+
+
+_SLICE_STRUCTS = {2: _slice_structure(2), 3: _slice_structure(3)}
+
+
+def _label_slices(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Label every slice of a stack in one pass.
+
+    Returns the labels and, per slice, the largest label up to and including
+    it. Labels follow raster order and never span slices, so each slice owns
+    the contiguous range above its predecessor's maximum.
+    """
+    labels, _ = ndimage.label(mask, structure=_SLICE_STRUCTS[mask.ndim])
+    tops = np.maximum.accumulate(labels.reshape(labels.shape[0], -1).max(axis=1))
+    return labels, tops
+
+
+def _per_slice(tops: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """How many of the given nonzero labels each slice owns."""
+    return np.bincount(np.searchsorted(tops, labels), minlength=tops.size)
+
+
+def _rim(disk: np.ndarray) -> np.ndarray:
+    """Disk cells on the grid border or face-adjacent to a cell off the disk."""
+    off = np.pad(~disk, 1, constant_values=True)
+    return disk & (off[:-2, 1:-1] | off[2:, 1:-1] | off[1:-1, :-2] | off[1:-1, 2:])
+
+
+def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
+                 v_lab: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Per-slice count of distinct (uncovered, covered-with-collar) label pairs.
+
+    The count-only form of rasterize's boundary pairs: a contact is a face
+    neighbor pair of an uncovered cell and a covered cell off the collar.
+    """
+    stride = np.int64(v_lab.max()) + 1
+    keys = []
+    ndim = uncovered.ndim
+    for axis in range(1, ndim):
+        lead = [slice(None)] * ndim
+        trail = [slice(None)] * ndim
+        lead[axis] = slice(1, None)
+        trail[axis] = slice(None, -1)
+        for src, dst in ((tuple(trail), tuple(lead)), (tuple(lead), tuple(trail))):
+            keep = uncovered[src] & covered[dst]
+            keys.append(u_lab[src][keep].astype(np.int64) * stride + v_lab[dst][keep])
+    return _per_slice(u_tops, np.unique(np.concatenate(keys)) // stride)
+
+
+def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
+                      inside: np.ndarray) -> List[Signature]:
+    """Signatures of every slice of an uncovered stack (T, *shape).
+
+    A signature depends on the uncovered mask alone, so a slice equal to its
+    predecessor repeats its signature; only the changed slices are labeled.
+    """
+    n = uncovered.shape[0]
+    changed = np.ones(n, dtype=bool)
+    if n > 1:
+        flat = uncovered.reshape(n, -1)
+        changed[1:] = np.any(flat[1:] != flat[:-1], axis=1)
+    distinct = uncovered[changed]
+    u_lab, u_tops = _label_slices(distinct)
+    covered_with_collar = disk & ~distinct
+    v_lab, v_tops = _label_slices(covered_with_collar)
+    pi0 = np.diff(u_tops, prepend=0)
+    if uncovered.ndim == 3:
+        # The uncovered region lies inside the disk, so its complement is the
+        # covered-with-collar region plus the cells off the disk, which are
+        # connected to each other and to the grid border. The holes are the
+        # covered-with-collar components that do not reach the rim.
+        outer = np.unique(v_lab[:, _rim(disk)])
+        b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
+    else:
+        b1 = np.zeros_like(pi0)
+    pb = _pair_counts(distinct, u_lab, u_tops, v_lab, covered_with_collar & inside)
+    sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
+    return [sigs[i] for i in np.cumsum(changed) - 1]
+
+
 def fiber_signature(f: FiberComplex) -> Signature:
     """(uncovered components, uncovered holes, boundary components)."""
-    pi0 = components(f, "uncovered").count
-    b1 = count_holes(f.uncovered) if f.grid.dimension == 2 else 0
-    pb = components(f, "covered_boundary").count
-    return (pi0, b1, pb)
+    return _stack_signatures(f.uncovered[None], f.disk, f.inside)[0]
 
 
 def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Signature]:
-    return [fiber_signature(f) for f in rasterize_fibers(s, times, grid)]
+    disk, inside = domain_masks(s, grid)
+    return _stack_signatures(inside & ~coverage_masks(s, times, grid), disk, inside)
 
 
 def _jump_ok(before: Signature, after: Signature) -> bool:
@@ -181,11 +265,15 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
     invisible at this granularity; raise scan_samples for fast scenarios.
     On a circle time base the closed tracks make the signature at both span
     endpoints agree, so scanning the span once covers the whole loop.
+    Raises KnobError when scan_samples is below 2 or tol is not a finite
+    positive number.
     """
+    if scan_samples < 2:
+        raise KnobError(f"scan_samples must be at least 2, got {scan_samples}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise KnobError(f"tol must be a finite positive number, got {tol}")
     if grid is None:
         grid = grid_for_scenario(s)
-    if scan_samples < 2:
-        raise ValueError("scan_samples must be at least 2")
     t0, t1 = TIME_SPAN
     times = np.linspace(t0, t1, scan_samples + 1)
     sigs = _signatures(s, times, grid)

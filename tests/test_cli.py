@@ -237,6 +237,15 @@ def test_render_bad_times(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("knob", [("--scan-samples", "1"), ("--tol", "0"),
+                                  ("--tol", "-1"), ("--tol", "nan")])
+def test_bad_scan_knob_is_input_error(capsys, knob):
+    code, out, err = _run(capsys, "events", "split", *knob)
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "KnobError"
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = _run(capsys, "analyze", str(tmp_path / "absent.json"))
     assert code == 2

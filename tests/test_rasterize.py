@@ -20,7 +20,11 @@ from evasion_kit.rasterize import (
     rasterize_fiber,
     rasterize_fibers,
 )
-from evasion_kit.scenario import builtin_scenario, random_interval_scenario
+from evasion_kit.scenario import (
+    builtin_scenario,
+    positions_at,
+    random_interval_scenario,
+)
 
 
 def test_grid_spec_validation():
@@ -87,6 +91,33 @@ def test_coverage_masks_match_distances():
             c = cell_center(g, cell)
             covered = any(math.dist(c, p) <= s.sensing_radius for p in pos)
             assert balls[(k,) + cell] == covered
+
+
+def _dense_coverage(s, times, g):
+    """Every cell against every sensor, in the squared-distance arithmetic."""
+    centers = np.asarray([cell_center(g, cell) for cell in np.ndindex(*g.shape)])
+    centers = centers.reshape(g.shape + (g.dimension,))
+    pos = positions_at(s, times)
+    lift = (-1,) + (1,) * g.dimension
+    out = np.zeros((len(times),) + g.shape, dtype=bool)
+    for j in range(s.sensor_count):
+        d2 = 0.0
+        for k in range(g.dimension):
+            d = centers[..., k][None] - pos[j, :, k].reshape(lift)
+            d2 = d2 + d * d
+        out |= d2 <= s.sensing_radius * s.sensing_radius
+    return out
+
+
+@pytest.mark.parametrize("cells", [10, 37, 128])
+def test_coverage_masks_match_dense_evaluation(cells):
+    times = np.linspace(0.0, 1.0, 33)
+    scenarios = [builtin_scenario(name) for name in ("split", "annuli", "close")]
+    scenarios += [builtin_scenario("random", seed) for seed in range(3)]
+    scenarios += [random_interval_scenario(seed) for seed in range(3)]
+    for s in scenarios:
+        g = grid_for_scenario(s, cells=cells, margin_cells=2)
+        assert np.array_equal(coverage_masks(s, times, g), _dense_coverage(s, times, g))
 
 
 def _positions(s, t):

@@ -1,23 +1,33 @@
 import math
 
+import numpy as np
 import pytest
 
-from evasion_kit.errors import ResolutionError, SimultaneousEventsError
+from evasion_kit.errors import KnobError, ResolutionError, SimultaneousEventsError
 from evasion_kit.limit import inverse_limit
 from evasion_kit.scenario import (
     Scenario,
     SensorTrack,
     builtin_scenario,
+    random_interval_scenario,
     validate_scenario,
 )
 from evasion_kit.zigzag import (
     Event,
+    _signatures,
+    _stack_signatures,
     build_zigzag,
     detect_events,
     fiber_signature,
     interleave,
 )
-from evasion_kit.rasterize import grid_for_scenario, rasterize_fiber
+from evasion_kit.rasterize import (
+    components,
+    count_holes,
+    grid_for_scenario,
+    rasterize_fiber,
+    rasterize_fibers,
+)
 
 
 def _d1(tracks):
@@ -66,6 +76,45 @@ def test_fiber_signature_values():
     s = builtin_scenario("annuli")
     f = rasterize_fiber(s, 0.0, grid_for_scenario(s))
     assert fiber_signature(f) == (1, 2, 3)
+
+
+def _slice_signature(f):
+    """The signature read off one fiber with the per-slice primitives."""
+    return (components(f, "uncovered").count, count_holes(f.uncovered),
+            components(f, "covered_boundary").count)
+
+
+_SCAN_CASES = ([(name, 0) for name in ("split", "annuli", "empty", "full")]
+               + [("random", seed) for seed in range(3)]
+               + [("interval", seed) for seed in range(3)])
+
+
+def _scan_scenario(name, seed):
+    if name == "interval":
+        return random_interval_scenario(seed)
+    return builtin_scenario(name, seed)
+
+
+@pytest.mark.parametrize("name,seed", _SCAN_CASES)
+def test_stack_signatures_match_per_slice(name, seed):
+    s = _scan_scenario(name, seed)
+    grid = grid_for_scenario(s)
+    times = np.linspace(0.0, 1.0, 513)
+    expected = [_slice_signature(f) for f in rasterize_fibers(s, times, grid)]
+    assert _signatures(s, times, grid) == expected
+
+
+@pytest.mark.parametrize("name,seed", [("annuli", 0), ("interval", 1)])
+def test_stack_signatures_single_slice_and_unchanged_stack(name, seed):
+    s = _scan_scenario(name, seed)
+    grid = grid_for_scenario(s)
+    for t in (0.0, 0.3, 0.77):
+        f = rasterize_fiber(s, t, grid)
+        expected = _slice_signature(f)
+        assert _signatures(s, [t], grid) == [expected]
+        assert fiber_signature(f) == expected
+        repeated = np.repeat(f.uncovered[None], 4, axis=0)
+        assert _stack_signatures(repeated, f.disk, f.inside) == [expected] * 4
 
 
 def test_builtin_split_events(builtin_events):
@@ -117,6 +166,12 @@ def test_event_locus_flips_as_typed(builtin_events):
 def test_scan_samples_validation():
     with pytest.raises(ValueError):
         detect_events(builtin_scenario("empty"), scan_samples=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_validation(tol):
+    with pytest.raises(KnobError):
+        detect_events(builtin_scenario("empty"), tol=tol)
 
 
 def test_d1_merge_classifies_pair_fusion():
