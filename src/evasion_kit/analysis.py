@@ -20,18 +20,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import WitnessError
+from .errors import KnobError, WitnessError
 from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     ZigzagSetDiagram, inverse_limit, join_partitions,
                     limit_of_algebras, partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, GridSpec, cell_center,
                         coverage_masks, domain_masks, grid_for_scenario,
-                        label_components, rasterize_cobordism, rasterize_fiber)
+                        label_components, label_slices, rasterize_cobordism,
+                        rasterize_fiber)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
                      build_zigzag, detect_events, fiber_signature)
@@ -78,27 +79,38 @@ class Witness:
     samples: Tuple[Tuple[float, Tuple[float, ...]], ...]
 
 
+def _points_uncovered(s: Scenario, times: Sequence[float],
+                      points: Sequence[Sequence[float]], eta: float) -> np.ndarray:
+    """point_uncovered for each (time, point) pair, with one track evaluation."""
+    p = np.asarray(points, dtype=float).reshape(len(times), s.dimension)
+    center = np.asarray(s.center, dtype=float)
+    dist_center = np.sqrt(np.sum((p - center) ** 2, axis=1))
+    ok = dist_center < s.radius - s.fence_width
+    if not s.tracks:
+        return ok
+    pos = positions_at(s, times)
+    d2 = np.sum((pos - p[None]) ** 2, axis=2)
+    r = max(s.sensing_radius - eta, 0.0)
+    return ok & np.all(d2 > r * r, axis=0)
+
+
 def point_uncovered(s: Scenario, t: float, point: Sequence[float], eta: float = 0.0) -> bool:
     """Exact continuous-time check that a point is strictly uncovered.
 
     eta shrinks the sensing radius, giving marginal samples the benefit of
     the doubt; zero keeps the check strict.
     """
-    p = np.asarray(point, dtype=float)
-    center = np.asarray(s.center, dtype=float)
-    dist_center = float(np.sqrt(np.sum((p - center) ** 2)))
-    if not dist_center < s.radius - s.fence_width:
-        return False
-    if not s.tracks:
-        return True
-    pos = positions_at(s, [t])[:, 0, :]
-    d2 = np.sum((pos - p[None, :]) ** 2, axis=1)
-    r = max(s.sensing_radius - eta, 0.0)
-    return bool(np.all(d2 > r * r))
+    return bool(_points_uncovered(s, [t], [point], eta)[0])
 
 
 def verify_witness(s: Scenario, w: Witness, eta: float = 0.0) -> bool:
-    """Check every sample, and the midpoint of every standing span."""
+    """Check every sample, and the midpoint of every standing span.
+
+    Times must not decrease. All checked points go through one
+    point_uncovered evaluation.
+    """
+    times: List[float] = []
+    points: List[Tuple[float, ...]] = []
     prev = None
     for t, p in w.samples:
         if prev is not None:
@@ -106,12 +118,12 @@ def verify_witness(s: Scenario, w: Witness, eta: float = 0.0) -> bool:
             if t < pt:
                 return False
             if pp == p and t > pt:
-                if not point_uncovered(s, 0.5 * (pt + t), p, eta):
-                    return False
-        if not point_uncovered(s, t, p, eta):
-            return False
+                times.append(0.5 * (pt + t))
+                points.append(p)
+        times.append(t)
+        points.append(p)
         prev = (t, p)
-    return True
+    return bool(np.all(_points_uncovered(s, times, points, eta)))
 
 
 def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
@@ -147,45 +159,118 @@ def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
     return path[1:]
 
 
+# ---------------------------------------------------------------------------
+# reachability over a labeled stack
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _StackGraph:
+    """The components of every slice of an uncovered stack, and how they meet.
+
+    labels are stack-wide: slice j owns offsets[j]+1 .. offsets[j+1], in
+    the canonical order of label_components. A standing edge (src, dst)
+    joins a component of slice j to one of slice j+1 that shares an
+    uncovered cell with it; edges are sorted, and cuts[j]:cuts[j+1] are
+    those leaving slice j.
+    """
+
+    labels: np.ndarray
+    offsets: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    cuts: np.ndarray
+
+
+def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The slice owning each stack-wide label."""
+    return np.searchsorted(offsets, labels) - 1
+
+
+def _stack_graph(uncovered: np.ndarray) -> _StackGraph:
+    """Label the stack in one call and collect its standing edges.
+
+    Keys pair a stack-wide source label with a target label local to its
+    slice, so they stay below (labels + 1) * (largest slice count + 1).
+    """
+    labels, tops = label_slices(uncovered)
+    offsets = np.concatenate(([0], tops)).astype(np.int64)
+    a = labels[:-1].ravel()
+    b = labels[1:].ravel()
+    # A component pair repeats along every cell it shares: keep run starts.
+    run = (uncovered[:-1] & uncovered[1:]).ravel()
+    run[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    idx = np.flatnonzero(run)
+    pa = a[idx].astype(np.int64)
+    pb = b[idx].astype(np.int64)
+    width = int(np.diff(offsets).max(initial=0)) + 1
+    keys = np.unique(pa * width + pb - offsets[_slice_of(offsets, pb)])
+    src = keys // width
+    dst = keys % width + offsets[_slice_of(offsets, src) + 1]
+    cuts = np.searchsorted(src, offsets, side="right")
+    return _StackGraph(labels=labels, offsets=offsets, src=src, dst=dst, cuts=cuts)
+
+
+def _sweep(g: _StackGraph, seeds: Sequence[int], backward: bool = False) -> np.ndarray:
+    """Which labels each seed reaches by time-monotone paths.
+
+    Returns a boolean (labels + 1, seeds) matrix. A forward path steps from
+    slice j to slice j + 1 along standing edges; a backward one runs the
+    edges in reverse, from the last slice to the first.
+    """
+    reach = np.zeros((int(g.offsets[-1]) + 1, len(seeds)), dtype=bool)
+    reach[np.asarray(seeds, dtype=np.int64), np.arange(len(seeds))] = True
+    steps = range(g.labels.shape[0] - 1)
+    origin, target = g.src, g.dst
+    if backward:
+        steps = reversed(steps)
+        origin, target = g.dst, g.src
+    for j in steps:
+        e = slice(g.cuts[j], g.cuts[j + 1])
+        np.logical_or.at(reach, target[e], reach[origin[e]])
+    return reach
+
+
+# ---------------------------------------------------------------------------
+# witness search
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class _CobData:
     times: np.ndarray
-    uncovered: np.ndarray
-    labels: List[np.ndarray]
+    graph: _StackGraph
 
 
 def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
              target_cell: Optional[Tuple[int, ...]]
              ) -> Optional[List[Tuple[float, Tuple[int, ...]]]]:
-    """Monotone cell path from `start` to the target component, or None."""
-    labels = data.labels
-    unc = data.uncovered
+    """Monotone cell path from `start` to the target component, or None.
+
+    target_label is numbered within the last slice. The components some
+    path can use are those reached forward from the start's component and
+    backward from the target. The path stands still across a slice step
+    where it can; otherwise it walks inside its component to the first cell,
+    in raster order, that stands on a usable component of the next slice.
+    """
+    g = data.graph
+    labels = g.labels
     times = data.times
-    m = len(labels)
+    m = labels.shape[0]
 
-    reach: List[Set[int]] = [set() for _ in range(m)]
-    reach[0] = {int(labels[0][start])}
-    for j in range(m - 1):
-        if not reach[j]:
-            break
-        mask = np.isin(labels[j], sorted(reach[j])) & unc[j + 1]
-        reach[j + 1] = {int(v) for v in np.unique(labels[j + 1][mask]) if v}
-    if target_label not in reach[m - 1]:
+    first = int(labels[0][start])
+    if first == 0 or not 0 < target_label <= g.offsets[m] - g.offsets[m - 1]:
         return None
-
-    back: List[Set[int]] = [set() for _ in range(m)]
-    back[m - 1] = {target_label}
-    for j in range(m - 2, -1, -1):
-        mask = np.isin(labels[j + 1], sorted(back[j + 1])) & unc[j]
-        back[j] = {int(v) for v in np.unique(labels[j][mask]) if v} & reach[j]
-    if int(labels[0][start]) not in back[0]:
+    target = int(g.offsets[m - 1]) + target_label
+    usable = _sweep(g, [first])[:, 0] & _sweep(g, [target], backward=True)[:, 0]
+    if not usable[first]:
         return None
 
     path: List[Tuple[float, Tuple[int, ...]]] = [(float(times[0]), start)]
     cur = start
     for j in range(m - 1):
         comp = int(labels[j][cur])
-        cand = (labels[j] == comp) & unc[j + 1] & np.isin(labels[j + 1], sorted(back[j + 1]))
+        cand = (labels[j] == comp) & usable[labels[j + 1]]
         if not cand.any():
             return None
         if cand[cur]:
@@ -225,9 +310,8 @@ class _WitnessBuilder:
                 cob = rasterize_cobordism(
                     self.bundle.scenario, self.bundle.cobordisms[i].interval,
                     self.bundle.grid, fine_time_samples=base * (2 ** level))
-            labels = [label_components(u)[0] for u in cob.uncovered]
-            self._cache[key] = _CobData(times=cob.times, uncovered=cob.uncovered,
-                                        labels=labels)
+            self._cache[key] = _CobData(times=cob.times,
+                                        graph=_stack_graph(cob.uncovered))
         return self._cache[key]
 
     def extract(self, element: Sequence[int]) -> Witness:
@@ -471,9 +555,12 @@ def boundary_data_from_document(doc: dict) -> BoundaryData:
 def extract_boundary_data(s: Scenario, grid: Optional[GridSpec] = None, *,
                           scan_samples: int = DEFAULT_SCAN_SAMPLES,
                           tol: float = DEFAULT_TOL) -> BoundaryData:
-    """Measure boundary components and their winding partitions per sample."""
+    """Measure boundary components and their winding partitions per sample.
+
+    Raises KnobError on a scenario that is not two-dimensional.
+    """
     if s.dimension != 2:
-        raise ValueError("boundary analysis is defined for dimension 2 only")
+        raise KnobError("boundary analysis is defined for dimension 2 only")
     if grid is None:
         grid = grid_for_scenario(s)
     bundle = build_zigzag(s, grid, region="covered_boundary",
@@ -577,27 +664,30 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     circle base existence requires returning to the starting component.
     The class count (dimension 1 only) is the exact number of consistent
     component chains, counted by transfer matrices over all fine slices.
+
+    A run of equal slices is kept once, since equal masks have equal
+    components joined one to one. The rest are labeled in one call and one
+    forward sweep carries every start component at once; reachable pairs
+    number components within the first and the last slice. Raises
+    KnobError when time_samples is below 1.
     """
+    if time_samples < 1:
+        raise KnobError(f"time_samples must be at least 1, got {time_samples}")
     if grid is None:
         grid = grid_for_scenario(s)
     t0, t1 = TIME_SPAN
     times = np.linspace(t0, t1, time_samples + 1)
     _, inside = domain_masks(s, grid)
-    ball = coverage_masks(s, times, grid)
-    unc = inside[None] & ~ball
-    labeled = [label_components(u) for u in unc]
-    labels = [lab for lab, _ in labeled]
-    counts = [n for _, n in labeled]
+    unc = inside[None] & ~coverage_masks(s, times, grid)
+    flat = unc.reshape(unc.shape[0], -1)
+    keep = np.ones(unc.shape[0], dtype=bool)
+    keep[1:-1] = np.any(flat[1:-1] != flat[:-2], axis=1)
+    unc = unc[keep]
+    g = _stack_graph(unc)
+    counts = [int(v) for v in np.diff(g.offsets)]
 
-    pairs: List[Tuple[int, int]] = []
-    for a in range(1, counts[0] + 1):
-        current: Set[int] = {a}
-        for j in range(1, len(labels)):
-            if not current:
-                break
-            mask = np.isin(labels[j - 1], sorted(current)) & unc[j]
-            current = {int(v) for v in np.unique(labels[j][mask]) if v}
-        pairs.extend((a, b) for b in sorted(current))
+    last = _sweep(g, range(1, counts[0] + 1))[g.offsets[-2] + 1:]
+    pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(last.T)]
     if s.time_base == "circle":
         exists = any(a == b for a, b in pairs)
     else:
@@ -605,24 +695,7 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
 
     class_count: Optional[int] = None
     if s.dimension == 1:
-        fiber_sets = [tuple(range(1, n + 1)) for n in counts]
-        cob_sets = []
-        lefts = []
-        rights = []
-        for j in range(len(labels) - 1):
-            band = unc[j:j + 2]
-            band_labels, band_n = label_components(band)
-            cob_sets.append(tuple(range(1, band_n + 1)))
-            lefts.append(_band_map(labels[j], counts[j], band_labels, 0))
-            rights.append(_band_map(labels[j + 1], counts[j + 1], band_labels, 1))
-        diagram = ZigzagSetDiagram(
-            shape=s.time_base,
-            fiber_sets=tuple(fiber_sets),
-            cobordism_sets=tuple(cob_sets),
-            left_maps=tuple(lefts),
-            right_maps=tuple(rights),
-        )
-        class_count = int(inverse_limit(diagram, max_elements=0).cardinality)
+        class_count = _oracle_class_count(s.time_base, unc, g, counts)
 
     return OracleResult(
         exists=exists,
@@ -633,15 +706,33 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     )
 
 
-def _band_map(slice_labels: np.ndarray, count: int, band_labels: np.ndarray,
-              row: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    flat = slice_labels.ravel()
-    for label in range(1, count + 1):
-        rep = int(np.flatnonzero(flat == label)[0])
-        cell = np.unravel_index(rep, slice_labels.shape)
-        out[label] = int(band_labels[(row,) + tuple(cell)])
-    return out
+def _oracle_class_count(time_base: str, unc: np.ndarray, g: _StackGraph,
+                        counts: List[int]) -> int:
+    """Limit cardinality of the zigzag of slices and two-slice bands.
+
+    Every band (slice j, slice j + 1) is labeled in one call; a slice
+    component maps to the band component holding its first cell.
+    """
+    bands, band_tops = label_slices(np.stack((unc[:-1], unc[1:]), axis=1))
+    band_offsets = np.concatenate(([0], band_tops))
+    values, first = np.unique(g.labels, return_index=True)
+    slices, cells = np.divmod(first[values > 0], unc.shape[1])
+    lefts: List[Dict[int, int]] = [{} for _ in range(len(bands))]
+    rights: List[Dict[int, int]] = [{} for _ in range(len(bands))]
+    for label, j, x in zip(range(1, len(slices) + 1), slices.tolist(), cells.tolist()):
+        local = label - int(g.offsets[j])
+        if j < len(bands):
+            lefts[j][local] = int(bands[j, 0, x] - band_offsets[j])
+        if j > 0:
+            rights[j - 1][local] = int(bands[j - 1, 1, x] - band_offsets[j - 1])
+    diagram = ZigzagSetDiagram(
+        shape=time_base,
+        fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
+        cobordism_sets=tuple(tuple(range(1, int(n) + 1)) for n in np.diff(band_offsets)),
+        left_maps=tuple(lefts),
+        right_maps=tuple(rights),
+    )
+    return int(inverse_limit(diagram, max_elements=0).cardinality)
 
 
 def analyze_oracle(s: Scenario, grid: Optional[GridSpec] = None, *,

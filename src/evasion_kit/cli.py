@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
                        DEFAULT_ORACLE_SAMPLES, _event_doc, analyze,
@@ -28,16 +29,19 @@ from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, build_zigzag,
 
 __all__ = ["main"]
 
-_KNOB_DEFAULTS: Dict[str, object] = {
-    "cells": 128,
-    "fine_time_samples": 64,
-    "scan_samples": DEFAULT_SCAN_SAMPLES,
-    "tol": DEFAULT_TOL,
-    "max_elements": DEFAULT_MAX_ELEMENTS,
-    "max_witnesses": DEFAULT_MAX_WITNESSES,
-    "time_samples": DEFAULT_ORACLE_SAMPLES,
-    "threads": None,
-    "seed": 0,
+# Each knob's default and least valid value. tol must be finite and
+# positive instead, seed takes any integer, and a threads default of None
+# defers to the environment.
+_KNOBS: Dict[str, Tuple[object, Optional[int]]] = {
+    "cells": (128, 9),  # more cells than the grid's two four-cell margins
+    "fine_time_samples": (64, 2),
+    "scan_samples": (DEFAULT_SCAN_SAMPLES, 2),
+    "tol": (DEFAULT_TOL, None),
+    "max_elements": (DEFAULT_MAX_ELEMENTS, 0),
+    "max_witnesses": (DEFAULT_MAX_WITNESSES, 0),
+    "time_samples": (DEFAULT_ORACLE_SAMPLES, 1),
+    "threads": (None, 1),
+    "seed": (0, None),
 }
 
 
@@ -117,8 +121,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked(name: str, value: object) -> object:
+    """The knob's value if it lies in its valid range; KnobError otherwise."""
+    flag = "--" + name.replace("_", "-")
+    if value is None and name == "threads":
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise KnobError(f"{flag} must be a number, got {value!r}")
+    if name == "tol":
+        if not (math.isfinite(value) and value > 0.0):
+            raise KnobError(f"{flag} must be a finite positive number, got {value}")
+        return float(value)
+    if not isinstance(value, int):
+        raise KnobError(f"{flag} must be an integer, got {value!r}")
+    least = _KNOBS[name][1]
+    if least is not None and value < least:
+        raise KnobError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 class _Knobs:
-    """Option resolution: explicit flag, then config file, then default."""
+    """Option resolution: explicit flag, then config file, then default.
+
+    Every value is checked against its range before use, so a bad knob is
+    reported as bad input (KnobError) wherever it came from.
+    """
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
@@ -129,15 +156,16 @@ class _Knobs:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ScenarioError("config file must hold a JSON object")
+            unknown = sorted(set(loaded) - set(_KNOBS))
+            if unknown:
+                raise KnobError(f"config file names unknown knobs: {', '.join(unknown)}")
             self.config = loaded
 
     def get(self, name: str):
         value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.config:
-            return self.config[name]
-        return _KNOB_DEFAULTS[name]
+        if value is None:
+            value = self.config.get(name, _KNOBS[name][0])
+        return _checked(name, value)
 
 
 def _emit(doc: object, output: Optional[str]) -> None:
@@ -152,21 +180,21 @@ def _emit(doc: object, output: Optional[str]) -> None:
 def _load(args: argparse.Namespace, knobs: _Knobs):
     source = args.source
     if source in BUILTIN_NAMES:
-        return builtin_scenario(source, int(knobs.get("seed")))
+        return builtin_scenario(source, knobs.get("seed"))
     if source == "-":
         return load_scenario(sys.stdin.read(), is_text=True)
     return load_scenario(source)
 
 
 def _grid(s, knobs: _Knobs):
-    return grid_for_scenario(s, cells=int(knobs.get("cells")),
-                             fine_time_samples=int(knobs.get("fine_time_samples")))
+    return grid_for_scenario(s, cells=knobs.get("cells"),
+                             fine_time_samples=knobs.get("fine_time_samples"))
 
 
 def _apply_threads(knobs: _Knobs) -> None:
     threads = knobs.get("threads")
     if threads is not None:
-        os.environ["EVASION_KIT_THREADS"] = str(int(threads))
+        os.environ["EVASION_KIT_THREADS"] = str(threads)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -175,12 +203,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     s = _load(args, knobs)
     report = analyze(
         s, mode=args.mode, grid=_grid(s, knobs),
-        scan_samples=int(knobs.get("scan_samples")),
-        tol=float(knobs.get("tol")),
-        max_elements=int(knobs.get("max_elements")),
-        max_witnesses=int(knobs.get("max_witnesses")),
+        scan_samples=knobs.get("scan_samples"),
+        tol=knobs.get("tol"),
+        max_elements=knobs.get("max_elements"),
+        max_witnesses=knobs.get("max_witnesses"),
         witnesses=not args.no_witnesses,
-        time_samples=int(knobs.get("time_samples")),
+        time_samples=knobs.get("time_samples"),
     )
     _emit(report.to_document(), args.output)
     return 0
@@ -191,8 +219,8 @@ def _cmd_events(args: argparse.Namespace) -> int:
     _apply_threads(knobs)
     s = _load(args, knobs)
     grid = _grid(s, knobs)
-    events = detect_events(s, grid, scan_samples=int(knobs.get("scan_samples")),
-                           tol=float(knobs.get("tol")))
+    events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
+                           tol=knobs.get("tol"))
     samples = interleave(events, s.time_base)
     doc = {
         "time_base": s.time_base,
@@ -217,10 +245,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     bundle = build_zigzag(s, grid, region="uncovered",
-                          scan_samples=int(knobs.get("scan_samples")),
-                          tol=float(knobs.get("tol")))
+                          scan_samples=knobs.get("scan_samples"),
+                          tol=knobs.get("tol"))
     limres = inverse_limit(bundle.diagram,
-                           max_elements=int(knobs.get("max_elements")))
+                           max_elements=knobs.get("max_elements"))
     if args.element is not None:
         element = _parse_element(args.element)
     elif limres.elements:
@@ -239,7 +267,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
-    s = builtin_scenario(args.name, int(knobs.get("seed")))
+    s = builtin_scenario(args.name, knobs.get("seed"))
     _emit(scenario_to_document(s), args.output)
     return 0
 
@@ -257,11 +285,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for mode in modes:
         report = analyze(
             s, mode=mode, grid=grid,
-            scan_samples=int(knobs.get("scan_samples")),
-            tol=float(knobs.get("tol")),
-            max_elements=int(knobs.get("max_elements")),
+            scan_samples=knobs.get("scan_samples"),
+            tol=knobs.get("tol"),
+            max_elements=knobs.get("max_elements"),
             witnesses=False,
-            time_samples=int(knobs.get("time_samples")),
+            time_samples=knobs.get("time_samples"),
         )
         exists[mode] = report.exists
         cardinality[mode] = report.limit_cardinality
@@ -282,13 +310,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
         except ValueError:
             raise ScenarioError(f"--times must be comma-separated numbers, got {args.times!r}")
     else:
-        events = detect_events(s, grid, scan_samples=int(knobs.get("scan_samples")),
-                               tol=float(knobs.get("tol")))
+        events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
+                               tol=knobs.get("tol"))
         times = list(interleave(events, s.time_base))
     witnesses = ()
     if args.with_witness:
-        bundle = build_zigzag(s, grid, scan_samples=int(knobs.get("scan_samples")),
-                              tol=float(knobs.get("tol")))
+        bundle = build_zigzag(s, grid, scan_samples=knobs.get("scan_samples"),
+                              tol=knobs.get("tol"))
         limres = inverse_limit(bundle.diagram, max_elements=1)
         if limres.elements:
             w = extract_witness(bundle, limres.elements[0])

@@ -40,6 +40,7 @@ __all__ = [
     "components",
     "covered_with_collar_labels",
     "label_components",
+    "label_slices",
     "domain_masks",
     "count_holes",
     "cell_center",
@@ -527,6 +528,29 @@ def _boundary_pairs(c: Union[FiberComplex, CobordismComplex], dimension: int) ->
 def label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
     """Canonical face-adjacency labeling of a bare bitmap."""
     return _label_canonical(mask)
+
+
+def _slice_structure(ndim: int) -> np.ndarray:
+    """Face adjacency within a slice of a (T, *shape) stack, none across slices."""
+    structure = np.zeros((3,) * ndim, dtype=bool)
+    structure[1] = ndimage.generate_binary_structure(ndim - 1, 1)
+    return structure
+
+
+_SLICE_STRUCTS = {2: _slice_structure(2), 3: _slice_structure(3)}
+
+
+def label_slices(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Label every slice of a stack (T, *shape) in one pass.
+
+    Returns the labels and, per slice, the largest label up to and including
+    it. scipy numbers components in raster order and none spans slices, so
+    each slice owns the contiguous range above its predecessor's maximum,
+    and subtracting that offset gives the slice's label_components.
+    """
+    labels, _ = ndimage.label(mask, structure=_SLICE_STRUCTS[mask.ndim])
+    tops = np.maximum.accumulate(labels.reshape(labels.shape[0], -1).max(axis=1))
+    return labels, tops
 
 
 def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:

@@ -84,20 +84,33 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _as_number(value: object, what: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{what} must be numeric")
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except OverflowError:
+        return math.inf
+
+
 def _as_point(value: object, dimension: int, what: str) -> Tuple[float, ...]:
     _require(isinstance(value, (list, tuple)), f"{what} must be a list of numbers")
     seq = list(value)  # type: ignore[arg-type]
     _require(len(seq) == dimension, f"{what} must have {dimension} coordinates")
-    out = []
-    for v in seq:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{what} must be numeric")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_as_number(v, what) for v in seq)
+
+
+def _require_finite(values: Iterable[float], what: str) -> None:
+    _require(all(math.isfinite(v) for v in values), f"{what} must be finite")
 
 
 def validate_scenario(s: Scenario) -> Scenario:
+    """Check the scenario's invariants; every number must be finite."""
     _require(s.dimension in (1, 2), "dimension must be 1 or 2")
     _require(len(s.center) == s.dimension, "center must match the dimension")
+    _require_finite(s.center, "domain center")
+    _require_finite([s.radius], "domain radius")
+    _require_finite([s.sensing_radius], "sensing radius")
+    _require_finite([s.fence_width], "fence width")
     _require(s.radius > 0.0, "domain radius must be positive")
     _require(s.sensing_radius > 0.0, "sensing radius must be positive")
     _require(0.0 < s.fence_width < s.radius, "fence width must lie strictly between 0 and the radius")
@@ -105,6 +118,8 @@ def validate_scenario(s: Scenario) -> Scenario:
     t0, t1 = TIME_SPAN
     for j, track in enumerate(s.tracks):
         _require(len(track.waypoints) >= 2, f"track {j} needs at least two waypoints")
+        for t, p in track.waypoints:
+            _require_finite([t, *p], f"track {j} waypoint")
         times = track.times
         _require(
             all(b > a for a, b in zip(times, times[1:])),
@@ -148,9 +163,6 @@ def scenario_from_document(doc: object) -> Scenario:
     _require(isinstance(dim, int) and not isinstance(dim, bool), "dimension must be an integer")
     domain = d["domain"]
     _require(isinstance(domain, dict) and "center" in domain and "radius" in domain, "domain must have center and radius")
-    _require(isinstance(domain["radius"], (int, float)), "domain radius must be numeric")
-    _require(isinstance(d["sensing_radius"], (int, float)), "sensing radius must be numeric")
-    _require(isinstance(d["fence_width"], (int, float)), "fence width must be numeric")
     _require(isinstance(d["tracks"], list), "tracks must be a list")
     tracks = []
     for j, raw in enumerate(d["tracks"]):
@@ -162,15 +174,15 @@ def scenario_from_document(doc: object) -> Scenario:
                 f"track {j} waypoints must be [t, position] pairs",
             )
             t, pos = wp
-            _require(isinstance(t, (int, float)) and not isinstance(t, bool), f"track {j} waypoint time must be numeric")
-            wps.append((float(t), _as_point(pos, dim if isinstance(dim, int) else 2, f"track {j} position")))
+            wps.append((_as_number(t, f"track {j} waypoint time"),
+                        _as_point(pos, dim if isinstance(dim, int) else 2, f"track {j} position")))
         tracks.append(SensorTrack(tuple(wps)))
     s = Scenario(
         dimension=dim,
         center=_as_point(domain["center"], dim, "domain center"),
-        radius=float(domain["radius"]),
-        sensing_radius=float(d["sensing_radius"]),
-        fence_width=float(d["fence_width"]),
+        radius=_as_number(domain["radius"], "domain radius"),
+        sensing_radius=_as_number(d["sensing_radius"], "sensing radius"),
+        fence_width=_as_number(d["fence_width"], "fence width"),
         time_base=d["time_base"] if isinstance(d["time_base"], str) else "",
         tracks=tuple(tracks),
     )

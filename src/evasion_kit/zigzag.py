@@ -28,8 +28,8 @@ from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
 from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
                         FiberComplex, GridSpec, components, coverage_masks,
-                        domain_masks, grid_for_scenario, rasterize_cobordism,
-                        rasterize_fibers)
+                        domain_masks, grid_for_scenario, label_slices,
+                        rasterize_cobordism, rasterize_fibers)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -66,28 +66,6 @@ class Event:
     def type_c(self) -> str:
         """The same event seen from the covered region."""
         return "N" if self.type_x == "D" else "D"
-
-
-def _slice_structure(ndim: int) -> np.ndarray:
-    """Face adjacency within a slice of a (T, *shape) stack, none across slices."""
-    structure = np.zeros((3,) * ndim, dtype=bool)
-    structure[1] = ndimage.generate_binary_structure(ndim - 1, 1)
-    return structure
-
-
-_SLICE_STRUCTS = {2: _slice_structure(2), 3: _slice_structure(3)}
-
-
-def _label_slices(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Label every slice of a stack in one pass.
-
-    Returns the labels and, per slice, the largest label up to and including
-    it. Labels follow raster order and never span slices, so each slice owns
-    the contiguous range above its predecessor's maximum.
-    """
-    labels, _ = ndimage.label(mask, structure=_SLICE_STRUCTS[mask.ndim])
-    tops = np.maximum.accumulate(labels.reshape(labels.shape[0], -1).max(axis=1))
-    return labels, tops
 
 
 def _per_slice(tops: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -135,9 +113,9 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
         flat = uncovered.reshape(n, -1)
         changed[1:] = np.any(flat[1:] != flat[:-1], axis=1)
     distinct = uncovered[changed]
-    u_lab, u_tops = _label_slices(distinct)
+    u_lab, u_tops = label_slices(distinct)
     covered_with_collar = disk & ~distinct
-    v_lab, v_tops = _label_slices(covered_with_collar)
+    v_lab, v_tops = label_slices(covered_with_collar)
     pi0 = np.diff(u_tops, prepend=0)
     if uncovered.ndim == 3:
         # The uncovered region lies inside the disk, so its complement is the

@@ -2,13 +2,16 @@ import math
 import os
 import subprocess
 import sys
+from typing import Dict, List, Set
 
 import numpy as np
 import pytest
 
+from evasion_kit import analysis
 from evasion_kit.analysis import (
     BoundaryData,
     LOWER_BOUND_NOTE,
+    OracleResult,
     Witness,
     analyze,
     analyze_boundary,
@@ -23,18 +26,24 @@ from evasion_kit.analysis import (
     point_uncovered,
     verify_witness,
 )
-from evasion_kit.errors import WitnessError
-from evasion_kit.limit import diagrams_isomorphic
+from evasion_kit.errors import KnobError, WitnessError
+from evasion_kit.limit import ZigzagSetDiagram, diagrams_isomorphic, inverse_limit
 from evasion_kit.rasterize import (
     components,
+    coverage_masks,
+    domain_masks,
     grid_for_scenario,
+    label_components,
     rasterize_fiber,
 )
 from evasion_kit.scenario import (
+    TIME_SPAN,
     Scenario,
     SensorTrack,
     builtin_scenario,
     canonical_json,
+    positions_at,
+    random_interval_scenario,
     validate_scenario,
 )
 from evasion_kit.zigzag import build_zigzag
@@ -341,7 +350,7 @@ def test_boundary_data_round_trip():
 
 
 def test_boundary_rejects_dimension_1():
-    with pytest.raises(ValueError):
+    with pytest.raises(KnobError):
         extract_boundary_data(_merge_scenario())
 
 
@@ -416,3 +425,290 @@ def test_reports_identical_across_thread_counts():
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# the stack-graph reachability against the per-slice loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _circle_d1():
+    # a gap that a mover closes and reopens within one loop
+    mover = SensorTrack(((0.0, (0.05,)), (0.5, (-0.2,)), (1.0, (0.05,))))
+    return validate_scenario(Scenario(
+        dimension=1, center=(0.0,), radius=1.0, sensing_radius=0.16,
+        fence_width=0.12, time_base="circle",
+        tracks=(_static1(-0.45), _static1(0.44), mover),
+    ))
+
+
+def _scenario(key):
+    kind, _, seed = key.partition("/")
+    if kind == "random":
+        return builtin_scenario("random", int(seed))
+    if kind == "interval":
+        return random_interval_scenario(int(seed))
+    if kind == "pulse":
+        return _pulse_scenario("circle")
+    if kind == "circle1d":
+        return _circle_d1()
+    if kind == "merge":
+        return _merge_scenario()
+    return builtin_scenario(kind)
+
+
+def _band_map(slice_labels, count, band_labels, row) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    flat = slice_labels.ravel()
+    for label in range(1, count + 1):
+        rep = int(np.flatnonzero(flat == label)[0])
+        cell = np.unravel_index(rep, slice_labels.shape)
+        out[label] = int(band_labels[(row,) + tuple(cell)])
+    return out
+
+
+def _reference_oracle(s, time_samples=512):
+    """The per-slice oracle: a label call per slice and per two-slice band,
+    and one np.isin sweep per start component."""
+    grid = grid_for_scenario(s)
+    t0, t1 = TIME_SPAN
+    times = np.linspace(t0, t1, time_samples + 1)
+    _, inside = domain_masks(s, grid)
+    unc = inside[None] & ~coverage_masks(s, times, grid)
+    labeled = [label_components(u) for u in unc]
+    labels = [lab for lab, _ in labeled]
+    counts = [n for _, n in labeled]
+
+    pairs = []
+    for a in range(1, counts[0] + 1):
+        current: Set[int] = {a}
+        for j in range(1, len(labels)):
+            if not current:
+                break
+            mask = np.isin(labels[j - 1], sorted(current)) & unc[j]
+            current = {int(v) for v in np.unique(labels[j][mask]) if v}
+        pairs.extend((a, b) for b in sorted(current))
+    if s.time_base == "circle":
+        exists = any(a == b for a, b in pairs)
+    else:
+        exists = bool(pairs)
+
+    class_count = None
+    if s.dimension == 1:
+        cob_sets, lefts, rights = [], [], []
+        for j in range(len(labels) - 1):
+            band_labels, band_n = label_components(unc[j:j + 2])
+            cob_sets.append(tuple(range(1, band_n + 1)))
+            lefts.append(_band_map(labels[j], counts[j], band_labels, 0))
+            rights.append(_band_map(labels[j + 1], counts[j + 1], band_labels, 1))
+        diagram = ZigzagSetDiagram(
+            shape=s.time_base,
+            fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
+            cobordism_sets=tuple(cob_sets),
+            left_maps=tuple(lefts),
+            right_maps=tuple(rights),
+        )
+        class_count = int(inverse_limit(diagram, max_elements=0).cardinality)
+    return OracleResult(exists=exists, start_components=counts[0],
+                        final_components=counts[-1],
+                        reachable_pairs=tuple(pairs), class_count=class_count)
+
+
+_ORACLE_CASES = (
+    [(name, 512) for name in ("split", "close", "annuli", "empty", "full")]
+    + [(f"random/{k}", 512) for k in range(10)]
+    + [(f"interval/{k}", 512) for k in range(10)]
+    + [("pulse", 512), ("circle1d", 512)]
+    + [(key, n) for key in ("split", "merge", "circle1d") for n in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("key,time_samples", _ORACLE_CASES)
+def test_oracle_matches_per_slice_reference(key, time_samples):
+    s = _scenario(key)
+    got = oracle_reachability(s, time_samples=time_samples)
+    assert got == _reference_oracle(s, time_samples)
+
+
+def test_oracle_circle_d1_counts_classes():
+    res = oracle_reachability(_circle_d1())
+    assert res.exists
+    assert res.class_count is not None and res.class_count > 0
+
+
+def test_oracle_rejects_bad_time_samples():
+    for bad in (0, -1):
+        with pytest.raises(KnobError):
+            oracle_reachability(builtin_scenario("split"), time_samples=bad)
+
+
+def _noise_stack():
+    rng = np.random.default_rng(11)
+    stack = rng.random((6, 12, 12)) < 0.5
+    stack[2] = False
+    stack[4] = stack[3]
+    return stack
+
+
+def _scenario_stack(key):
+    s = _scenario(key)
+    grid = grid_for_scenario(s)
+    _, inside = domain_masks(s, grid)
+    return inside[None] & ~coverage_masks(s, np.linspace(0.0, 1.0, 65), grid)
+
+
+@pytest.mark.parametrize("key", ["noise", "split", "annuli", "empty", "full",
+                                 "random/0", "interval/0", "circle1d"])
+def test_stack_graph_matches_per_slice_labels(key):
+    # Stack labels rely on scipy numbering components in raster order.
+    unc = _noise_stack() if key == "noise" else _scenario_stack(key)
+    g = analysis._stack_graph(unc)
+    edges = set()
+    for j, u in enumerate(unc):
+        want, n = label_components(u)
+        assert g.offsets[j + 1] - g.offsets[j] == n
+        got = np.where(g.labels[j] > 0, g.labels[j] - g.offsets[j], 0)
+        assert np.array_equal(got, want)
+        if j:
+            both = unc[j - 1] & u
+            edges |= {(int(a), int(b)) for a, b in
+                      zip(g.labels[j - 1][both], g.labels[j][both])}
+        leaving = g.src[g.cuts[j]:g.cuts[j + 1]]
+        assert np.all((leaving > g.offsets[j]) & (leaving <= g.offsets[j + 1]))
+    assert sorted(edges) == list(zip(g.src.tolist(), g.dst.tolist()))
+    assert g.cuts[-1] == g.src.size
+
+
+def _reference_segment(data, start, target_label, target_cell):
+    """The per-slice witness step: per-slice labels and np.isin sweeps."""
+    unc = data.graph.labels != 0
+    labels = [label_components(u)[0] for u in unc]
+    times = data.times
+    m = len(labels)
+
+    reach: List[Set[int]] = [set() for _ in range(m)]
+    reach[0] = {int(labels[0][start])}
+    for j in range(m - 1):
+        if not reach[j]:
+            break
+        mask = np.isin(labels[j], sorted(reach[j])) & unc[j + 1]
+        reach[j + 1] = {int(v) for v in np.unique(labels[j + 1][mask]) if v}
+    if target_label not in reach[m - 1]:
+        return None
+
+    back: List[Set[int]] = [set() for _ in range(m)]
+    back[m - 1] = {target_label}
+    for j in range(m - 2, -1, -1):
+        mask = np.isin(labels[j + 1], sorted(back[j + 1])) & unc[j]
+        back[j] = {int(v) for v in np.unique(labels[j][mask]) if v} & reach[j]
+    if int(labels[0][start]) not in back[0]:
+        return None
+
+    path = [(float(times[0]), start)]
+    cur = start
+    for j in range(m - 1):
+        comp = int(labels[j][cur])
+        cand = (labels[j] == comp) & unc[j + 1] & np.isin(labels[j + 1], sorted(back[j + 1]))
+        if not cand.any():
+            return None
+        if cand[cur]:
+            nxt = cur
+        else:
+            flat = int(np.flatnonzero(cand.ravel())[0])
+            nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
+            for cell in analysis._slice_path(labels[j], comp, cur, nxt):
+                path.append((float(times[j]), cell))
+        path.append((float(times[j + 1]), nxt))
+        cur = nxt
+    if target_cell is not None and cur != target_cell:
+        comp = int(labels[m - 1][cur])
+        for cell in analysis._slice_path(labels[m - 1], comp, cur, target_cell):
+            path.append((float(times[m - 1]), cell))
+        cur = target_cell
+    return path
+
+
+def _witness_outcomes(bundle, elements):
+    builder = analysis._WitnessBuilder(bundle)
+    out = []
+    for element in elements:
+        try:
+            out.append(builder.extract(element).samples)
+        except WitnessError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("key", ["split", "annuli"] + [f"random/{k}" for k in range(5)])
+def test_witnesses_match_per_slice_reference(key, monkeypatch):
+    bundle = build_zigzag(_scenario(key))
+    elements = inverse_limit(bundle.diagram).elements
+    assert elements
+    got = _witness_outcomes(bundle, elements)
+    monkeypatch.setattr(analysis, "_segment", _reference_segment)
+    assert got == _witness_outcomes(bundle, elements)
+
+
+def _reference_point_uncovered(s, t, point, eta=0.0):
+    p = np.asarray(point, dtype=float)
+    center = np.asarray(s.center, dtype=float)
+    dist_center = float(np.sqrt(np.sum((p - center) ** 2)))
+    if not dist_center < s.radius - s.fence_width:
+        return False
+    if not s.tracks:
+        return True
+    pos = positions_at(s, [t])[:, 0, :]
+    d2 = np.sum((pos - p[None, :]) ** 2, axis=1)
+    r = max(s.sensing_radius - eta, 0.0)
+    return bool(np.all(d2 > r * r))
+
+
+def _reference_verify(s, w, eta=0.0):
+    """The per-point loop: one track evaluation per checked point."""
+    prev = None
+    for t, p in w.samples:
+        if prev is not None:
+            pt, pp = prev
+            if t < pt:
+                return False
+            if pp == p and t > pt:
+                if not _reference_point_uncovered(s, 0.5 * (pt + t), p, eta):
+                    return False
+        if not _reference_point_uncovered(s, t, p, eta):
+            return False
+        prev = (t, p)
+    return True
+
+
+def test_verify_witness_matches_per_point_reference(direct_reports, monkeypatch):
+    cases = []
+    for name in ("split", "annuli", "empty"):
+        s = builtin_scenario(name)
+        for w in direct_reports[name].witnesses:
+            cases.append((s, w, True))
+    line = _merge_scenario()
+    for w in analyze_direct(line).witnesses:
+        cases.append((line, w, True))
+    split = builtin_scenario("split")
+    w = direct_reports["split"].witnesses[0]
+    k = len(w.samples) // 2
+    covered = w.samples[:k] + ((w.samples[k][0], (0.45, 0.0)),) + w.samples[k + 1:]
+    cases.append((split, Witness(w.element, covered), False))
+    cases.append((split, Witness(w.element, tuple(reversed(w.samples))), False))
+    parked = ((0.0, (0.0, 0.03)), (1.0, (0.0, 0.03)))
+    cases.append((builtin_scenario("close"), Witness((1, 1), parked), False))
+    cases.append((split, Witness((), ()), True))
+
+    calls = []
+
+    def counted(s, times):
+        calls.append(len(times))
+        return positions_at(s, times)
+
+    monkeypatch.setattr(analysis, "positions_at", counted)
+    for s, w, want in cases:
+        for eta in (0.0, 0.01):
+            calls.clear()
+            assert verify_witness(s, w, eta) == _reference_verify(s, w, eta)
+            assert len(calls) <= 1
+        assert verify_witness(s, w) == want

@@ -238,12 +238,54 @@ def test_render_bad_times(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("knob", [("--scan-samples", "1"), ("--tol", "0"),
-                                  ("--tol", "-1"), ("--tol", "nan")])
+                                  ("--tol", "-1"), ("--tol", "nan"),
+                                  ("--cells", "4"), ("--fine-time-samples", "1")])
 def test_bad_scan_knob_is_input_error(capsys, knob):
     code, out, err = _run(capsys, "events", "split", *knob)
     assert code == 2
     assert out == ""
     assert _json(err)["error"] == "KnobError"
+
+
+@pytest.mark.parametrize("config", [{"cells": "abc"}, {"tol": "small"},
+                                    {"scan_samples": 2.5}, {"seed": True},
+                                    {"cells": None}, {"cell": 48}])
+def test_bad_config_knob_is_input_error(capsys, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "events", "random", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "KnobError"
+
+
+def test_bad_oracle_time_samples_is_input_error(capsys):
+    code, out, err = _run(capsys, "analyze", "split", "--mode", "oracle",
+                          "--time-samples", "-1")
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "KnobError"
+
+
+def test_boundary_mode_on_1d_is_input_error(capsys, tmp_path):
+    path = tmp_path / "merge.json"
+    path.write_text(canonical_json(_merge_doc()))
+    code, out, err = _run(capsys, "analyze", str(path), "--mode", "boundary")
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "KnobError"
+
+
+def test_infinite_radius_is_input_error(capsys, tmp_path):
+    doc = _merge_doc()
+    doc["domain"]["radius"] = float("inf")
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "ScenarioError"
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -110,6 +111,35 @@ def test_validate_rejects_bad_scenarios():
     with pytest.raises(ScenarioError):
         validate_scenario(_plain(time_base="circle", tracks=[ok]))
     assert validate_scenario(_plain(tracks=[ok])) is not None
+
+
+def _set_path(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path", [
+    ("domain", "radius"), ("sensing_radius",), ("fence_width",),
+    ("domain", "center", 0), ("tracks", 0, 1, 0), ("tracks", 0, 1, 1, 1),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400])
+def test_document_rejects_non_finite_numbers(path, value):
+    doc = scenario_to_document(builtin_scenario("split"))
+    _set_path(doc, path, value)
+    text = json.dumps(doc)
+    with pytest.raises(ScenarioError):
+        load_scenario(text, is_text=True)
+
+
+def test_validate_rejects_non_finite_numbers():
+    base = _plain(tracks=[_track((0.0, (0.0, 0.0)), (1.0, (0.0, 0.0)))])
+    for change in ({"radius": math.inf}, {"sensing_radius": math.inf},
+                   {"fence_width": math.nan}, {"center": (math.inf, 0.0)},
+                   {"tracks": (_track((0.0, (math.nan, 0.0)), (1.0, (0.0, 0.0))),)}):
+        with pytest.raises(ScenarioError, match="finite"):
+            validate_scenario(dataclasses.replace(base, **change))
 
 
 def test_positions_interpolate_linearly():
