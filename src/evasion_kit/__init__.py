@@ -27,7 +27,7 @@ from .planar_homology import (Hole, HoleBasis, HomologyError, alexander_image,
 from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
                         FiberComplex, GridSpec, RasterError, cell_center,
                         components, count_holes, coverage_masks, domain_masks,
-                        dump_slices, grid_for_scenario, label_components,
+                        grid_for_scenario, label_components,
                         rasterize_cobordism, rasterize_fiber, rasterize_fibers,
                         thread_count)
 from .render import render_scenario, slice_svg
@@ -54,7 +54,7 @@ __all__ = [
     "coverage_masks", "domain_masks", "FiberComplex", "CobordismComplex",
     "rasterize_fiber", "rasterize_fibers", "rasterize_cobordism",
     "ComponentLabels", "BoundaryComponents", "components", "label_components",
-    "count_holes", "dump_slices", "thread_count",
+    "count_holes", "thread_count",
     # limits and algebras
     "LimitError", "ZigzagSetDiagram", "LimitResult", "inverse_limit",
     "PartitionAlgebra", "partition_algebra", "partition_from_functionals",

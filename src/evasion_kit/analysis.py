@@ -29,10 +29,10 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     ZigzagSetDiagram, inverse_limit, join_partitions,
                     limit_of_algebras, partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
-from .rasterize import (BoundaryComponents, GridSpec, cell_center,
-                        coverage_masks, domain_masks, grid_for_scenario,
-                        label_components, label_slices, rasterize_cobordism,
-                        rasterize_fiber)
+from .rasterize import (BoundaryComponents, GridSpec, bounding_box,
+                        cell_center, coverage_masks, domain_masks,
+                        grid_for_scenario, label_components, label_slices,
+                        rasterize_cobordism, rasterize_fiber)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
                      build_zigzag, detect_events, fiber_signature)
@@ -443,11 +443,15 @@ def analyze_direct(s: Scenario, grid: Optional[GridSpec] = None, *,
                    tol: float = DEFAULT_TOL,
                    max_elements: int = DEFAULT_MAX_ELEMENTS,
                    max_witnesses: int = DEFAULT_MAX_WITNESSES,
-                   witnesses: bool = True) -> AnalysisReport:
-    """Track uncovered components and take the exact inverse limit."""
+                   witnesses: bool = True,
+                   events: Optional[Sequence[Event]] = None) -> AnalysisReport:
+    """Track uncovered components and take the exact inverse limit.
+
+    events, when given, are used instead of running detect_events.
+    """
     if grid is None:
         grid = grid_for_scenario(s)
-    bundle = build_zigzag(s, grid, region="uncovered",
+    bundle = build_zigzag(s, grid, region="uncovered", events=events,
                           scan_samples=scan_samples, tol=tol)
     limres = inverse_limit(bundle.diagram, max_elements=max_elements)
     diagnostics = _bundle_diagnostics(bundle)
@@ -554,16 +558,18 @@ def boundary_data_from_document(doc: dict) -> BoundaryData:
 
 def extract_boundary_data(s: Scenario, grid: Optional[GridSpec] = None, *,
                           scan_samples: int = DEFAULT_SCAN_SAMPLES,
-                          tol: float = DEFAULT_TOL) -> BoundaryData:
+                          tol: float = DEFAULT_TOL,
+                          events: Optional[Sequence[Event]] = None) -> BoundaryData:
     """Measure boundary components and their winding partitions per sample.
 
-    Raises KnobError on a scenario that is not two-dimensional.
+    events, when given, are used instead of running detect_events. Raises
+    KnobError on a scenario that is not two-dimensional.
     """
     if s.dimension != 2:
         raise KnobError("boundary analysis is defined for dimension 2 only")
     if grid is None:
         grid = grid_for_scenario(s)
-    bundle = build_zigzag(s, grid, region="covered_boundary",
+    bundle = build_zigzag(s, grid, region="covered_boundary", events=events,
                           scan_samples=scan_samples, tol=tol)
     algebras = []
     for fiber, parts in zip(bundle.fibers, bundle.fiber_parts):
@@ -665,11 +671,13 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     The class count (dimension 1 only) is the exact number of consistent
     component chains, counted by transfer matrices over all fine slices.
 
-    A run of equal slices is kept once, since equal masks have equal
-    components joined one to one. The rest are labeled in one call and one
-    forward sweep carries every start component at once; reachable pairs
-    number components within the first and the last slice. Raises
-    KnobError when time_samples is below 1.
+    The stack is cropped to the bounding box of the fenced region, which
+    holds every uncovered cell and keeps their raster order. A run of equal
+    slices is kept once, since equal masks have equal components joined one
+    to one. The rest are labeled in one call and one forward sweep carries
+    every start component at once; reachable pairs number components within
+    the first and the last slice. Raises KnobError when time_samples is
+    below 1.
     """
     if time_samples < 1:
         raise KnobError(f"time_samples must be at least 1, got {time_samples}")
@@ -678,7 +686,8 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     t0, t1 = TIME_SPAN
     times = np.linspace(t0, t1, time_samples + 1)
     _, inside = domain_masks(s, grid)
-    unc = inside[None] & ~coverage_masks(s, times, grid)
+    box = bounding_box(inside)
+    unc = inside[box] & ~coverage_masks(s, times, grid)[(slice(None),) + box]
     flat = unc.reshape(unc.shape[0], -1)
     keep = np.ones(unc.shape[0], dtype=bool)
     keep[1:-1] = np.any(flat[1:-1] != flat[:-2], axis=1)

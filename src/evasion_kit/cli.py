@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
                        DEFAULT_ORACLE_SAMPLES, _event_doc, analyze,
-                       extract_witness, verify_witness)
+                       analyze_boundary, analyze_direct, analyze_oracle,
+                       extract_boundary_data, extract_witness, verify_witness)
 from .errors import EvasionError, KnobError
 from .limit import LimitError, inverse_limit
 from .planar_homology import HomologyError
@@ -277,22 +278,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _apply_threads(knobs)
     s = _load(args, knobs)
     grid = _grid(s, knobs)
-    modes = ["direct", "oracle"]
+    max_elements = knobs.get("max_elements")
+    # The direct and boundary modes share one event scan.
+    events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
+                           tol=knobs.get("tol"))
+    reports = {"direct": analyze_direct(s, grid, max_elements=max_elements,
+                                        witnesses=False, events=events)}
     if s.dimension == 2:
-        modes.insert(1, "boundary")
-    exists: Dict[str, bool] = {}
-    cardinality: Dict[str, Optional[int]] = {}
-    for mode in modes:
-        report = analyze(
-            s, mode=mode, grid=grid,
-            scan_samples=knobs.get("scan_samples"),
-            tol=knobs.get("tol"),
-            max_elements=knobs.get("max_elements"),
-            witnesses=False,
-            time_samples=knobs.get("time_samples"),
-        )
-        exists[mode] = report.exists
-        cardinality[mode] = report.limit_cardinality
+        data = extract_boundary_data(s, grid, events=events)
+        reports["boundary"] = analyze_boundary(data, max_elements=max_elements)
+    reports["oracle"] = analyze_oracle(s, grid, time_samples=knobs.get("time_samples"))
+    exists = {mode: r.exists for mode, r in reports.items()}
+    cardinality = {mode: r.limit_cardinality for mode, r in reports.items()}
     agree = len(set(exists.values())) == 1
     doc = {"exists": exists, "limit_cardinality": cardinality, "agree": agree}
     _emit(doc, args.output)

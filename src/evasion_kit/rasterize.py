@@ -8,7 +8,8 @@ fenced region. The fence collar is the ring of in-disk cells outside the
 fenced region; collar cells count as covered but never as covered_boundary.
 
 Component labeling is canonical: labels are assigned in order of each
-component's least flat cell index, independent of the labeling backend.
+component's least flat cell index. This is scipy's raster-order numbering,
+used as ndimage.label returns it; a property test pins that assumption.
 Boundary components are adjacency pairs (uncovered component, covered
 component), the discrete counterparts of the boundary curves; see
 components() for the rationale.
@@ -20,11 +21,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
+from .errors import KnobError
 from .scenario import Scenario, positions_at
 
 __all__ = [
@@ -38,13 +40,13 @@ __all__ = [
     "ComponentLabels",
     "BoundaryComponents",
     "components",
-    "covered_with_collar_labels",
+    "face_contacts",
+    "bounding_box",
     "label_components",
     "label_slices",
     "domain_masks",
     "count_holes",
     "cell_center",
-    "dump_slices",
     "thread_count",
 ]
 
@@ -159,7 +161,7 @@ def thread_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise RasterError("EVASION_KIT_THREADS must be an integer") from None
+        raise KnobError(f"EVASION_KIT_THREADS must be an integer, got {raw!r}") from None
     return max(1, n)
 
 
@@ -313,10 +315,6 @@ class CobordismComplex:
             inside=self.inside,
         )
 
-    @property
-    def slices(self) -> List[FiberComplex]:
-        return [self.slice_at(i) for i in range(self.slice_count)]
-
 
 def rasterize_fiber(s: Scenario, t: float, grid: GridSpec) -> FiberComplex:
     return rasterize_fibers(s, [t], grid)[0]
@@ -374,9 +372,6 @@ class ComponentLabels:
     def label_at(self, cell: Tuple[int, ...]) -> int:
         return int(self.labels[cell])
 
-    def cells_of(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels.ravel() == label)
-
 
 @dataclass
 class BoundaryComponents:
@@ -389,8 +384,8 @@ class BoundaryComponents:
     component and a covered component (collar-only contacts are dropped),
     which matches the curve count whenever the walls are at least a few cells
     thick and stays stable when they are not. Contact cells shared by several
-    pairs are assigned to the least pair so the reported cell sets partition
-    the covered_boundary bitmap.
+    pairs are assigned to the least pair, so the labels bitmap partitions
+    covered_boundary.
     """
 
     which: str
@@ -398,7 +393,6 @@ class BoundaryComponents:
     pairs: Tuple[Tuple[int, int], ...]
     rep_uncovered: Tuple[int, ...]
     rep_covered: Tuple[int, ...]
-    cells: Tuple[Tuple[int, ...], ...]
     labels: np.ndarray
     uncovered_labels: np.ndarray
     covered_labels: np.ndarray
@@ -415,76 +409,70 @@ _STRUCTS = {
 
 
 def _label_canonical(mask: np.ndarray) -> Tuple[np.ndarray, int]:
-    labels, n = ndimage.label(mask, structure=_STRUCTS[mask.ndim])
-    if n == 0:
-        return labels.astype(np.int32), 0
-    flat = labels.ravel()
-    nz = np.flatnonzero(flat)
-    vals = flat[nz]
-    uniq, first = np.unique(vals, return_index=True)
-    order = np.argsort(first, kind="stable")
-    remap = np.zeros(int(uniq.max()) + 1, dtype=np.int32)
-    remap[uniq[order]] = np.arange(1, uniq.size + 1, dtype=np.int32)
-    return remap[labels], int(uniq.size)
+    """Face-adjacency labels, numbered in order of each component's first cell.
+
+    scipy assigns labels in raster order already, so its output is used as is.
+    """
+    return ndimage.label(mask, structure=_STRUCTS[mask.ndim])
 
 
-def _region_masks(c: Union[FiberComplex, CobordismComplex]) -> Dict[str, np.ndarray]:
-    stacked = isinstance(c, CobordismComplex)
-    disk = c.disk[None] if stacked else c.disk
-    inside = c.inside[None] if stacked else c.inside
-    return {
-        "uncovered": c.uncovered,
-        "covered": inside & ~c.uncovered,
-        "covered_with_collar": disk & ~c.uncovered,
-        "collar": np.broadcast_to(disk & ~inside, c.uncovered.shape),
-    }
+def face_contacts(source: np.ndarray, target: np.ndarray,
+                  axes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices (source cell, target cell) of every face neighbor pair.
+
+    Only neighbors along the given axes count. Each direction is one
+    contiguous flat shift; a shifted pair that wraps past the end of its
+    axis is dropped.
+    """
+    shape = source.shape
+    a = source.ravel()
+    b = target.ravel()
+    srcs: List[np.ndarray] = []
+    dsts: List[np.ndarray] = []
+    for axis in axes:
+        n = shape[axis]
+        step = 1
+        for m in shape[axis + 1:]:
+            step *= m
+        for lo, hi, forward in ((a, b, True), (b, a, False)):
+            idx = np.flatnonzero(lo[:a.size - step] & hi[step:])
+            idx = idx[idx % (n * step) < (n - 1) * step]
+            srcs.append(idx if forward else idx + step)
+            dsts.append(idx + step if forward else idx)
+    return np.concatenate(srcs), np.concatenate(dsts)
 
 
-def _boundary_pairs(c: Union[FiberComplex, CobordismComplex], dimension: int) -> BoundaryComponents:
-    regions = _region_masks(c)
-    u_lab, _ = _label_canonical(regions["uncovered"])
-    v_lab, _ = _label_canonical(regions["covered_with_collar"])
-    collar = regions["collar"]
-    shape = c.uncovered.shape
-    ndim = c.uncovered.ndim
+def bounding_box(mask: np.ndarray) -> Tuple[slice, ...]:
+    """The least box holding every set cell of mask; the whole array if none is.
 
-    ps: List[np.ndarray] = []
-    ws: List[np.ndarray] = []
-    ucells: List[np.ndarray] = []
-    wcells: List[np.ndarray] = []
-    flat_index = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
-    for axis in range(ndim - dimension, ndim):
-        for sign in (-1, 1):
-            src = [slice(None)] * ndim
-            dst = [slice(None)] * ndim
-            if sign == 1:
-                src[axis] = slice(None, -1)
-                dst[axis] = slice(1, None)
-            else:
-                src[axis] = slice(1, None)
-                dst[axis] = slice(None, -1)
-            pu = u_lab[tuple(src)]
-            pv = v_lab[tuple(dst)]
-            keep = (pu != 0) & (pv != 0) & ~collar[tuple(dst)]
-            if not keep.any():
-                continue
-            ps.append(pu[keep])
-            ws.append(pv[keep])
-            ucells.append(flat_index[tuple(src)][keep])
-            wcells.append(flat_index[tuple(dst)][keep])
+    Cropping to it keeps the raster order and the face adjacency of the cells
+    inside, and a cell on its edge has no set neighbor beyond it.
+    """
+    box = []
+    for axis in range(mask.ndim):
+        other = tuple(k for k in range(mask.ndim) if k != axis)
+        hits = np.flatnonzero(mask.any(axis=other))
+        if not hits.size:
+            return (slice(None),) * mask.ndim
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
 
-    labels = np.zeros(shape, dtype=np.int32)
-    if not ps:
+
+def _boundary_pairs(c: Union[FiberComplex, CobordismComplex]) -> BoundaryComponents:
+    uncovered = c.uncovered
+    u_lab, _ = _label_canonical(uncovered)
+    v_lab, nv = _label_canonical(c.disk & ~uncovered)
+    labels = np.zeros(uncovered.shape, dtype=np.int32)
+    # Contacts end on covered cells: covered-with-collar cells off the collar.
+    ndim = uncovered.ndim
+    UC, WC = face_contacts(uncovered, c.inside & ~uncovered,
+                           range(ndim - c.grid.dimension, ndim))
+    if not UC.size:
         return BoundaryComponents(
             which="covered_boundary", count=0, pairs=(), rep_uncovered=(), rep_covered=(),
-            cells=(), labels=labels, uncovered_labels=u_lab, covered_labels=v_lab)
+            labels=labels, uncovered_labels=u_lab, covered_labels=v_lab)
 
-    P = np.concatenate(ps)
-    W = np.concatenate(ws)
-    UC = np.concatenate(ucells)
-    WC = np.concatenate(wcells)
-    nv = int(v_lab.max())
-    key = P.astype(np.int64) * (nv + 1) + W
+    key = u_lab.ravel()[UC].astype(np.int64) * (nv + 1) + v_lab.ravel()[WC]
     uniq_key, inv = np.unique(key, return_inverse=True)
     k = uniq_key.size
     min_wc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
@@ -505,12 +493,7 @@ def _boundary_pairs(c: Union[FiberComplex, CobordismComplex], dimension: int) ->
     wc_sorted = WC[by_cell]
     first = np.ones(wc_sorted.size, dtype=bool)
     first[1:] = wc_sorted[1:] != wc_sorted[:-1]
-    owner_cells = wc_sorted[first]
-    owner_rank = pair_rank[by_cell][first]
-    cell_lists: List[List[int]] = [[] for _ in range(k)]
-    for cell, r in zip(owner_cells.tolist(), owner_rank.tolist()):
-        cell_lists[r].append(cell)
-    labels.ravel()[owner_cells] = owner_rank + 1
+    labels.ravel()[wc_sorted[first]] = pair_rank[by_cell][first] + 1
 
     return BoundaryComponents(
         which="covered_boundary",
@@ -518,7 +501,6 @@ def _boundary_pairs(c: Union[FiberComplex, CobordismComplex], dimension: int) ->
         pairs=pairs,
         rep_uncovered=rep_uncovered,
         rep_covered=rep_covered,
-        cells=tuple(tuple(sorted(lst)) for lst in cell_lists),
         labels=labels,
         uncovered_labels=u_lab,
         covered_labels=v_lab,
@@ -566,21 +548,16 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     cell across consecutive sub-samples. covered_boundary components are
     adjacency pairs, see BoundaryComponents.
     """
-    dimension = c.grid.dimension
     if which == "covered_boundary":
-        return _boundary_pairs(c, dimension)
-    regions = _region_masks(c)
-    if which not in ("uncovered", "covered"):
+        return _boundary_pairs(c)
+    if which == "uncovered":
+        mask = c.uncovered
+    elif which == "covered":
+        mask = c.inside & ~c.uncovered
+    else:
         raise RasterError(f"unknown region '{which}'")
-    labels, count = _label_canonical(regions[which])
+    labels, count = _label_canonical(mask)
     return ComponentLabels(which=which, labels=labels, count=count)
-
-
-def covered_with_collar_labels(c: Union[FiberComplex, CobordismComplex]) -> ComponentLabels:
-    """Components of the covered region including the fence collar."""
-    regions = _region_masks(c)
-    labels, count = _label_canonical(regions["covered_with_collar"])
-    return ComponentLabels(which="covered_with_collar", labels=labels, count=count)
 
 
 def count_holes(mask: np.ndarray) -> int:
@@ -593,26 +570,3 @@ def count_holes(mask: np.ndarray) -> int:
         labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
     border = border[border != 0]
     return int(n - border.size)
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-# ---------------------------------------------------------------------------
-
-
-def dump_slices(cob: CobordismComplex, out_dir: str, prefix: str = "slice") -> List[str]:
-    """Write each sub-sample's uncovered bitmap as an ASCII PBM (1 = uncovered)."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for i in range(cob.slice_count):
-        mask = cob.uncovered[i]
-        if mask.ndim == 1:
-            mask = mask[None, :]
-        rows = ["P1", f"{mask.shape[1]} {mask.shape[0]}"]
-        for row in mask.astype(int):
-            rows.append(" ".join(str(v) for v in row))
-        path = os.path.join(out_dir, f"{prefix}_{i:03d}.pbm")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(rows) + "\n")
-        paths.append(path)
-    return paths

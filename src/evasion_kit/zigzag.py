@@ -27,9 +27,10 @@ from scipy import ndimage
 from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
 from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
-                        FiberComplex, GridSpec, components, coverage_masks,
-                        domain_masks, grid_for_scenario, label_slices,
-                        rasterize_cobordism, rasterize_fibers)
+                        FiberComplex, GridSpec, bounding_box, components,
+                        coverage_masks, domain_masks, face_contacts,
+                        grid_for_scenario, label_slices, rasterize_cobordism,
+                        rasterize_fibers)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -80,24 +81,16 @@ def _rim(disk: np.ndarray) -> np.ndarray:
 
 
 def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
-                 v_lab: np.ndarray, covered: np.ndarray) -> np.ndarray:
+                 v_lab: np.ndarray, v_tops: np.ndarray, covered: np.ndarray) -> np.ndarray:
     """Per-slice count of distinct (uncovered, covered-with-collar) label pairs.
 
     The count-only form of rasterize's boundary pairs: a contact is a face
     neighbor pair of an uncovered cell and a covered cell off the collar.
     """
-    stride = np.int64(v_lab.max()) + 1
-    keys = []
-    ndim = uncovered.ndim
-    for axis in range(1, ndim):
-        lead = [slice(None)] * ndim
-        trail = [slice(None)] * ndim
-        lead[axis] = slice(1, None)
-        trail[axis] = slice(None, -1)
-        for src, dst in ((tuple(trail), tuple(lead)), (tuple(lead), tuple(trail))):
-            keep = uncovered[src] & covered[dst]
-            keys.append(u_lab[src][keep].astype(np.int64) * stride + v_lab[dst][keep])
-    return _per_slice(u_tops, np.unique(np.concatenate(keys)) // stride)
+    src, dst = face_contacts(uncovered, covered, range(1, uncovered.ndim))
+    stride = np.int64(v_tops[-1]) + 1
+    keys = u_lab.ravel()[src].astype(np.int64) * stride + v_lab.ravel()[dst]
+    return _per_slice(u_tops, np.unique(keys) // stride)
 
 
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
@@ -106,13 +99,17 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
 
     A signature depends on the uncovered mask alone, so a slice equal to its
     predecessor repeats its signature; only the changed slices are labeled.
+    They are labeled on the disk's bounding box: every labeled cell lies in
+    it, and a disk cell on its edge is a rim cell in both frames.
     """
     n = uncovered.shape[0]
     changed = np.ones(n, dtype=bool)
     if n > 1:
         flat = uncovered.reshape(n, -1)
         changed[1:] = np.any(flat[1:] != flat[:-1], axis=1)
-    distinct = uncovered[changed]
+    box = bounding_box(disk)
+    disk = disk[box]
+    distinct = uncovered[(changed,) + box]
     u_lab, u_tops = label_slices(distinct)
     covered_with_collar = disk & ~distinct
     v_lab, v_tops = label_slices(covered_with_collar)
@@ -126,7 +123,8 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
         b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
     else:
         b1 = np.zeros_like(pi0)
-    pb = _pair_counts(distinct, u_lab, u_tops, v_lab, covered_with_collar & inside)
+    pb = _pair_counts(distinct, u_lab, u_tops, v_lab, v_tops,
+                      covered_with_collar & inside[box])
     sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
     return [sigs[i] for i in np.cumsum(changed) - 1]
 

@@ -454,7 +454,15 @@ def _scenario(key):
         return _circle_d1()
     if kind == "merge":
         return _merge_scenario()
+    if kind == "fence_end":
+        return _fence_end_pocket()
     return builtin_scenario(kind)
+
+
+def _fence_end_pocket():
+    # Static sensors leave three pockets; at the default grid the right one
+    # is the single last cell of the fenced region, on its bounding box edge.
+    return _d1([_static1(x) for x in (-0.62, -0.3, 0.065, 0.385, 0.705)])
 
 
 def _band_map(slice_labels, count, band_labels, row) -> Dict[int, int]:
@@ -467,10 +475,11 @@ def _band_map(slice_labels, count, band_labels, row) -> Dict[int, int]:
     return out
 
 
-def _reference_oracle(s, time_samples=512):
-    """The per-slice oracle: a label call per slice and per two-slice band,
-    and one np.isin sweep per start component."""
-    grid = grid_for_scenario(s)
+def _reference_oracle(s, time_samples=512, grid=None):
+    """The per-slice oracle, uncropped: a label call per slice and per
+    two-slice band, and one np.isin sweep per start component."""
+    if grid is None:
+        grid = grid_for_scenario(s)
     t0, t1 = TIME_SPAN
     times = np.linspace(t0, t1, time_samples + 1)
     _, inside = domain_masks(s, grid)
@@ -520,14 +529,20 @@ _ORACLE_CASES = (
     + [(f"interval/{k}", 512) for k in range(10)]
     + [("pulse", 512), ("circle1d", 512)]
     + [(key, n) for key in ("split", "merge", "circle1d") for n in (1, 2, 3)]
+    + [(f"{key}+edge", 512) for key in ("split", "annuli", "random/1", "interval/1",
+                                        "circle1d")]
+    + [("fence_end", 512)]
 )
 
 
 @pytest.mark.parametrize("key,time_samples", _ORACLE_CASES)
 def test_oracle_matches_per_slice_reference(key, time_samples):
-    s = _scenario(key)
-    got = oracle_reachability(s, time_samples=time_samples)
-    assert got == _reference_oracle(s, time_samples)
+    # A '+edge' key has no grid margin: the disk touches the grid border.
+    name, edge, _ = key.partition("+edge")
+    s = _scenario(name)
+    grid = grid_for_scenario(s, margin_cells=0) if edge else None
+    got = oracle_reachability(s, grid, time_samples=time_samples)
+    assert got == _reference_oracle(s, time_samples, grid)
 
 
 def test_oracle_circle_d1_counts_classes():

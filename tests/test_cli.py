@@ -1,8 +1,10 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from evasion_kit import analysis, cli, zigzag
 from evasion_kit.cli import main
 from evasion_kit.scenario import (
     BUILTIN_NAMES,
@@ -208,6 +210,39 @@ def test_compare_disagreement_on_unbounded_pocket(capsys):
     assert doc["exists"]["boundary"] is False
 
 
+# The document each mode gives when it runs its own event scan.
+_SPLIT_COMPARE = """{
+  "agree": true,
+  "exists": {
+    "boundary": true,
+    "direct": true,
+    "oracle": true
+  },
+  "limit_cardinality": {
+    "boundary": 2,
+    "direct": 2,
+    "oracle": null
+  }
+}
+"""
+
+
+def test_compare_scans_once(capsys, monkeypatch):
+    calls = []
+    original = zigzag.detect_events
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (cli, zigzag, analysis):
+        monkeypatch.setattr(module, "detect_events", counted)
+    code, out, _ = _run(capsys, "compare", "split")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == _SPLIT_COMPARE
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------
@@ -221,7 +256,7 @@ def test_render_explicit_times(capsys, tmp_path):
     written = _json(out)["written"]
     assert len(written) == 2
     for path in written:
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("<svg")
 
 
@@ -286,6 +321,14 @@ def test_infinite_radius_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert _json(err)["error"] == "ScenarioError"
+
+
+def test_non_integer_threads_env_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("EVASION_KIT_THREADS", "abc")
+    code, out, err = _run(capsys, "events", "split", "--cells", "32")
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "KnobError"
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

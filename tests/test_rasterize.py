@@ -3,19 +3,27 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
+from evasion_kit.errors import KnobError
 from evasion_kit.rasterize import (
+    _SLICE_STRUCTS,
+    BoundaryComponents,
     GridSpec,
     RasterError,
+    bounding_box,
     cell_center,
     components,
     count_holes,
     coverage_masks,
-    covered_with_collar_labels,
     domain_masks,
-    dump_slices,
+    face_contacts,
     grid_for_scenario,
     label_components,
+    label_slices,
     rasterize_cobordism,
     rasterize_fiber,
     rasterize_fibers,
@@ -192,16 +200,20 @@ def test_annuli_start_signature():
 def test_boundary_pairs_partition_bitmap():
     s = builtin_scenario("split")
     g = grid_for_scenario(s, cells=128)
-    for t in (0.0, 1.0):
+    for t in (0.0, 0.5, 1.0):
         f = rasterize_fiber(s, t, g)
         b = components(f, "covered_boundary")
-        stitched = np.zeros(f.uncovered.shape, dtype=bool)
-        for cells in b.cells:
-            flat = stitched.ravel()
-            assert not flat[list(cells)].any()
-            flat[list(cells)] = True
-        assert np.array_equal(stitched, f.covered_boundary)
-        assert (b.labels > 0).sum() == f.covered_boundary.sum()
+        assert np.array_equal(b.labels > 0, f.covered_boundary)
+        index = {pair: i + 1 for i, pair in enumerate(b.pairs)}
+        ny, nx = f.uncovered.shape
+        for iy, ix in zip(*np.nonzero(f.covered_boundary)):
+            # every pair this cell is a contact of, by its face neighbors
+            touching = set()
+            for y, x in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1)):
+                if 0 <= y < ny and 0 <= x < nx and f.uncovered[y, x]:
+                    pair = (int(b.uncovered_labels[y, x]), int(b.covered_labels[iy, ix]))
+                    touching.add(index[pair])
+            assert b.labels[iy, ix] == min(touching)
 
 
 def test_empty_scenario_has_no_boundary():
@@ -220,16 +232,6 @@ def test_components_rejects_unknown_region():
     f = rasterize_fiber(s, 0.0, g)
     with pytest.raises(RasterError):
         components(f, "nonesuch")
-
-
-def test_covered_with_collar_labels_region():
-    s = builtin_scenario("split")
-    g = grid_for_scenario(s, cells=96)
-    f = rasterize_fiber(s, 0.0, g)
-    lab = covered_with_collar_labels(f)
-    assert lab.which == "covered_with_collar"
-    assert lab.count >= 1
-    assert (lab.labels > 0).sum() == f.covered_with_collar.sum()
 
 
 def test_cobordism_samples_and_slices():
@@ -282,17 +284,6 @@ def test_count_holes_hand_bitmaps():
     assert count_holes(np.ones(9, dtype=bool)) == 0
 
 
-def test_dump_slices_pbm(tmp_path):
-    s = builtin_scenario("empty")
-    g = grid_for_scenario(s, cells=16, fine_time_samples=3)
-    cob = rasterize_cobordism(s, (0.0, 1.0), g)
-    paths = dump_slices(cob, str(tmp_path), prefix="frame")
-    assert len(paths) == 3
-    head = (tmp_path / "frame_000.pbm").read_text().splitlines()
-    assert head[0] == "P1"
-    assert head[1] == "16 16"
-
-
 def test_thread_count_env(monkeypatch):
     from evasion_kit.rasterize import thread_count
 
@@ -302,3 +293,190 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() == 3
     monkeypatch.setenv("EVASION_KIT_THREADS", "0")
     assert thread_count() == 1
+    monkeypatch.setenv("EVASION_KIT_THREADS", "abc")
+    with pytest.raises(KnobError):
+        thread_count()
+
+
+
+# ---------------------------------------------------------------------------
+# the labeling kernels against the code they replaced
+# ---------------------------------------------------------------------------
+
+
+_FACE = {
+    1: np.ones(3, dtype=bool),
+    2: ndimage.generate_binary_structure(2, 1),
+    3: ndimage.generate_binary_structure(3, 1),
+}
+
+
+def _reference_canonical(labels):
+    """The former relabeling: number components in order of their first cell."""
+    flat = labels.ravel()
+    nz = np.flatnonzero(flat)
+    if nz.size == 0:
+        return labels.astype(np.int32), 0
+    uniq, first = np.unique(flat[nz], return_index=True)
+    order = np.argsort(first, kind="stable")
+    remap = np.zeros(int(uniq.max()) + 1, dtype=np.int32)
+    remap[uniq[order]] = np.arange(1, uniq.size + 1, dtype=np.int32)
+    return remap[labels], int(uniq.size)
+
+
+def _masks(min_dims, max_dims, max_side):
+    return arrays(np.bool_, array_shapes(min_dims=min_dims, max_dims=max_dims,
+                                         min_side=1, max_side=max_side))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masks(1, 3, 9))
+def test_scipy_labels_are_canonical(mask):
+    # label_components (1-D, 2-D, and 3-D with time adjacency) uses scipy's
+    # numbering as is; it must equal first-cell order.
+    raw, n = ndimage.label(mask, structure=_FACE[mask.ndim])
+    want, want_n = _reference_canonical(raw)
+    got, got_n = label_components(mask)
+    assert got.dtype == want.dtype == np.int32
+    assert got_n == want_n == n
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masks(2, 3, 9))
+def test_scipy_slice_labels_are_canonical(mask):
+    raw, _ = ndimage.label(mask, structure=_SLICE_STRUCTS[mask.ndim])
+    labels, tops = label_slices(mask)
+    assert np.array_equal(labels, _reference_canonical(raw)[0])
+    assert np.array_equal(labels, raw)
+    assert tops[-1] == labels.max(initial=0)
+
+
+@pytest.mark.parametrize("shape,axes", [((7,), (0,)), ((5, 6), (0, 1)), ((5, 6), (1,)),
+                                        ((3, 4, 5), (1, 2)), ((3, 4, 5), (0, 1, 2))])
+def test_face_contacts_against_brute_force(shape, axes):
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        source = rng.random(shape) < 0.5
+        target = rng.random(shape) < 0.5
+        want = set()
+        for cell in zip(*np.nonzero(source)):
+            for axis in axes:
+                for step in (-1, 1):
+                    nxt = list(cell)
+                    nxt[axis] += step
+                    if 0 <= nxt[axis] < shape[axis] and target[tuple(nxt)]:
+                        want.add((np.ravel_multi_index(cell, shape),
+                                  np.ravel_multi_index(tuple(nxt), shape)))
+        src, dst = face_contacts(source, target, axes)
+        got = list(zip(src.tolist(), dst.tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == want
+
+
+def test_bounding_box():
+    mask = np.zeros((6, 7), dtype=bool)
+    assert bounding_box(mask) == (slice(None), slice(None))
+    mask[1, 5] = mask[3, 2] = True
+    assert bounding_box(mask) == (slice(1, 4), slice(2, 6))
+    assert bounding_box(np.ones(4, dtype=bool)) == (slice(0, 4),)
+
+
+def _reference_boundary_pairs(c, dimension):
+    """The former boundary pairs: per-direction boolean gathers on strided
+    views, relabeled labels, and per-pair cell lists."""
+    stacked = c.uncovered.ndim > dimension
+    disk = c.disk[None] if stacked else c.disk
+    inside = c.inside[None] if stacked else c.inside
+    u_lab, _ = _reference_canonical(ndimage.label(c.uncovered, structure=_FACE[c.uncovered.ndim])[0])
+    v_lab, _ = _reference_canonical(ndimage.label(disk & ~c.uncovered,
+                                                  structure=_FACE[c.uncovered.ndim])[0])
+    collar = np.broadcast_to(disk & ~inside, c.uncovered.shape)
+    shape = c.uncovered.shape
+    ndim = c.uncovered.ndim
+    ps, ws, ucells, wcells = [], [], [], []
+    flat_index = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    for axis in range(ndim - dimension, ndim):
+        for sign in (-1, 1):
+            src = [slice(None)] * ndim
+            dst = [slice(None)] * ndim
+            if sign == 1:
+                src[axis] = slice(None, -1)
+                dst[axis] = slice(1, None)
+            else:
+                src[axis] = slice(1, None)
+                dst[axis] = slice(None, -1)
+            pu = u_lab[tuple(src)]
+            pv = v_lab[tuple(dst)]
+            keep = (pu != 0) & (pv != 0) & ~collar[tuple(dst)]
+            ps.append(pu[keep])
+            ws.append(pv[keep])
+            ucells.append(flat_index[tuple(src)][keep])
+            wcells.append(flat_index[tuple(dst)][keep])
+    P, W = np.concatenate(ps), np.concatenate(ws)
+    UC, WC = np.concatenate(ucells), np.concatenate(wcells)
+    if P.size == 0:
+        return dict(pairs=(), rep_uncovered=(), rep_covered=(), cells=(),
+                    uncovered_labels=u_lab, covered_labels=v_lab)
+    nv = int(v_lab.max())
+    key = P.astype(np.int64) * (nv + 1) + W
+    uniq_key, inv = np.unique(key, return_inverse=True)
+    k = uniq_key.size
+    min_wc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+    min_uc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(min_wc, inv, WC)
+    np.minimum.at(min_uc, inv, UC)
+    order = np.argsort(min_wc, kind="stable")
+    rank = np.empty(k, dtype=np.int64)
+    rank[order] = np.arange(k)
+    pair_rank = rank[inv]
+    cell_lists = [[] for _ in range(k)]
+    for cell in np.unique(WC):
+        cell_lists[int(pair_rank[WC == cell].min())].append(int(cell))
+    return dict(
+        pairs=tuple((int(uniq_key[i] // (nv + 1)), int(uniq_key[i] % (nv + 1))) for i in order),
+        rep_uncovered=tuple(int(min_uc[i]) for i in order),
+        rep_covered=tuple(int(min_wc[i]) for i in order),
+        cells=tuple(tuple(sorted(lst)) for lst in cell_lists),
+        uncovered_labels=u_lab, covered_labels=v_lab)
+
+
+def _contact_case(key):
+    """Scenario and grid; a key ending in '+edge' has no margin, so the disk
+    touches the grid border."""
+    name, edge, _ = key.partition("+edge")
+    kind, _, seed = name.partition("/")
+    if kind == "interval":
+        s = random_interval_scenario(int(seed))
+    else:
+        s = builtin_scenario(kind, int(seed or 0))
+    return s, grid_for_scenario(s, cells=96, fine_time_samples=16,
+                                margin_cells=0 if edge else 4)
+
+
+_CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
+                  + [f"random/{k}" for k in range(5)]
+                  + ["interval/1", "split+edge", "random/1+edge", "interval/1+edge"])
+
+
+@pytest.mark.parametrize("key", _CONTACT_CASES)
+def test_boundary_pairs_match_reference(key):
+    s, g = _contact_case(key)
+    complexes = rasterize_fibers(s, [0.0, 0.37, 1.0], g)
+    complexes.append(rasterize_cobordism(s, (0.2, 0.6), g))
+    for c in complexes:
+        b = components(c, "covered_boundary")
+        assert isinstance(b, BoundaryComponents)
+        want = _reference_boundary_pairs(c, s.dimension)
+        for field in ("pairs", "rep_uncovered", "rep_covered"):
+            assert getattr(b, field) == want[field]
+        assert b.count == len(want["pairs"])
+        for field in ("uncovered_labels", "covered_labels"):
+            got = getattr(b, field)
+            assert got.dtype == want[field].dtype
+            assert np.array_equal(got, want[field])
+        assert b.labels.dtype == np.int32
+        # the labels bitmap holds the partition the cell lists spelled out
+        for i, cells in enumerate(want["cells"]):
+            assert np.flatnonzero(b.labels.ravel() == i + 1).tolist() == list(cells)
+        assert (b.labels > 0).sum() == sum(len(cells) for cells in want["cells"])

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 from evasion_kit.analysis import Witness
 from evasion_kit.rasterize import grid_for_scenario, rasterize_fiber
@@ -44,4 +45,4 @@ def test_render_scenario_writes_files(tmp_path):
     assert [os.path.basename(p) for p in written] == [
         "frame_000.svg", "frame_001.svg", "frame_002.svg"]
     for path in written:
-        assert open(path).read().startswith("<svg")
+        assert Path(path).read_text().startswith("<svg")

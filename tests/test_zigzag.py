@@ -14,6 +14,7 @@ from evasion_kit.scenario import (
 )
 from evasion_kit.zigzag import (
     Event,
+    _pair_counts,
     _signatures,
     _stack_signatures,
     build_zigzag,
@@ -24,7 +25,11 @@ from evasion_kit.zigzag import (
 from evasion_kit.rasterize import (
     components,
     count_holes,
+    coverage_masks,
+    domain_masks,
     grid_for_scenario,
+    label_slices,
+    rasterize_cobordism,
     rasterize_fiber,
     rasterize_fibers,
 )
@@ -102,6 +107,56 @@ def test_stack_signatures_match_per_slice(name, seed):
     times = np.linspace(0.0, 1.0, 513)
     expected = [_slice_signature(f) for f in rasterize_fibers(s, times, grid)]
     assert _signatures(s, times, grid) == expected
+
+
+@pytest.mark.parametrize("name,seed", [("split", 0), ("random", 1), ("interval", 1)])
+def test_stack_signatures_match_per_slice_without_margin(name, seed):
+    # The disk touches the grid border, so its bounding box is the whole grid.
+    s = _scan_scenario(name, seed)
+    grid = grid_for_scenario(s, cells=96, margin_cells=0)
+    disk, _ = domain_masks(s, grid)
+    assert disk[0].any() and disk[-1].any() and disk[..., 0].any()
+    times = np.linspace(0.0, 1.0, 129)
+    expected = [_slice_signature(f) for f in rasterize_fibers(s, times, grid)]
+    assert _signatures(s, times, grid) == expected
+
+
+def _reference_pair_counts(uncovered, u_lab, u_tops, v_lab, covered):
+    """The former contact count: boolean gathers on strided views, per direction."""
+    stride = np.int64(v_lab.max()) + 1
+    keys = []
+    ndim = uncovered.ndim
+    for axis in range(1, ndim):
+        lead = [slice(None)] * ndim
+        trail = [slice(None)] * ndim
+        lead[axis] = slice(1, None)
+        trail[axis] = slice(None, -1)
+        for src, dst in ((tuple(trail), tuple(lead)), (tuple(lead), tuple(trail))):
+            keep = uncovered[src] & covered[dst]
+            keys.append(u_lab[src][keep].astype(np.int64) * stride + v_lab[dst][keep])
+    labels = np.unique(np.concatenate(keys)) // stride
+    return np.bincount(np.searchsorted(u_tops, labels), minlength=u_tops.size)
+
+
+_PAIR_CASES = ([(name, 0, 4) for name in ("split", "close", "annuli", "empty", "full")]
+               + [("random", seed, 4) for seed in range(5)]
+               + [("interval", 1, 4), ("split", 0, 0), ("random", 1, 0), ("interval", 1, 0)])
+
+
+@pytest.mark.parametrize("name,seed,margin", _PAIR_CASES)
+def test_pair_counts_match_reference(name, seed, margin):
+    s = _scan_scenario(name, seed)
+    grid = grid_for_scenario(s, cells=96, fine_time_samples=16, margin_cells=margin)
+    disk, inside = domain_masks(s, grid)
+    fibers = inside & ~coverage_masks(s, np.linspace(0.0, 1.0, 33), grid)
+    cobordism = rasterize_cobordism(s, (0.2, 0.6), grid).uncovered
+    for unc in (fibers, cobordism):
+        u_lab, u_tops = label_slices(unc)
+        v_lab, v_tops = label_slices(disk & ~unc)
+        covered = disk & ~unc & inside
+        want = _reference_pair_counts(unc, u_lab, u_tops, v_lab, covered)
+        got = _pair_counts(unc, u_lab, u_tops, v_lab, v_tops, covered)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name,seed", [("annuli", 0), ("interval", 1)])
