@@ -23,13 +23,12 @@ from .limit import (AlgebraLimit, LimitError, LimitResult, PartitionAlgebra,
                     partition_algebra, partition_from_functionals,
                     pullback_partition)
 from .planar_homology import (Hole, HoleBasis, HomologyError, alexander_image,
-                              dump_cycles_svg, holes, winding)
+                              holes, winding)
 from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
                         FiberComplex, GridSpec, RasterError, cell_center,
                         components, count_holes, coverage_masks, domain_masks,
                         grid_for_scenario, label_components,
-                        rasterize_cobordism, rasterize_fiber, rasterize_fibers,
-                        thread_count)
+                        rasterize_cobordism, rasterize_fiber, rasterize_fibers)
 from .render import render_scenario, slice_svg
 from .scenario import (BUILTIN_NAMES, Scenario, ScenarioError, SensorTrack,
                        builtin_scenario, canonical_json, load_scenario,
@@ -54,7 +53,7 @@ __all__ = [
     "coverage_masks", "domain_masks", "FiberComplex", "CobordismComplex",
     "rasterize_fiber", "rasterize_fibers", "rasterize_cobordism",
     "ComponentLabels", "BoundaryComponents", "components", "label_components",
-    "count_holes", "thread_count",
+    "count_holes",
     # limits and algebras
     "LimitError", "ZigzagSetDiagram", "LimitResult", "inverse_limit",
     "PartitionAlgebra", "partition_algebra", "partition_from_functionals",
@@ -63,7 +62,7 @@ __all__ = [
     "diagrams_isomorphic",
     # planar homology
     "HomologyError", "Hole", "HoleBasis", "holes", "winding",
-    "alexander_image", "dump_cycles_svg",
+    "alexander_image",
     # events and zigzags
     "Event", "fiber_signature", "detect_events", "interleave",
     "ZigzagBundle", "build_zigzag",

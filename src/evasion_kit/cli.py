@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success (and agreement for `compare`), 1 when the analysis
-itself fails or `compare` finds a disagreement, 2 for bad input. Errors are
-reported as a JSON object on stderr.
+itself fails, `compare` finds a disagreement or stdout is closed early, 2 for
+bad input, a malformed command line included. Errors are reported as a JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
                        DEFAULT_ORACLE_SAMPLES, _event_doc, analyze,
@@ -31,8 +32,7 @@ from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, build_zigzag,
 __all__ = ["main"]
 
 # Each knob's default and least valid value. tol must be finite and
-# positive instead, seed takes any integer, and a threads default of None
-# defers to the environment.
+# positive instead, and seed takes any integer.
 _KNOBS: Dict[str, Tuple[object, Optional[int]]] = {
     "cells": (128, 9),  # more cells than the grid's two four-cell margins
     "fine_time_samples": (64, 2),
@@ -41,9 +41,19 @@ _KNOBS: Dict[str, Tuple[object, Optional[int]]] = {
     "max_elements": (DEFAULT_MAX_ELEMENTS, 0),
     "max_witnesses": (DEFAULT_MAX_WITNESSES, 0),
     "time_samples": (DEFAULT_ORACLE_SAMPLES, 1),
-    "threads": (None, 1),
     "seed": (0, None),
 }
+
+
+class UsageError(ValueError):
+    """The command line does not parse (bad input)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as UsageError instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
@@ -61,15 +71,13 @@ def _add_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scan-samples", type=int, default=None,
                    help="event scan samples over the time span")
     p.add_argument("--tol", type=float, default=None, help="event window tolerance")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for rasterization")
     p.add_argument("--config", default=None,
                    help="JSON file of option defaults (flags still win)")
     p.add_argument("--output", default=None, help="write the JSON result here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evasion-kit",
         description="Evasion path analysis for mobile sensor networks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _checked(name: str, value: object) -> object:
     """The knob's value if it lies in its valid range; KnobError otherwise."""
     flag = "--" + name.replace("_", "-")
-    if value is None and name == "threads":
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise KnobError(f"{flag} must be a number, got {value!r}")
     if name == "tol":
@@ -176,6 +182,7 @@ def _emit(doc: object, output: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _load(args: argparse.Namespace, knobs: _Knobs):
@@ -192,15 +199,8 @@ def _grid(s, knobs: _Knobs):
                              fine_time_samples=knobs.get("fine_time_samples"))
 
 
-def _apply_threads(knobs: _Knobs) -> None:
-    threads = knobs.get("threads")
-    if threads is not None:
-        os.environ["EVASION_KIT_THREADS"] = str(threads)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
-    _apply_threads(knobs)
     s = _load(args, knobs)
     report = analyze(
         s, mode=args.mode, grid=_grid(s, knobs),
@@ -217,7 +217,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
-    _apply_threads(knobs)
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
@@ -242,7 +241,6 @@ def _parse_element(text: str) -> List[int]:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
-    _apply_threads(knobs)
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     bundle = build_zigzag(s, grid, region="uncovered",
@@ -275,7 +273,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
-    _apply_threads(knobs)
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     max_elements = knobs.get("max_elements")
@@ -298,7 +295,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
-    _apply_threads(knobs)
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     if args.times is not None:
@@ -340,14 +336,20 @@ def _error_doc(exc: Exception) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ScenarioError, KnobError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
+    except (UsageError, ScenarioError, KnobError, FileNotFoundError,
+            IsADirectoryError, json.JSONDecodeError) as exc:
         sys.stderr.write(_error_doc(exc))
         return 2
+    except BrokenPipeError as exc:
+        # The reader is gone. Python flushes stdout again at exit, so point
+        # it at devnull first, or that flush fails too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.stderr.write(_error_doc(exc))
+        return 1
     except (EvasionError, LimitError, RasterError, HomologyError) as exc:
         sys.stderr.write(_error_doc(exc))
         return 1

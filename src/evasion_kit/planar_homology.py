@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .limit import PartitionAlgebra, partition_from_functionals
-from .rasterize import BoundaryComponents
+from .rasterize import BoundaryComponents, _complement_holes
 
 __all__ = [
     "Hole",
@@ -30,10 +29,7 @@ __all__ = [
     "holes",
     "winding",
     "alexander_image",
-    "dump_cycles_svg",
 ]
-
-_ST4 = ndimage.generate_binary_structure(2, 1)
 
 Corner = Tuple[int, int]
 
@@ -48,7 +44,6 @@ class Hole:
 
     representative: Tuple[int, int]
     cycle: Tuple[Corner, ...]
-    cells: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -126,39 +121,22 @@ def holes(region: np.ndarray) -> HoleBasis:
 
     Each hole's cycle is the outer contour of its filled extent (the hole plus
     anything it encloses), so the cycle winds once around every cell inside
-    the hole or nested within it.
+    the hole or nested within it. The hole's own contour is that contour: the
+    trace keeps the unbounded part of the hole's complement on its right, and
+    every cell it inspects is a hole cell or lies in that part, so filling
+    what the hole encloses would not change a step.
     """
     if region.ndim != 2:
         raise HomologyError("holes are only defined for 2d regions")
-    comp = np.pad(~region, 1, constant_values=True)
-    labels, n = ndimage.label(comp, structure=_ST4)
-    border = np.unique(np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-    outside = set(int(v) for v in border if v != 0)
-
-    found: List[Tuple[int, Hole]] = []
-    ny, nx = region.shape
-    for lab in range(1, n + 1):
-        if lab in outside:
-            continue
+    labels, count = _complement_holes(region)
+    width = labels.shape[1]
+    found: List[Hole] = []
+    for lab in range(2, count + 2):
         hole_p = labels == lab
-        flood, _ = ndimage.label(~hole_p, structure=_ST4)
-        keep = np.unique(np.concatenate([
-            flood[0, :], flood[-1, :], flood[:, 0], flood[:, -1]]))
-        keep = set(int(v) for v in keep if v != 0)
-        fill_p = ~np.isin(flood, sorted(keep))
-        cycle_p = _outer_contour(fill_p)
-        cycle = tuple((cx - 1, cy - 1) for cx, cy in cycle_p)
-
-        hole = hole_p[1:-1, 1:-1]
-        cells = np.flatnonzero(hole.ravel())
-        first = int(cells[0])
-        iy, ix = divmod(first, nx)
-        found.append((first, Hole(representative=(iy, ix), cycle=cycle,
-                                  cells=tuple(int(v) for v in cells))))
-
-    found.sort(key=lambda item: item[0])
-    return HoleBasis(holes=tuple(h for _, h in found))
+        cycle = tuple((cx - 1, cy - 1) for cx, cy in _outer_contour(hole_p))
+        py, px = divmod(int(np.flatnonzero(hole_p.ravel())[0]), width)
+        found.append(Hole(representative=(py - 1, px - 1), cycle=cycle))
+    return HoleBasis(holes=tuple(found))
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +202,3 @@ def alexander_image(c_region: np.ndarray, boundary: BoundaryComponents) -> Parti
     for hole in basis.holes:
         functionals.append({label: winding(hole.cycle, reps[label]) for label in ground})
     return partition_from_functionals(ground, functionals)
-
-
-# ---------------------------------------------------------------------------
-# debug output
-# ---------------------------------------------------------------------------
-
-
-def dump_cycles_svg(region: np.ndarray, basis: HoleBasis, path: str, scale: int = 4) -> None:
-    """Tiny standalone picture of a region and its hole contours."""
-    ny, nx = region.shape
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{nx * scale}" height="{ny * scale}" '
-        f'viewBox="0 0 {nx} {ny}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    for iy, ix in zip(*np.nonzero(region)):
-        parts.append(f'<rect x="{ix}" y="{ny - 1 - iy}" width="1" height="1" fill="#b0b0b0"/>')
-    colors = ("#cc2222", "#2255cc", "#22aa55", "#aa22aa")
-    for k, hole in enumerate(basis.holes):
-        pts = " ".join(f"{cx},{ny - cy}" for cx, cy in hole.cycle)
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{colors[k % len(colors)]}" stroke-width="0.2"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")

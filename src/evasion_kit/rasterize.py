@@ -17,8 +17,6 @@ components() for the rationale.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
@@ -26,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import ndimage
 
-from .errors import KnobError
 from .scenario import Scenario, positions_at
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "domain_masks",
     "count_holes",
     "cell_center",
-    "thread_count",
 ]
 
 
@@ -156,15 +152,6 @@ def _domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    raw = os.environ.get("EVASION_KIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise KnobError(f"EVASION_KIT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 @lru_cache(maxsize=64)
 def _static_union(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """Union of the balls of constant tracks, plus the moving track indices."""
@@ -195,12 +182,14 @@ def _windows(centers: np.ndarray, p: np.ndarray, width: int, reach: float) -> np
     return start[:, None] + np.arange(width)
 
 
-def _coverage_chunk(s: Scenario, times: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coverage of the times; a moving ball is tested only on a window around it.
+def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec) -> np.ndarray:
+    """Boolean stack (T, *shape): cell center within sensing range of a sensor.
 
-    Cells beyond one cell of the ball's extent on an axis fail the distance
-    test on that coordinate alone, so the window leaves the result exact.
+    A moving ball is tested only on a window around it. Cells beyond one cell
+    of the ball's extent on an axis fail the distance test on that coordinate
+    alone, so the window leaves the result exact.
     """
+    times = np.asarray(times, dtype=float)
     r = s.sensing_radius
     r2 = r * r
     if not s.tracks:
@@ -224,21 +213,6 @@ def _coverage_chunk(s: Scenario, times: np.ndarray, grid: GridSpec) -> np.ndarra
                 near = (dx * dx)[:, None, :] + (dy * dy)[:, :, None] <= r2
                 ball[steps[:, None, None], idx[1][:, :, None], idx[0][:, None, :]] |= near
     return ball
-
-
-def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec) -> np.ndarray:
-    """Boolean stack (T, *shape): cell center within sensing range of a sensor."""
-    ts = np.asarray(times, dtype=float)
-    workers = thread_count()
-    if workers <= 1 or ts.size < 2 * workers:
-        return _coverage_chunk(s, ts, grid)
-    chunks = np.array_split(np.arange(ts.size), workers)
-    out = np.empty((ts.size,) + grid.shape, dtype=bool)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(idx, pool.submit(_coverage_chunk, s, ts[idx], grid)) for idx in chunks if idx.size]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return out
 
 
 def _spatial_any_neighbor(mask: np.ndarray, dimension: int) -> np.ndarray:
@@ -396,9 +370,6 @@ class BoundaryComponents:
     labels: np.ndarray
     uncovered_labels: np.ndarray
     covered_labels: np.ndarray
-
-    def index_of_pair(self, pocket_label: int, covered_label: int) -> int:
-        return self.pairs.index((pocket_label, covered_label)) + 1
 
 
 _STRUCTS = {
@@ -560,13 +531,20 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     return ComponentLabels(which=which, labels=labels, count=count)
 
 
+def _complement_holes(mask: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Labels of the complement of a 2d mask padded by one cell, and the
+    number of holes (bounded complement components).
+
+    The padding joins every complement cell on the grid edge into one
+    component. It holds the first cell, so in raster order it is label 1, and
+    the holes are labels 2 to count + 1, in order of their first cell.
+    """
+    labels, n = ndimage.label(np.pad(~mask, 1, constant_values=True), structure=_STRUCTS[2])
+    return labels, n - 1
+
+
 def count_holes(mask: np.ndarray) -> int:
     """Bounded complement components of a 2d mask (its first Betti number)."""
     if mask.ndim != 2:
         return 0
-    comp = np.pad(~mask, 1, constant_values=True)
-    labels, n = ndimage.label(comp, structure=_STRUCTS[2])
-    border = np.unique(np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-    border = border[border != 0]
-    return int(n - border.size)
+    return _complement_holes(mask)[1]

@@ -416,11 +416,11 @@ sys.stdout.write(canonical_json(doc))
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_reports_identical_across_thread_counts():
+def test_reports_identical_across_hash_seeds():
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, EVASION_KIT_THREADS=threads, PYTHONPATH=path)
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", _WORKER], env=env,
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,13 @@ def _run(capsys, *argv):
 
 def _json(text):
     return json.loads(text)
+
+
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _merge_doc():
@@ -55,8 +65,10 @@ def test_generate_all_builtins(capsys):
 
 
 def test_generate_rejects_unknown_name(capsys):
-    with pytest.raises(SystemExit):
-        main(["generate", "nonesuch"])
+    code, out, err = _run(capsys, "generate", "nonesuch")
+    assert code == 2
+    assert out == ""
+    assert _json(err)["error"] == "UsageError"
 
 
 def test_generate_is_deterministic(capsys):
@@ -284,7 +296,8 @@ def test_bad_scan_knob_is_input_error(capsys, knob):
 
 @pytest.mark.parametrize("config", [{"cells": "abc"}, {"tol": "small"},
                                     {"scan_samples": 2.5}, {"seed": True},
-                                    {"cells": None}, {"cell": 48}])
+                                    {"cells": None}, {"cell": 48},
+                                    {"threads": 2}])
 def test_bad_config_knob_is_input_error(capsys, tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -323,12 +336,41 @@ def test_infinite_radius_is_input_error(capsys, tmp_path):
     assert _json(err)["error"] == "ScenarioError"
 
 
-def test_non_integer_threads_env_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("EVASION_KIT_THREADS", "abc")
-    code, out, err = _run(capsys, "events", "split", "--cells", "32")
+@pytest.mark.parametrize("argv", [("analyze", "split", "--threads", "2"),
+                                  ("analyze", "split", "--cells", "abc"),
+                                  ("analyze", "split", "--bogus"),
+                                  ("events",), ()])
+def test_malformed_command_line_is_input_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert _json(err)["error"] == "KnobError"
+    assert _json(err)["error"] == "UsageError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-h"])
+    assert exc.value.code == 0
+    assert "--cells" in capsys.readouterr().out
+
+
+def test_closed_stdout_is_json_error_without_traceback():
+    # stdout stays block-buffered, as it is by default, so the short document
+    # reaches the pipe only when the program flushes it.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "evasion_kit.cli", "generate", "empty"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert _json(proc.stderr)["error"] == "BrokenPipeError"
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

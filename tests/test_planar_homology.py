@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from evasion_kit.planar_homology import (
     HomologyError,
     alexander_image,
-    dump_cycles_svg,
     holes,
     winding,
 )
@@ -20,6 +20,37 @@ from evasion_kit.scenario import builtin_scenario
 
 def _mask(rows):
     return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+_ST4 = ndimage.generate_binary_structure(2, 1)
+
+
+def _reference_holes(mask):
+    """(cells, fill) masks per bounded complement component, in first-cell order.
+
+    The fill is the component plus everything it encloses: the complement of
+    the components of its own complement that reach the grid edge, found by a
+    second flood fill.
+    """
+    labels, n = ndimage.label(np.pad(~mask, 1, constant_values=True), structure=_ST4)
+    rim = set(np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]]).tolist())
+    out = []
+    for lab in range(1, n + 1):
+        if lab in rim:
+            continue
+        hole_p = labels == lab
+        flood, _ = ndimage.label(~hole_p, structure=_ST4)
+        edge = np.unique(np.concatenate([flood[0], flood[-1], flood[:, 0], flood[:, -1]]))
+        fill_p = ~np.isin(flood, edge[edge != 0])
+        out.append((hole_p[1:-1, 1:-1], fill_p[1:-1, 1:-1]))
+    out.sort(key=lambda item: int(np.flatnonzero(item[0])[0]))
+    return out
+
+
+def _winding_map(cycle, shape):
+    """Winding number of the cycle around every cell center of the grid."""
+    return np.array([[winding(cycle, (ix + 0.5, iy + 0.5)) for ix in range(shape[1])]
+                     for iy in range(shape[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +73,9 @@ def test_holes_simple_ring():
     # the hole's fill includes the island at (2, 2)
     assert winding(hole.cycle, (2.5, 2.5)) == 1
     assert winding(hole.cycle, (0.5, 0.5)) == 0
-    assert len(hole.cells) == 8
+    cells, fill = _reference_holes(region)[0]
+    assert cells.sum() == 8
+    assert np.array_equal(_winding_map(hole.cycle, region.shape), fill.astype(int))
 
 
 def test_holes_ordering_and_counts():
@@ -90,20 +123,18 @@ def test_holes_requires_2d():
 
 
 def test_holes_random_masks_wind_correctly():
+    # Each cycle winds once around exactly the cells of its hole's fill,
+    # nested holes and islands included.
     rng = np.random.default_rng(17)
-    for _ in range(60):
-        mask = rng.random((14, 14)) < 0.5
+    for density in np.repeat((0.35, 0.5, 0.65, 0.8), 30):
+        mask = rng.random((14, 14)) < density
         basis = holes(mask)
-        assert basis.count == count_holes(mask)
-        border = [(iy, ix) for iy in range(14) for ix in range(14)
-                  if (iy in (0, 13) or ix in (0, 13)) and not mask[iy, ix]]
-        for hole in basis.holes:
+        reference = _reference_holes(mask)
+        assert basis.count == count_holes(mask) == len(reference)
+        for hole, (cells, fill) in zip(basis.holes, reference):
+            assert hole.representative == tuple(int(v) for v in np.argwhere(cells)[0])
             assert hole.cycle[0] == hole.cycle[-1]
-            for flat in hole.cells:
-                iy, ix = divmod(int(flat), 14)
-                assert winding(hole.cycle, (ix + 0.5, iy + 0.5)) == 1
-            for iy, ix in border:
-                assert winding(hole.cycle, (ix + 0.5, iy + 0.5)) == 0
+            assert np.array_equal(_winding_map(hole.cycle, mask.shape), fill.astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +228,3 @@ def test_uncovered_holes_count_covered_islands():
     assert count_holes(f.uncovered) == 2
     _, n = label_components(f.uncovered)
     assert n == 1
-
-
-def test_dump_cycles_svg(tmp_path):
-    region = _mask([
-        "#####",
-        "#...#",
-        "#####",
-    ])
-    path = tmp_path / "cycles.svg"
-    dump_cycles_svg(region, holes(region), str(path))
-    text = path.read_text()
-    assert text.startswith("<svg")
-    assert "polyline" in text or "polygon" in text or "path" in text

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
-from evasion_kit.errors import KnobError
 from evasion_kit.rasterize import (
     _SLICE_STRUCTS,
     BoundaryComponents,
@@ -282,21 +281,6 @@ def test_count_holes_hand_bitmaps():
     notch[0, 2] = False
     assert count_holes(notch) == 0
     assert count_holes(np.ones(9, dtype=bool)) == 0
-
-
-def test_thread_count_env(monkeypatch):
-    from evasion_kit.rasterize import thread_count
-
-    monkeypatch.delenv("EVASION_KIT_THREADS", raising=False)
-    assert thread_count() >= 1
-    monkeypatch.setenv("EVASION_KIT_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("EVASION_KIT_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("EVASION_KIT_THREADS", "abc")
-    with pytest.raises(KnobError):
-        thread_count()
-
 
 
 # ---------------------------------------------------------------------------
