@@ -19,7 +19,7 @@ from .errors import (EvasionError, ResolutionError, SimultaneousEventsError,
                      WitnessError)
 from .limit import (AlgebraLimit, LimitError, LimitResult, PartitionAlgebra,
                     ZigzagAlgebraDiagram, ZigzagSetDiagram, diagrams_isomorphic,
-                    dualize, inverse_limit, join_partitions, limit_of_algebras,
+                    inverse_limit, join_partitions, limit_of_algebras,
                     partition_algebra, partition_from_functionals,
                     pullback_partition)
 from .planar_homology import (Hole, HoleBasis, HomologyError, alexander_image,
@@ -57,7 +57,7 @@ __all__ = [
     # limits and algebras
     "LimitError", "ZigzagSetDiagram", "LimitResult", "inverse_limit",
     "PartitionAlgebra", "partition_algebra", "partition_from_functionals",
-    "dualize", "join_partitions", "pullback_partition",
+    "join_partitions", "pullback_partition",
     "ZigzagAlgebraDiagram", "AlgebraLimit", "limit_of_algebras",
     "diagrams_isomorphic",
     # planar homology

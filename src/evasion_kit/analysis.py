@@ -29,10 +29,11 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     ZigzagSetDiagram, inverse_limit, join_partitions,
                     limit_of_algebras, partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
-from .rasterize import (BoundaryComponents, GridSpec, bounding_box,
-                        cell_center, coverage_masks, domain_masks,
-                        grid_for_scenario, label_components, label_slices,
-                        rasterize_cobordism, rasterize_fiber)
+from .rasterize import (BoundaryComponents, GridSpec, StackGraph,
+                        bounding_box, cell_center, coverage_masks,
+                        domain_masks, grid_for_scenario, label_components,
+                        label_slices, rasterize_cobordism, rasterize_fiber,
+                        stack_graph, sweep)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
                      build_zigzag, detect_events, fiber_signature)
@@ -128,107 +129,45 @@ def verify_witness(s: Scenario, w: Witness, eta: float = 0.0) -> bool:
 
 def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
                 goal: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Cells of a shortest 4-adjacent path inside one component, start excluded."""
+    """Cells of a shortest face-adjacent path inside one component, start excluded.
+
+    Breadth-first search over flat indices of the component's mask, padded
+    by one cell outside it on every side so that no step needs a bounds
+    check. Neighbors are tried axis by axis, the lower one first, and a
+    cell's parent is the cell that discovered it, so the search may stop as
+    soon as the goal is discovered.
+    """
     if start == goal:
         return []
-    shape = labels.shape
-    ndim = labels.ndim
-    parents: Dict[Tuple[int, ...], Tuple[int, ...]] = {start: start}
-    queue = deque([start])
-    while queue:
+    free = np.pad(labels == comp, 1)
+    shape = free.shape
+    steps = []
+    for axis in range(free.ndim):
+        stride = int(np.prod(shape[axis + 1:], dtype=np.int64))
+        steps += [-stride, stride]
+    origin = int(np.ravel_multi_index(tuple(v + 1 for v in start), shape))
+    target = int(np.ravel_multi_index(tuple(v + 1 for v in goal), shape))
+    open_cells = free.ravel().tolist()
+    open_cells[origin] = False
+    parents = {origin: origin}
+    queue = deque([origin])
+    while queue and target not in parents:
         cur = queue.popleft()
-        if cur == goal:
-            break
-        for axis in range(ndim):
-            for step in (-1, 1):
-                nxt = list(cur)
-                nxt[axis] += step
-                if not 0 <= nxt[axis] < shape[axis]:
-                    continue
-                cell = tuple(nxt)
-                if cell in parents or labels[cell] != comp:
-                    continue
-                parents[cell] = cur
-                queue.append(cell)
-    if goal not in parents:
+        for step in steps:
+            nxt = cur + step
+            if open_cells[nxt]:
+                open_cells[nxt] = False
+                parents[nxt] = cur
+                if nxt == target:
+                    break
+                queue.append(nxt)
+    if target not in parents:
         raise WitnessError("cells reported in one component are not connected")
-    path = [goal]
-    while path[-1] != start:
+    path = [target]
+    while path[-1] != origin:
         path.append(parents[path[-1]])
-    path.reverse()
-    return path[1:]
-
-
-# ---------------------------------------------------------------------------
-# reachability over a labeled stack
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _StackGraph:
-    """The components of every slice of an uncovered stack, and how they meet.
-
-    labels are stack-wide: slice j owns offsets[j]+1 .. offsets[j+1], in
-    the canonical order of label_components. A standing edge (src, dst)
-    joins a component of slice j to one of slice j+1 that shares an
-    uncovered cell with it; edges are sorted, and cuts[j]:cuts[j+1] are
-    those leaving slice j.
-    """
-
-    labels: np.ndarray
-    offsets: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    cuts: np.ndarray
-
-
-def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The slice owning each stack-wide label."""
-    return np.searchsorted(offsets, labels) - 1
-
-
-def _stack_graph(uncovered: np.ndarray) -> _StackGraph:
-    """Label the stack in one call and collect its standing edges.
-
-    Keys pair a stack-wide source label with a target label local to its
-    slice, so they stay below (labels + 1) * (largest slice count + 1).
-    """
-    labels, tops = label_slices(uncovered)
-    offsets = np.concatenate(([0], tops)).astype(np.int64)
-    a = labels[:-1].ravel()
-    b = labels[1:].ravel()
-    # A component pair repeats along every cell it shares: keep run starts.
-    run = (uncovered[:-1] & uncovered[1:]).ravel()
-    run[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    idx = np.flatnonzero(run)
-    pa = a[idx].astype(np.int64)
-    pb = b[idx].astype(np.int64)
-    width = int(np.diff(offsets).max(initial=0)) + 1
-    keys = np.unique(pa * width + pb - offsets[_slice_of(offsets, pb)])
-    src = keys // width
-    dst = keys % width + offsets[_slice_of(offsets, src) + 1]
-    cuts = np.searchsorted(src, offsets, side="right")
-    return _StackGraph(labels=labels, offsets=offsets, src=src, dst=dst, cuts=cuts)
-
-
-def _sweep(g: _StackGraph, seeds: Sequence[int], backward: bool = False) -> np.ndarray:
-    """Which labels each seed reaches by time-monotone paths.
-
-    Returns a boolean (labels + 1, seeds) matrix. A forward path steps from
-    slice j to slice j + 1 along standing edges; a backward one runs the
-    edges in reverse, from the last slice to the first.
-    """
-    reach = np.zeros((int(g.offsets[-1]) + 1, len(seeds)), dtype=bool)
-    reach[np.asarray(seeds, dtype=np.int64), np.arange(len(seeds))] = True
-    steps = range(g.labels.shape[0] - 1)
-    origin, target = g.src, g.dst
-    if backward:
-        steps = reversed(steps)
-        origin, target = g.dst, g.src
-    for j in steps:
-        e = slice(g.cuts[j], g.cuts[j + 1])
-        np.logical_or.at(reach, target[e], reach[origin[e]])
-    return reach
+    cells = np.unravel_index(np.asarray(path[-2::-1], dtype=np.int64), shape)
+    return [tuple(int(v) - 1 for v in cell) for cell in zip(*cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +178,7 @@ def _sweep(g: _StackGraph, seeds: Sequence[int], backward: bool = False) -> np.n
 @dataclass
 class _CobData:
     times: np.ndarray
-    graph: _StackGraph
+    graph: StackGraph
 
 
 def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
@@ -262,20 +201,20 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     if first == 0 or not 0 < target_label <= g.offsets[m] - g.offsets[m - 1]:
         return None
     target = int(g.offsets[m - 1]) + target_label
-    usable = _sweep(g, [first])[:, 0] & _sweep(g, [target], backward=True)[:, 0]
+    usable = sweep(g, [first])[:, 0] & sweep(g, [target], backward=True)[:, 0]
     if not usable[first]:
         return None
 
     path: List[Tuple[float, Tuple[int, ...]]] = [(float(times[0]), start)]
     cur = start
     for j in range(m - 1):
-        comp = int(labels[j][cur])
-        cand = (labels[j] == comp) & usable[labels[j + 1]]
-        if not cand.any():
-            return None
-        if cand[cur]:
+        if usable[labels[j + 1][cur]]:
             nxt = cur
         else:
+            comp = int(labels[j][cur])
+            cand = (labels[j] == comp) & usable[labels[j + 1]]
+            if not cand.any():
+                return None
             flat = int(np.flatnonzero(cand.ravel())[0])
             nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
             for cell in _slice_path(labels[j], comp, cur, nxt):
@@ -291,27 +230,38 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
 
 
 class _WitnessBuilder:
-    """Shared per-cobordism rasterization cache across witness extractions."""
+    """Shared per-cobordism slice graphs across witness extractions.
+
+    At refine level 0 a cobordism's graph is the one its space-time
+    components were read from in build_zigzag, so the stack is labeled once
+    for both; finer levels rasterize and label the span again. Every graph
+    is cropped to the fenced region's bounding box, the same for each
+    cobordism of a bundle, so paths are searched in cropped coordinates and
+    shifted back to whole-grid cells at the end.
+    """
 
     def __init__(self, bundle: ZigzagBundle, max_refine: int = 2) -> None:
         if bundle.region != "uncovered":
             raise WitnessError("witnesses require an uncovered-region bundle")
         self.bundle = bundle
         self.max_refine = max_refine
+        self.box = bundle.cobordism_parts[0].box
         self._cache: Dict[Tuple[int, int], _CobData] = {}
 
     def _data(self, i: int, level: int) -> _CobData:
         key = (i, level)
         if key not in self._cache:
             if level == 0:
-                cob = self.bundle.cobordisms[i]
+                data = _CobData(times=self.bundle.cobordisms[i].times,
+                                graph=self.bundle.cobordism_parts[i].graph)
             else:
                 base = self.bundle.grid.fine_time_samples
                 cob = rasterize_cobordism(
                     self.bundle.scenario, self.bundle.cobordisms[i].interval,
                     self.bundle.grid, fine_time_samples=base * (2 ** level))
-            self._cache[key] = _CobData(times=cob.times,
-                                        graph=_stack_graph(cob.uncovered))
+                data = _CobData(times=cob.times,
+                                graph=stack_graph(cob.uncovered[(slice(None),) + self.box]))
+            self._cache[key] = data
         return self._cache[key]
 
     def extract(self, element: Sequence[int]) -> Witness:
@@ -322,7 +272,9 @@ class _WitnessBuilder:
         cells = np.flatnonzero(first.labels.ravel() == element[0])
         if cells.size == 0:
             raise WitnessError("element names a missing component")
-        start = tuple(int(v) for v in np.unravel_index(int(cells[0]), first.labels.shape))
+        corner = tuple(b.start or 0 for b in self.box)
+        start = tuple(int(v) - c for v, c in
+                      zip(np.unravel_index(int(cells[0]), first.labels.shape), corner))
 
         closed = bundle.time_base == "circle"
         n = len(bundle.cobordisms)
@@ -346,7 +298,8 @@ class _WitnessBuilder:
             cur = seg[-1][1] if seg else cur
 
         grid = bundle.grid
-        world = tuple((t, cell_center(grid, cell)) for t, cell in samples)
+        world = tuple((t, cell_center(grid, tuple(v + c for v, c in zip(cell, corner))))
+                      for t, cell in samples)
         return Witness(element=tuple(int(v) for v in element), samples=world)
 
 
@@ -687,15 +640,15 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     times = np.linspace(t0, t1, time_samples + 1)
     _, inside = domain_masks(s, grid)
     box = bounding_box(inside)
-    unc = inside[box] & ~coverage_masks(s, times, grid)[(slice(None),) + box]
+    unc = inside[box] & ~coverage_masks(s, times, grid, box)
     flat = unc.reshape(unc.shape[0], -1)
     keep = np.ones(unc.shape[0], dtype=bool)
     keep[1:-1] = np.any(flat[1:-1] != flat[:-2], axis=1)
     unc = unc[keep]
-    g = _stack_graph(unc)
+    g = stack_graph(unc)
     counts = [int(v) for v in np.diff(g.offsets)]
 
-    last = _sweep(g, range(1, counts[0] + 1))[g.offsets[-2] + 1:]
+    last = sweep(g, range(1, counts[0] + 1))[g.offsets[-2] + 1:]
     pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(last.T)]
     if s.time_base == "circle":
         exists = any(a == b for a, b in pairs)
@@ -715,7 +668,7 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     )
 
 
-def _oracle_class_count(time_base: str, unc: np.ndarray, g: _StackGraph,
+def _oracle_class_count(time_base: str, unc: np.ndarray, g: StackGraph,
                         counts: List[int]) -> int:
     """Limit cardinality of the zigzag of slices and two-slice bands.
 

@@ -27,7 +27,6 @@ __all__ = [
     "PartitionAlgebra",
     "partition_algebra",
     "partition_from_functionals",
-    "dualize",
     "join_partitions",
     "pullback_partition",
     "ZigzagAlgebraDiagram",
@@ -238,11 +237,6 @@ def partition_from_functionals(ground: Iterable[Label],
     return partition_algebra(g, groups.values())
 
 
-def dualize(p: PartitionAlgebra) -> Tuple[Tuple[Label, ...], ...]:
-    """The spectrum of the subalgebra: one point per block."""
-    return p.blocks
-
-
 class _DisjointSet:
     def __init__(self, items: Iterable[Label]) -> None:
         self.parent: Dict[Label, Label] = {x: x for x in items}
@@ -350,9 +344,12 @@ def _induced_block_map(g: Mapping[Label, Label], src: PartitionAlgebra,
 
 
 def limit_of_algebras(za: ZigzagAlgebraDiagram, max_elements: int = 10000) -> AlgebraLimit:
-    """Dualize every algebra, induce the block maps, and take the inverse limit."""
-    fiber_sets = tuple(dualize(p) for p in za.fiber_algebras)
-    cob_sets = tuple(dualize(p) for p in za.cobordism_algebras)
+    """Dualize every algebra, induce the block maps, and take the inverse limit.
+
+    The dual of a partition algebra, its spectrum, has one point per block.
+    """
+    fiber_sets = tuple(p.blocks for p in za.fiber_algebras)
+    cob_sets = tuple(p.blocks for p in za.cobordism_algebras)
     left = []
     right = []
     for i in range(len(za.cobordism_algebras)):

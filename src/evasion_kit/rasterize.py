@@ -35,12 +35,16 @@ __all__ = [
     "rasterize_fibers",
     "rasterize_cobordism",
     "ComponentLabels",
+    "CobordismComponents",
     "BoundaryComponents",
     "components",
     "face_contacts",
     "bounding_box",
     "label_components",
     "label_slices",
+    "StackGraph",
+    "stack_graph",
+    "sweep",
     "domain_masks",
     "count_holes",
     "cell_center",
@@ -182,8 +186,13 @@ def _windows(centers: np.ndarray, p: np.ndarray, width: int, reach: float) -> np
     return start[:, None] + np.arange(width)
 
 
-def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec) -> np.ndarray:
+def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
+                   box: Optional[Tuple[slice, ...]] = None) -> np.ndarray:
     """Boolean stack (T, *shape): cell center within sensing range of a sensor.
+
+    box, slices in array order such as bounding_box returns, restricts the
+    stack to those cells; each cell's arithmetic is that of the whole grid,
+    so the result equals the whole-grid stack cropped to the box.
 
     A moving ball is tested only on a window around it. Cells beyond one cell
     of the ball's extent on an axis fail the distance test on that coordinate
@@ -192,13 +201,16 @@ def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec) -> np.nd
     times = np.asarray(times, dtype=float)
     r = s.sensing_radius
     r2 = r * r
-    if not s.tracks:
-        return np.zeros((times.size,) + grid.shape, dtype=bool)
+    if box is None:
+        box = (slice(None),) * grid.dimension
     static, moving = _static_union(s, grid)
-    ball = np.broadcast_to(static, (times.size,) + grid.shape).copy()
+    # A contiguous crop lets the copy below fill each time as one block.
+    static = np.ascontiguousarray(static[box])
+    ball = np.broadcast_to(static, (times.size,) + static.shape).copy()
     if moving:
         pos = positions_at(s, times)
-        axes = _axis_centers(grid)
+        # World axes run (x, y); array axes run (y, x).
+        axes = tuple(c[b] for c, b in zip(_axis_centers(grid), box[::-1]))
         reach = r + grid.cell_size
         width = int(np.ceil(2.0 * r / grid.cell_size)) + 3
         steps = np.arange(times.size)
@@ -506,18 +518,136 @@ def label_slices(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return labels, tops
 
 
+@dataclass(frozen=True)
+class StackGraph:
+    """The components of every slice of a stack, and how they meet.
+
+    labels are stack-wide: slice j owns offsets[j]+1 .. offsets[j+1], in
+    the canonical order of label_components. A standing edge (src, dst)
+    joins a component of slice j to one of slice j+1 that shares a set cell
+    with it; edges are sorted, and cuts[j]:cuts[j+1] are those leaving
+    slice j.
+    """
+
+    labels: np.ndarray
+    offsets: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    cuts: np.ndarray
+
+
+def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The slice owning each stack-wide label."""
+    return np.searchsorted(offsets, labels) - 1
+
+
+def stack_graph(mask: np.ndarray) -> StackGraph:
+    """Label the stack (T, *shape) in one call and collect its standing edges.
+
+    Keys pair a stack-wide source label with a target label local to its
+    slice, so they stay below (labels + 1) * (largest slice count + 1).
+    """
+    labels, tops = label_slices(mask)
+    offsets = np.concatenate(([0], tops)).astype(np.int64)
+    a = labels[:-1].ravel()
+    b = labels[1:].ravel()
+    # A component pair repeats along every cell it shares: keep run starts.
+    run = (mask[:-1] & mask[1:]).ravel()
+    run[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    idx = np.flatnonzero(run)
+    pa = a[idx].astype(np.int64)
+    pb = b[idx].astype(np.int64)
+    width = int(np.diff(offsets).max(initial=0)) + 1
+    keys = np.unique(pa * width + pb - offsets[_slice_of(offsets, pb)])
+    src = keys // width
+    dst = keys % width + offsets[_slice_of(offsets, src) + 1]
+    cuts = np.searchsorted(src, offsets, side="right")
+    return StackGraph(labels=labels, offsets=offsets, src=src, dst=dst, cuts=cuts)
+
+
+def sweep(g: StackGraph, seeds: Sequence[int], backward: bool = False) -> np.ndarray:
+    """Which labels each seed reaches by time-monotone paths.
+
+    Returns a boolean (labels + 1, seeds) matrix. A forward path steps from
+    slice j to slice j + 1 along standing edges; a backward one runs the
+    edges in reverse, from the last slice to the first.
+    """
+    reach = np.zeros((int(g.offsets[-1]) + 1, len(seeds)), dtype=bool)
+    reach[np.asarray(seeds, dtype=np.int64), np.arange(len(seeds))] = True
+    steps = range(g.labels.shape[0] - 1)
+    origin, target = g.src, g.dst
+    if backward:
+        steps = reversed(steps)
+        origin, target = g.dst, g.src
+    for j in steps:
+        e = slice(g.cuts[j], g.cuts[j + 1])
+        np.logical_or.at(reach, target[e], reach[origin[e]])
+    return reach
+
+
+def _graph_components(g: StackGraph) -> Tuple[np.ndarray, int]:
+    """The connected components of a stack graph, edges taken both ways.
+
+    Returns, per stack-wide label, its component (0 for label 0), and the
+    component count. Components are numbered in order of their least label;
+    labels follow the stack's raster order, so this is the order of each
+    component's first cell, as in a labeling of the whole stack. A union-find
+    hooks each edge's larger root under its smaller one and then jumps
+    pointers to the roots, until both ends of every edge share a root.
+    """
+    root = np.arange(int(g.offsets[-1]) + 1)
+    while True:
+        a = root[g.src]
+        b = root[g.dst]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    firsts = np.unique(root[1:])
+    comp = np.searchsorted(firsts, root) + 1
+    comp[0] = 0
+    return comp, int(firsts.size)
+
+
+@dataclass
+class CobordismComponents:
+    """Space-time components of a region of a cobordism, labeled 1..count.
+
+    They are the connected components of the region's slice graph, and are
+    numbered as a face-adjacency labeling of the whole stack would number
+    them. The graph is built on the stack cropped to box, the bounding box
+    of the fenced region: it holds every cell of either region and keeps
+    their raster order. The witness search walks the graph in those cropped
+    coordinates. Only the first and last slices are labeled on the whole
+    grid (ends[0] and ends[-1]), since fibers map in at those.
+    """
+
+    which: str
+    count: int
+    ends: Tuple[np.ndarray, np.ndarray]
+    graph: StackGraph
+    box: Tuple[slice, ...]
+
+
 def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     """(disk, inside) masks of the domain on this grid; both are read-only."""
     return _domain_masks(s, grid)
 
 
 def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered"
-               ) -> Union[ComponentLabels, BoundaryComponents]:
+               ) -> Union[ComponentLabels, CobordismComponents, BoundaryComponents]:
     """Labeled components of a region of a fiber or cobordism.
 
     Face adjacency within a slice; cobordisms additionally connect the same
-    cell across consecutive sub-samples. covered_boundary components are
-    adjacency pairs, see BoundaryComponents.
+    cell across consecutive sub-samples. A cobordism's components are read
+    off one slice graph: the same cell set in consecutive slices is exactly
+    a standing edge, so the space-time components are the graph's connected
+    components, and the witness search walks that same graph.
+    covered_boundary components are adjacency pairs, see BoundaryComponents.
     """
     if which == "covered_boundary":
         return _boundary_pairs(c)
@@ -527,8 +657,17 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
         mask = c.inside & ~c.uncovered
     else:
         raise RasterError(f"unknown region '{which}'")
-    labels, count = _label_canonical(mask)
-    return ComponentLabels(which=which, labels=labels, count=count)
+    if isinstance(c, FiberComplex):
+        labels, count = _label_canonical(mask)
+        return ComponentLabels(which=which, labels=labels, count=count)
+    box = bounding_box(c.inside)
+    g = stack_graph(mask[(slice(None),) + box])
+    comp, count = _graph_components(g)
+    first, last = np.zeros((2,) + c.inside.shape, dtype=comp.dtype)
+    first[box] = comp[g.labels[0]]
+    last[box] = comp[g.labels[-1]]
+    return CobordismComponents(which=which, count=count, ends=(first, last),
+                               graph=g, box=box)
 
 
 def _complement_holes(mask: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -26,8 +26,9 @@ from scipy import ndimage
 
 from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
-from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
-                        FiberComplex, GridSpec, bounding_box, components,
+from .rasterize import (BoundaryComponents, CobordismComplex,
+                        CobordismComponents, ComponentLabels, FiberComplex,
+                        GridSpec, bounding_box, components,
                         coverage_masks, domain_masks, face_contacts,
                         grid_for_scenario, label_slices, rasterize_cobordism,
                         rasterize_fibers)
@@ -97,19 +98,19 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
                       inside: np.ndarray) -> List[Signature]:
     """Signatures of every slice of an uncovered stack (T, *shape).
 
+    The stack and masks are cropped to the disk's bounding box: every
+    uncovered cell lies in it, and a disk cell on its edge is a rim cell in
+    both frames, so the signatures are those of the whole grid.
+
     A signature depends on the uncovered mask alone, so a slice equal to its
     predecessor repeats its signature; only the changed slices are labeled.
-    They are labeled on the disk's bounding box: every labeled cell lies in
-    it, and a disk cell on its edge is a rim cell in both frames.
     """
     n = uncovered.shape[0]
     changed = np.ones(n, dtype=bool)
     if n > 1:
         flat = uncovered.reshape(n, -1)
         changed[1:] = np.any(flat[1:] != flat[:-1], axis=1)
-    box = bounding_box(disk)
-    disk = disk[box]
-    distinct = uncovered[(changed,) + box]
+    distinct = uncovered[changed]
     u_lab, u_tops = label_slices(distinct)
     covered_with_collar = disk & ~distinct
     v_lab, v_tops = label_slices(covered_with_collar)
@@ -124,19 +125,23 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
     else:
         b1 = np.zeros_like(pi0)
     pb = _pair_counts(distinct, u_lab, u_tops, v_lab, v_tops,
-                      covered_with_collar & inside[box])
+                      covered_with_collar & inside)
     sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
     return [sigs[i] for i in np.cumsum(changed) - 1]
 
 
 def fiber_signature(f: FiberComplex) -> Signature:
     """(uncovered components, uncovered holes, boundary components)."""
-    return _stack_signatures(f.uncovered[None], f.disk, f.inside)[0]
+    box = bounding_box(f.disk)
+    return _stack_signatures(f.uncovered[box][None], f.disk[box], f.inside[box])[0]
 
 
 def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Signature]:
+    """Signatures at the given times; coverage is computed on the disk's box only."""
     disk, inside = domain_masks(s, grid)
-    return _stack_signatures(inside & ~coverage_masks(s, times, grid), disk, inside)
+    box = bounding_box(disk)
+    return _stack_signatures(inside[box] & ~coverage_masks(s, times, grid, box),
+                             disk[box], inside[box])
 
 
 def _jump_ok(before: Signature, after: Signature) -> bool:
@@ -308,6 +313,7 @@ def interleave(events: Sequence[Event], time_base: str) -> Tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 FiberParts = Union[ComponentLabels, BoundaryComponents]
+CobordismParts = Union[CobordismComponents, BoundaryComponents]
 
 
 @dataclass(frozen=True)
@@ -328,23 +334,22 @@ class ZigzagBundle:
     fibers: Tuple[FiberComplex, ...]
     fiber_parts: Tuple[FiberParts, ...]
     cobordisms: Tuple[CobordismComplex, ...]
-    cobordism_parts: Tuple[FiberParts, ...]
+    cobordism_parts: Tuple[CobordismParts, ...]
     cobordism_events: Tuple[Tuple[Event, ...], ...]
     diagram: ZigzagSetDiagram
 
 
-def _labels_of(parts: FiberParts) -> Tuple[int, ...]:
+def _labels_of(parts: Union[FiberParts, CobordismParts]) -> Tuple[int, ...]:
     return tuple(range(1, parts.count + 1))
 
 
-def _region_map(fparts: ComponentLabels, cparts: ComponentLabels,
+def _region_map(fparts: ComponentLabels, cparts: CobordismComponents,
                 slice_index: int) -> Dict[int, int]:
     out: Dict[int, int] = {}
     flat = fparts.labels.ravel()
+    end = cparts.ends[slice_index].ravel()
     for label in range(1, fparts.count + 1):
-        rep = int(np.flatnonzero(flat == label)[0])
-        cell = np.unravel_index(rep, fparts.labels.shape)
-        value = int(cparts.labels[(slice_index,) + tuple(cell)])
+        value = int(end[int(np.flatnonzero(flat == label)[0])])
         if value == 0:
             raise ResolutionError(
                 "a fiber component is missing from the spanning cobordism")
@@ -370,7 +375,7 @@ def _pair_map(fparts: BoundaryComponents, cparts: BoundaryComponents,
     return out
 
 
-def _fiber_to_cob(fparts: FiberParts, cparts: FiberParts,
+def _fiber_to_cob(fparts: FiberParts, cparts: CobordismParts,
                   slice_index: int) -> Dict[int, int]:
     if isinstance(fparts, BoundaryComponents):
         return _pair_map(fparts, cparts, slice_index)

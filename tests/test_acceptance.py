@@ -5,6 +5,8 @@ import os
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diagram_tools import brute_force_limit, random_diagram
 from evasion_kit.analysis import (
@@ -217,4 +219,21 @@ def test_reports_are_deterministic():
             outs = [canonical_json(analyze(x, mode=mode).to_document())
                     for x in (s, s, reversed_s)]
             assert outs[0] == outs[1] == outs[2], (name, mode)
+    budget.check()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 99), st.data())
+def test_sensor_order_does_not_change_reports(seed, data):
+    # Any other sensor order gives the same bytes in direct and oracle modes.
+    # Budget: 20 s per example; each takes well under a second.
+    budget = _Budget(20.0)
+    s = builtin_scenario("random", seed)
+    n = len(s.tracks)
+    order = data.draw(st.permutations(range(n)))
+    assume(order != list(range(n)) and order != list(range(n))[::-1])
+    permuted = dataclasses.replace(s, tracks=tuple(s.tracks[k] for k in order))
+    for mode in ("direct", "oracle"):
+        want = canonical_json(analyze(s, mode=mode).to_document())
+        assert canonical_json(analyze(permuted, mode=mode).to_document()) == want, mode
     budget.check()

@@ -2,12 +2,16 @@ import math
 import os
 import subprocess
 import sys
+from collections import deque
 from typing import Dict, List, Set
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from evasion_kit import analysis
+from evasion_kit import analysis, rasterize
 from evasion_kit.analysis import (
     BoundaryData,
     LOWER_BOUND_NOTE,
@@ -449,7 +453,7 @@ def _scenario(key):
     if kind == "interval":
         return random_interval_scenario(int(seed))
     if kind == "pulse":
-        return _pulse_scenario("circle")
+        return _pulse_scenario(seed or "circle")
     if kind == "circle1d":
         return _circle_d1()
     if kind == "merge":
@@ -577,7 +581,7 @@ def _scenario_stack(key):
 def test_stack_graph_matches_per_slice_labels(key):
     # Stack labels rely on scipy numbering components in raster order.
     unc = _noise_stack() if key == "noise" else _scenario_stack(key)
-    g = analysis._stack_graph(unc)
+    g = rasterize.stack_graph(unc)
     edges = set()
     for j, u in enumerate(unc):
         want, n = label_components(u)
@@ -592,6 +596,95 @@ def test_stack_graph_matches_per_slice_labels(key):
         assert np.all((leaving > g.offsets[j]) & (leaving <= g.offsets[j + 1]))
     assert sorted(edges) == list(zip(g.src.tolist(), g.dst.tolist()))
     assert g.cuts[-1] == g.src.size
+
+
+def _cobordism_keys():
+    return (["split", "close", "annuli", "empty", "full", "pulse", "pulse/interval",
+             "circle1d"]
+            + [f"random/{k}" for k in range(10)]
+            + [f"interval/{k}" for k in range(10)])
+
+
+@pytest.mark.parametrize("key", _cobordism_keys())
+def test_cobordism_components_match_3d_labels(key):
+    # The slice graph's components are the stack's face-adjacency components.
+    bundle = build_zigzag(_scenario(key))
+    for cob, parts in zip(bundle.cobordisms, bundle.cobordism_parts):
+        structure = ndimage.generate_binary_structure(cob.uncovered.ndim, 1)
+        covered = cob.inside & ~cob.uncovered
+        for mask, got in ((cob.uncovered, parts), (covered, components(cob, "covered"))):
+            want, n = ndimage.label(mask, structure=structure)
+            assert got.count == n
+            assert np.array_equal(got.ends[0], want[0])
+            assert np.array_equal(got.ends[-1], want[-1])
+
+
+def _reference_slice_path(labels, comp, start, goal):
+    """The tuple-and-dict breadth-first search, stopping when the goal is popped."""
+    if start == goal:
+        return []
+    shape = labels.shape
+    ndim = labels.ndim
+    parents = {start: start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        if cur == goal:
+            break
+        for axis in range(ndim):
+            for step in (-1, 1):
+                nxt = list(cur)
+                nxt[axis] += step
+                if not 0 <= nxt[axis] < shape[axis]:
+                    continue
+                cell = tuple(nxt)
+                if cell in parents or labels[cell] != comp:
+                    continue
+                parents[cell] = cur
+                queue.append(cell)
+    if goal not in parents:
+        raise WitnessError("cells reported in one component are not connected")
+    path = [goal]
+    while path[-1] != start:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path[1:]
+
+
+def _path_outcome(fn, labels, comp, start, goal):
+    try:
+        return fn(labels, comp, start, goal)
+    except WitnessError as exc:
+        return str(exc)
+
+
+_PATH_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(1, 14), st.integers(1, 14)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slice_path_matches_reference(data):
+    shape = data.draw(_PATH_SHAPES)
+    density = data.draw(st.sampled_from([0.5, 0.7, 0.9]))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    mask = np.random.default_rng(seed).random(shape) < density
+    cells = [tuple(int(v) for v in c) for c in np.argwhere(mask)]
+    if not cells:
+        return
+    labels, _ = label_components(mask)
+    start = data.draw(st.sampled_from(cells))
+    comp = int(labels[start])
+    every = [tuple(int(v) for v in c) for c in np.ndindex(shape)]
+    goal = data.draw(st.one_of(st.just(start), st.sampled_from(cells), st.sampled_from(every)))
+    got = _path_outcome(analysis._slice_path, labels, comp, start, goal)
+    assert got == _path_outcome(_reference_slice_path, labels, comp, start, goal)
+    if goal == start:
+        assert got == []
+    elif labels[goal] != comp:
+        assert isinstance(got, str)
 
 
 def _reference_segment(data, start, target_label, target_cell):
@@ -631,20 +724,21 @@ def _reference_segment(data, start, target_label, target_cell):
         else:
             flat = int(np.flatnonzero(cand.ravel())[0])
             nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
-            for cell in analysis._slice_path(labels[j], comp, cur, nxt):
+            for cell in _reference_slice_path(labels[j], comp, cur, nxt):
                 path.append((float(times[j]), cell))
         path.append((float(times[j + 1]), nxt))
         cur = nxt
     if target_cell is not None and cur != target_cell:
         comp = int(labels[m - 1][cur])
-        for cell in analysis._slice_path(labels[m - 1], comp, cur, target_cell):
+        for cell in _reference_slice_path(labels[m - 1], comp, cur, target_cell):
             path.append((float(times[m - 1]), cell))
         cur = target_cell
     return path
 
 
-def _witness_outcomes(bundle, elements):
-    builder = analysis._WitnessBuilder(bundle)
+def _witness_outcomes(bundle, elements, builder=None):
+    if builder is None:
+        builder = analysis._WitnessBuilder(bundle)
     out = []
     for element in elements:
         try:
@@ -652,6 +746,31 @@ def _witness_outcomes(bundle, elements):
         except WitnessError as exc:
             out.append(str(exc))
     return out
+
+
+@pytest.mark.parametrize("key", ["split", "annuli", "random/0", "pulse", "circle1d"])
+def test_refined_witnesses_match_whole_grid_search(key, monkeypatch):
+    # With level 0 refused, every segment comes from a refined stack, which
+    # the builder crops to its box; searching the whole grid finds the same
+    # paths.
+    s = _scenario(key)
+    bundle = build_zigzag(s)
+    elements = inverse_limit(bundle.diagram).elements
+    assert elements
+    segment = analysis._segment
+    coarse = bundle.grid.fine_time_samples
+
+    def refined_only(data, *args):
+        return None if data.times.size == coarse else segment(data, *args)
+
+    monkeypatch.setattr(analysis, "_segment", refined_only)
+    whole = analysis._WitnessBuilder(bundle)
+    whole.box = (slice(None),) * bundle.grid.dimension
+    got = _witness_outcomes(bundle, elements)
+    assert got == _witness_outcomes(bundle, elements, whole)
+    for samples, element in zip(got, elements):
+        assert not isinstance(samples, str)
+        assert verify_witness(s, Witness(tuple(element), samples))
 
 
 @pytest.mark.parametrize("key", ["split", "annuli"] + [f"random/{k}" for k in range(5)])

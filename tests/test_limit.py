@@ -9,7 +9,6 @@ from evasion_kit.limit import (
     ZigzagAlgebraDiagram,
     ZigzagSetDiagram,
     diagrams_isomorphic,
-    dualize,
     inverse_limit,
     join_partitions,
     limit_of_algebras,
@@ -182,11 +181,6 @@ def test_partition_from_functionals():
     assert partition_from_functionals(ground, []).blocks == (tuple(range(6)),)
     with pytest.raises(LimitError):
         partition_from_functionals(ground, [{0: 1}])
-
-
-def test_dualize_returns_blocks():
-    p = partition_algebra(range(4), [(0, 1), (2,), (3,)])
-    assert dualize(p) == ((0, 1), (2,), (3,))
 
 
 def test_join_partitions():

@@ -127,6 +127,27 @@ def test_coverage_masks_match_dense_evaluation(cells):
         assert np.array_equal(coverage_masks(s, times, g), _dense_coverage(s, times, g))
 
 
+def _crop_scenarios():
+    names = ("split", "close", "annuli", "empty", "full")
+    return ([(name, builtin_scenario(name)) for name in names]
+            + [(f"random/{k}", builtin_scenario("random", k)) for k in range(5)]
+            + [(f"interval/{k}", random_interval_scenario(k)) for k in range(5)])
+
+
+@pytest.mark.parametrize("key,s", _crop_scenarios())
+def test_coverage_masks_on_a_box_equal_cropped_full_grid(key, s):
+    times = np.linspace(0.0, 1.0, 65)
+    g = grid_for_scenario(s)
+    disk, inside = domain_masks(s, g)
+    full = coverage_masks(s, times, g)
+    # The domain boxes, and boxes whose edges cut through the sensor windows.
+    odd = (slice(70, 128), slice(3, 41)) if s.dimension == 2 else (slice(70, 128),)
+    corner = tuple(slice(0, 9) for _ in range(s.dimension))
+    for box in (bounding_box(disk), bounding_box(inside), odd, corner):
+        got = coverage_masks(s, times, g, box)
+        assert np.array_equal(got, full[(slice(None),) + box]), (key, box)
+
+
 def _positions(s, t):
     from evasion_kit.scenario import sensor_position
 
