@@ -36,7 +36,7 @@ from .rasterize import (BoundaryComponents, GridSpec, StackGraph,
                         stack_graph, sweep)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
-                     build_zigzag, detect_events, fiber_signature)
+                     build_zigzag, detect_events, fiber_signatures)
 
 __all__ = [
     "Witness",
@@ -368,8 +368,7 @@ def _event_doc(e: Event) -> dict:
 def _bundle_diagnostics(bundle: ZigzagBundle) -> Dict[str, object]:
     grid = bundle.grid
     fibers = []
-    for f in bundle.fibers:
-        pi0, b1, pb = fiber_signature(f)
+    for f, (pi0, b1, pb) in zip(bundle.fibers, fiber_signatures(bundle.fibers)):
         fibers.append({
             "t": float(f.time),
             "pi0": pi0,

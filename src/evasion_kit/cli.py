@@ -19,7 +19,7 @@ from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
                        DEFAULT_ORACLE_SAMPLES, _event_doc, analyze,
                        analyze_boundary, analyze_direct, analyze_oracle,
                        extract_boundary_data, extract_witness, verify_witness)
-from .errors import EvasionError, KnobError
+from .errors import EvasionError, KnobError, ResolutionError
 from .limit import LimitError, inverse_limit
 from .planar_homology import HomologyError
 from .rasterize import RasterError, grid_for_scenario
@@ -332,7 +332,10 @@ _COMMANDS = {
 
 
 def _error_doc(exc: Exception) -> str:
-    return canonical_json({"error": type(exc).__name__, "detail": str(exc)})
+    doc = {"error": type(exc).__name__, "detail": str(exc)}
+    if isinstance(exc, ResolutionError):
+        doc["hint"] = exc.hint
+    return canonical_json(doc)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

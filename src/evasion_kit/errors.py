@@ -18,7 +18,15 @@ class EvasionError(RuntimeError):
 
 
 class ResolutionError(EvasionError):
-    """The grid or time sampling is too coarse to separate what happened."""
+    """The grid or time sampling is too coarse to separate what happened.
+
+    hint names the knob to change as a command line action, such as
+    "raise --cells"; the CLI prints it with the error.
+    """
+
+    def __init__(self, detail: str, *, hint: str) -> None:
+        super().__init__(detail)
+        self.hint = hint
 
 
 class SimultaneousEventsError(ResolutionError):

@@ -227,23 +227,17 @@ def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
     return ball
 
 
-def _spatial_any_neighbor(mask: np.ndarray, dimension: int) -> np.ndarray:
-    """Cells with a face neighbor (same slice) set in `mask`."""
-    out = np.zeros_like(mask)
-    for axis in range(mask.ndim - dimension, mask.ndim):
-        lead = [slice(None)] * mask.ndim
-        trail = [slice(None)] * mask.ndim
+def _boundary_bitmap(uncovered: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Covered cells with an uncovered face neighbor."""
+    near = np.zeros_like(uncovered)
+    for axis in range(uncovered.ndim):
+        lead = [slice(None)] * uncovered.ndim
+        trail = [slice(None)] * uncovered.ndim
         lead[axis] = slice(1, None)
         trail[axis] = slice(None, -1)
-        out[tuple(lead)] |= mask[tuple(trail)]
-        out[tuple(trail)] |= mask[tuple(lead)]
-    return out
-
-
-def _boundary_bitmap(uncovered: np.ndarray, inside: np.ndarray, ball: np.ndarray,
-                     dimension: int) -> np.ndarray:
-    covered = inside & ball
-    return covered & _spatial_any_neighbor(uncovered, dimension)
+        near[tuple(lead)] |= uncovered[tuple(trail)]
+        near[tuple(trail)] |= uncovered[tuple(lead)]
+    return covered & near
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +277,12 @@ class CobordismComplex:
     interval: Tuple[float, float]
     times: np.ndarray
     uncovered: np.ndarray
-    covered_boundary: np.ndarray
     disk: np.ndarray
     inside: np.ndarray
 
     @property
     def slice_count(self) -> int:
         return int(self.times.size)
-
-    def slice_at(self, index: int) -> FiberComplex:
-        return FiberComplex(
-            grid=self.grid,
-            time=float(self.times[index]),
-            uncovered=self.uncovered[index],
-            covered_boundary=self.covered_boundary[index],
-            disk=self.disk,
-            inside=self.inside,
-        )
 
 
 def rasterize_fiber(s: Scenario, t: float, grid: GridSpec) -> FiberComplex:
@@ -313,7 +296,7 @@ def rasterize_fibers(s: Scenario, times: Sequence[float], grid: GridSpec) -> Lis
     out = []
     for t, ball in zip(times, balls):
         uncovered = inside & ~ball
-        boundary = _boundary_bitmap(uncovered, inside, ball, s.dimension)
+        boundary = _boundary_bitmap(uncovered, inside & ball)
         out.append(FiberComplex(grid=grid, time=float(t), uncovered=uncovered,
                                 covered_boundary=boundary, disk=disk, inside=inside))
     return out
@@ -334,12 +317,9 @@ def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSp
         raise RasterError("a cobordism needs at least two time samples")
     times = np.linspace(t0, t1, n)
     disk, inside = _domain_masks(s, grid)
-    ball = coverage_masks(s, times, grid)
-    uncovered = inside[None] & ~ball
-    boundary = _boundary_bitmap(uncovered, inside[None], ball, s.dimension)
+    uncovered = inside[None] & ~coverage_masks(s, times, grid)
     return CobordismComplex(grid=grid, interval=(float(t0), float(t1)), times=times,
-                            uncovered=uncovered, covered_boundary=boundary,
-                            disk=disk, inside=inside)
+                            uncovered=uncovered, disk=disk, inside=inside)
 
 
 # ---------------------------------------------------------------------------

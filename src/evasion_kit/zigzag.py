@@ -8,6 +8,17 @@ flip inside it. Samples interleaved between the windows then carry fibers,
 and the spans between consecutive samples carry cobordisms, yielding a zigzag
 of component sets with restriction maps induced by inclusion of slices.
 
+Between critical values the topology is constant, so the scan labels only
+the slices where it can change. The cells that flip between two slices are
+applied one at a time in raster order, and each is tested locally on its
+eight-cell ring: it is simple when it is off the rim, its uncovered and its
+covered-with-collar face neighbors each lie on one arc of like ring cells,
+and one covered-with-collar face neighbor is inside the fence. A simple flip
+grows or shrinks one uncovered and one covered component without merging,
+splitting, creating or removing any, keeps every rim reach, and keeps the
+one contact pair it touches; so a step of simple flips keeps the signature
+exactly, and the later slice repeats the earlier one's signature unlabeled.
+
 Type D events flip the locus cell from uncovered to covered (a pocket pinches
 or vanishes; the cobordism retracts onto its earlier fiber). Type N events
 flip it from covered to uncovered (pockets merge or appear; the cobordism
@@ -38,6 +49,7 @@ __all__ = [
     "Event",
     "Signature",
     "fiber_signature",
+    "fiber_signatures",
     "detect_events",
     "interleave",
     "ZigzagBundle",
@@ -94,6 +106,81 @@ def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
     return _per_slice(u_tops, np.unique(keys) // stride)
 
 
+def _arc_table() -> np.ndarray:
+    """Per 8-bit ring pattern: its face cells are set and lie on one arc.
+
+    Bit i is ring cell i in the cyclic order NW, N, NE, E, SE, S, SW, W;
+    the face cells N, E, S, W are bits 1, 3, 5, 7. Consecutive ring cells
+    are face-adjacent and no others are, so an arc is a cyclic run of set
+    bits, and the set face cells are connected through the set ring cells
+    exactly when one run holds them all.
+    """
+    table = np.zeros(256, dtype=bool)
+    for pattern in range(256):
+        bits = [(pattern >> i) & 1 for i in range(8)]
+        # Walk from an unset bit, if there is one, so that no run wraps.
+        start = bits.index(0) if 0 in bits else 0
+        run, runs = 0, set()
+        for step in range(1, 9):
+            i = (start + step) % 8
+            if not bits[i]:
+                run += 1
+            elif i % 2:
+                runs.add(run)
+        table[pattern] = len(runs) == 1
+    return table
+
+
+_ONE_ARC = _arc_table()
+
+# (dy, dx, read from the later slice) per ring bit; see _simple_steps.
+_RING = ((-1, -1, True), (-1, 0, True), (-1, 1, True), (0, 1, False),
+         (1, 1, False), (1, 0, False), (1, -1, False), (0, -1, True))
+
+
+def _simple_steps(uncovered: np.ndarray, diff: np.ndarray, disk: np.ndarray,
+                  inside: np.ndarray) -> np.ndarray:
+    """Per step k (slice k-1 to k), whether every flip in it is simple.
+
+    diff is the (T - 1, cells) mask of the cells each step flips.
+    The flips of a step are applied one at a time in raster order, so when
+    cell p flips, its earlier ring cells NW, N, NE, W hold slice k and the
+    later ones E, SE, S, SW hold slice k-1. p is simple when (a) it is not a
+    rim cell, (b) its uncovered face neighbors are not empty and lie on one
+    arc of uncovered ring cells, (c) the same holds for covered-with-collar
+    cells (disk & ~uncovered; cells off the box or the disk are neither),
+    and (d) a covered-with-collar face neighbor lies inside the fence.
+    A 1-D stack is read as rows of one cell, so its ring is W and E alone
+    and (a) is dropped: its b1 is 0 whatever the rim does.
+    """
+    if uncovered.ndim == 2:
+        uncovered, disk, inside = uncovered[:, None], disk[None], inside[None]
+        rim = np.zeros(disk.shape, dtype=bool)
+    else:
+        rim = _rim(disk)
+    h, w = disk.shape
+    flips = np.flatnonzero(diff)
+    step, cell = np.divmod(flips, h * w)
+    y, x = np.divmod(cell, w)
+    u_bits = np.zeros(flips.size, dtype=np.intp)
+    v_bits = np.zeros(flips.size, dtype=np.intp)
+    contact = np.zeros(flips.size, dtype=bool)
+    for bit, (dy, dx, later) in enumerate(_RING):
+        if dy and h == 1:
+            continue
+        yy, xx = y + dy, x + dx
+        on_box = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
+        u = uncovered[step + 1 if later else step, yy, xx] & on_box
+        v = disk[yy, xx] & ~u & on_box
+        u_bits |= u << bit
+        v_bits |= v << bit
+        if bit % 2:
+            contact |= v & inside[yy, xx]
+    simple = _ONE_ARC[u_bits] & _ONE_ARC[v_bits] & contact & ~rim[y, x]
+    return np.bincount(step[~simple], minlength=diff.shape[0]) == 0
+
+
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
                       inside: np.ndarray) -> List[Signature]:
     """Signatures of every slice of an uncovered stack (T, *shape).
@@ -102,15 +189,22 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
     uncovered cell lies in it, and a disk cell on its edge is a rim cell in
     both frames, so the signatures are those of the whole grid.
 
-    A signature depends on the uncovered mask alone, so a slice equal to its
-    predecessor repeats its signature; only the changed slices are labeled.
+    A slice repeats its predecessor's signature when the flips between them
+    are all simple (see _simple_steps), and only the other slices are
+    labeled. The rule is exact. Under (b) and (c), one uncovered component
+    and one covered-with-collar component each gain or lose the flipped
+    cell and stay connected; no component merges, splits, appears or
+    vanishes. By (a) the rim reach is unchanged, so b1 is too. The only
+    contact pair touching the cell joins those two components, and by (b)
+    and (d) it exists on both sides of the flip. A slice equal to its
+    predecessor has no flips, so it is never labeled either.
     """
     n = uncovered.shape[0]
-    changed = np.ones(n, dtype=bool)
+    labeled = np.ones(n, dtype=bool)
     if n > 1:
         flat = uncovered.reshape(n, -1)
-        changed[1:] = np.any(flat[1:] != flat[:-1], axis=1)
-    distinct = uncovered[changed]
+        labeled[1:] = ~_simple_steps(uncovered, flat[1:] != flat[:-1], disk, inside)
+    distinct = uncovered[labeled]
     u_lab, u_tops = label_slices(distinct)
     covered_with_collar = disk & ~distinct
     v_lab, v_tops = label_slices(covered_with_collar)
@@ -127,13 +221,19 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
     pb = _pair_counts(distinct, u_lab, u_tops, v_lab, v_tops,
                       covered_with_collar & inside)
     sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
-    return [sigs[i] for i in np.cumsum(changed) - 1]
+    return [sigs[i] for i in np.cumsum(labeled) - 1]
+
+
+def fiber_signatures(fibers: Sequence[FiberComplex]) -> List[Signature]:
+    """fiber_signature of each fiber of one grid and domain, in one labeling."""
+    box = bounding_box(fibers[0].disk)
+    return _stack_signatures(np.stack([f.uncovered[box] for f in fibers]),
+                             fibers[0].disk[box], fibers[0].inside[box])
 
 
 def fiber_signature(f: FiberComplex) -> Signature:
     """(uncovered components, uncovered holes, boundary components)."""
-    box = bounding_box(f.disk)
-    return _stack_signatures(f.uncovered[box][None], f.disk[box], f.inside[box])[0]
+    return fiber_signatures([f])[0]
 
 
 def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Signature]:
@@ -187,7 +287,8 @@ def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
     flips = to_covered | to_uncovered
     if not flips.any():
         raise ResolutionError(
-            f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip")
+            f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip",
+            hint="raise --cells")
     if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
         return None
     if not _jump_ok(sa, sb):
@@ -206,10 +307,10 @@ def _raise_unresolvable(s: Scenario, grid: GridSpec, a: float, b: float,
     if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
         raise SimultaneousEventsError(
             f"coverage transitions inside ({a:.12f}, {b:.12f}) cannot "
-            "be separated in time")
+            "be separated in time", hint="raise --cells")
     raise ResolutionError(
         f"resolution too coarse: signature jumped {sa} -> {sb} "
-        f"across ({a:.6f}, {b:.6f})")
+        f"across ({a:.6f}, {b:.6f})", hint="raise --cells")
 
 
 def _bisect(s: Scenario, grid: GridSpec, a: float, b: float,
@@ -268,7 +369,8 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
         if cur.window[0] < prev.window[1]:
             raise SimultaneousEventsError(
                 f"event windows ({prev.window[0]:.6f}, {prev.window[1]:.6f}) and "
-                f"({cur.window[0]:.6f}, {cur.window[1]:.6f}) overlap")
+                f"({cur.window[0]:.6f}, {cur.window[1]:.6f}) overlap",
+                hint="lower --tol")
     return tuple(events)
 
 
@@ -286,12 +388,13 @@ def interleave(events: Sequence[Event], time_base: str) -> Tuple[float, ...]:
         if not b1 < a2:
             raise SimultaneousEventsError(
                 f"event windows ({a1:.6f}, {b1:.6f}) and ({a2:.6f}, {b2:.6f}) "
-                "leave no room for a sample between them")
+                "leave no room for a sample between them", hint="lower --tol")
     if time_base == "interval":
         if not windows:
             return (t0, t1)
         if windows[0][0] <= t0 or windows[-1][1] >= t1:
-            raise ResolutionError("an event window touches the time span endpoint")
+            raise ResolutionError("an event window touches the time span endpoint",
+                                  hint="lower --tol")
         mids = [0.5 * (b1 + a2) for (_, b1), (a2, _) in zip(windows, windows[1:])]
         return (t0, *mids, t1)
     if time_base == "circle":
@@ -302,7 +405,8 @@ def interleave(events: Sequence[Event], time_base: str) -> Tuple[float, ...]:
         wrap_gap = (windows[0][0] + span) - windows[-1][1]
         if not wrap_gap > 0:
             raise SimultaneousEventsError(
-                "the first and last event windows overlap around the span wrap")
+                "the first and last event windows overlap around the span wrap",
+                hint="lower --tol")
         wrap_mid = t0 + (windows[-1][1] + 0.5 * wrap_gap - t0) % span
         return tuple(sorted(mids + [wrap_mid]))
     raise ValueError(f"unknown time base {time_base!r}")
@@ -352,7 +456,8 @@ def _region_map(fparts: ComponentLabels, cparts: CobordismComponents,
         value = int(end[int(np.flatnonzero(flat == label)[0])])
         if value == 0:
             raise ResolutionError(
-                "a fiber component is missing from the spanning cobordism")
+                "a fiber component is missing from the spanning cobordism",
+                hint="raise --cells")
         out[label] = value
     return out
 
@@ -370,7 +475,8 @@ def _pair_map(fparts: BoundaryComponents, cparts: BoundaryComponents,
         value = index.get((u_lab, w_lab))
         if value is None:
             raise ResolutionError(
-                "a boundary component is missing from the spanning cobordism")
+                "a boundary component is missing from the spanning cobordism",
+                hint="raise --cells")
         out[i + 1] = value
     return out
 
@@ -395,16 +501,16 @@ def _validate_tracking(bundle_events: Sequence[Event], left: Dict[int, int],
         if not (_is_bijection(left, count) and _is_bijection(right, count)):
             raise ResolutionError(
                 f"resolution too coarse: component maps across the event-free "
-                f"span {where} are not bijections")
+                f"span {where} are not bijections", hint="raise --scan-samples")
         return
     if len(bundle_events) > 1:
         raise SimultaneousEventsError(
-            f"{len(bundle_events)} events share the span {where}")
+            f"{len(bundle_events)} events share the span {where}", hint="lower --tol")
     side = left if bundle_events[0].type_x == "D" else right
     if not _is_bijection(side, count):
         raise ResolutionError(
             f"resolution too coarse: the incoming component map across {where} "
-            "is not a bijection")
+            "is not a bijection", hint="raise --fine-time-samples")
 
 
 def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
@@ -455,7 +561,8 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
                        if a < (e.time if e.time > a else e.time + span) < b)
         per_cob.append(inside)
     if sum(len(es) for es in per_cob) != len(events):
-        raise ResolutionError("an event window straddles a sample time")
+        raise ResolutionError("an event window straddles a sample time",
+                              hint="lower --tol")
 
     n = len(cobordisms)
     left_maps = []

@@ -34,6 +34,7 @@ from evasion_kit.rasterize import (
 )
 from evasion_kit.scenario import (
     BUILTIN_NAMES,
+    SensorTrack,
     builtin_scenario,
     canonical_json,
     random_interval_scenario,
@@ -236,4 +237,52 @@ def test_sensor_order_does_not_change_reports(seed, data):
     for mode in ("direct", "oracle"):
         want = canonical_json(analyze(s, mode=mode).to_document())
         assert canonical_json(analyze(permuted, mode=mode).to_document()) == want, mode
+    budget.check()
+
+
+# Grid symmetries about the domain center map cell centers onto cell centers,
+# and they change raster order relative to the motion, so the scan's
+# raster-order simple-flip certificate sees each scenario anew.
+_SYMMETRIES = {
+    "rotate90": lambda c, p: (c[0] - (p[1] - c[1]), c[1] + (p[0] - c[0])),
+    "reflect": lambda c, p: (2.0 * c[0] - p[0], p[1]),
+}
+
+
+@pytest.mark.parametrize("symmetry", sorted(_SYMMETRIES))
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 99))
+def test_grid_symmetries_keep_the_limit(symmetry, seed):
+    budget = _Budget(20.0)
+    s = builtin_scenario("random", seed)
+    move = _SYMMETRIES[symmetry]
+    moved = dataclasses.replace(s, tracks=tuple(
+        SensorTrack(tuple((t, move(s.center, p)) for t, p in track.waypoints))
+        for track in s.tracks))
+    want = analyze_direct(s, witnesses=False)
+    got = analyze_direct(moved, witnesses=False)
+    assert (got.limit_cardinality, got.exists) == (want.limit_cardinality, want.exists)
+    budget.check()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 99))
+def test_time_reversal_reverses_events(seed):
+    # Running the tracks backwards keeps the limit; each event happens at
+    # the mirrored time with the opposite type.
+    budget = _Budget(20.0)
+    s = random_interval_scenario(seed)
+    reversed_s = dataclasses.replace(s, tracks=tuple(
+        SensorTrack(tuple((1.0 - t, p) for t, p in reversed(track.waypoints)))
+        for track in s.tracks))
+    want = analyze_direct(s, witnesses=False)
+    got = analyze_direct(reversed_s, witnesses=False)
+    assert got.limit_cardinality == want.limit_cardinality
+    swap = {"D": "N", "N": "D"}
+    forward = want.diagnostics["events"][::-1]
+    backward = got.diagnostics["events"]
+    assert ([e["type_uncovered"] for e in backward]
+            == [swap[e["type_uncovered"]] for e in forward])
+    for b, f in zip(backward, forward):
+        assert b["time"] == pytest.approx(1.0 - f["time"], abs=2e-4)
     budget.check()

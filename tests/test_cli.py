@@ -294,6 +294,47 @@ def test_bad_scan_knob_is_input_error(capsys, knob):
     assert _json(err)["error"] == "KnobError"
 
 
+def _static_doc(statics, movers):
+    """A 1-D scenario document: static sensors plus the given moving tracks."""
+    tracks = [SensorTrack(((0.0, (x,)), (1.0, (x,)))) for x in statics]
+    s = validate_scenario(Scenario(
+        dimension=1, center=(0.0,), radius=1.0, sensing_radius=0.16,
+        fence_width=0.12, time_base="interval", tracks=tuple(tracks + movers),
+    ))
+    return scenario_to_document(s)
+
+
+# A mover closes the middle gap at t ~ 0.233 and opens it again at ~ 0.267,
+# between two scan samples when there are only two scan steps.
+_BLINK = _static_doc((-0.25, 0.25), [SensorTrack((
+    (0.0, (0.25,)), (0.2, (0.25,)), (0.25, (0.0,)), (0.3, (0.25,)), (1.0, (0.25,))))])
+# Mirror-image movers seal two gaps at the same instant.
+_MIRROR = _static_doc((-0.45, 0.45), [
+    SensorTrack(((0.0, (0.08,)), (1.0, (0.14,)))),
+    SensorTrack(((0.0, (-0.08,)), (1.0, (-0.14,))))])
+
+
+@pytest.mark.parametrize("doc,knobs,error,hint", [
+    (_BLINK, ("--scan-samples", "2"), "ResolutionError", "raise --scan-samples"),
+    (_MIRROR, (), "SimultaneousEventsError", "raise --cells"),
+])
+def test_resolution_errors_name_a_knob(capsys, tmp_path, doc, knobs, error, hint):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "analyze", str(path), *knobs)
+    assert code == 1
+    assert out == ""
+    assert _json(err) == {"error": error, "detail": _json(err)["detail"], "hint": hint}
+
+
+def test_blink_resolves_at_default_scan(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_BLINK))
+    code, out, _ = _run(capsys, "events", str(path))
+    assert code == 0
+    assert [e["type_uncovered"] for e in _json(out)["events"]] == ["D", "N"]
+
+
 @pytest.mark.parametrize("config", [{"cells": "abc"}, {"tol": "small"},
                                     {"scan_samples": 2.5}, {"seed": True},
                                     {"cells": None}, {"cell": 48},

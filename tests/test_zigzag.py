@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from evasion_kit.errors import KnobError, ResolutionError, SimultaneousEventsError
 from evasion_kit.limit import inverse_limit
@@ -12,9 +15,14 @@ from evasion_kit.scenario import (
     random_interval_scenario,
     validate_scenario,
 )
+from evasion_kit import zigzag
 from evasion_kit.zigzag import (
+    _ONE_ARC,
+    _RING,
     Event,
     _pair_counts,
+    _per_slice,
+    _rim,
     _signatures,
     _stack_signatures,
     build_zigzag,
@@ -23,6 +31,7 @@ from evasion_kit.zigzag import (
     interleave,
 )
 from evasion_kit.rasterize import (
+    bounding_box,
     components,
     count_holes,
     coverage_masks,
@@ -170,6 +179,220 @@ def test_stack_signatures_single_slice_and_unchanged_stack(name, seed):
         assert fiber_signature(f) == expected
         repeated = np.repeat(f.uncovered[None], 4, axis=0)
         assert _stack_signatures(repeated, f.disk, f.inside) == [expected] * 4
+
+
+def _reference_stack_signatures(uncovered, disk, inside):
+    """_stack_signatures as it was before the simple-flip certificate.
+
+    Every slice that differs from its predecessor is labeled.
+    """
+    n = uncovered.shape[0]
+    changed = np.ones(n, dtype=bool)
+    if n > 1:
+        flat = uncovered.reshape(n, -1)
+        changed[1:] = np.any(flat[1:] != flat[:-1], axis=1)
+    distinct = uncovered[changed]
+    u_lab, u_tops = label_slices(distinct)
+    covered_with_collar = disk & ~distinct
+    v_lab, v_tops = label_slices(covered_with_collar)
+    pi0 = np.diff(u_tops, prepend=0)
+    if uncovered.ndim == 3:
+        outer = np.unique(v_lab[:, _rim(disk)])
+        b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
+    else:
+        b1 = np.zeros_like(pi0)
+    pb = _pair_counts(distinct, u_lab, u_tops, v_lab, v_tops,
+                      covered_with_collar & inside)
+    sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
+    return [sigs[i] for i in np.cumsum(changed) - 1]
+
+
+def test_arc_table_matches_ring_connectivity():
+    # A pattern passes when its set face cells are connected through the set
+    # ring cells, judged by labeling the 3x3 block with its center removed.
+    four = ndimage.generate_binary_structure(2, 1)
+    faces = [(dy + 1, dx + 1) for dy, dx, _ in _RING[1::2]]
+    for pattern in range(256):
+        block = np.zeros((3, 3), dtype=bool)
+        for bit, (dy, dx, _) in enumerate(_RING):
+            block[dy + 1, dx + 1] = bool(pattern >> bit & 1)
+        labels, _ = ndimage.label(block, structure=four)
+        face_labels = {int(labels[c]) for c in faces if block[c]}
+        assert _ONE_ARC[pattern] == (len(face_labels) == 1), pattern
+
+
+def _picture_stack(*pictures):
+    """(uncovered, disk, inside) from one picture per slice.
+
+    ' ' is off the disk, 'c' a collar cell, '#' a covered cell inside the
+    fence and '.' an uncovered one; every slice shares the disk and fence.
+    """
+    grids = [np.array([list(row) for row in p.strip("\n").split("\n")])
+             for p in pictures]
+    if grids[0].shape[0] == 1:
+        grids = [g[0] for g in grids]
+    disk = grids[0] != " "
+    inside = disk & (grids[0] != "c")
+    return np.stack([g == "." for g in grids]), disk, inside
+
+
+# Two-slice stacks whose one step changes the signature although all but
+# one of its flips, or its one flip, passes part of the simple-point test.
+_NOT_SIMPLE = {
+    # Two flips cut a neck two cells wide. The first is simple; the second
+    # is not, but only when its W neighbor is read from the later slice.
+    "neck2": ("""
+#######
+#.....#
+#.....#
+###..##
+#.....#
+#.....#
+#######
+""", """
+#######
+#.....#
+#.....#
+#######
+#.....#
+#.....#
+#######
+"""),
+    # One flip cuts a neck one cell wide: two uncovered arcs, and two
+    # covered ones.
+    "neck1": ("""
+#######
+#.....#
+###.###
+#.....#
+#######
+""", """
+#######
+#.....#
+#######
+#.....#
+#######
+"""),
+    # One flip cuts a bend at a notch in the disk: the notch and a covered
+    # body separate two uncovered arcs, while the covered cells form one.
+    "notch": ("""
+#######
+###.###
+###. ##
+###...#
+#######
+""", """
+#######
+###.###
+###. ##
+####..#
+#######
+"""),
+    # The flipped cell passes (b), (c) and (d), but it is a rim cell at the
+    # foot of a notch in the disk, and the covered body it leaves reaches
+    # the rim only through it, so the body becomes a hole.
+    "rim": ("""
+.... ....
+.... ....
+.... ....
+.... ....
+....##...
+.....#...
+.........
+""", """
+.... ....
+.... ....
+.... ....
+.... ....
+.....#...
+.....#...
+.........
+"""),
+    # The flipped cell's only covered neighbor is a collar cell, so its
+    # contact with the left covered body is new.
+    "collar": ("""
+c....####c
+""", """
+c#...####c
+"""),
+    # An uncovered cell with uncovered cells on both sides is covered.
+    "split1d": ("""
+c......##c
+""", """
+c...#..##c
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_SIMPLE))
+def test_certificate_labels_signature_changes(case):
+    stack, disk, inside = _picture_stack(*_NOT_SIMPLE[case])
+    want = _reference_stack_signatures(stack, disk, inside)
+    assert want[0] != want[1]
+    assert _stack_signatures(stack, disk, inside) == want
+
+
+@st.composite
+def _domains(draw):
+    """A random disk of one or two dimensions, cropped to its bounding box
+    (no margin), and its fence: the disk eroded by a collar of 0-2 cells."""
+    dim = draw(st.sampled_from((1, 2)))
+    size = draw(st.integers(6, 20))
+    axes = np.ogrid[tuple(slice(0, size) for _ in range(dim))]
+    disk = np.zeros((size,) * dim, dtype=bool)
+    for _ in range(draw(st.integers(1, 3))):
+        c = [draw(st.floats(0, size - 1)) for _ in range(dim)]
+        r = draw(st.floats(1.0, size / 2))
+        disk |= sum((a - x) ** 2 for a, x in zip(axes, c)) <= r * r
+    disk = disk[bounding_box(disk)]
+    collar = draw(st.integers(0, 2))
+    inside = disk
+    if collar:
+        four = ndimage.generate_binary_structure(dim, 1)
+        inside = ndimage.binary_erosion(disk, four, iterations=collar)
+    return disk, inside
+
+
+@st.composite
+def _moving_ball_stacks(draw):
+    disk, inside = draw(_domains())
+    steps = draw(st.integers(2, 30))
+    axes = np.ogrid[tuple(slice(0, n) for n in disk.shape)]
+    covered = np.zeros((steps,) + disk.shape, dtype=bool)
+    for _ in range(draw(st.integers(1, 4))):
+        start = [draw(st.floats(-2, n + 1)) for n in disk.shape]
+        speed = [draw(st.floats(-1.0, 1.0)) for _ in disk.shape]
+        r = draw(st.floats(0.5, 4.0))
+        for k in range(steps):
+            d2 = sum((a - (x + v * k)) ** 2 for a, x, v in zip(axes, start, speed))
+            covered[k] |= d2 <= r * r
+    return inside & ~covered, disk, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moving_ball_stacks())
+def test_stack_signatures_match_reference_on_moving_balls(stack):
+    uncovered, disk, inside = stack
+    assert (_stack_signatures(uncovered, disk, inside)
+            == _reference_stack_signatures(uncovered, disk, inside))
+
+
+def test_scan_labels_few_slices(monkeypatch):
+    # Between critical values every flip is simple, so the 513-slice scan
+    # labels only its first slice and the few where the topology changes.
+    sizes = []
+    label = zigzag.label_slices
+
+    def spy(mask):
+        sizes.append(mask.shape[0])
+        return label(mask)
+
+    monkeypatch.setattr(zigzag, "label_slices", spy)
+    s = builtin_scenario("random", 1000)
+    grid = grid_for_scenario(s)
+    sigs = _signatures(s, np.linspace(0.0, 1.0, 513), grid)
+    assert len(sigs) == 513
+    assert sizes and max(sizes) < 10
 
 
 def test_builtin_split_events(builtin_events):
