@@ -21,7 +21,9 @@ class ResolutionError(EvasionError):
     """The grid or time sampling is too coarse to separate what happened.
 
     hint names the knob to change as a command line action, such as
-    "raise --cells"; the CLI prints it with the error.
+    "raise --cells"; the CLI prints it with the error. Transitions that
+    share one instant break the distinct-critical-values hypothesis, which
+    no knob restores, so their hint asks to perturb the scenario instead.
     """
 
     def __init__(self, detail: str, *, hint: str) -> None:

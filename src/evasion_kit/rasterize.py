@@ -34,6 +34,7 @@ __all__ = [
     "rasterize_fiber",
     "rasterize_fibers",
     "rasterize_cobordism",
+    "BoxCoverage",
     "ComponentLabels",
     "CobordismComponents",
     "BoundaryComponents",
@@ -156,6 +157,18 @@ def _domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _in_ball(offsets: Sequence[np.ndarray], r2: float) -> np.ndarray:
+    """The ball test every coverage read shares.
+
+    offsets holds, per world axis (x, then y), cell centers minus the ball's
+    center; they broadcast against each other.
+    """
+    d2 = offsets[0] * offsets[0]
+    for d in offsets[1:]:
+        d2 = d2 + d * d
+    return d2 <= r2
+
+
 @lru_cache(maxsize=64)
 def _static_union(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """Union of the balls of constant tracks, plus the moving track indices."""
@@ -169,21 +182,132 @@ def _static_union(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, Tuple[int, .
             moving.append(j)
             continue
         p = next(iter(pts))
-        if s.dimension == 1:
-            dx = cg[0] - p[0]
-            union |= dx * dx <= r2
-        else:
-            dx = cg[0] - p[0]
-            dy = cg[1] - p[1]
-            union |= dx * dx + dy * dy <= r2
+        union |= _in_ball([c - x for c, x in zip(cg, p)], r2)
     union.flags.writeable = False
     return union, tuple(moving)
 
 
-def _windows(centers: np.ndarray, p: np.ndarray, width: int, reach: float) -> np.ndarray:
-    """Per time, `width` consecutive cell indices holding every center within reach of p."""
-    start = np.clip(np.searchsorted(centers, p - reach), 0, centers.size - width)
-    return start[:, None] + np.arange(width)
+def _spread(v: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """v (times, cells along world axis k), shaped to broadcast over
+    (times, *cells) in array order."""
+    shape = [v.shape[0]] + [1] * dim
+    shape[dim - k] = v.shape[1]
+    return v.reshape(shape)
+
+
+def _patch_balls(axes: Sequence[np.ndarray], idx: Sequence[np.ndarray],
+                 p: np.ndarray, r2: float) -> np.ndarray:
+    """Per time, the ball around p (times, world axes) on a patch of cells.
+
+    idx holds, per world axis, each time's cell indices (times, cells); the
+    result is (times, *patch) in array order.
+    """
+    dim = len(axes)
+    return _in_ball([_spread(a[i] - p[:, k][:, None], k, dim)
+                     for k, (a, i) in enumerate(zip(axes, idx))], r2)
+
+
+class BoxCoverage:
+    """Coverage of a box of cells at each of a list of times.
+
+    box holds slices in array order, such as bounding_box returns; each
+    cell's arithmetic is that of the whole grid. The static union is read
+    off its cached mask, and a moving ball is tested only on a window around
+    it: cells beyond one cell of the ball's extent on an axis fail the
+    distance test on that coordinate alone, so the window leaves the result
+    exact. Every ball test is _in_ball, so masks, covered and flips agree
+    cell by cell.
+    """
+
+    def __init__(self, s: Scenario, times: Sequence[float], grid: GridSpec,
+                 box: Optional[Tuple[slice, ...]] = None) -> None:
+        if box is None:
+            box = (slice(None),) * grid.dimension
+        static, moving = _static_union(s, grid)
+        # A contiguous crop lets masks fill each time as one block.
+        self.static = np.ascontiguousarray(static[box])
+        # World axes run (x, y); array axes run (y, x).
+        self.axes = tuple(c[b] for c, b in zip(_axis_centers(grid), box[::-1]))
+        times = np.asarray(times, dtype=float)
+        self.positions = (positions_at(s, times)[list(moving)] if moving
+                          else np.zeros((0, times.size, grid.dimension)))
+        r = s.sensing_radius
+        self.r2 = r * r
+        self.reach = r + grid.cell_size
+        self.width = int(np.ceil(2.0 * r / grid.cell_size)) + 3
+
+    def _window(self, p: np.ndarray, k: int) -> Tuple[int, np.ndarray]:
+        """The window width on world axis k, and per time its first cell: the
+        window holds every center within reach of the track's position p."""
+        c = self.axes[k]
+        w = min(self.width, c.size)
+        return w, np.minimum(np.searchsorted(c, p[:, k] - self.reach), c.size - w)
+
+    def masks(self) -> np.ndarray:
+        """Boolean stack (T, *box shape) of the covered cells."""
+        n = self.positions.shape[1]
+        dim = len(self.axes)
+        ball = np.broadcast_to(self.static, (n,) + self.static.shape).copy()
+        steps = np.arange(n).reshape((-1,) + (1,) * dim)
+        for p in self.positions:
+            idx = []
+            for k in range(dim):
+                w, start = self._window(p, k)
+                idx.append(start[:, None] + np.arange(w))
+            cells = tuple(_spread(i, k, dim) for k, i in enumerate(idx))
+            ball[(steps,) + cells[::-1]] |= _patch_balls(self.axes, idx, p, self.r2)
+        return ball
+
+    def covered(self, steps: np.ndarray, cells: Sequence[np.ndarray]) -> np.ndarray:
+        """Whether cell i (index arrays in array order) is covered at time steps[i]."""
+        cells = tuple(cells)
+        out = self.static[cells]
+        for p in self.positions:
+            out = out | _in_ball([a[i] - p[steps, k] for k, (a, i)
+                                  in enumerate(zip(self.axes, cells[::-1]))], self.r2)
+        return out
+
+    def flips(self, inside: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The cells of inside whose coverage changes from each time to the next.
+
+        Returns index arrays (step, *cell) in array order, sorted by step and
+        then in raster order; step k runs from time k to time k + 1, so they
+        are np.nonzero of the step diff of the uncovered stack. Coverage is
+        the static union or'ed with every moving ball, so a cell that flips
+        in step k flips in some ball j. Ball j holds no cell outside its
+        window at either time, so a patch holding both windows holds every
+        such cell: those are the candidates, and reading coverage at each
+        candidate's two times keeps exactly the flips.
+        """
+        shape = self.static.shape
+        dim = len(shape)
+        n = self.positions.shape[1] - 1
+        keys = [np.zeros(0, dtype=np.intp)]
+        for p in self.positions:
+            idx = []
+            for k in range(dim):
+                w, start = self._window(p, k)
+                size = self.axes[k].size
+                span = min(w + int(np.abs(np.diff(start)).max(initial=0)), size)
+                lo = np.minimum(np.minimum(start[:-1], start[1:]), size - span)
+                idx.append(lo[:, None] + np.arange(span))
+            moved = (_patch_balls(self.axes, idx, p[:-1], self.r2)
+                     != _patch_balls(self.axes, idx, p[1:], self.r2))
+            # flatnonzero then unravel: np.nonzero walks a 3-D mask far slower.
+            hit = np.unravel_index(np.flatnonzero(moved), moved.shape)
+            cells = [idx[k][hit[0], hit[dim - k]] for k in range(dim)][::-1]
+            keys.append(np.ravel_multi_index((hit[0], *cells), (n,) + shape))
+        # A cell may be a candidate of several balls. This is np.unique of
+        # the keys, by sorting and dropping repeats: on a few hundred keys it
+        # is several times faster than np.unique in numpy 2.
+        key = np.sort(np.concatenate(keys))
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        step, *cells = np.unravel_index(key[first], (n,) + shape)
+        keep = inside[tuple(cells)]
+        step, cells = step[keep], [c[keep] for c in cells]
+        keep = self.covered(step, cells) != self.covered(step + 1, cells)
+        return (step[keep],) + tuple(c[keep] for c in cells)
 
 
 def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
@@ -192,39 +316,12 @@ def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
 
     box, slices in array order such as bounding_box returns, restricts the
     stack to those cells; each cell's arithmetic is that of the whole grid,
-    so the result equals the whole-grid stack cropped to the box.
-
-    A moving ball is tested only on a window around it. Cells beyond one cell
-    of the ball's extent on an axis fail the distance test on that coordinate
-    alone, so the window leaves the result exact.
+    so the result equals the whole-grid stack cropped to the box. The stack
+    is BoxCoverage.masks: each moving ball is tested on a window around it,
+    by the one ball test _in_ball that BoxCoverage's single-cell reads and
+    flips share, so those equal the cells of this stack.
     """
-    times = np.asarray(times, dtype=float)
-    r = s.sensing_radius
-    r2 = r * r
-    if box is None:
-        box = (slice(None),) * grid.dimension
-    static, moving = _static_union(s, grid)
-    # A contiguous crop lets the copy below fill each time as one block.
-    static = np.ascontiguousarray(static[box])
-    ball = np.broadcast_to(static, (times.size,) + static.shape).copy()
-    if moving:
-        pos = positions_at(s, times)
-        # World axes run (x, y); array axes run (y, x).
-        axes = tuple(c[b] for c, b in zip(_axis_centers(grid), box[::-1]))
-        reach = r + grid.cell_size
-        width = int(np.ceil(2.0 * r / grid.cell_size)) + 3
-        steps = np.arange(times.size)
-        for j in moving:
-            idx = [_windows(c, pos[j, :, k], min(width, c.size), reach)
-                   for k, c in enumerate(axes)]
-            dx = axes[0][idx[0]] - pos[j, :, 0][:, None]
-            if s.dimension == 1:
-                ball[steps[:, None], idx[0]] |= dx * dx <= r2
-            else:
-                dy = axes[1][idx[1]] - pos[j, :, 1][:, None]
-                near = (dx * dx)[:, None, :] + (dy * dy)[:, :, None] <= r2
-                ball[steps[:, None, None], idx[1][:, :, None], idx[0][:, None, :]] |= near
-    return ball
+    return BoxCoverage(s, times, grid, box).masks()
 
 
 def _boundary_bitmap(uncovered: np.ndarray, covered: np.ndarray) -> np.ndarray:

@@ -19,6 +19,15 @@ splitting, creating or removing any, keeps every rim reach, and keeps the
 one contact pair it touches; so a step of simple flips keeps the signature
 exactly, and the later slice repeats the earlier one's signature unlabeled.
 
+The flips come from the moving sensors alone, and the scan builds no stack
+of every slice. Coverage is the static union or'ed with every moving ball,
+so a cell whose coverage changes in a step changes in some ball, inside the
+windows that ball has at the step's two times. The cells of those windows
+whose ball membership changes are the candidates; reading full coverage at
+each candidate's two times keeps exactly the flips of the dense step diff,
+and the ring cells are read the same way. Only the labeled slices are then
+rasterized.
+
 Type D events flip the locus cell from uncovered to covered (a pocket pinches
 or vanishes; the cobordism retracts onto its earlier fiber). Type N events
 flip it from covered to uncovered (pockets merge or appear; the cobordism
@@ -30,14 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
-from .rasterize import (BoundaryComponents, CobordismComplex,
+from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComplex,
                         CobordismComponents, ComponentLabels, FiberComplex,
                         GridSpec, bounding_box, components,
                         coverage_masks, domain_masks, face_contacts,
@@ -138,75 +147,65 @@ _RING = ((-1, -1, True), (-1, 0, True), (-1, 1, True), (0, 1, False),
          (1, 1, False), (1, 0, False), (1, -1, False), (0, -1, True))
 
 
-def _simple_steps(uncovered: np.ndarray, diff: np.ndarray, disk: np.ndarray,
-                  inside: np.ndarray) -> np.ndarray:
-    """Per step k (slice k-1 to k), whether every flip in it is simple.
+def _simple_steps(flips: Tuple[np.ndarray, ...],
+                  uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
+                  disk: np.ndarray, inside: np.ndarray, steps: int) -> np.ndarray:
+    """Per step k (slice k to k + 1), whether every flip in it is simple.
 
-    diff is the (T - 1, cells) mask of the cells each step flips.
+    flips are the index arrays (step, *cell) of the cells each step flips,
+    in raster order within a step, and uncovered(slices, cells) reads the
+    uncovered region at single cells: cell i, given as index arrays in array
+    order, at slice slices[i].
     The flips of a step are applied one at a time in raster order, so when
-    cell p flips, its earlier ring cells NW, N, NE, W hold slice k and the
-    later ones E, SE, S, SW hold slice k-1. p is simple when (a) it is not a
-    rim cell, (b) its uncovered face neighbors are not empty and lie on one
-    arc of uncovered ring cells, (c) the same holds for covered-with-collar
-    cells (disk & ~uncovered; cells off the box or the disk are neither),
-    and (d) a covered-with-collar face neighbor lies inside the fence.
+    cell p flips, its earlier ring cells NW, N, NE, W hold slice k + 1 and
+    the later ones E, SE, S, SW hold slice k. p is simple when (a) it is not
+    a rim cell, (b) its uncovered face neighbors are not empty and lie on
+    one arc of uncovered ring cells, (c) the same holds for
+    covered-with-collar cells (disk & ~uncovered; cells off the box or the
+    disk are neither), and (d) a covered-with-collar face neighbor lies
+    inside the fence.
     A 1-D stack is read as rows of one cell, so its ring is W and E alone
     and (a) is dropped: its b1 is 0 whatever the rim does.
     """
-    if uncovered.ndim == 2:
-        uncovered, disk, inside = uncovered[:, None], disk[None], inside[None]
+    step, *cell = flips
+    one_d = disk.ndim == 1
+    if one_d:
+        cell = [np.zeros_like(step)] + cell
+        disk, inside = disk[None], inside[None]
         rim = np.zeros(disk.shape, dtype=bool)
     else:
         rim = _rim(disk)
     h, w = disk.shape
-    flips = np.flatnonzero(diff)
-    step, cell = np.divmod(flips, h * w)
-    y, x = np.divmod(cell, w)
-    u_bits = np.zeros(flips.size, dtype=np.intp)
-    v_bits = np.zeros(flips.size, dtype=np.intp)
-    contact = np.zeros(flips.size, dtype=bool)
+    y, x = cell
+    u_bits = np.zeros(step.size, dtype=np.intp)
+    v_bits = np.zeros(step.size, dtype=np.intp)
+    contact = np.zeros(step.size, dtype=bool)
     for bit, (dy, dx, later) in enumerate(_RING):
         if dy and h == 1:
             continue
         yy, xx = y + dy, x + dx
         on_box = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
         yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
-        u = uncovered[step + 1 if later else step, yy, xx] & on_box
+        u = uncovered(step + 1 if later else step, (xx,) if one_d else (yy, xx)) & on_box
         v = disk[yy, xx] & ~u & on_box
         u_bits |= u << bit
         v_bits |= v << bit
         if bit % 2:
             contact |= v & inside[yy, xx]
     simple = _ONE_ARC[u_bits] & _ONE_ARC[v_bits] & contact & ~rim[y, x]
-    return np.bincount(step[~simple], minlength=diff.shape[0]) == 0
+    return np.bincount(step[~simple], minlength=steps) == 0
 
 
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
                       inside: np.ndarray) -> List[Signature]:
     """Signatures of every slice of an uncovered stack (T, *shape).
 
-    The stack and masks are cropped to the disk's bounding box: every
+    Callers crop the stack and masks to the disk's bounding box: every
     uncovered cell lies in it, and a disk cell on its edge is a rim cell in
     both frames, so the signatures are those of the whole grid.
-
-    A slice repeats its predecessor's signature when the flips between them
-    are all simple (see _simple_steps), and only the other slices are
-    labeled. The rule is exact. Under (b) and (c), one uncovered component
-    and one covered-with-collar component each gain or lose the flipped
-    cell and stay connected; no component merges, splits, appears or
-    vanishes. By (a) the rim reach is unchanged, so b1 is too. The only
-    contact pair touching the cell joins those two components, and by (b)
-    and (d) it exists on both sides of the flip. A slice equal to its
-    predecessor has no flips, so it is never labeled either.
     """
-    n = uncovered.shape[0]
-    labeled = np.ones(n, dtype=bool)
-    if n > 1:
-        flat = uncovered.reshape(n, -1)
-        labeled[1:] = ~_simple_steps(uncovered, flat[1:] != flat[:-1], disk, inside)
-    distinct = uncovered[labeled]
-    u_lab, u_tops = label_slices(distinct)
-    covered_with_collar = disk & ~distinct
+    u_lab, u_tops = label_slices(uncovered)
+    covered_with_collar = disk & ~uncovered
     v_lab, v_tops = label_slices(covered_with_collar)
     pi0 = np.diff(u_tops, prepend=0)
     if uncovered.ndim == 3:
@@ -218,10 +217,9 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
         b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
     else:
         b1 = np.zeros_like(pi0)
-    pb = _pair_counts(distinct, u_lab, u_tops, v_lab, v_tops,
+    pb = _pair_counts(uncovered, u_lab, u_tops, v_lab, v_tops,
                       covered_with_collar & inside)
-    sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
-    return [sigs[i] for i in np.cumsum(labeled) - 1]
+    return [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
 
 
 def fiber_signatures(fibers: Sequence[FiberComplex]) -> List[Signature]:
@@ -237,11 +235,40 @@ def fiber_signature(f: FiberComplex) -> Signature:
 
 
 def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Signature]:
-    """Signatures at the given times; coverage is computed on the disk's box only."""
+    """Signatures at the given times, computed on the disk's box only.
+
+    Only slice 0 and the slices after a step that is not simple (see
+    _simple_steps) are rasterized and labeled; every other slice repeats
+    its predecessor's signature. The flips come from the moving sensors'
+    windows (BoxCoverage.flips), and the ring cells are read one at a time,
+    so no stack of every slice is built.
+
+    The rule is exact. Under (b) and (c), one uncovered component and one
+    covered-with-collar component each gain or lose the flipped cell and
+    stay connected; no component merges, splits, appears or vanishes. By
+    (a) the rim reach is unchanged, so b1 is too. The only contact pair
+    touching the cell joins those two components, and by (b) and (d) it
+    exists on both sides of the flip. A step without flips is simple. The
+    flips and ring reads equal the step diff and the cells of the stack
+    coverage_masks would build, as BoxCoverage argues, so the labeled
+    slices and the signatures are those of labeling every slice.
+    """
     disk, inside = domain_masks(s, grid)
     box = bounding_box(disk)
-    return _stack_signatures(inside[box] & ~coverage_masks(s, times, grid, box),
-                             disk[box], inside[box])
+    disk, inside = disk[box], inside[box]
+    times = np.asarray(times, dtype=float)
+    labeled = np.ones(times.size, dtype=bool)
+    if times.size > 1:
+        coverage = BoxCoverage(s, times, grid, box)
+
+        def uncovered(slices: np.ndarray, cells: Tuple[np.ndarray, ...]) -> np.ndarray:
+            return inside[cells] & ~coverage.covered(slices, cells)
+
+        labeled[1:] = ~_simple_steps(coverage.flips(inside), uncovered, disk, inside,
+                                     times.size - 1)
+    sigs = _stack_signatures(inside & ~coverage_masks(s, times[labeled], grid, box),
+                             disk, inside)
+    return [sigs[i] for i in np.cumsum(labeled) - 1]
 
 
 def _jump_ok(before: Signature, after: Signature) -> bool:
@@ -305,9 +332,12 @@ def _raise_unresolvable(s: Scenario, grid: GridSpec, a: float, b: float,
     """Pick the right error for a window that cannot be narrowed further."""
     to_covered, to_uncovered, n_clusters = _flip_split(s, grid, a, b)
     if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
+        # No grid separates transitions that share an instant: the scenario
+        # breaks the distinct-critical-values hypothesis.
         raise SimultaneousEventsError(
             f"coverage transitions inside ({a:.12f}, {b:.12f}) cannot "
-            "be separated in time", hint="raise --cells")
+            "be separated in time",
+            hint="perturb the scenario: two transitions share one instant")
     raise ResolutionError(
         f"resolution too coarse: signature jumped {sa} -> {sb} "
         f"across ({a:.6f}, {b:.6f})", hint="raise --cells")

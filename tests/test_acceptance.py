@@ -13,6 +13,7 @@ from evasion_kit.analysis import (
     analyze,
     analyze_direct,
     analyze_boundary,
+    analyze_oracle,
     boundary_limit,
     d1_count,
     extract_boundary_data,
@@ -265,6 +266,13 @@ def test_grid_symmetries_keep_the_limit(symmetry, seed):
     budget.check()
 
 
+def _time_reversed(s):
+    """The scenario with every track run backwards, t -> 1 - t."""
+    return dataclasses.replace(s, tracks=tuple(
+        SensorTrack(tuple((1.0 - t, p) for t, p in reversed(track.waypoints)))
+        for track in s.tracks))
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 99))
 def test_time_reversal_reverses_events(seed):
@@ -272,11 +280,8 @@ def test_time_reversal_reverses_events(seed):
     # the mirrored time with the opposite type.
     budget = _Budget(20.0)
     s = random_interval_scenario(seed)
-    reversed_s = dataclasses.replace(s, tracks=tuple(
-        SensorTrack(tuple((1.0 - t, p) for t, p in reversed(track.waypoints)))
-        for track in s.tracks))
     want = analyze_direct(s, witnesses=False)
-    got = analyze_direct(reversed_s, witnesses=False)
+    got = analyze_direct(_time_reversed(s), witnesses=False)
     assert got.limit_cardinality == want.limit_cardinality
     swap = {"D": "N", "N": "D"}
     forward = want.diagnostics["events"][::-1]
@@ -285,4 +290,23 @@ def test_time_reversal_reverses_events(seed):
             == [swap[e["type_uncovered"]] for e in forward])
     for b, f in zip(backward, forward):
         assert b["time"] == pytest.approx(1.0 - f["time"], abs=2e-4)
+    budget.check()
+
+
+@pytest.mark.parametrize("generator", ["random", "interval"])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 99))
+def test_time_reversal_keeps_the_oracle(generator, seed):
+    # An evasion path run backwards evades the reversed sensors, so the
+    # oracle's answer is kept; on the 1-D generator, so is its class count.
+    budget = _Budget(20.0)
+    if generator == "interval":
+        s = random_interval_scenario(seed)
+    else:
+        s = builtin_scenario("random", seed)
+    want = analyze_oracle(s)
+    got = analyze_oracle(_time_reversed(s))
+    assert got.exists == want.exists
+    if generator == "interval":
+        assert got.limit_cardinality == want.limit_cardinality
     budget.check()

@@ -308,7 +308,9 @@ def _static_doc(statics, movers):
 # between two scan samples when there are only two scan steps.
 _BLINK = _static_doc((-0.25, 0.25), [SensorTrack((
     (0.0, (0.25,)), (0.2, (0.25,)), (0.25, (0.0,)), (0.3, (0.25,)), (1.0, (0.25,))))])
-# Mirror-image movers seal two gaps at the same instant.
+# Mirror-image movers seal two gaps at the same instant, which no finer grid
+# separates.
+_SHARED_INSTANT = "perturb the scenario: two transitions share one instant"
 _MIRROR = _static_doc((-0.45, 0.45), [
     SensorTrack(((0.0, (0.08,)), (1.0, (0.14,)))),
     SensorTrack(((0.0, (-0.08,)), (1.0, (-0.14,))))])
@@ -316,7 +318,9 @@ _MIRROR = _static_doc((-0.45, 0.45), [
 
 @pytest.mark.parametrize("doc,knobs,error,hint", [
     (_BLINK, ("--scan-samples", "2"), "ResolutionError", "raise --scan-samples"),
-    (_MIRROR, (), "SimultaneousEventsError", "raise --cells"),
+    pytest.param(_MIRROR, (), "SimultaneousEventsError", _SHARED_INSTANT, id="mirror"),
+    pytest.param(_MIRROR, ("--cells", "256"), "SimultaneousEventsError", _SHARED_INSTANT,
+                 id="mirror-cells-256"),
 ])
 def test_resolution_errors_name_a_knob(capsys, tmp_path, doc, knobs, error, hint):
     path = tmp_path / "scenario.json"

@@ -24,6 +24,7 @@ from evasion_kit.zigzag import (
     _per_slice,
     _rim,
     _signatures,
+    _simple_steps,
     _stack_signatures,
     build_zigzag,
     detect_events,
@@ -31,6 +32,7 @@ from evasion_kit.zigzag import (
     interleave,
 )
 from evasion_kit.rasterize import (
+    BoxCoverage,
     bounding_box,
     components,
     count_holes,
@@ -207,6 +209,23 @@ def _reference_stack_signatures(uncovered, disk, inside):
     return [sigs[i] for i in np.cumsum(changed) - 1]
 
 
+def _certified_signatures(uncovered, disk, inside):
+    """_signatures' certificate run on a dense stack (T, *shape).
+
+    The flips are the nonzero cells of the stack's step diff, and the ring
+    cells are read off the stack itself.
+    """
+    n = uncovered.shape[0]
+    flips = np.nonzero(uncovered[1:] != uncovered[:-1])
+
+    def read(slices, cells):
+        return uncovered[(slices,) + tuple(cells)]
+
+    labeled = np.concatenate(([True], ~_simple_steps(flips, read, disk, inside, n - 1)))
+    sigs = _stack_signatures(uncovered[labeled], disk, inside)
+    return [sigs[i] for i in np.cumsum(labeled) - 1]
+
+
 def test_arc_table_matches_ring_connectivity():
     # A pattern passes when its set face cells are connected through the set
     # ring cells, judged by labeling the 3x3 block with its center removed.
@@ -329,7 +348,7 @@ def test_certificate_labels_signature_changes(case):
     stack, disk, inside = _picture_stack(*_NOT_SIMPLE[case])
     want = _reference_stack_signatures(stack, disk, inside)
     assert want[0] != want[1]
-    assert _stack_signatures(stack, disk, inside) == want
+    assert _certified_signatures(stack, disk, inside) == want
 
 
 @st.composite
@@ -373,7 +392,7 @@ def _moving_ball_stacks(draw):
 @given(_moving_ball_stacks())
 def test_stack_signatures_match_reference_on_moving_balls(stack):
     uncovered, disk, inside = stack
-    assert (_stack_signatures(uncovered, disk, inside)
+    assert (_certified_signatures(uncovered, disk, inside)
             == _reference_stack_signatures(uncovered, disk, inside))
 
 
@@ -391,6 +410,108 @@ def test_scan_labels_few_slices(monkeypatch):
     s = builtin_scenario("random", 1000)
     grid = grid_for_scenario(s)
     sigs = _signatures(s, np.linspace(0.0, 1.0, 513), grid)
+    assert len(sigs) == 513
+    assert sizes and max(sizes) < 10
+
+
+@st.composite
+def _scan_inputs(draw):
+    """A scenario, a grid and a scan length for the window-bounded scan.
+
+    Tracks may reach past the disk, so a ball can leave the disk's box; the
+    scenario is not validated, since coverage is defined for any position.
+    One moving track may jump, crossing many cells in one scan step.
+    """
+    dim = draw(st.sampled_from((1, 2)))
+    cells = draw(st.integers(24, 64))
+    margin = draw(st.integers(0, 4))
+    h = 2.0 / (cells - 2 * margin)
+    collar = draw(st.integers(0, 2))
+    base = draw(st.sampled_from(("interval", "circle")))
+
+    def point(limit):
+        return tuple(draw(st.floats(-limit, limit)) for _ in range(dim))
+
+    def track(moving, jump=False):
+        if not moving:
+            p = point(1.0)
+            return SensorTrack(((0.0, p), (1.0, p)))
+        times = sorted(set(draw(st.lists(st.floats(0.01, 0.99), max_size=3))))
+        if jump:
+            t = draw(st.floats(0.02, 0.97))
+            times = sorted(set(times) | {t, t + 1e-3})
+        points = [point(1.4) for _ in range(len(times) + 2)]
+        if base == "circle":
+            points[-1] = points[0]
+        return SensorTrack(tuple(zip([0.0] + times + [1.0], points)))
+
+    moving = draw(st.integers(1, 3))
+    jump = draw(st.booleans())
+    tracks = [track(False) for _ in range(draw(st.integers(0, 4)))]
+    tracks += [track(True, jump and j == 0) for j in range(moving)]
+    s = Scenario(
+        dimension=dim,
+        center=(0.0,) * dim,
+        radius=1.0,
+        sensing_radius=draw(st.floats(0.08, 0.35)),
+        fence_width=(collar + draw(st.floats(0.05, 0.95))) * h,
+        time_base=base,
+        tracks=tuple(draw(st.permutations(tracks))),
+    )
+    grid = grid_for_scenario(s, cells=cells, margin_cells=margin)
+    return s, grid, np.linspace(0.0, 1.0, draw(st.integers(2, 600)))
+
+
+def _check_scan_against_dense_stack(s, grid, times):
+    """The flips found from the moving windows are the nonzero cells of the
+    dense step diff, and the signatures those of labeling every slice."""
+    disk, inside = domain_masks(s, grid)
+    box = bounding_box(disk)
+    disk, inside = disk[box], inside[box]
+    stack = inside & ~coverage_masks(s, times, grid, box)
+    want = np.nonzero(stack[1:] != stack[:-1])
+    got = BoxCoverage(s, times, grid, box).flips(inside)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert _signatures(s, times, grid) == _reference_stack_signatures(stack, disk, inside)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_inputs())
+def test_window_bounded_scan_matches_dense_stack(inputs):
+    _check_scan_against_dense_stack(*inputs)
+
+
+def test_window_bounded_scan_at_the_box_edge():
+    # Without margin or collar, the cells on the box edge lie inside the
+    # fence. Balls sliding along both edges of each axis cover them, where
+    # each window is clipped to the box.
+    movers = [((0.95, -0.5), (0.95, 0.5)), ((-0.95, 0.5), (-0.95, -0.5)),
+              ((-0.5, 0.95), (0.5, 0.95)), ((0.5, -0.95), (-0.5, -0.95))]
+    s = Scenario(dimension=2, center=(0.0, 0.0), radius=1.0, sensing_radius=0.16,
+                 fence_width=0.005, time_base="interval",
+                 tracks=tuple(SensorTrack(((0.0, a), (1.0, b))) for a, b in movers))
+    grid = grid_for_scenario(s, cells=48, margin_cells=0)
+    step, y, x = _check_scan_against_dense_stack(s, grid, np.linspace(0.0, 1.0, 65))
+    for edge in (y, x):
+        assert (edge == 0).any() and (edge == 47).any()
+
+
+def test_scan_rasterizes_few_slices(monkeypatch):
+    # The scan finds its flips from the moving windows, so it hands
+    # coverage_masks only the slices it labels.
+    sizes = []
+    cover = zigzag.coverage_masks
+
+    def spy(s, times, grid, box=None):
+        sizes.append(len(times))
+        return cover(s, times, grid, box)
+
+    monkeypatch.setattr(zigzag, "coverage_masks", spy)
+    s = builtin_scenario("random", 1000)
+    sigs = _signatures(s, np.linspace(0.0, 1.0, 513), grid_for_scenario(s))
     assert len(sigs) == 513
     assert sizes and max(sizes) < 10
 
