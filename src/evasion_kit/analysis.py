@@ -29,7 +29,7 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     ZigzagSetDiagram, inverse_limit, join_partitions,
                     limit_of_algebras, partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
-from .rasterize import (BoundaryComponents, GridSpec, StackGraph,
+from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         bounding_box, cell_center, coverage_masks,
                         domain_masks, grid_for_scenario, label_components,
                         label_slices, rasterize_cobordism, rasterize_fiber,
@@ -178,6 +178,7 @@ def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
 @dataclass
 class _CobData:
     times: np.ndarray
+    kept: np.ndarray
     graph: StackGraph
 
 
@@ -191,10 +192,19 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     backward from the target. The path stands still across a slice step
     where it can; otherwise it walks inside its component to the first cell,
     in raster order, that stands on a usable component of the next slice.
+
+    The graph holds the distinct slices only, graph slice j at
+    times[kept[j]]. A usable component's only edge into a slice that
+    repeats it is to its copy, so the copy is usable too: the path stands
+    still through a run of repeats, emitting one sample at each repeated
+    time, and moves at most at the run's last time, times[kept[j + 1] - 1].
+    The walk to target_cell is stamped with the last time. So the samples
+    are those of the same search over every slice.
     """
     g = data.graph
     labels = g.labels
     times = data.times
+    kept = data.kept
     m = labels.shape[0]
 
     first = int(labels[0][start])
@@ -208,6 +218,8 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     path: List[Tuple[float, Tuple[int, ...]]] = [(float(times[0]), start)]
     cur = start
     for j in range(m - 1):
+        a, b = int(kept[j]), int(kept[j + 1])
+        path.extend((float(times[r]), cur) for r in range(a + 1, b))
         if usable[labels[j + 1][cur]]:
             nxt = cur
         else:
@@ -218,13 +230,13 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
             flat = int(np.flatnonzero(cand.ravel())[0])
             nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
             for cell in _slice_path(labels[j], comp, cur, nxt):
-                path.append((float(times[j]), cell))
-        path.append((float(times[j + 1]), nxt))
+                path.append((float(times[b - 1]), cell))
+        path.append((float(times[b]), nxt))
         cur = nxt
     if target_cell is not None and cur != target_cell:
         comp = int(labels[m - 1][cur])
         for cell in _slice_path(labels[m - 1], comp, cur, target_cell):
-            path.append((float(times[m - 1]), cell))
+            path.append((float(times[-1]), cell))
         cur = target_cell
     return path
 
@@ -252,14 +264,15 @@ class _WitnessBuilder:
         key = (i, level)
         if key not in self._cache:
             if level == 0:
+                parts = self.bundle.cobordism_parts[i]
                 data = _CobData(times=self.bundle.cobordisms[i].times,
-                                graph=self.bundle.cobordism_parts[i].graph)
+                                kept=parts.kept, graph=parts.graph)
             else:
                 base = self.bundle.grid.fine_time_samples
                 cob = rasterize_cobordism(
                     self.bundle.scenario, self.bundle.cobordisms[i].interval,
                     self.bundle.grid, fine_time_samples=base * (2 ** level))
-                data = _CobData(times=cob.times,
+                data = _CobData(times=cob.times, kept=cob.kept,
                                 graph=stack_graph(cob.uncovered[(slice(None),) + self.box]))
             self._cache[key] = data
         return self._cache[key]
@@ -624,12 +637,14 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     component chains, counted by transfer matrices over all fine slices.
 
     The stack is cropped to the bounding box of the fenced region, which
-    holds every uncovered cell and keeps their raster order. A run of equal
-    slices is kept once, since equal masks have equal components joined one
-    to one. The rest are labeled in one call and one forward sweep carries
-    every start component at once; reachable pairs number components within
-    the first and the last slice. Raises KnobError when time_samples is
-    below 1.
+    holds every uncovered cell and keeps their raster order. Only its
+    distinct slices are rasterized: the first, the last, and each one after
+    a step that flips a cell inside the fence (BoxCoverage.distinct). Every
+    other slice equals its predecessor, and equal masks have equal
+    components joined one to one. The distinct slices are labeled in one
+    call and one forward sweep carries every start component at once;
+    reachable pairs number components within the first and the last slice.
+    Raises KnobError when time_samples is below 1.
     """
     if time_samples < 1:
         raise KnobError(f"time_samples must be at least 1, got {time_samples}")
@@ -639,11 +654,9 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     times = np.linspace(t0, t1, time_samples + 1)
     _, inside = domain_masks(s, grid)
     box = bounding_box(inside)
-    unc = inside[box] & ~coverage_masks(s, times, grid, box)
-    flat = unc.reshape(unc.shape[0], -1)
-    keep = np.ones(unc.shape[0], dtype=bool)
-    keep[1:-1] = np.any(flat[1:-1] != flat[:-2], axis=1)
-    unc = unc[keep]
+    inside = inside[box]
+    kept = BoxCoverage(s, times, grid, box).distinct(inside)
+    unc = inside & ~coverage_masks(s, times[kept], grid, box)
     g = stack_graph(unc)
     counts = [int(v) for v in np.diff(g.offsets)]
 

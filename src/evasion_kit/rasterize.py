@@ -35,6 +35,7 @@ __all__ = [
     "rasterize_fibers",
     "rasterize_cobordism",
     "BoxCoverage",
+    "sorted_unique",
     "ComponentLabels",
     "CobordismComponents",
     "BoundaryComponents",
@@ -157,6 +158,29 @@ def _domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def sorted_unique(keys: np.ndarray, return_inverse: bool = False
+                  ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """np.unique of a 1-D integer array, by sorting and dropping repeats.
+
+    On integer keys numpy 2's np.unique takes a hashing path that is several
+    times slower than a sort on the few hundred to few thousand keys a stack
+    or cobordism yields. With return_inverse, also returns each key's index
+    into the result.
+    """
+    if return_inverse:
+        order = np.argsort(keys)
+        key = keys[order]
+    else:
+        key = np.sort(keys)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    if not return_inverse:
+        return key[first]
+    inverse = np.empty(key.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return key[first], inverse
+
+
 def _in_ball(offsets: Sequence[np.ndarray], r2: float) -> np.ndarray:
     """The ball test every coverage read shares.
 
@@ -229,8 +253,7 @@ class BoxCoverage:
         # World axes run (x, y); array axes run (y, x).
         self.axes = tuple(c[b] for c, b in zip(_axis_centers(grid), box[::-1]))
         times = np.asarray(times, dtype=float)
-        self.positions = (positions_at(s, times)[list(moving)] if moving
-                          else np.zeros((0, times.size, grid.dimension)))
+        self.positions = positions_at(s, times, moving)
         r = s.sensing_radius
         self.r2 = r * r
         self.reach = r + grid.cell_size
@@ -297,17 +320,21 @@ class BoxCoverage:
             hit = np.unravel_index(np.flatnonzero(moved), moved.shape)
             cells = [idx[k][hit[0], hit[dim - k]] for k in range(dim)][::-1]
             keys.append(np.ravel_multi_index((hit[0], *cells), (n,) + shape))
-        # A cell may be a candidate of several balls. This is np.unique of
-        # the keys, by sorting and dropping repeats: on a few hundred keys it
-        # is several times faster than np.unique in numpy 2.
-        key = np.sort(np.concatenate(keys))
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        step, *cells = np.unravel_index(key[first], (n,) + shape)
+        # A cell may be a candidate of several balls.
+        step, *cells = np.unravel_index(sorted_unique(np.concatenate(keys)), (n,) + shape)
         keep = inside[tuple(cells)]
         step, cells = step[keep], [c[keep] for c in cells]
         keep = self.covered(step, cells) != self.covered(step + 1, cells)
         return (step[keep],) + tuple(c[keep] for c in cells)
+
+    def distinct(self, inside: np.ndarray) -> np.ndarray:
+        """Indices of the distinct slices of the uncovered stack inside & ~masks.
+
+        They are the first time, the last, and each time after a step that
+        flips a cell of inside; every other slice equals its predecessor.
+        """
+        last = self.positions.shape[1] - 1
+        return sorted_unique(np.concatenate(([0], self.flips(inside)[0] + 1, [last])))
 
 
 def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
@@ -368,11 +395,18 @@ class FiberComplex:
 
 @dataclass
 class CobordismComplex:
-    """Uniform time samples over one interval, stacked along axis 0."""
+    """Uniform time samples over one interval, and their distinct slices.
+
+    times holds every sample. Only the distinct slices are stacked along
+    axis 0 (see BoxCoverage.distinct): uncovered[i] is the slice at
+    times[kept[i]], and it stands for every sample up to the next kept one,
+    which all equal it. kept starts at the first sample and ends at the last.
+    """
 
     grid: GridSpec
     interval: Tuple[float, float]
     times: np.ndarray
+    kept: np.ndarray
     uncovered: np.ndarray
     disk: np.ndarray
     inside: np.ndarray
@@ -401,10 +435,12 @@ def rasterize_fibers(s: Scenario, times: Sequence[float], grid: GridSpec) -> Lis
 
 def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSpec,
                         fine_time_samples: Optional[int] = None) -> CobordismComplex:
-    """Rasterize every sub-sample of `interval`, endpoints included.
+    """Rasterize the distinct sub-samples of `interval`, endpoints included.
 
-    On a circle time base the interval may extend past the span end; sample
-    times are stored as given and wrapped only for sensor evaluation.
+    The flips between sub-samples pick the distinct slices, so the repeated
+    ones are never rasterized. On a circle time base the interval may extend
+    past the span end; sample times are stored as given and wrapped only for
+    sensor evaluation.
     """
     t0, t1 = interval
     if not t1 > t0:
@@ -414,9 +450,10 @@ def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSp
         raise RasterError("a cobordism needs at least two time samples")
     times = np.linspace(t0, t1, n)
     disk, inside = _domain_masks(s, grid)
-    uncovered = inside[None] & ~coverage_masks(s, times, grid)
+    kept = BoxCoverage(s, times, grid).distinct(inside)
+    uncovered = inside[None] & ~coverage_masks(s, times[kept], grid)
     return CobordismComplex(grid=grid, interval=(float(t0), float(t1)), times=times,
-                            uncovered=uncovered, disk=disk, inside=inside)
+                            kept=kept, uncovered=uncovered, disk=disk, inside=inside)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +570,7 @@ def _boundary_pairs(c: Union[FiberComplex, CobordismComplex]) -> BoundaryCompone
             labels=labels, uncovered_labels=u_lab, covered_labels=v_lab)
 
     key = u_lab.ravel()[UC].astype(np.int64) * (nv + 1) + v_lab.ravel()[WC]
-    uniq_key, inv = np.unique(key, return_inverse=True)
+    uniq_key, inv = sorted_unique(key, return_inverse=True)
     k = uniq_key.size
     min_wc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
     min_uc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
@@ -635,7 +672,7 @@ def stack_graph(mask: np.ndarray) -> StackGraph:
     pa = a[idx].astype(np.int64)
     pb = b[idx].astype(np.int64)
     width = int(np.diff(offsets).max(initial=0)) + 1
-    keys = np.unique(pa * width + pb - offsets[_slice_of(offsets, pb)])
+    keys = sorted_unique(pa * width + pb - offsets[_slice_of(offsets, pb)])
     src = keys // width
     dst = keys % width + offsets[_slice_of(offsets, src) + 1]
     cuts = np.searchsorted(src, offsets, side="right")
@@ -684,7 +721,7 @@ def _graph_components(g: StackGraph) -> Tuple[np.ndarray, int]:
             if np.array_equal(up, root):
                 break
             root = up
-    firsts = np.unique(root[1:])
+    firsts = sorted_unique(root[1:])
     comp = np.searchsorted(firsts, root) + 1
     comp[0] = 0
     return comp, int(firsts.size)
@@ -698,9 +735,11 @@ class CobordismComponents:
     numbered as a face-adjacency labeling of the whole stack would number
     them. The graph is built on the stack cropped to box, the bounding box
     of the fenced region: it holds every cell of either region and keeps
-    their raster order. The witness search walks the graph in those cropped
-    coordinates. Only the first and last slices are labeled on the whole
-    grid (ends[0] and ends[-1]), since fibers map in at those.
+    their raster order. The graph's slices are the cobordism's distinct
+    ones, graph slice i at times[kept[i]]. The witness search walks the
+    graph in those cropped coordinates. Only the first and last slices are
+    labeled on the whole grid (ends[0] and ends[-1]), since fibers map in at
+    those.
     """
 
     which: str
@@ -708,6 +747,7 @@ class CobordismComponents:
     ends: Tuple[np.ndarray, np.ndarray]
     graph: StackGraph
     box: Tuple[slice, ...]
+    kept: np.ndarray
 
 
 def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -725,6 +765,16 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     a standing edge, so the space-time components are the graph's connected
     components, and the witness search walks that same graph.
     covered_boundary components are adjacency pairs, see BoundaryComponents.
+
+    A cobordism holds only its distinct slices, and that changes nothing
+    here. Equal slices have the same components, and their standing edges
+    join each to its copy one to one. A slice and the one after its run of
+    copies share the cells its last copy and that slice share, so dropping
+    the copies keeps the space-time components and the time-monotone
+    reachability. A copy's cell appears earlier in its original, so each
+    component's first cell in raster order lies in a kept slice and the
+    numbering is that of the whole stack. A copy's contacts repeat its
+    original's, so the boundary pairs and their order are unchanged too.
     """
     if which == "covered_boundary":
         return _boundary_pairs(c)
@@ -744,7 +794,7 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     first[box] = comp[g.labels[0]]
     last[box] = comp[g.labels[-1]]
     return CobordismComponents(which=which, count=count, ends=(first, last),
-                               graph=g, box=box)
+                               graph=g, box=box, kept=c.kept)
 
 
 def _complement_holes(mask: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,14 +225,18 @@ def _wrap_times(s: Scenario, times: np.ndarray) -> np.ndarray:
     return times
 
 
-def positions_at(s: Scenario, times: Sequence[float]) -> np.ndarray:
-    """Positions of every sensor at the given times, shape (sensors, times, dim).
+def positions_at(s: Scenario, times: Sequence[float],
+                 sensors: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Positions of sensors at the given times, shape (sensors, times, dim).
 
-    Interval bases clamp outside queries to the span ends; circle bases wrap.
+    sensors, when given, lists the track indices to evaluate, in the order
+    of the result's first axis; by default every track is. Interval bases
+    clamp outside queries to the span ends; circle bases wrap.
     """
     ts = _wrap_times(s, np.asarray(times, dtype=float))
-    out = np.empty((len(s.tracks), ts.size, s.dimension), dtype=float)
-    for j, track in enumerate(s.tracks):
+    tracks = s.tracks if sensors is None else [s.tracks[j] for j in sensors]
+    out = np.empty((len(tracks), ts.size, s.dimension), dtype=float)
+    for j, track in enumerate(tracks):
         wt = np.asarray(track.times, dtype=float)
         for k in range(s.dimension):
             wx = np.asarray([p[k] for p in track.points], dtype=float)

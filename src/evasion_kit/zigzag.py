@@ -51,7 +51,7 @@ from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComplex,
                         GridSpec, bounding_box, components,
                         coverage_masks, domain_masks, face_contacts,
                         grid_for_scenario, label_slices, rasterize_cobordism,
-                        rasterize_fibers)
+                        rasterize_fibers, sorted_unique)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -112,7 +112,7 @@ def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
     src, dst = face_contacts(uncovered, covered, range(1, uncovered.ndim))
     stride = np.int64(v_tops[-1]) + 1
     keys = u_lab.ravel()[src].astype(np.int64) * stride + v_lab.ravel()[dst]
-    return _per_slice(u_tops, np.unique(keys) // stride)
+    return _per_slice(u_tops, sorted_unique(keys) // stride)
 
 
 def _arc_table() -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -38,6 +39,7 @@ from evasion_kit.rasterize import (
     domain_masks,
     grid_for_scenario,
     label_components,
+    rasterize_cobordism,
     rasterize_fiber,
 )
 from evasion_kit.scenario import (
@@ -50,7 +52,7 @@ from evasion_kit.scenario import (
     random_interval_scenario,
     validate_scenario,
 )
-from evasion_kit.zigzag import build_zigzag
+from evasion_kit.zigzag import build_zigzag, detect_events, interleave
 
 
 def _d1(tracks):
@@ -555,6 +557,22 @@ def test_oracle_circle_d1_counts_classes():
     assert res.class_count is not None and res.class_count > 0
 
 
+def test_oracle_rasterizes_only_distinct_slices(monkeypatch):
+    # random/1000 repeats most of its 513 oracle slices; labeling every one
+    # would hand coverage_masks all 513 times.
+    s = builtin_scenario("random", 1000)
+    want = oracle_reachability(s)
+    handed = []
+
+    def counted(s, times, *args):
+        handed.append(len(times))
+        return coverage_masks(s, times, *args)
+
+    monkeypatch.setattr(analysis, "coverage_masks", counted)
+    assert oracle_reachability(s) == want
+    assert 0 < sum(handed) < 300
+
+
 def test_oracle_rejects_bad_time_samples():
     for bad in (0, -1):
         with pytest.raises(KnobError):
@@ -617,6 +635,85 @@ def test_cobordism_components_match_3d_labels(key):
             assert got.count == n
             assert np.array_equal(got.ends[0], want[0])
             assert np.array_equal(got.ends[-1], want[-1])
+
+
+def _spans(s, grid):
+    """The cobordism intervals build_zigzag would rasterize."""
+    samples = interleave(detect_events(s, grid), s.time_base)
+    spans = list(zip(samples, samples[1:]))
+    if s.time_base == "circle":
+        spans.append((samples[-1], samples[0] + TIME_SPAN[1] - TIME_SPAN[0]))
+    return spans
+
+
+def _dense(s, cob):
+    """The cobordism with every time sample stacked, repeats included."""
+    _, inside = domain_masks(s, cob.grid)
+    unc = inside[None] & ~coverage_masks(s, cob.times, cob.grid)
+    return dataclasses.replace(cob, kept=np.arange(cob.times.size), uncovered=unc)
+
+
+def _expand(kept, size):
+    """Per time sample, the distinct slice standing for it."""
+    return np.searchsorted(kept, np.arange(size), side="right") - 1
+
+
+@pytest.mark.parametrize("key", ["split", "close", "annuli", "empty", "full", "pulse"]
+                         + [f"random/{k}" for k in range(10)]
+                         + [f"interval/{k}" for k in range(10)])
+def test_distinct_cobordisms_match_dense_reference(key):
+    s = _scenario(key)
+    spans = _spans(s, grid_for_scenario(s))
+    for fine in (16, 64):
+        grid = grid_for_scenario(s, fine_time_samples=fine)
+        for span in spans:
+            cob = rasterize_cobordism(s, span, grid)
+            dense = _dense(s, cob)
+            n = cob.times.size
+            assert cob.kept[0] == 0 and cob.kept[-1] == n - 1
+            assert np.array_equal(cob.uncovered[_expand(cob.kept, n)], dense.uncovered)
+            for k in cob.kept[1:-1]:
+                assert not np.array_equal(dense.uncovered[k], dense.uncovered[k - 1])
+            for which in ("uncovered", "covered"):
+                got, want = components(cob, which), components(dense, which)
+                assert got.count == want.count
+                assert np.array_equal(got.ends[0], want.ends[0])
+                assert np.array_equal(got.ends[-1], want.ends[-1])
+            got = components(cob, "covered_boundary")
+            want = components(dense, "covered_boundary")
+            assert (got.count, got.pairs) == (want.count, want.pairs)
+            for field in ("uncovered_labels", "covered_labels"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert np.array_equal(g[0], w[0]) and np.array_equal(g[-1], w[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_distinct_slices_keep_graph_components_and_reach(data):
+    shape = data.draw(st.sampled_from([(9,), (5, 6), (8, 8)]))
+    count = data.draw(st.integers(1, 5))
+    density = data.draw(st.sampled_from([0.3, 0.5, 0.7]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    slices = rng.random((count,) + shape) < density
+    runs = data.draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+    stack = np.repeat(slices, runs, axis=0)
+    n = stack.shape[0]
+    flat = stack.reshape(n, -1)
+    kept = np.flatnonzero(np.concatenate(([True], np.any(flat[1:] != flat[:-1], axis=1))))
+    kept = np.union1d(kept, [n - 1])
+
+    dense = rasterize.stack_graph(stack)
+    distinct = rasterize.stack_graph(stack[kept])
+    d_comp, d_count = rasterize._graph_components(dense)
+    k_comp, k_count = rasterize._graph_components(distinct)
+    assert k_count == d_count
+    assert np.array_equal(k_comp[distinct.labels][_expand(kept, n)], d_comp[dense.labels])
+
+    def first_to_last(g):
+        starts = int(g.offsets[1])
+        return rasterize.sweep(g, range(1, starts + 1))[g.offsets[-2] + 1:]
+
+    assert np.array_equal(first_to_last(distinct), first_to_last(dense))
 
 
 def _reference_slice_path(labels, comp, start, goal):
@@ -688,8 +785,12 @@ def test_slice_path_matches_reference(data):
 
 
 def _reference_segment(data, start, target_label, target_cell):
-    """The per-slice witness step: per-slice labels and np.isin sweeps."""
-    unc = data.graph.labels != 0
+    """The per-slice witness step: per-slice labels and np.isin sweeps.
+
+    The graph holds the distinct slices only; kept expands them back to
+    every time sample.
+    """
+    unc = (data.graph.labels != 0)[_expand(data.kept, data.times.size)]
     labels = [label_components(u)[0] for u in unc]
     times = data.times
     m = len(labels)
@@ -773,14 +874,35 @@ def test_refined_witnesses_match_whole_grid_search(key, monkeypatch):
         assert verify_witness(s, Witness(tuple(element), samples))
 
 
-@pytest.mark.parametrize("key", ["split", "annuli"] + [f"random/{k}" for k in range(5)])
-def test_witnesses_match_per_slice_reference(key, monkeypatch):
+def _check_witnesses_against_reference(key, monkeypatch, refined):
     bundle = build_zigzag(_scenario(key))
     elements = inverse_limit(bundle.diagram).elements
     assert elements
+    coarse = bundle.grid.fine_time_samples
+
+    def searched(segment):
+        if not refined:
+            return segment
+        return lambda data, *args: None if data.times.size == coarse else segment(data, *args)
+
+    monkeypatch.setattr(analysis, "_segment", searched(analysis._segment))
     got = _witness_outcomes(bundle, elements)
-    monkeypatch.setattr(analysis, "_segment", _reference_segment)
+    monkeypatch.setattr(analysis, "_segment", searched(_reference_segment))
     assert got == _witness_outcomes(bundle, elements)
+
+
+@pytest.mark.parametrize("key", ["split", "annuli"] + [f"random/{k}" for k in range(5)])
+def test_witnesses_match_per_slice_reference(key, monkeypatch):
+    _check_witnesses_against_reference(key, monkeypatch, refined=False)
+
+
+@pytest.mark.parametrize("key", ["split", "annuli", "pulse/interval"]
+                         + [f"random/{k}" for k in range(5)])
+def test_refined_witnesses_match_per_slice_reference(key, monkeypatch):
+    # With level 0 refused, every segment comes from a refined stack. Those
+    # repeat more slices, so a path moves after a run of repeats there,
+    # which level 0 of these scenarios never does.
+    _check_witnesses_against_reference(key, monkeypatch, refined=True)
 
 
 def _reference_point_uncovered(s, t, point, eta=0.0):

@@ -26,6 +26,7 @@ from evasion_kit.rasterize import (
     rasterize_cobordism,
     rasterize_fiber,
     rasterize_fibers,
+    sorted_unique,
 )
 from evasion_kit.scenario import (
     builtin_scenario,
@@ -262,7 +263,10 @@ def test_cobordism_samples_and_slices():
     assert cob.times[0] == pytest.approx(0.2)
     assert cob.times[-1] == pytest.approx(0.6)
     direct = rasterize_fiber(s, float(cob.times[2]), g)
-    assert np.array_equal(cob.uncovered[2], direct.uncovered)
+    # uncovered[i] is the slice at times[kept[i]] and every repeat after it.
+    assert cob.kept[0] == 0 and cob.kept[-1] == 4
+    at_2 = int(np.searchsorted(cob.kept, 2, side="right")) - 1
+    assert np.array_equal(cob.uncovered[at_2], direct.uncovered)
     fine = rasterize_cobordism(s, (0.2, 0.6), g, fine_time_samples=9)
     assert fine.slice_count == 9
     with pytest.raises(RasterError):
@@ -483,3 +487,14 @@ def test_boundary_pairs_match_reference(key):
         for i, cells in enumerate(want["cells"]):
             assert np.flatnonzero(b.labels.ravel() == i + 1).tolist() == list(cells)
         assert (b.labels > 0).sum() == sum(len(cells) for cells in want["cells"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int64, st.integers(0, 5000),
+              elements=st.integers(-2 ** 40, 2 ** 40) | st.integers(0, 40)))
+def test_sorted_unique_matches_np_unique(keys):
+    want, want_inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(sorted_unique(keys), want)
+    got, inverse = sorted_unique(keys, return_inverse=True)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.ravel())

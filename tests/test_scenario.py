@@ -167,6 +167,17 @@ def test_positions_at_shape():
     assert out.shape == (len(s.tracks), 3, 2)
 
 
+@pytest.mark.parametrize("time_base", ["interval", "circle"])
+def test_positions_at_sensor_subset(time_base):
+    s = dataclasses.replace(builtin_scenario("split"), time_base=time_base)
+    times = [-0.3, 0.0, 0.41, 1.0, 1.7]
+    every = positions_at(s, times)
+    for idx in ([], [3], [len(s.tracks) - 1, 0], list(range(len(s.tracks)))):
+        got = positions_at(s, times, idx)
+        assert got.shape == (len(idx), len(times), 2)
+        assert (got == every[idx]).all()
+
+
 def test_random_scenario_geometry():
     # no sensor may leave the domain disk at any waypoint
     for seed in range(10):
