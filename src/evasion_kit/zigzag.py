@@ -8,6 +8,13 @@ flip inside it. Samples interleaved between the windows then carry fibers,
 and the spans between consecutive samples carry cobordisms, yielding a zigzag
 of component sets with restriction maps induced by inclusion of slices.
 
+The bisection probes no slice on its own. For each changing scan step it
+lists the midpoints its halving can visit, with its own arithmetic, a few
+levels deep, and reads their signatures as the scan does; the step's end
+signatures are known, so with one step of non-simple flips (see below) the
+table labels nothing. A window is classified from the flips in the disk's
+box, so no whole-grid slice is rasterized either.
+
 Between critical values the topology is constant, so the scan labels only
 the slices where it can change. The cells that flip between two slices are
 applied one at a time in raster order, and each is tested locally on its
@@ -234,7 +241,8 @@ def fiber_signature(f: FiberComplex) -> Signature:
     return fiber_signatures([f])[0]
 
 
-def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Signature]:
+def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
+                ends: Optional[Tuple[Signature, Signature]] = None) -> List[Signature]:
     """Signatures at the given times, computed on the disk's box only.
 
     Only slice 0 and the slices after a step that is not simple (see
@@ -252,6 +260,14 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Sig
     flips and ring reads equal the step diff and the cells of the stack
     coverage_masks would build, as BoxCoverage argues, so the labeled
     slices and the signatures are those of labeling every slice.
+
+    ends, when given, are the known signatures of the first and the last
+    slice, and they differ. Then slice 0 is not labeled, and neither is the
+    slice after the last step that is not simple: every step after it is
+    simple, so it and every later slice carry the last slice's signature.
+    A bisection table with one such step labels nothing. Differing ends
+    without such a step contradict the certificate, and raise
+    ResolutionError.
     """
     disk, inside = domain_masks(s, grid)
     box = bounding_box(disk)
@@ -266,9 +282,23 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[Sig
 
         labeled[1:] = ~_simple_steps(coverage.flips(inside), uncovered, disk, inside,
                                      times.size - 1)
-    sigs = _stack_signatures(inside & ~coverage_masks(s, times[labeled], grid, box),
-                             disk, inside)
-    return [sigs[i] for i in np.cumsum(labeled) - 1]
+    last = times.size
+    if ends is not None:
+        steps = np.flatnonzero(labeled[1:])
+        if not steps.size:
+            raise ResolutionError(
+                f"signature changed across ({times[0]:.6f}, {times[-1]:.6f}) "
+                "although every coverage flip inside it is simple", hint="raise --cells")
+        last = int(steps[-1]) + 1
+        labeled[0] = labeled[last] = False
+    sigs = []
+    if labeled.any():
+        sigs = _stack_signatures(inside & ~coverage_masks(s, times[labeled], grid, box),
+                                 disk, inside)
+    if ends is None:
+        return [sigs[i] for i in np.cumsum(labeled) - 1]
+    sigs = [ends[0]] + sigs
+    return [sigs[i] for i in np.cumsum(labeled[:last])] + [ends[1]] * (times.size - last)
 
 
 def _jump_ok(before: Signature, after: Signature) -> bool:
@@ -286,17 +316,36 @@ def _jump_ok(before: Signature, after: Signature) -> bool:
 
 _WINDOW_FLOOR = 1e-12
 
+# Bisection levels per probe table: 33 times, enough for the default scan
+# step (1/512) to reach the default tol (1e-4) in one table.
+_TABLE_LEVELS = 5
+
 
 def _flip_split(s: Scenario, grid: GridSpec, a: float, b: float
-                ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Coverage flips across a window, split by direction, with cluster count."""
-    fa, fb = rasterize_fibers(s, [a, b], grid)
-    to_covered = fa.uncovered & ~fb.uncovered
-    to_uncovered = fb.uncovered & ~fa.uncovered
-    flips = to_covered | to_uncovered
-    full = np.ones((3,) * flips.ndim, dtype=int)
-    _, n_clusters = ndimage.label(flips, structure=full)
-    return to_covered, to_uncovered, int(n_clusters)
+                ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, int]:
+    """Coverage flips across a window, with their direction and cluster count.
+
+    Returns the flipped cells as index arrays in raster order, whether each
+    flips to covered, and how many face-or-corner clusters they form. Every
+    flip lies inside the fence, hence in the disk's box, whose raster order
+    is the grid's; the flips are read there and shifted by its origin.
+    """
+    disk, inside = domain_masks(s, grid)
+    box = bounding_box(disk)
+    inside = inside[box]
+    coverage = BoxCoverage(s, [a, b], grid, box)
+    step, *cells = coverage.flips(inside)
+    to_covered = coverage.covered(step + 1, cells)
+    flips = np.zeros(inside.shape, dtype=bool)
+    flips[tuple(cells)] = True
+    _, n_clusters = ndimage.label(flips, structure=np.ones((3,) * flips.ndim, dtype=int))
+    cells = tuple(c + (sl.start or 0) for c, sl in zip(cells, box))
+    return cells, to_covered, int(n_clusters)
+
+
+def _ambiguous(to_covered: np.ndarray, n_clusters: int) -> bool:
+    """Whether the flips go both ways or form more than one cluster."""
+    return 0 < to_covered.sum() < to_covered.size or n_clusters > 1
 
 
 def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
@@ -310,28 +359,22 @@ def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
     jump exceeds one unit: cells of a thin channel flip close together and
     may still separate at a finer width.
     """
-    to_covered, to_uncovered, n_clusters = _flip_split(s, grid, a, b)
-    flips = to_covered | to_uncovered
-    if not flips.any():
+    cells, to_covered, n_clusters = _flip_split(s, grid, a, b)
+    if not to_covered.size:
         raise ResolutionError(
             f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip",
             hint="raise --cells")
-    if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
+    if _ambiguous(to_covered, n_clusters) or not _jump_ok(sa, sb):
         return None
-    if not _jump_ok(sa, sb):
-        return None
-    locus_flat = int(np.flatnonzero(flips.ravel())[0])
-    locus = tuple(int(v) for v in np.unravel_index(locus_flat, flips.shape))
-    type_x = "D" if to_covered.any() else "N"
-    return Event(window=(float(a), float(b)), locus=locus, type_x=type_x,
-                 before=sa, after=sb)
+    return Event(window=(float(a), float(b)), locus=tuple(int(c[0]) for c in cells),
+                 type_x="D" if to_covered[0] else "N", before=sa, after=sb)
 
 
 def _raise_unresolvable(s: Scenario, grid: GridSpec, a: float, b: float,
                         sa: Signature, sb: Signature) -> None:
     """Pick the right error for a window that cannot be narrowed further."""
-    to_covered, to_uncovered, n_clusters = _flip_split(s, grid, a, b)
-    if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
+    _, to_covered, n_clusters = _flip_split(s, grid, a, b)
+    if _ambiguous(to_covered, n_clusters):
         # No grid separates transitions that share an instant: the scenario
         # breaks the distinct-critical-values hypothesis.
         raise SimultaneousEventsError(
@@ -343,9 +386,42 @@ def _raise_unresolvable(s: Scenario, grid: GridSpec, a: float, b: float,
         f"across ({a:.6f}, {b:.6f})", hint="raise --cells")
 
 
+def _probe_table(s: Scenario, grid: GridSpec, a: float, b: float,
+                 sa: Signature, sb: Signature, tol: float) -> Dict[float, Signature]:
+    """Signatures at the times _bisect can probe in (a, b), by time.
+
+    The times are the midpoints m = 0.5 * (a + b) of _bisect's own
+    arithmetic, for _TABLE_LEVELS levels, stopping where it stops: at
+    b - a <= tol, where it classifies first, or where not a < m < b. A
+    window at or below tol is probed only after an ambiguous
+    classification, so a table over one stops at _WINDOW_FLOOR instead.
+    The times are bit-identical to those the loop visits, whether or not
+    the scan grid is dyadic, and their signatures are read with known ends
+    (see _signatures), so each equals labeling that probe alone.
+    """
+    stop = tol if b - a > tol else _WINDOW_FLOOR
+    times, level = [a, b], [(a, b)]
+    for _ in range(_TABLE_LEVELS):
+        deeper = []
+        for lo, hi in level:
+            m = 0.5 * (lo + hi)
+            if hi - lo > stop and lo < m < hi:
+                times.append(m)
+                deeper += [(lo, m), (m, hi)]
+        level = deeper
+    times.sort()
+    return dict(zip(times, _signatures(s, times, grid, ends=(sa, sb))))
+
+
 def _bisect(s: Scenario, grid: GridSpec, a: float, b: float,
             sa: Signature, sb: Signature, tol: float,
-            out: List[Event]) -> None:
+            out: List[Event], table: Dict[float, Signature]) -> None:
+    """Narrow (a, b) to events of width at most tol, appended to out.
+
+    Each probe's signature is read from table, built by _probe_table; a
+    probe missing from it, below the table's last level or below tol after
+    an ambiguous classification, builds the next table over (a, b).
+    """
     while True:
         if b - a <= tol:
             event = _try_classify(s, grid, a, b, sa, sb)
@@ -357,14 +433,16 @@ def _bisect(s: Scenario, grid: GridSpec, a: float, b: float,
         m = 0.5 * (a + b)
         if not a < m < b:
             _raise_unresolvable(s, grid, a, b, sa, sb)
-        sm = _signatures(s, [m], grid)[0]
+        if m not in table:
+            table = _probe_table(s, grid, a, b, sa, sb, tol)
+        sm = table[m]
         if sm == sa:
             a = m
         elif sm == sb:
             b = m
         else:
-            _bisect(s, grid, a, m, sa, sm, tol, out)
-            _bisect(s, grid, m, b, sm, sb, tol, out)
+            _bisect(s, grid, a, m, sa, sm, tol, out, table)
+            _bisect(s, grid, m, b, sm, sb, tol, out, table)
             return
 
 
@@ -375,6 +453,10 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
 
     Changes that cancel exactly between two adjacent scan samples are
     invisible at this granularity; raise scan_samples for fast scenarios.
+    Each changing step is bisected on probe tables (_probe_table): their
+    times are the bisection's own midpoints, bit for bit, and their
+    signatures are those of labeling each probe alone, so the events are
+    those of probing one slice at a time.
     On a circle time base the closed tracks make the signature at both span
     endpoints agree, so scanning the span once covers the whole loop.
     Raises KnobError when scan_samples is below 2 or tol is not a finite
@@ -393,7 +475,7 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
     for i in range(scan_samples):
         if sigs[i] != sigs[i + 1]:
             _bisect(s, grid, float(times[i]), float(times[i + 1]),
-                    sigs[i], sigs[i + 1], tol, events)
+                    sigs[i], sigs[i + 1], tol, events, {})
     events.sort(key=lambda e: e.window[0])
     for prev, cur in zip(events, events[1:]):
         if cur.window[0] < prev.window[1]:

@@ -596,6 +596,200 @@ def test_mirrored_seals_raise_simultaneous():
 
 
 # ---------------------------------------------------------------------------
+# bisection on probe tables, against bisecting one probe at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_flip_split(s, grid, a, b):
+    fa, fb = rasterize_fibers(s, [a, b], grid)
+    to_covered = fa.uncovered & ~fb.uncovered
+    to_uncovered = fb.uncovered & ~fa.uncovered
+    flips = to_covered | to_uncovered
+    full = np.ones((3,) * flips.ndim, dtype=int)
+    _, n_clusters = ndimage.label(flips, structure=full)
+    return to_covered, to_uncovered, int(n_clusters)
+
+
+def _reference_try_classify(s, grid, a, b, sa, sb):
+    to_covered, to_uncovered, n_clusters = _reference_flip_split(s, grid, a, b)
+    flips = to_covered | to_uncovered
+    if not flips.any():
+        raise ResolutionError(
+            f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip",
+            hint="raise --cells")
+    if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
+        return None
+    if not zigzag._jump_ok(sa, sb):
+        return None
+    locus_flat = int(np.flatnonzero(flips.ravel())[0])
+    locus = tuple(int(v) for v in np.unravel_index(locus_flat, flips.shape))
+    type_x = "D" if to_covered.any() else "N"
+    return Event(window=(float(a), float(b)), locus=locus, type_x=type_x,
+                 before=sa, after=sb)
+
+
+def _reference_raise_unresolvable(s, grid, a, b, sa, sb):
+    to_covered, to_uncovered, n_clusters = _reference_flip_split(s, grid, a, b)
+    if (to_covered.any() and to_uncovered.any()) or n_clusters > 1:
+        raise SimultaneousEventsError(
+            f"coverage transitions inside ({a:.12f}, {b:.12f}) cannot "
+            "be separated in time",
+            hint="perturb the scenario: two transitions share one instant")
+    raise ResolutionError(
+        f"resolution too coarse: signature jumped {sa} -> {sb} "
+        f"across ({a:.6f}, {b:.6f})", hint="raise --cells")
+
+
+def _reference_bisect(s, grid, a, b, sa, sb, tol, out):
+    while True:
+        if b - a <= tol:
+            event = _reference_try_classify(s, grid, a, b, sa, sb)
+            if event is not None:
+                out.append(event)
+                return
+            if b - a <= zigzag._WINDOW_FLOOR:
+                _reference_raise_unresolvable(s, grid, a, b, sa, sb)
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            _reference_raise_unresolvable(s, grid, a, b, sa, sb)
+        sm = _signatures(s, [m], grid)[0]
+        if sm == sa:
+            a = m
+        elif sm == sb:
+            b = m
+        else:
+            _reference_bisect(s, grid, a, m, sa, sm, tol, out)
+            _reference_bisect(s, grid, m, b, sm, sb, tol, out)
+            return
+
+
+def _reference_detect_events(s, grid, scan_samples=512, tol=1e-4):
+    """detect_events bisecting with one labeled whole slice per probe and
+    classifying each window on two whole-grid fibers."""
+    times = np.linspace(0.0, 1.0, scan_samples + 1)
+    sigs = _signatures(s, times, grid)
+    events = []
+    for i in range(scan_samples):
+        if sigs[i] != sigs[i + 1]:
+            _reference_bisect(s, grid, float(times[i]), float(times[i + 1]),
+                              sigs[i], sigs[i + 1], tol, events)
+    events.sort(key=lambda e: e.window[0])
+    for prev, cur in zip(events, events[1:]):
+        if cur.window[0] < prev.window[1]:
+            raise SimultaneousEventsError(
+                f"event windows ({prev.window[0]:.6f}, {prev.window[1]:.6f}) and "
+                f"({cur.window[0]:.6f}, {cur.window[1]:.6f}) overlap",
+                hint="lower --tol")
+    return tuple(events)
+
+
+def _outcome(detect, s, grid, **knobs):
+    """The events, or the error's type, message and hint."""
+    try:
+        return detect(s, grid, **knobs)
+    except ResolutionError as e:
+        return type(e), str(e), e.hint
+
+
+_BUILTINS = ("split", "close", "annuli", "empty", "full")
+
+
+def _detection_pool(family, seeds):
+    if family == "builtin":
+        return [builtin_scenario(name) for name in _BUILTINS]
+    if family == "random":
+        return [builtin_scenario("random", seed) for seed in seeds]
+    return [random_interval_scenario(seed) for seed in seeds]
+
+
+def _check_against_reference(scenarios, cells=128, **knobs):
+    for s in scenarios:
+        grid = grid_for_scenario(s, cells=cells)
+        want = _outcome(_reference_detect_events, s, grid, **knobs)
+        assert _outcome(detect_events, s, grid, **knobs) == want
+
+
+@pytest.mark.parametrize("family", ["builtin", "random", "interval"])
+def test_table_bisection_matches_per_probe_reference(family):
+    # Windows, loci, types and signatures, at default knobs.
+    _check_against_reference(_detection_pool(family, range(100)))
+
+
+@pytest.mark.parametrize("knobs", [{"scan_samples": 100}, {"tol": 1e-6}],
+                         ids=["scan100", "tol1e-6"])
+@pytest.mark.parametrize("family", ["builtin", "random", "interval"])
+def test_table_bisection_matches_reference_off_default_knobs(family, knobs):
+    # 100 scan samples put the scan times off the dyadic grid, and a small
+    # tol takes the bisection past one table.
+    _check_against_reference(_detection_pool(family, range(10)), **knobs)
+
+
+def test_table_bisection_matches_reference_at_the_window_floor():
+    # At 64 cells two transitions of split share an instant; both raise the
+    # same error once the window reaches _WINDOW_FLOOR.
+    s = builtin_scenario("split")
+    outcome = _outcome(detect_events, s, grid_for_scenario(s, cells=64))
+    assert outcome[0] is SimultaneousEventsError
+    _check_against_reference([s], cells=64)
+
+
+def test_detect_events_labels_few_slices_and_no_whole_grid(monkeypatch):
+    # The certify pool: each event is bisected on one probe table read with
+    # the scan's certificate, and classified on the disk's box. Bisecting one
+    # probe at a time labels 173 slices here and rasterizes 27 whole-grid
+    # fiber pairs.
+    labeled, fibers = [], []
+    stack_signatures = zigzag._stack_signatures
+    rasterize = zigzag.rasterize_fibers
+
+    def spy_labels(uncovered, disk, inside):
+        labeled.append(uncovered.shape[0])
+        return stack_signatures(uncovered, disk, inside)
+
+    def spy_fibers(*args, **kwargs):
+        fibers.append(args)
+        return rasterize(*args, **kwargs)
+
+    monkeypatch.setattr(zigzag, "_stack_signatures", spy_labels)
+    monkeypatch.setattr(zigzag, "rasterize_fibers", spy_fibers)
+    events = 0
+    for s in (_detection_pool("builtin", ())
+              + _detection_pool("random", range(1000, 1020))):
+        events += len(detect_events(s))
+    assert events == 24
+    assert not fibers
+    assert sum(labeled) < 80
+
+
+def test_probe_tables_stay_bounded(monkeypatch):
+    # A tiny tol asks for about 30 halvings of a scan step; one table over
+    # all of them would hold 2**30 times.
+    sizes = []
+
+    class Spy(zigzag.BoxCoverage):
+        def __init__(self, s, times, grid, box=None):
+            sizes.append(len(times))
+            super().__init__(s, times, grid, box)
+
+    monkeypatch.setattr(zigzag, "BoxCoverage", Spy)
+    s = builtin_scenario("split")
+    with pytest.raises(SimultaneousEventsError):
+        detect_events(s, grid_for_scenario(s, cells=64), tol=1e-12)
+    assert sizes[0] == 513
+    assert sizes[1:].count(33) > 2
+    assert max(sizes[1:]) <= 33
+
+
+def test_probe_table_with_simple_steps_only_is_an_error():
+    # Differing ends with no step that can change the signature contradict
+    # the certificate.
+    s = builtin_scenario("empty")
+    grid = grid_for_scenario(s)
+    with pytest.raises(ResolutionError, match="every coverage flip"):
+        _signatures(s, [0.2, 0.3, 0.4], grid, ends=((1, 0, 1), (2, 0, 2)))
+
+
+# ---------------------------------------------------------------------------
 # interleave
 # ---------------------------------------------------------------------------
 
