@@ -5,8 +5,9 @@ times at which coverage topology changes, tracks uncovered components through
 the resulting zigzag of fibers and cobordisms, and computes the exact inverse
 limit whose cardinality lower-bounds the number of evasion path classes. A
 boundary-only pipeline rebuilds the same diagram from boundary components and
-winding numbers, witness extraction certifies actual evasion paths, and a
-brute-force reachability oracle cross-checks everything.
+the complement components of the covered region, witness extraction
+certifies actual evasion paths, and a brute-force reachability oracle
+cross-checks everything.
 """
 
 from .analysis import (AnalysisReport, BoundaryData, OracleResult, Witness,
@@ -20,10 +21,8 @@ from .errors import (EvasionError, ResolutionError, SimultaneousEventsError,
 from .limit import (AlgebraLimit, LimitError, LimitResult, PartitionAlgebra,
                     ZigzagAlgebraDiagram, ZigzagSetDiagram, diagrams_isomorphic,
                     inverse_limit, join_partitions, limit_of_algebras,
-                    partition_algebra, partition_from_functionals,
-                    pullback_partition)
-from .planar_homology import (Hole, HoleBasis, HomologyError, alexander_image,
-                              holes, winding)
+                    partition_algebra, pullback_partition)
+from .planar_homology import HomologyError, alexander_image
 from .rasterize import (BoundaryComponents, CobordismComplex, ComponentLabels,
                         FiberComplex, GridSpec, RasterError, cell_center,
                         components, count_holes, coverage_masks, domain_masks,
@@ -56,13 +55,12 @@ __all__ = [
     "count_holes",
     # limits and algebras
     "LimitError", "ZigzagSetDiagram", "LimitResult", "inverse_limit",
-    "PartitionAlgebra", "partition_algebra", "partition_from_functionals",
-    "join_partitions", "pullback_partition",
+    "PartitionAlgebra", "partition_algebra", "join_partitions",
+    "pullback_partition",
     "ZigzagAlgebraDiagram", "AlgebraLimit", "limit_of_algebras",
     "diagrams_isomorphic",
     # planar homology
-    "HomologyError", "Hole", "HoleBasis", "holes", "winding",
-    "alexander_image",
+    "HomologyError", "alexander_image",
     # events and zigzags
     "Event", "fiber_signature", "detect_events", "interleave",
     "ZigzagBundle", "build_zigzag",

@@ -8,9 +8,9 @@ evidence: a witness is a time-monotone cell path staying uncovered, found by
 directed reachability through the fine sub-samples of each cobordism.
 
 Boundary mode never looks at uncovered cells directly. It reads the boundary
-components at each sample, pairs them with the holes of the covered region
-through winding functionals, and rebuilds the uncovered zigzag as the dual
-of the resulting partition diagram.
+components at each sample, groups them by the complement components of the
+covered region, and rebuilds the uncovered zigzag as the dual of the
+resulting partition diagram.
 
 Oracle mode ignores the event structure and answers reachability on one
 uniformly fine time grid; it is the independent cross-check for both.
@@ -465,8 +465,8 @@ def analyze_direct(s: Scenario, grid: Optional[GridSpec] = None, *,
 class BoundaryData:
     """Everything the boundary measurements provide, and nothing else.
 
-    Fiber partitions group each sample's boundary components by the winding
-    functionals of the covered region's holes; the maps track boundary
+    Fiber partitions group each sample's boundary components by the
+    complement components of the covered region; the maps track boundary
     components into the spacetime boundary components of each span.
     """
 
@@ -525,7 +525,8 @@ def extract_boundary_data(s: Scenario, grid: Optional[GridSpec] = None, *,
                           scan_samples: int = DEFAULT_SCAN_SAMPLES,
                           tol: float = DEFAULT_TOL,
                           events: Optional[Sequence[Event]] = None) -> BoundaryData:
-    """Measure boundary components and their winding partitions per sample.
+    """Measure boundary components and their partitions by the complement
+    components of the covered region, per sample.
 
     events, when given, are used instead of running detect_events. Raises
     KnobError on a scenario that is not two-dimensional.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "LimitError",
@@ -26,7 +26,6 @@ __all__ = [
     "inverse_limit",
     "PartitionAlgebra",
     "partition_algebra",
-    "partition_from_functionals",
     "join_partitions",
     "pullback_partition",
     "ZigzagAlgebraDiagram",
@@ -221,20 +220,6 @@ def partition_algebra(ground: Iterable[Label], blocks: Iterable[Iterable[Label]]
     if sorted(seen) != list(g) or len(seen) != len(set(seen)):  # type: ignore[type-var]
         raise LimitError("blocks must partition the ground set")
     return PartitionAlgebra(ground=g, blocks=norm)
-
-
-def partition_from_functionals(ground: Iterable[Label],
-                               functionals: Sequence[Mapping[Label, int]]) -> PartitionAlgebra:
-    """Partition into joint level sets; the constant functional is implicit."""
-    g = tuple(sorted(set(ground)))  # type: ignore[type-var]
-    for f in functionals:
-        if not set(g) <= set(f.keys()):
-            raise LimitError("functional domain mismatch")
-    groups: Dict[Tuple[int, ...], List[Label]] = {}
-    for x in g:
-        key = tuple(int(f[x]) for f in functionals)
-        groups.setdefault(key, []).append(x)
-    return partition_algebra(g, groups.values())
 
 
 class _DisjointSet:

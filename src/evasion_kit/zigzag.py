@@ -220,7 +220,7 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
         # covered-with-collar region plus the cells off the disk, which are
         # connected to each other and to the grid border. The holes are the
         # covered-with-collar components that do not reach the rim.
-        outer = np.unique(v_lab[:, _rim(disk)])
+        outer = sorted_unique(v_lab[:, _rim(disk)].ravel())
         b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
     else:
         b1 = np.zeros_like(pi0)

@@ -41,6 +41,7 @@ from evasion_kit.scenario import (
     random_interval_scenario,
 )
 from evasion_kit.zigzag import build_zigzag
+from hole_tools import fill_partition
 
 import random
 
@@ -175,6 +176,26 @@ def test_boundary_partitions_dualize_to_components():
             dual = boundary_limit(data).dual_diagram
             zb = build_zigzag(s, grid, region="covered_boundary").diagram
             assert _collapse_singletons(dual) == zb
+    budget.check()
+
+
+def test_boundary_partitions_match_fill_reference():
+    # Every sample fiber's partition equals the joint level sets of the hole
+    # fill functionals, on a pool where some fibers split into several blocks.
+    budget = _Budget(60.0)
+    scenarios = [builtin_scenario(name) for name in BUILTIN_NAMES if name != "random"]
+    seeds = list(range(60)) + list(range(1000, 1020))
+    scenarios += [builtin_scenario("random", seed=k) for k in seeds]
+    split = 0
+    for s in scenarios:
+        grid = grid_for_scenario(s)
+        data = extract_boundary_data(s, grid)
+        for t, partition in zip(data.sample_times, data.fiber_partitions):
+            f = rasterize_fiber(s, t, grid)
+            boundary = components(f, "covered_boundary")
+            assert partition == fill_partition(f.covered_with_collar, boundary)
+            split += len(partition.blocks) > 1
+    assert split > 0
     budget.check()
 
 

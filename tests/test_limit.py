@@ -13,7 +13,6 @@ from evasion_kit.limit import (
     join_partitions,
     limit_of_algebras,
     partition_algebra,
-    partition_from_functionals,
     pullback_partition,
 )
 
@@ -169,18 +168,6 @@ def test_partition_algebra_rejects_non_partitions():
         partition_algebra("ab", [("a", "b"), ("b",)])
     with pytest.raises(LimitError):
         partition_algebra("ab", [("a", "b"), ()])
-
-
-def test_partition_from_functionals():
-    ground = range(6)
-    parity = {x: x % 2 for x in ground}
-    small = {x: int(x < 3) for x in ground}
-    p = partition_from_functionals(ground, [parity, small])
-    assert p.blocks == ((0, 2), (1,), (3, 5), (4,))
-    # no functionals: everything is one level set of the constants
-    assert partition_from_functionals(ground, []).blocks == (tuple(range(6)),)
-    with pytest.raises(LimitError):
-        partition_from_functionals(ground, [{0: 1}])
 
 
 def test_join_partitions():

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
-from scipy import ndimage
 
-from evasion_kit.planar_homology import (
-    HomologyError,
-    alexander_image,
-    holes,
-    winding,
-)
+from evasion_kit.planar_homology import HomologyError, alexander_image
 from evasion_kit.rasterize import (
+    BoundaryComponents,
     components,
     count_holes,
     grid_for_scenario,
@@ -16,41 +11,51 @@ from evasion_kit.rasterize import (
     rasterize_fiber,
 )
 from evasion_kit.scenario import builtin_scenario
+from hole_tools import fill_partition, reference_holes
 
 
 def _mask(rows):
     return np.array([[ch == "#" for ch in row] for row in rows])
 
 
-_ST4 = ndimage.generate_binary_structure(2, 1)
+def _boundary(labels):
+    """BoundaryComponents with the given label bitmap, one label per value.
 
-
-def _reference_holes(mask):
-    """(cells, fill) masks per bounded complement component, in first-cell order.
-
-    The fill is the component plus everything it encloses: the complement of
-    the components of its own complement that reach the grid edge, found by a
-    second flood fill.
+    Only the fields alexander_image reads are meaningful: the bitmap, the
+    count, and each label's least cell as its covered representative.
     """
-    labels, n = ndimage.label(np.pad(~mask, 1, constant_values=True), structure=_ST4)
-    rim = set(np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]]).tolist())
-    out = []
-    for lab in range(1, n + 1):
-        if lab in rim:
-            continue
-        hole_p = labels == lab
-        flood, _ = ndimage.label(~hole_p, structure=_ST4)
-        edge = np.unique(np.concatenate([flood[0], flood[-1], flood[:, 0], flood[:, -1]]))
-        fill_p = ~np.isin(flood, edge[edge != 0])
-        out.append((hole_p[1:-1, 1:-1], fill_p[1:-1, 1:-1]))
-    out.sort(key=lambda item: int(np.flatnonzero(item[0])[0]))
-    return out
+    count = int(labels.max())
+    reps = tuple(int(np.flatnonzero(labels.ravel() == k)[0]) for k in range(1, count + 1))
+    return BoundaryComponents(
+        which="covered_boundary", count=count,
+        pairs=tuple((k, k) for k in range(1, count + 1)),
+        rep_uncovered=reps, rep_covered=reps, labels=labels,
+        uncovered_labels=np.zeros_like(labels), covered_labels=np.zeros_like(labels))
 
 
-def _winding_map(cycle, shape):
-    """Winding number of the cycle around every cell center of the grid."""
-    return np.array([[winding(cycle, (ix + 0.5, iy + 0.5)) for ix in range(shape[1])]
-                     for iy in range(shape[0])])
+def _labels(shape, groups):
+    """Label bitmap with the cells of groups[k - 1] labeled k."""
+    labels = np.zeros(shape, dtype=np.int32)
+    for k, cells in enumerate(groups, start=1):
+        for cell in cells:
+            labels[cell] = k
+    return labels
+
+
+def _partition(region, groups):
+    """alexander_image of the labels, checked against the fill reference."""
+    b = _boundary(_labels(region.shape, groups))
+    p = alexander_image(region, b)
+    assert p == fill_partition(region, b)
+    return p
+
+
+# A hole nested inside an island inside another hole: a 3-cell-thick island
+# ring in the outer hole, around a one-cell inner hole at (6, 6).
+_NESTED = np.ones((13, 13), dtype=bool)
+_NESTED[2:11, 2:11] = False
+_NESTED[3:10, 3:10] = True
+_NESTED[6, 6] = False
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +71,10 @@ def test_holes_simple_ring():
         "#...#",
         "#####",
     ])
-    basis = holes(region)
-    assert basis.count == 1
-    hole = basis.holes[0]
-    assert hole.representative == (1, 1)
-    # the hole's fill includes the island at (2, 2)
-    assert winding(hole.cycle, (2.5, 2.5)) == 1
-    assert winding(hole.cycle, (0.5, 0.5)) == 0
-    cells, fill = _reference_holes(region)[0]
-    assert cells.sum() == 8
-    assert np.array_equal(_winding_map(hole.cycle, region.shape), fill.astype(int))
+    assert count_holes(region) == 1
+    # the island label lies in the hole, the corner labels outside it
+    p = _partition(region, [[(0, 0)], [(2, 2)], [(4, 4)]])
+    assert p.blocks == ((1, 3), (2,))
 
 
 def test_holes_ordering_and_counts():
@@ -84,87 +83,58 @@ def test_holes_ordering_and_counts():
         "#.###.#",
         "#######",
     ])
-    basis = holes(region)
-    assert basis.count == 2
-    assert [h.representative for h in basis.holes] == [(1, 1), (1, 5)]
+    assert count_holes(region) == 2
+    assert _partition(region, [[(1, 2)], [(1, 4)]]).blocks == ((1,), (2,))
+    # removing the middle wall cell too merges the two holes
+    assert _partition(region, [[(1, 2)], [(1, 4)], [(1, 3)]]).blocks == ((1, 2, 3),)
 
 
 def test_holes_nested():
-    region = np.ones((9, 9), dtype=bool)
-    region[2:7, 2:7] = False
-    region[3:6, 3:6] = True
-    region[4, 4] = False
-    basis = holes(region)
-    assert basis.count == 2
-    outer, inner = basis.holes
-    assert outer.representative == (2, 2)
-    assert inner.representative == (4, 4)
-    # the outer cycle encloses the island and the inner hole as well
-    assert winding(outer.cycle, (4.5, 4.5)) == 1
-    assert winding(outer.cycle, (3.5, 3.5)) == 1
-    assert winding(inner.cycle, (4.5, 4.5)) == 1
-    assert winding(inner.cycle, (3.5, 3.5)) == 0
+    assert count_holes(_NESTED) == 2
+    # outside, outer hole, a new one-cell hole inside the island, inner hole
+    p = _partition(_NESTED, [[(0, 0)], [(3, 3)], [(4, 4)], [(5, 6)], [(7, 6)], [(12, 12)]])
+    assert p.blocks == ((1, 6), (2,), (3,), (4, 5))
 
 
 def test_holes_none():
-    assert holes(np.ones((4, 4), dtype=bool)).count == 0
-    assert holes(np.zeros((4, 4), dtype=bool)).count == 0
     notch = _mask([
         "##.##",
         "##.##",
         "#####",
     ])
-    assert holes(notch).count == 0
+    assert count_holes(notch) == 0
+    assert _partition(notch, [[(0, 1)], [(2, 4)]]).blocks == ((1, 2),)
 
 
 def test_holes_requires_2d():
     with pytest.raises(HomologyError):
-        holes(np.ones(5, dtype=bool))
+        alexander_image(np.ones(5, dtype=bool), _boundary(np.zeros(5, dtype=np.int32)))
 
 
-def test_holes_random_masks_wind_correctly():
-    # Each cycle winds once around exactly the cells of its hole's fill,
-    # nested holes and islands included.
+def test_alexander_image_matches_fill_reference():
+    # Random regions with random boundary subsets: the complement-label
+    # grouping equals the joint level sets of the fill functionals.
     rng = np.random.default_rng(17)
+    outside = split = 0
     for density in np.repeat((0.35, 0.5, 0.65, 0.8), 30):
-        mask = rng.random((14, 14)) < density
-        basis = holes(mask)
-        reference = _reference_holes(mask)
-        assert basis.count == count_holes(mask) == len(reference)
-        for hole, (cells, fill) in zip(basis.holes, reference):
-            assert hole.representative == tuple(int(v) for v in np.argwhere(cells)[0])
-            assert hole.cycle[0] == hole.cycle[-1]
-            assert np.array_equal(_winding_map(hole.cycle, mask.shape), fill.astype(int))
-
-
-# ---------------------------------------------------------------------------
-# winding
-# ---------------------------------------------------------------------------
-
-_SQUARE = ((0, 0), (2, 0), (2, 2), (0, 2), (0, 0))
-
-
-def test_winding_square():
-    assert winding(_SQUARE, (1.0, 1.0)) == 1
-    assert winding(_SQUARE, (3.0, 1.0)) == 0
-    assert winding(_SQUARE, (-1.0, 1.0)) == 0
-    assert winding(_SQUARE, (1.0, 3.0)) == 0
-
-
-def test_winding_orientation_and_multiplicity():
-    reverse = tuple(reversed(_SQUARE))
-    assert winding(reverse, (1.0, 1.0)) == -1
-    doubled = _SQUARE[:-1] + _SQUARE
-    assert winding(doubled, (1.0, 1.0)) == 2
-
-
-def test_winding_rejects_degenerate_queries():
-    with pytest.raises(HomologyError):
-        winding(_SQUARE, (2.0, 1.0))
-    with pytest.raises(HomologyError):
-        winding(_SQUARE, (1.0, 0.0))
-    with pytest.raises(HomologyError):
-        winding(((0, 0), (1, 0)), (5.0, 5.0))
+        region = rng.random((14, 14)) < density
+        assert count_holes(region) == len(reference_holes(region))
+        chosen = region & (rng.random(region.shape) < 0.15)
+        labels = np.zeros(region.shape, dtype=np.int32)
+        labels[chosen] = rng.integers(1, 6, size=int(chosen.sum()))
+        if not chosen.any():
+            continue
+        # renumber the labels that occur as 1..count; 0 always occurs
+        labels = np.searchsorted(np.unique(labels), labels).astype(np.int32)
+        b = _boundary(labels)
+        p = alexander_image(region, b)
+        assert p == fill_partition(region, b)
+        free = region & (labels == 0)
+        fills = [fill for _, fill in reference_holes(free)]
+        outside += sum(not any(fill.flat[r] for fill in fills) for r in b.rep_covered)
+        split += len(p.blocks) > 1
+    assert outside > 0 and split > 0
+    _partition(_NESTED, [[(0, 0)], [(3, 3)], [(4, 4)], [(5, 6)]])
 
 
 # ---------------------------------------------------------------------------
