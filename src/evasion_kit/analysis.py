@@ -33,7 +33,7 @@ from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         bounding_box, cell_center, coverage_masks,
                         domain_masks, grid_for_scenario, label_components,
                         label_slices, rasterize_cobordism, rasterize_fiber,
-                        stack_graph, sweep)
+                        sorted_unique, stack_graph, sweep, window_width)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
                      build_zigzag, detect_events, fiber_signatures)
@@ -627,6 +627,15 @@ class OracleResult:
     class_count: Optional[int]
 
 
+# Cells of stack the oracle holds at once. Its time chunks and its labeling
+# chunks are sized so that their largest arrays stay near this many cells.
+_ORACLE_CHUNK_CELLS = 1 << 19
+
+# A band of two consecutive slices: its component count, and the maps of
+# its left and right slice's components into it.
+_Band = Tuple[int, Dict[int, int], Dict[int, int]]
+
+
 def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
                         time_samples: int = DEFAULT_ORACLE_SAMPLES) -> OracleResult:
     """Directed reachability on one uniformly fine time grid.
@@ -640,11 +649,19 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     The stack is cropped to the bounding box of the fenced region, which
     holds every uncovered cell and keeps their raster order. Only its
     distinct slices are rasterized: the first, the last, and each one after
-    a step that flips a cell inside the fence (BoxCoverage.distinct). Every
+    a step that flips a cell inside the fence (see _oracle_kept). Every
     other slice equals its predecessor, and equal masks have equal
-    components joined one to one. The distinct slices are labeled in one
-    call and one forward sweep carries every start component at once;
-    reachable pairs number components within the first and the last slice.
+    components joined one to one.
+
+    No more than about _ORACLE_CHUNK_CELLS cells of stack are held at once,
+    so memory does not grow with the grid's cells times the time samples.
+    The distinct slices are rasterized and labeled in chunks of at most
+    _ORACLE_CHUNK_CELLS // (cells in the box) slices, and each chunk's
+    stack starts with the previous chunk's last slice. That slice is the
+    same mask, so it gets the same local labels: the reach of every start
+    component into it carries over exactly, and a forward sweep through the
+    chunk carries it on to the chunk's last slice. Only that reach is kept.
+    Reachable pairs number components within the first and the last slice.
     Raises KnobError when time_samples is below 1.
     """
     if time_samples < 1:
@@ -656,13 +673,28 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     _, inside = domain_masks(s, grid)
     box = bounding_box(inside)
     inside = inside[box]
-    kept = BoxCoverage(s, times, grid, box).distinct(inside)
-    unc = inside & ~coverage_masks(s, times[kept], grid, box)
-    g = stack_graph(unc)
-    counts = [int(v) for v in np.diff(g.offsets)]
+    kept = _oracle_kept(s, times, grid, box, inside)
+    per_chunk = max(1, _ORACLE_CHUNK_CELLS // inside.size)
 
-    last = sweep(g, range(1, counts[0] + 1))[g.offsets[-2] + 1:]
-    pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(last.T)]
+    counts: List[int] = []
+    bands: List[_Band] = []
+    reach: Optional[np.ndarray] = None
+    carried: Optional[np.ndarray] = None
+    for lo in range(0, kept.size, per_chunk):
+        unc = ~coverage_masks(s, times[kept[lo:lo + per_chunk]], grid, box)
+        unc &= inside
+        if carried is not None:
+            unc = np.concatenate((carried[None], unc))
+        n, last, chunk_bands = _oracle_chunk(unc, s.dimension == 1)
+        if reach is None:
+            counts, reach = n, last
+        else:
+            counts += n[1:]
+            reach = last @ reach
+        bands += chunk_bands
+        carried = unc[-1].copy()
+
+    pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(reach.T)]
     if s.time_base == "circle":
         exists = any(a == b for a, b in pairs)
     else:
@@ -670,7 +702,15 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
 
     class_count: Optional[int] = None
     if s.dimension == 1:
-        class_count = _oracle_class_count(s.time_base, unc, g, counts)
+        band_counts, lefts, rights = zip(*bands)
+        diagram = ZigzagSetDiagram(
+            shape=s.time_base,
+            fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
+            cobordism_sets=tuple(tuple(range(1, n + 1)) for n in band_counts),
+            left_maps=lefts,
+            right_maps=rights,
+        )
+        class_count = int(inverse_limit(diagram, max_elements=0).cardinality)
 
     return OracleResult(
         exists=exists,
@@ -681,33 +721,60 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     )
 
 
-def _oracle_class_count(time_base: str, unc: np.ndarray, g: StackGraph,
-                        counts: List[int]) -> int:
-    """Limit cardinality of the zigzag of slices and two-slice bands.
+def _oracle_kept(s: Scenario, times: np.ndarray, grid: GridSpec,
+                 box: Tuple[slice, ...], inside: np.ndarray) -> np.ndarray:
+    """BoxCoverage(s, times, grid, box).distinct(inside), in time chunks.
 
-    Every band (slice j, slice j + 1) is labeled in one call; a slice
-    component maps to the band component holding its first cell.
+    A chunk holds at most _ORACLE_CHUNK_CELLS // width**dim consecutive
+    times, width being the ball window's, and the next chunk starts at its
+    last time. A step's flips depend on its two times alone, so the chunks'
+    flips are those of the whole list, index for index.
     """
-    bands, band_tops = label_slices(np.stack((unc[:-1], unc[1:]), axis=1))
-    band_offsets = np.concatenate(([0], band_tops))
-    values, first = np.unique(g.labels, return_index=True)
-    slices, cells = np.divmod(first[values > 0], unc.shape[1])
+    span = max(2, _ORACLE_CHUNK_CELLS // window_width(s, grid) ** inside.ndim)
+    last = times.size - 1
+    steps = [BoxCoverage(s, times[lo:lo + span], grid, box).flips(inside)[0] + lo + 1
+             for lo in range(0, last, span - 1)]
+    return sorted_unique(np.concatenate(([0], *steps, [last])))
+
+
+def _oracle_chunk(unc: np.ndarray, with_bands: bool
+                  ) -> Tuple[List[int], np.ndarray, List[_Band]]:
+    """Label one chunk's stack (T, *box shape).
+
+    Returns the component count of each slice, the reach of each first-slice
+    component into the last slice as a boolean (last count, first count)
+    matrix, and with_bands, the chunk's bands (see _band_maps). Its arrays
+    go when it returns, so no two chunks' labels are held at once.
+    """
+    g = stack_graph(unc)
+    n = np.diff(g.offsets).tolist()
+    last = sweep(g, range(1, n[0] + 1))[g.offsets[-2] + 1:]
+    return n, last, _band_maps(unc, g) if with_bands else []
+
+
+def _band_maps(unc: np.ndarray, g: StackGraph) -> List[_Band]:
+    """Each band (slice j, slice j + 1) of a 1-D stack.
+
+    Every band is labeled in one call; a slice component maps to the band
+    component holding its first cell. Labels are numbered by their first
+    cell in raster order, so the first cells are where the running maximum
+    of the flat labels rises.
+    """
+    if len(unc) < 2:
+        return []
+    bands, tops = label_slices(np.stack((unc[:-1], unc[1:]), axis=1))
+    offsets = np.concatenate(([0], tops))
     lefts: List[Dict[int, int]] = [{} for _ in range(len(bands))]
     rights: List[Dict[int, int]] = [{} for _ in range(len(bands))]
+    top = np.maximum.accumulate(g.labels.ravel())
+    slices, cells = np.divmod(np.flatnonzero(np.diff(top, prepend=0)), unc.shape[1])
     for label, j, x in zip(range(1, len(slices) + 1), slices.tolist(), cells.tolist()):
         local = label - int(g.offsets[j])
         if j < len(bands):
-            lefts[j][local] = int(bands[j, 0, x] - band_offsets[j])
+            lefts[j][local] = int(bands[j, 0, x] - offsets[j])
         if j > 0:
-            rights[j - 1][local] = int(bands[j - 1, 1, x] - band_offsets[j - 1])
-    diagram = ZigzagSetDiagram(
-        shape=time_base,
-        fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
-        cobordism_sets=tuple(tuple(range(1, int(n) + 1)) for n in np.diff(band_offsets)),
-        left_maps=tuple(lefts),
-        right_maps=tuple(rights),
-    )
-    return int(inverse_limit(diagram, max_elements=0).cardinality)
+            rights[j - 1][local] = int(bands[j - 1, 1, x] - offsets[j - 1])
+    return list(zip(np.diff(offsets).tolist(), lefts, rights))
 
 
 def analyze_oracle(s: Scenario, grid: Optional[GridSpec] = None, *,

@@ -35,6 +35,7 @@ __all__ = [
     "rasterize_fibers",
     "rasterize_cobordism",
     "BoxCoverage",
+    "window_width",
     "sorted_unique",
     "ComponentLabels",
     "CobordismComponents",
@@ -231,6 +232,11 @@ def _patch_balls(axes: Sequence[np.ndarray], idx: Sequence[np.ndarray],
                      for k, (a, i) in enumerate(zip(axes, idx))], r2)
 
 
+def window_width(s: Scenario, grid: GridSpec) -> int:
+    """Cells per axis of the window BoxCoverage tests a moving ball on."""
+    return int(np.ceil(2.0 * s.sensing_radius / grid.cell_size)) + 3
+
+
 class BoxCoverage:
     """Coverage of a box of cells at each of a list of times.
 
@@ -257,7 +263,7 @@ class BoxCoverage:
         r = s.sensing_radius
         self.r2 = r * r
         self.reach = r + grid.cell_size
-        self.width = int(np.ceil(2.0 * r / grid.cell_size)) + 3
+        self.width = window_width(s, grid)
 
     def _window(self, p: np.ndarray, k: int) -> Tuple[int, np.ndarray]:
         """The window width on world axis k, and per time its first cell: the

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from typing import Dict, List, Set
 
@@ -34,6 +35,8 @@ from evasion_kit.analysis import (
 from evasion_kit.errors import KnobError, WitnessError
 from evasion_kit.limit import ZigzagSetDiagram, diagrams_isomorphic, inverse_limit
 from evasion_kit.rasterize import (
+    BoxCoverage,
+    bounding_box,
     components,
     coverage_masks,
     domain_masks,
@@ -541,14 +544,59 @@ _ORACLE_CASES = (
 )
 
 
+def _box_cells(s, grid):
+    _, inside = domain_masks(s, grid)
+    return inside[bounding_box(inside)].size
+
+
+def _spy_chunks(monkeypatch):
+    """Record the times handed to each coverage_masks call (the labeling
+    chunks) and to each BoxCoverage (the time chunks) of the oracle."""
+    handed, spans = [], []
+
+    def counted(s, times, *args):
+        handed.append(len(times))
+        return coverage_masks(s, times, *args)
+
+    class Counted(BoxCoverage):
+        def __init__(self, s, times, *args):
+            spans.append(len(times))
+            super().__init__(s, times, *args)
+
+    monkeypatch.setattr(analysis, "coverage_masks", counted)
+    monkeypatch.setattr(analysis, "BoxCoverage", Counted)
+    return handed, spans
+
+
 @pytest.mark.parametrize("key,time_samples", _ORACLE_CASES)
-def test_oracle_matches_per_slice_reference(key, time_samples):
+def test_oracle_matches_per_slice_reference(key, time_samples, monkeypatch):
     # A '+edge' key has no grid margin: the disk touches the grid border.
     name, edge, _ = key.partition("+edge")
     s = _scenario(name)
     grid = grid_for_scenario(s, margin_cells=0) if edge else None
-    got = oracle_reachability(s, grid, time_samples=time_samples)
-    assert got == _reference_oracle(s, time_samples, grid)
+    want = _reference_oracle(s, time_samples, grid)
+    assert oracle_reachability(s, grid, time_samples=time_samples) == want
+
+    # Small chunk budgets. One cell puts every distinct slice in its own
+    # labeling chunk and every step in its own time chunk; twice the box's
+    # cells puts two slices in a labeling chunk and some dozens of times in
+    # a time chunk. Each chunk boundary carries the last slice across.
+    grid = grid or grid_for_scenario(s)
+    cells = _box_cells(s, grid)
+    window = rasterize.window_width(s, grid) ** s.dimension
+    handed, spans = _spy_chunks(monkeypatch)
+    for budget in (1, 2 * cells):
+        monkeypatch.setattr(analysis, "_ORACLE_CHUNK_CELLS", budget)
+        handed.clear()
+        spans.clear()
+        assert oracle_reachability(s, grid, time_samples=time_samples) == want
+        per_chunk = max(1, budget // cells)
+        span = max(2, budget // window)
+        assert max(handed) <= per_chunk and len(handed) == -(-sum(handed) // per_chunk)
+        assert max(spans) <= span and len(spans) == -(-time_samples // (span - 1))
+        if budget == 1:
+            assert len(spans) == time_samples
+            assert len(handed) == sum(handed) >= 2
 
 
 def test_oracle_circle_d1_counts_classes():
@@ -571,6 +619,21 @@ def test_oracle_rasterizes_only_distinct_slices(monkeypatch):
     monkeypatch.setattr(analysis, "coverage_masks", counted)
     assert oracle_reachability(s) == want
     assert 0 < sum(handed) < 300
+    assert max(handed) <= analysis._ORACLE_CHUNK_CELLS // _box_cells(s, grid_for_scenario(s))
+
+
+@pytest.mark.parametrize("cells,time_samples", [(256, 1024), (128, 8192)])
+def test_oracle_memory_is_bounded(cells, time_samples):
+    # Holding every distinct slice at once peaked at 171 and 49 MiB here.
+    s = builtin_scenario("random", 1004)
+    grid = grid_for_scenario(s, cells=cells)
+    tracemalloc.start()
+    try:
+        oracle_reachability(s, grid, time_samples=time_samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_oracle_rejects_bad_time_samples():
