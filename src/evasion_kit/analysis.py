@@ -33,7 +33,7 @@ from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         bounding_box, cell_center, coverage_masks,
                         domain_masks, grid_for_scenario, label_components,
                         label_slices, rasterize_cobordism, rasterize_fiber,
-                        sorted_unique, stack_graph, sweep, window_width)
+                        stack_graph, sweep)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
                      build_zigzag, detect_events, fiber_signatures)
@@ -627,8 +627,9 @@ class OracleResult:
     class_count: Optional[int]
 
 
-# Cells of stack the oracle holds at once. Its time chunks and its labeling
-# chunks are sized so that their largest arrays stay near this many cells.
+# Cells of stack the oracle holds at once: its labeling chunks are sized so
+# that their stacks stay near this many cells. BoxCoverage.distinct bounds
+# the search for the distinct slices in the same way.
 _ORACLE_CHUNK_CELLS = 1 << 19
 
 # A band of two consecutive slices: its component count, and the maps of
@@ -649,7 +650,7 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     The stack is cropped to the bounding box of the fenced region, which
     holds every uncovered cell and keeps their raster order. Only its
     distinct slices are rasterized: the first, the last, and each one after
-    a step that flips a cell inside the fence (see _oracle_kept). Every
+    a step that flips a cell inside the fence (BoxCoverage.distinct). Every
     other slice equals its predecessor, and equal masks have equal
     components joined one to one.
 
@@ -673,7 +674,7 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     _, inside = domain_masks(s, grid)
     box = bounding_box(inside)
     inside = inside[box]
-    kept = _oracle_kept(s, times, grid, box, inside)
+    kept = BoxCoverage(s, times, grid, box).distinct(inside)
     per_chunk = max(1, _ORACLE_CHUNK_CELLS // inside.size)
 
     counts: List[int] = []
@@ -719,22 +720,6 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
         reachable_pairs=tuple(pairs),
         class_count=class_count,
     )
-
-
-def _oracle_kept(s: Scenario, times: np.ndarray, grid: GridSpec,
-                 box: Tuple[slice, ...], inside: np.ndarray) -> np.ndarray:
-    """BoxCoverage(s, times, grid, box).distinct(inside), in time chunks.
-
-    A chunk holds at most _ORACLE_CHUNK_CELLS // width**dim consecutive
-    times, width being the ball window's, and the next chunk starts at its
-    last time. A step's flips depend on its two times alone, so the chunks'
-    flips are those of the whole list, index for index.
-    """
-    span = max(2, _ORACLE_CHUNK_CELLS // window_width(s, grid) ** inside.ndim)
-    last = times.size - 1
-    steps = [BoxCoverage(s, times[lo:lo + span], grid, box).flips(inside)[0] + lo + 1
-             for lo in range(0, last, span - 1)]
-    return sorted_unique(np.concatenate(([0], *steps, [last])))
 
 
 def _oracle_chunk(unc: np.ndarray, with_bands: bool

@@ -35,7 +35,6 @@ __all__ = [
     "rasterize_fibers",
     "rasterize_cobordism",
     "BoxCoverage",
-    "window_width",
     "sorted_unique",
     "ComponentLabels",
     "CobordismComponents",
@@ -232,9 +231,9 @@ def _patch_balls(axes: Sequence[np.ndarray], idx: Sequence[np.ndarray],
                      for k, (a, i) in enumerate(zip(axes, idx))], r2)
 
 
-def window_width(s: Scenario, grid: GridSpec) -> int:
-    """Cells per axis of the window BoxCoverage tests a moving ball on."""
-    return int(np.ceil(2.0 * s.sensing_radius / grid.cell_size)) + 3
+# Cells of ball window BoxCoverage.distinct tests at once: each chunk of
+# steps holds about this many cells per moving ball.
+_DISTINCT_CHUNK_CELLS = 1 << 19
 
 
 class BoxCoverage:
@@ -263,7 +262,7 @@ class BoxCoverage:
         r = s.sensing_radius
         self.r2 = r * r
         self.reach = r + grid.cell_size
-        self.width = window_width(s, grid)
+        self.width = int(np.ceil(2.0 * r / grid.cell_size)) + 3
 
     def _window(self, p: np.ndarray, k: int) -> Tuple[int, np.ndarray]:
         """The window width on world axis k, and per time its first cell: the
@@ -308,11 +307,17 @@ class BoxCoverage:
         such cell: those are the candidates, and reading coverage at each
         candidate's two times keeps exactly the flips.
         """
+        return self._step_flips(inside, 0, self.positions.shape[1] - 1)
+
+    def _step_flips(self, inside: np.ndarray, first: int, end: int
+                    ) -> Tuple[np.ndarray, ...]:
+        """flips(inside) of the steps first to end - 1 alone, steps still
+        counted from the first time."""
         shape = self.static.shape
         dim = len(shape)
         n = self.positions.shape[1] - 1
         keys = [np.zeros(0, dtype=np.intp)]
-        for p in self.positions:
+        for p in self.positions[:, first:end + 1]:
             idx = []
             for k in range(dim):
                 w, start = self._window(p, k)
@@ -325,7 +330,7 @@ class BoxCoverage:
             # flatnonzero then unravel: np.nonzero walks a 3-D mask far slower.
             hit = np.unravel_index(np.flatnonzero(moved), moved.shape)
             cells = [idx[k][hit[0], hit[dim - k]] for k in range(dim)][::-1]
-            keys.append(np.ravel_multi_index((hit[0], *cells), (n,) + shape))
+            keys.append(np.ravel_multi_index((hit[0] + first, *cells), (n,) + shape))
         # A cell may be a candidate of several balls.
         step, *cells = np.unravel_index(sorted_unique(np.concatenate(keys)), (n,) + shape)
         keep = inside[tuple(cells)]
@@ -338,9 +343,16 @@ class BoxCoverage:
 
         They are the first time, the last, and each time after a step that
         flips a cell of inside; every other slice equals its predecessor.
+        The steps are read in chunks of at most _DISTINCT_CHUNK_CELLS //
+        width**dim steps, so the candidate patches stay bounded however many
+        times there are. A step's flips depend on its two times alone, so
+        the chunks' flips are those of the whole list.
         """
         last = self.positions.shape[1] - 1
-        return sorted_unique(np.concatenate(([0], self.flips(inside)[0] + 1, [last])))
+        span = max(1, _DISTINCT_CHUNK_CELLS // self.width ** self.static.ndim)
+        steps = [self._step_flips(inside, lo, min(lo + span, last))[0] + 1
+                 for lo in range(0, last, span)]
+        return sorted_unique(np.concatenate(([0], *steps, [last])))
 
 
 def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,

@@ -551,21 +551,22 @@ def _box_cells(s, grid):
 
 def _spy_chunks(monkeypatch):
     """Record the times handed to each coverage_masks call (the labeling
-    chunks) and to each BoxCoverage (the time chunks) of the oracle."""
-    handed, spans = [], []
+    chunks) and the steps of each chunk BoxCoverage.distinct reads (the
+    time chunks) of the oracle."""
+    handed, steps = [], []
+    step_flips = BoxCoverage._step_flips
 
     def counted(s, times, *args):
         handed.append(len(times))
         return coverage_masks(s, times, *args)
 
-    class Counted(BoxCoverage):
-        def __init__(self, s, times, *args):
-            spans.append(len(times))
-            super().__init__(s, times, *args)
+    def counted_steps(self, inside, first, end):
+        steps.append(end - first)
+        return step_flips(self, inside, first, end)
 
     monkeypatch.setattr(analysis, "coverage_masks", counted)
-    monkeypatch.setattr(analysis, "BoxCoverage", Counted)
-    return handed, spans
+    monkeypatch.setattr(BoxCoverage, "_step_flips", counted_steps)
+    return handed, steps
 
 
 @pytest.mark.parametrize("key,time_samples", _ORACLE_CASES)
@@ -579,23 +580,25 @@ def test_oracle_matches_per_slice_reference(key, time_samples, monkeypatch):
 
     # Small chunk budgets. One cell puts every distinct slice in its own
     # labeling chunk and every step in its own time chunk; twice the box's
-    # cells puts two slices in a labeling chunk and some dozens of times in
+    # cells puts two slices in a labeling chunk and some dozens of steps in
     # a time chunk. Each chunk boundary carries the last slice across.
     grid = grid or grid_for_scenario(s)
     cells = _box_cells(s, grid)
-    window = rasterize.window_width(s, grid) ** s.dimension
-    handed, spans = _spy_chunks(monkeypatch)
+    window = BoxCoverage(s, [0.0], grid).width ** s.dimension
+    handed, steps = _spy_chunks(monkeypatch)
     for budget in (1, 2 * cells):
         monkeypatch.setattr(analysis, "_ORACLE_CHUNK_CELLS", budget)
+        monkeypatch.setattr(rasterize, "_DISTINCT_CHUNK_CELLS", budget)
         handed.clear()
-        spans.clear()
+        steps.clear()
         assert oracle_reachability(s, grid, time_samples=time_samples) == want
         per_chunk = max(1, budget // cells)
-        span = max(2, budget // window)
+        span = max(1, budget // window)
         assert max(handed) <= per_chunk and len(handed) == -(-sum(handed) // per_chunk)
-        assert max(spans) <= span and len(spans) == -(-time_samples // (span - 1))
+        assert sum(steps) == time_samples
+        assert max(steps) <= span and len(steps) == -(-time_samples // span)
         if budget == 1:
-            assert len(spans) == time_samples
+            assert len(steps) == time_samples
             assert len(handed) == sum(handed) >= 2
 
 
