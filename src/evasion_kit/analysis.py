@@ -31,9 +31,9 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         bounding_box, cell_center, coverage_masks,
-                        domain_masks, grid_for_scenario, label_components,
-                        label_slices, rasterize_cobordism, rasterize_fiber,
-                        stack_graph, sweep)
+                        domain_masks, first_cells, grid_for_scenario,
+                        label_components, label_slices, rasterize_cobordism,
+                        rasterize_fiber, stack_graph, sweep)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
                      build_zigzag, detect_events, fiber_signatures)
@@ -741,9 +741,7 @@ def _band_maps(unc: np.ndarray, g: StackGraph) -> List[_Band]:
     """Each band (slice j, slice j + 1) of a 1-D stack.
 
     Every band is labeled in one call; a slice component maps to the band
-    component holding its first cell. Labels are numbered by their first
-    cell in raster order, so the first cells are where the running maximum
-    of the flat labels rises.
+    component holding its first cell (first_cells of the stack-wide labels).
     """
     if len(unc) < 2:
         return []
@@ -751,8 +749,7 @@ def _band_maps(unc: np.ndarray, g: StackGraph) -> List[_Band]:
     offsets = np.concatenate(([0], tops))
     lefts: List[Dict[int, int]] = [{} for _ in range(len(bands))]
     rights: List[Dict[int, int]] = [{} for _ in range(len(bands))]
-    top = np.maximum.accumulate(g.labels.ravel())
-    slices, cells = np.divmod(np.flatnonzero(np.diff(top, prepend=0)), unc.shape[1])
+    slices, cells = np.divmod(first_cells(g.labels), unc.shape[1])
     for label, j, x in zip(range(1, len(slices) + 1), slices.tolist(), cells.tolist()):
         local = label - int(g.offsets[j])
         if j < len(bands):

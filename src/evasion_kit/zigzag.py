@@ -57,8 +57,8 @@ from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComplex,
                         CobordismComponents, ComponentLabels, FiberComplex,
                         GridSpec, bounding_box, components,
                         coverage_masks, domain_masks, face_contacts,
-                        grid_for_scenario, label_slices, rasterize_cobordism,
-                        rasterize_fibers, sorted_unique)
+                        first_cells, grid_for_scenario, label_slices,
+                        rasterize_cobordism, rasterize_fibers, sorted_unique)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -561,17 +561,12 @@ def _labels_of(parts: Union[FiberParts, CobordismParts]) -> Tuple[int, ...]:
 
 def _region_map(fparts: ComponentLabels, cparts: CobordismComponents,
                 slice_index: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    flat = fparts.labels.ravel()
-    end = cparts.ends[slice_index].ravel()
-    for label in range(1, fparts.count + 1):
-        value = int(end[int(np.flatnonzero(flat == label)[0])])
-        if value == 0:
-            raise ResolutionError(
-                "a fiber component is missing from the spanning cobordism",
-                hint="raise --cells")
-        out[label] = value
-    return out
+    values = cparts.ends[slice_index].ravel()[first_cells(fparts.labels)]
+    if not values.all():
+        raise ResolutionError(
+            "a fiber component is missing from the spanning cobordism",
+            hint="raise --cells")
+    return dict(enumerate(values.tolist(), 1))
 
 
 def _pair_map(fparts: BoundaryComponents, cparts: BoundaryComponents,

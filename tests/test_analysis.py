@@ -660,12 +660,51 @@ def _scenario_stack(key):
     return inside[None] & ~coverage_masks(s, np.linspace(0.0, 1.0, 65), grid)
 
 
+def _graph_stack(key, monkeypatch):
+    """The stack a key names. 'oracle:<scenario>' is the oracle's first
+    labeling chunk, 'cobordism:<scenario>' a cobordism cropped as
+    components() crops it, and '<scenario>' 65 samples on the whole grid."""
+    if key == "noise":
+        return _noise_stack()
+    kind, _, name = key.rpartition(":")
+    if kind == "oracle":
+        stacks = []
+        chunk = analysis._oracle_chunk
+
+        def spy(unc, with_bands):
+            stacks.append(unc)
+            return chunk(unc, with_bands)
+
+        monkeypatch.setattr(analysis, "_oracle_chunk", spy)
+        oracle_reachability(_scenario(name))
+        return stacks[0]
+    if kind == "cobordism":
+        cob = build_zigzag(_scenario(name)).cobordisms[0]
+        return cob.uncovered[(slice(None),) + bounding_box(cob.inside)]
+    return _scenario_stack(name)
+
+
+def _both_paths(unc):
+    """stack_graph on its label_slices path and on its core path."""
+    graphs = []
+    for cells in (1 << 62, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
+            graphs.append(rasterize.stack_graph(unc))
+    return graphs
+
+
 @pytest.mark.parametrize("key", ["noise", "split", "annuli", "empty", "full",
-                                 "random/0", "interval/0", "circle1d"])
-def test_stack_graph_matches_per_slice_labels(key):
+                                 "random/0", "interval/0", "circle1d",
+                                 "oracle:random/0", "cobordism:random/0"])
+def test_stack_graph_matches_per_slice_labels(key, monkeypatch):
     # Stack labels rely on scipy numbering components in raster order.
-    unc = _noise_stack() if key == "noise" else _scenario_stack(key)
-    g = rasterize.stack_graph(unc)
+    unc = _graph_stack(key, monkeypatch)
+    for g in _both_paths(unc):
+        _check_per_slice(unc, g)
+
+
+def _check_per_slice(unc, g):
     edges = set()
     for j, u in enumerate(unc):
         want, n = label_components(u)
@@ -680,6 +719,41 @@ def test_stack_graph_matches_per_slice_labels(key):
         assert np.all((leaving > g.offsets[j]) & (leaving <= g.offsets[j + 1]))
     assert sorted(edges) == list(zip(g.src.tolist(), g.dst.tolist()))
     assert g.cuts[-1] == g.src.size
+
+
+@st.composite
+def _flipped_stacks(draw):
+    """A base slice repeated, a few cells flipped, and perhaps an edge case:
+    one slice cleared (an empty core), the first slice's complement appended
+    (every cell varying), or every cell cleared."""
+    shape = draw(st.sampled_from([(1,), (9,), (1, 7), (5, 6), (8, 8)]))
+    count = draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = np.repeat((rng.random(shape) < density)[None], count, axis=0)
+    for _ in range(draw(st.integers(0, 8))):
+        stack[(rng.integers(count),) + tuple(rng.integers(0, n) for n in shape)] ^= True
+    edge = draw(st.sampled_from(["none", "empty core", "all varying", "all false"]))
+    if edge == "empty core":
+        stack[rng.integers(count)] = False
+    elif edge == "all varying":
+        stack = np.concatenate((stack, ~stack[:1]))
+    elif edge == "all false":
+        stack[:] = False
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flipped_stacks())
+def test_core_labels_match_label_slices(stack):
+    # Field by field, dtypes included: every consumer reads the graph as is.
+    old, new = _both_paths(stack)
+    for field in dataclasses.fields(rasterize.StackGraph):
+        want, got = getattr(old, field.name), getattr(new, field.name)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert new.labels.dtype == np.int32
 
 
 def _cobordism_keys():

@@ -20,6 +20,7 @@ from evasion_kit.rasterize import (
     coverage_masks,
     domain_masks,
     face_contacts,
+    first_cells,
     grid_for_scenario,
     label_components,
     label_slices,
@@ -347,6 +348,8 @@ def test_scipy_labels_are_canonical(mask):
     assert got.dtype == want.dtype == np.int32
     assert got_n == want_n == n
     assert np.array_equal(got, want)
+    firsts = [np.flatnonzero(got.ravel() == label)[0] for label in range(1, n + 1)]
+    assert first_cells(got).tolist() == firsts
 
 
 @settings(max_examples=150, deadline=None)
@@ -357,6 +360,8 @@ def test_scipy_slice_labels_are_canonical(mask):
     assert np.array_equal(labels, _reference_canonical(raw)[0])
     assert np.array_equal(labels, raw)
     assert tops[-1] == labels.max(initial=0)
+    firsts = [np.flatnonzero(labels.ravel() == label)[0] for label in range(1, tops[-1] + 1)]
+    assert first_cells(labels).tolist() == firsts
 
 
 @pytest.mark.parametrize("shape,axes", [((7,), (0,)), ((5, 6), (0, 1)), ((5, 6), (1,)),

@@ -33,12 +33,15 @@ from evasion_kit.zigzag import (
 )
 from evasion_kit.rasterize import (
     BoxCoverage,
+    CobordismComponents,
+    ComponentLabels,
     bounding_box,
     components,
     count_holes,
     coverage_masks,
     domain_masks,
     grid_for_scenario,
+    label_components,
     label_slices,
     rasterize_cobordism,
     rasterize_fiber,
@@ -947,3 +950,21 @@ def test_interval_pulse_has_larger_limit():
     s = _pulse_scenario("interval")
     bundle = build_zigzag(s)
     assert inverse_limit(bundle.diagram).cardinality == 4
+
+
+def test_region_map_reads_each_first_cell():
+    # The per-label reference: the cobordism label at the first cell of each
+    # fiber label, and a missing fiber component is a resolution error.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        labels, count = label_components(rng.random((9, 11)) < 0.5)
+        end = rng.integers(1, 4, size=labels.shape)
+        fparts = ComponentLabels(which="uncovered", labels=labels, count=count)
+        cparts = CobordismComponents(which="uncovered", count=3, ends=(end, end),
+                                     graph=None, box=(), kept=np.arange(2))
+        flat = labels.ravel()
+        want = {k: int(end.ravel()[np.flatnonzero(flat == k)[0]]) for k in range(1, count + 1)}
+        assert zigzag._region_map(fparts, cparts, 0) == want
+        end.ravel()[np.flatnonzero(flat == count)[0]] = 0
+        with pytest.raises(ResolutionError):
+            zigzag._region_map(fparts, cparts, -1)
