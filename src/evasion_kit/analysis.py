@@ -31,7 +31,7 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         bounding_box, cell_center, coverage_masks,
-                        domain_masks, first_cells, grid_for_scenario,
+                        domain_masks, grid_for_scenario,
                         label_components, label_slices, rasterize_cobordism,
                         rasterize_fiber, stack_graph, sweep)
 from .scenario import TIME_SPAN, Scenario, positions_at
@@ -202,12 +202,14 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     are those of the same search over every slice.
     """
     g = data.graph
-    labels = g.labels
     times = data.times
     kept = data.kept
-    m = labels.shape[0]
+    m = len(g.table)
 
-    first = int(labels[0][start])
+    # The path's cell is read off its column of the label table; only a
+    # slice the path walks in is read whole.
+    col = int(g.node_of[np.ravel_multi_index(start, g.shape)])
+    first = int(g.table[0, col])
     if first == 0 or not 0 < target_label <= g.offsets[m] - g.offsets[m - 1]:
         return None
     target = int(g.offsets[m - 1]) + target_label
@@ -220,22 +222,24 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     for j in range(m - 1):
         a, b = int(kept[j]), int(kept[j + 1])
         path.extend((float(times[r]), cur) for r in range(a + 1, b))
-        if usable[labels[j + 1][cur]]:
+        if usable[g.table[j + 1, col]]:
             nxt = cur
         else:
-            comp = int(labels[j][cur])
-            cand = (labels[j] == comp) & usable[labels[j + 1]]
+            here = g.labels(j)
+            comp = int(here[cur])
+            cand = (here == comp) & usable[g.labels(j + 1)]
             if not cand.any():
                 return None
             flat = int(np.flatnonzero(cand.ravel())[0])
             nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
-            for cell in _slice_path(labels[j], comp, cur, nxt):
+            for cell in _slice_path(here, comp, cur, nxt):
                 path.append((float(times[b - 1]), cell))
+            col = int(g.node_of[flat])
         path.append((float(times[b]), nxt))
         cur = nxt
     if target_cell is not None and cur != target_cell:
-        comp = int(labels[m - 1][cur])
-        for cell in _slice_path(labels[m - 1], comp, cur, target_cell):
+        here = g.labels(m - 1)
+        for cell in _slice_path(here, int(here[cur]), cur, target_cell):
             path.append((float(times[-1]), cell))
         cur = target_cell
     return path
@@ -741,7 +745,7 @@ def _band_maps(unc: np.ndarray, g: StackGraph) -> List[_Band]:
     """Each band (slice j, slice j + 1) of a 1-D stack.
 
     Every band is labeled in one call; a slice component maps to the band
-    component holding its first cell (first_cells of the stack-wide labels).
+    component holding its first cell (StackGraph.firsts).
     """
     if len(unc) < 2:
         return []
@@ -749,7 +753,7 @@ def _band_maps(unc: np.ndarray, g: StackGraph) -> List[_Band]:
     offsets = np.concatenate(([0], tops))
     lefts: List[Dict[int, int]] = [{} for _ in range(len(bands))]
     rights: List[Dict[int, int]] = [{} for _ in range(len(bands))]
-    slices, cells = np.divmod(first_cells(g.labels), unc.shape[1])
+    slices, cells = g.firsts()
     for label, j, x in zip(range(1, len(slices) + 1), slices.tolist(), cells.tolist()):
         local = label - int(g.offsets[j])
         if j < len(bands):

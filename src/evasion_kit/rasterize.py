@@ -505,6 +505,13 @@ class BoundaryComponents:
     thick and stays stable when they are not. Contact cells shared by several
     pairs are assigned to the least pair, so the labels bitmap partitions
     covered_boundary.
+
+    A fiber's labels, uncovered_labels and covered_labels are whole-grid
+    bitmaps. A cobordism's pairs and representatives cover all its slices,
+    the representatives as flat indices of the stack (slices, *grid shape),
+    but its three label fields keep only the end slices, where fibers map
+    in: each is a (2, *grid shape) stack, [0] the first slice and [-1] the
+    last.
     """
 
     which: str
@@ -517,19 +524,10 @@ class BoundaryComponents:
     covered_labels: np.ndarray
 
 
-_STRUCTS = {
-    1: np.ones(3, dtype=bool),
-    2: ndimage.generate_binary_structure(2, 1),
-    3: ndimage.generate_binary_structure(3, 1),
-}
-
-
-def _label_canonical(mask: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Face-adjacency labels, numbered in order of each component's first cell.
-
-    scipy assigns labels in raster order already, so its output is used as is.
-    """
-    return ndimage.label(mask, structure=_STRUCTS[mask.ndim])
+@lru_cache(maxsize=8)
+def _face_structure(ndim: int) -> np.ndarray:
+    """Face adjacency of cells in ndim dimensions."""
+    return ndimage.generate_binary_structure(ndim, 1)
 
 
 def face_contacts(source: np.ndarray, target: np.ndarray,
@@ -574,58 +572,108 @@ def bounding_box(mask: np.ndarray) -> Tuple[slice, ...]:
     return tuple(box)
 
 
+def _rank_pairs(u: np.ndarray, v: np.ndarray, uc: np.ndarray, wc: np.ndarray,
+                nv: int) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """The (uncovered, covered) component pairs of a list of contacts.
+
+    Contact i joins uncovered cell uc[i], of component u[i], to covered
+    cell wc[i], of component v[i] <= nv; cells are flat indices in one
+    raster order. Pairs are ranked by their least covered cell. Returns the
+    pairs in rank order, their least uncovered and covered cells, and each
+    contact's pair rank.
+    """
+    key, inv = sorted_unique(u.astype(np.int64) * (nv + 1) + v, return_inverse=True)
+    least_uc = np.full(key.size, np.iinfo(np.int64).max, dtype=np.int64)
+    least_wc = least_uc.copy()
+    np.minimum.at(least_uc, inv, uc)
+    np.minimum.at(least_wc, inv, wc)
+    order = np.argsort(least_wc, kind="stable")
+    rank = np.empty(key.size, dtype=np.int64)
+    rank[order] = np.arange(key.size)
+    pairs = tuple((int(k // (nv + 1)), int(k % (nv + 1))) for k in key[order])
+    return pairs, least_uc[order], least_wc[order], rank[inv]
+
+
+def _least_pairs(out: np.ndarray, cells: np.ndarray, rank: np.ndarray) -> None:
+    """Write into the flat array out, at each contact cell, 1 + the least
+    rank of the pairs it is a contact of."""
+    by_cell = np.lexsort((rank, cells))
+    sorted_cells = cells[by_cell]
+    first = np.ones(sorted_cells.size, dtype=bool)
+    first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+    out[sorted_cells[first]] = rank[by_cell][first] + 1
+
+
 def _boundary_pairs(c: Union[FiberComplex, CobordismComplex]) -> BoundaryComponents:
-    uncovered = c.uncovered
-    u_lab, _ = _label_canonical(uncovered)
-    v_lab, nv = _label_canonical(c.disk & ~uncovered)
-    labels = np.zeros(uncovered.shape, dtype=np.int32)
-    # Contacts end on covered cells: covered-with-collar cells off the collar.
-    ndim = uncovered.ndim
-    UC, WC = face_contacts(uncovered, c.inside & ~uncovered,
-                           range(ndim - c.grid.dimension, ndim))
-    if not UC.size:
+    if isinstance(c, FiberComplex):
+        u_lab, _ = label_components(c.uncovered)
+        v_lab, nv = label_components(c.disk & ~c.uncovered)
+        # Contacts end on covered cells: covered-with-collar cells off the collar.
+        uc, wc = face_contacts(c.uncovered, c.inside & ~c.uncovered, range(c.uncovered.ndim))
+        pairs, rep_u, rep_w, rank = _rank_pairs(u_lab.ravel()[uc], v_lab.ravel()[wc],
+                                                uc, wc, nv)
+        labels = np.zeros(c.uncovered.shape, dtype=np.int32)
+        _least_pairs(labels.ravel(), wc, rank)
         return BoundaryComponents(
-            which="covered_boundary", count=0, pairs=(), rep_uncovered=(), rep_covered=(),
+            which="covered_boundary", count=len(pairs), pairs=pairs,
+            rep_uncovered=tuple(rep_u.tolist()), rep_covered=tuple(rep_w.tolist()),
             labels=labels, uncovered_labels=u_lab, covered_labels=v_lab)
+    return _cobordism_pairs(c)
 
-    key = u_lab.ravel()[UC].astype(np.int64) * (nv + 1) + v_lab.ravel()[WC]
-    uniq_key, inv = sorted_unique(key, return_inverse=True)
-    k = uniq_key.size
-    min_wc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    min_uc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(min_wc, inv, WC)
-    np.minimum.at(min_uc, inv, UC)
-    order = np.argsort(min_wc, kind="stable")
-    rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k)
 
-    pairs = tuple((int(uniq_key[i] // (nv + 1)), int(uniq_key[i] % (nv + 1))) for i in order)
-    rep_covered = tuple(int(min_wc[i]) for i in order)
-    rep_uncovered = tuple(int(min_uc[i]) for i in order)
+def _cobordism_pairs(c: CobordismComplex) -> BoundaryComponents:
+    """_boundary_pairs of a cobordism, read off two slice graphs.
 
-    # Disjoint cell assignment: each contact cell goes to its least pair.
-    pair_rank = rank[inv]
-    by_cell = np.lexsort((pair_rank, WC))
-    wc_sorted = WC[by_cell]
-    first = np.ones(wc_sorted.size, dtype=bool)
-    first[1:] = wc_sorted[1:] != wc_sorted[:-1]
-    labels.ravel()[wc_sorted[first]] = pair_rank[by_cell][first] + 1
+    Both regions' graphs are built on the stack cropped to the disk's
+    bounding box, which holds every cell of either region and keeps their
+    raster order. So the graph components are numbered as a labeling of the
+    whole stack numbers them, the contacts come in the same order, and the
+    pairs and their ranks are those of the whole stack; only the
+    representatives and the end slices are mapped back to the whole grid.
+    """
+    box = bounding_box(c.disk)
+    crop = (slice(None),) + box
+    unc = c.uncovered[crop]
+    steps, size = len(unc), unc[0].size
+    gu, gv = stack_graph(unc), stack_graph(c.disk[box] & ~unc)
+    comp_u, _ = _graph_components(gu)
+    comp_v, nv = _graph_components(gv)
+    uc, wc = face_contacts(unc, c.inside[box] & ~unc, range(1, unc.ndim))
+    w_step, w_cell = np.divmod(wc, size)
+    pairs, rep_u, rep_w, rank = _rank_pairs(comp_u[gu.labels_at(*np.divmod(uc, size))],
+                                            comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)
+    labels = np.zeros((2, size), dtype=np.int32)
+    for end, step in enumerate((0, steps - 1)):
+        at = w_step == step
+        _least_pairs(labels[end], w_cell[at], rank[at])
+
+    def ends(values: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.zeros((2,) + c.disk.shape, dtype=np.int32)
+        out[crop] = np.reshape(values, (2,) + unc.shape[1:])
+        return out
+
+    corner = [b.start or 0 for b in box]
+
+    def whole(flat: np.ndarray) -> Tuple[int, ...]:
+        step, *cell = np.unravel_index(flat, unc.shape)
+        cell = [k + o for k, o in zip(cell, corner)]
+        return tuple(np.ravel_multi_index((step, *cell), (steps,) + c.disk.shape).tolist())
 
     return BoundaryComponents(
-        which="covered_boundary",
-        count=k,
-        pairs=pairs,
-        rep_uncovered=rep_uncovered,
-        rep_covered=rep_covered,
-        labels=labels,
-        uncovered_labels=u_lab,
-        covered_labels=v_lab,
-    )
+        which="covered_boundary", count=len(pairs), pairs=pairs,
+        rep_uncovered=whole(rep_u), rep_covered=whole(rep_w), labels=ends(labels),
+        uncovered_labels=ends([comp_u[gu.labels(0)], comp_u[gu.labels(-1)]]),
+        covered_labels=ends([comp_v[gv.labels(0)], comp_v[gv.labels(-1)]]))
 
 
 def label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Canonical face-adjacency labeling of a bare bitmap."""
-    return _label_canonical(mask)
+    """Canonical face-adjacency labeling of a bare bitmap.
+
+    Labels are numbered in order of each component's first cell; scipy
+    assigns them in raster order already, so its output is used as is.
+    """
+    return ndimage.label(mask, structure=_face_structure(mask.ndim))
 
 
 def first_cells(labels: np.ndarray) -> np.ndarray:
@@ -646,7 +694,7 @@ def first_cells(labels: np.ndarray) -> np.ndarray:
 def _slice_structure(ndim: int) -> np.ndarray:
     """Face adjacency within a slice of a (T, *shape) stack, none across slices."""
     structure = np.zeros((3,) * ndim, dtype=bool)
-    structure[1] = ndimage.generate_binary_structure(ndim - 1, 1)
+    structure[1] = _face_structure(ndim - 1)
     return structure
 
 
@@ -668,20 +716,47 @@ def label_slices(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class StackGraph:
-    """The components of every slice of a stack, and how they meet.
+    """The components of every slice of a stack (T, *shape), and how they meet.
 
-    labels are stack-wide int32: slice j owns offsets[j]+1 .. offsets[j+1],
-    in the canonical order of label_components. A standing edge (src, dst)
-    joins a component of slice j to one of slice j+1 that shares a set cell
-    with it; edges are sorted, and cuts[j]:cuts[j+1] are those leaving
-    slice j. stack_graph builds the same graph on either of its two paths.
+    Labels are stack-wide int32: slice j owns offsets[j]+1 .. offsets[j+1],
+    in the canonical order of label_components. They are held as a table,
+    not as a stack: node_of maps each flat cell of a slice to a column, the
+    columns that hold a set cell are numbered in the order of their first
+    cells, and slice j's labels are table[j, node_of]. Readers ask for one
+    slice (labels) or for given (slice, cell) pairs (labels_at), so no
+    reader writes the (T, *shape) labels of every slice. A standing edge
+    (src, dst) joins a component of slice j to one of slice j+1 that shares
+    a set cell with it; edges are sorted, and cuts[j]:cuts[j+1] are those
+    leaving slice j. stack_graph's two paths give the same labels and
+    edges; only their columns differ.
     """
 
-    labels: np.ndarray
+    shape: Tuple[int, ...]
+    table: np.ndarray
+    node_of: np.ndarray
     offsets: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     cuts: np.ndarray
+
+    def labels(self, j: int) -> np.ndarray:
+        """Slice j's stack-wide labels, shaped as a slice."""
+        return self.table[j].take(self.node_of).reshape(self.shape)
+
+    def labels_at(self, steps: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The stack-wide label of each flat cell cells[i] in slice steps[i]."""
+        return self.table[steps, self.node_of[cells]]
+
+    def firsts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The slice and flat cell of each stack-wide label's first cell.
+
+        A slice numbers its labels by their least column, so a label's least
+        column is where the running maximum of the table's rows, flat, rises
+        (first_cells); its first cell is that column's first cell.
+        """
+        steps, columns = np.divmod(first_cells(self.table), self.table.shape[1])
+        order = np.argsort(self.node_of, kind="stable")
+        return steps, order[np.searchsorted(self.node_of[order], columns)]
 
 
 def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -697,15 +772,17 @@ _CORE_LABEL_CELLS = 1 << 16
 def stack_graph(mask: np.ndarray) -> StackGraph:
     """Label the slices of the stack (T, *shape) and collect its standing edges.
 
-    Two paths give the same graph, field for field and dtype for dtype. A
-    stack of _CORE_LABEL_CELLS cells or more labels its core, the cells set
-    in every slice, once (_core_labels). A core component is connected in
+    Two paths give the same labels and edges, dtype for dtype; only the
+    table's columns differ. A stack of _CORE_LABEL_CELLS cells or more
+    labels its core, the cells set in every slice, once (_core_labels), and
+    its columns are the core's components and the varying cells. A core component is connected in
     every slice, and every other face contact within a slice touches a
     varying cell, so slice j's components are the union-find components of
     the core's components and slice j's set varying cells, numbered by their
     first cell as label_slices numbers them. A smaller stack is labeled in
-    one label_slices call: the core path costs about half a millisecond of
-    numpy calls however small the stack, more than relabeling a few slices.
+    one label_slices call, whose labels are the table, each cell its own
+    column: the core path costs about half a millisecond of numpy calls
+    however small the stack, more than relabeling a few slices.
     On a 2-CPU host, 2-D stacks broke even near 45K cells (four slices of
     106 x 106), and the 1-D oracle stacks of random_interval_scenario
     1000-1023, at most 7.5K cells, always lost (129 against 404 us at 3.8K).
@@ -714,12 +791,15 @@ def stack_graph(mask: np.ndarray) -> StackGraph:
     slice, so they stay below (labels + 1) * (largest slice count + 1).
     """
     if mask.size >= _CORE_LABEL_CELLS:
-        labels, offsets, pa, pb = _core_labels(mask)
+        table, node_of, offsets, pa, pb = _core_labels(mask)
     else:
         labels, tops = label_slices(mask)
         offsets = np.concatenate(([0], tops)).astype(np.int64)
-        a = labels[:-1].ravel()
-        b = labels[1:].ravel()
+        table = labels.reshape(len(mask), -1)
+        # Every cell is its own column.
+        node_of = np.arange(table.shape[1])
+        a = table[:-1].ravel()
+        b = table[1:].ravel()
         # A component pair repeats along every cell it shares: keep run starts.
         run = (mask[:-1] & mask[1:]).ravel()
         run[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
@@ -731,15 +811,18 @@ def stack_graph(mask: np.ndarray) -> StackGraph:
     src = keys // width
     dst = keys % width + offsets[_slice_of(offsets, src) + 1]
     cuts = np.searchsorted(src, offsets, side="right")
-    return StackGraph(labels=labels, offsets=offsets, src=src, dst=dst, cuts=cuts)
+    return StackGraph(shape=mask.shape[1:], table=table, node_of=node_of, offsets=offsets,
+                      src=src, dst=dst, cuts=cuts)
 
 
 def _core_labels(mask: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """label_slices' labels of a stack (T, *shape), labeling its core once.
 
-    Returns the labels, the offsets, and the (slice j, slice j + 1) label
-    pairs of the cells set in both, repeats allowed.
+    Returns StackGraph's table and node_of, whose columns are the nodes and
+    a last one, all zeros, for the cells never set; the offsets; and the
+    (slice j, slice j + 1) label pairs of the cells set in both, repeats
+    allowed.
 
     The nodes are the core's components and the varying cells, the others
     set in some slice; slice j's components are those of its set nodes
@@ -748,16 +831,16 @@ def _core_labels(mask: np.ndarray
     nodes are numbered in the order of their first cells, so numbering each
     slice's components by their least node is label_slices' numbering. A
     cell set in two consecutive slices is a core cell or a varying cell set
-    in both, so the node pairs give every standing pair. Temporaries are
-    (T, nodes) and (T, node contacts); only the labels are the size of the
-    stack.
+    in both, so the node pairs give every standing pair. Its arrays are
+    (T, nodes) and (T, node contacts), besides the stack's own booleans; no
+    label array is the size of the stack.
     """
     steps = mask.shape[0]
     shape = mask.shape[1:]
     flat = mask.reshape(steps, -1)
     core = flat.all(axis=0)
     varying = flat.any(axis=0) & ~core
-    core_labels, _ = _label_canonical(core.reshape(shape))
+    core_labels, _ = label_components(core.reshape(shape))
     core_labels = core_labels.ravel()
     # A node stands at its first cell, and nodes are numbered in raster order.
     firsts = first_cells(core_labels)
@@ -778,11 +861,10 @@ def _core_labels(mask: np.ndarray
     table = np.zeros((steps, n + 1), dtype=np.int32)
     table[:, :n] = np.where(active, rank[root].reshape(steps, n), 0)
     offsets = np.concatenate(([0], np.cumsum(lead.reshape(steps, n).sum(axis=1))))
-    labels = np.take(table, node_of, axis=1).reshape(mask.shape)
     both = active[:-1] & active[1:]
     pa = table[:-1, :n][both].astype(np.int64)
     pb = table[1:, :n][both].astype(np.int64)
-    return labels, offsets.astype(np.int64), pa, pb
+    return table, node_of, offsets.astype(np.int64), pa, pb
 
 
 def _slice_roots(active: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -807,7 +889,7 @@ def sweep(g: StackGraph, seeds: Sequence[int], backward: bool = False) -> np.nda
     """
     reach = np.zeros((int(g.offsets[-1]) + 1, len(seeds)), dtype=bool)
     reach[np.asarray(seeds, dtype=np.int64), np.arange(len(seeds))] = True
-    steps = range(g.labels.shape[0] - 1)
+    steps = range(len(g.table) - 1)
     origin, target = g.src, g.dst
     if backward:
         steps = reversed(steps)
@@ -865,9 +947,9 @@ class CobordismComponents:
     of the fenced region: it holds every cell of either region and keeps
     their raster order. The graph's slices are the cobordism's distinct
     ones, graph slice i at times[kept[i]]. The witness search walks the
-    graph in those cropped coordinates. Only the first and last slices are
-    labeled on the whole grid (ends[0] and ends[-1]), since fibers map in at
-    those.
+    graph in those cropped coordinates, reading a slice's labels only where
+    its path moves. Only the first and last slices are labeled on the whole
+    grid (ends[0] and ends[-1]), since fibers map in at those.
     """
 
     which: str
@@ -891,8 +973,11 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     cell across consecutive sub-samples. A cobordism's components are read
     off one slice graph: the same cell set in consecutive slices is exactly
     a standing edge, so the space-time components are the graph's connected
-    components, and the witness search walks that same graph.
-    covered_boundary components are adjacency pairs, see BoundaryComponents.
+    components, and the witness search walks that same graph. Only the end
+    slices' labels are written, on the whole grid; no stack is labeled with
+    adjacency across slices. covered_boundary components are adjacency
+    pairs, see BoundaryComponents; a cobordism's are read off one slice
+    graph per region in the same way.
 
     A cobordism holds only its distinct slices, and that changes nothing
     here. Equal slices have the same components, and their standing edges
@@ -913,14 +998,14 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     else:
         raise RasterError(f"unknown region '{which}'")
     if isinstance(c, FiberComplex):
-        labels, count = _label_canonical(mask)
+        labels, count = label_components(mask)
         return ComponentLabels(which=which, labels=labels, count=count)
     box = bounding_box(c.inside)
     g = stack_graph(mask[(slice(None),) + box])
     comp, count = _graph_components(g)
     first, last = np.zeros((2,) + c.inside.shape, dtype=comp.dtype)
-    first[box] = comp[g.labels[0]]
-    last[box] = comp[g.labels[-1]]
+    first[box] = comp[g.labels(0)]
+    last[box] = comp[g.labels(-1)]
     return CobordismComponents(which=which, count=count, ends=(first, last),
                                graph=g, box=box, kept=c.kept)
 
@@ -933,7 +1018,7 @@ def _complement_holes(mask: np.ndarray) -> Tuple[np.ndarray, int]:
     component. It holds the first cell, so in raster order it is label 1, and
     the holes are labels 2 to count + 1, in order of their first cell.
     """
-    labels, n = ndimage.label(np.pad(~mask, 1, constant_values=True), structure=_STRUCTS[2])
+    labels, n = ndimage.label(np.pad(~mask, 1, constant_values=True), structure=_face_structure(2))
     return labels, n - 1
 
 

@@ -639,6 +639,68 @@ def test_oracle_memory_is_bounded(cells, time_samples):
     assert peak < 24 * 2 ** 20
 
 
+def test_cobordism_boundary_memory_is_bounded():
+    # Two whole-grid 3-D label stacks and their contacts peaked at 148 MiB
+    # here; the cropped slice graphs peak at 34 MiB.
+    s = builtin_scenario("random", 1004)
+    grid = grid_for_scenario(s, cells=256, fine_time_samples=256)
+    cob = rasterize_cobordism(s, (0.2, 0.6), grid)
+    tracemalloc.start()
+    try:
+        components(cob, "covered_boundary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2 ** 20
+
+
+def test_no_space_time_labeling(monkeypatch):
+    # Boundary extraction and the oracle label no stack with face adjacency
+    # across slices. No 2-D slice graph holds an array the size of its
+    # stack on the core path, and its readers read its end slices alone.
+    face = ndimage.generate_binary_structure(3, 1)
+    label = ndimage.label
+    space_time = []
+
+    def spy_label(mask, structure=None, *args, **kwargs):
+        if np.ndim(mask) == 3 and structure is not None and np.array_equal(structure, face):
+            space_time.append(np.shape(mask))
+        return label(mask, structure, *args, **kwargs)
+
+    build = rasterize.stack_graph
+    graphs = []
+
+    def spy_graph(mask):
+        g = build(mask)
+        graphs.append((mask.shape, g))
+        return g
+
+    read = rasterize.StackGraph.labels
+    reads: Dict[int, Set[int]] = {}
+
+    def spy_read(g, j):
+        reads.setdefault(id(g), set()).add(j % len(g.table))
+        return read(g, j)
+
+    monkeypatch.setattr(ndimage, "label", spy_label)
+    monkeypatch.setattr(rasterize, "stack_graph", spy_graph)
+    monkeypatch.setattr(analysis, "stack_graph", spy_graph)
+    monkeypatch.setattr(rasterize.StackGraph, "labels", spy_read)
+    for seed in range(1000, 1008):
+        s = builtin_scenario("random", seed)
+        extract_boundary_data(s)
+        oracle_reachability(s)
+    assert not space_time
+    planar = [(shape, g) for shape, g in graphs if len(shape) == 3]
+    assert any(math.prod(shape) >= rasterize._CORE_LABEL_CELLS for shape, _ in planar)
+    for shape, g in planar:
+        if math.prod(shape) >= rasterize._CORE_LABEL_CELLS:
+            for field in dataclasses.fields(g):
+                value = getattr(g, field.name)
+                assert not isinstance(value, np.ndarray) or value.size < math.prod(shape)
+        assert reads.get(id(g), set()) <= {0, shape[0] - 1}
+
+
 def test_oracle_rejects_bad_time_samples():
     for bad in (0, -1):
         with pytest.raises(KnobError):
@@ -709,12 +771,13 @@ def _check_per_slice(unc, g):
     for j, u in enumerate(unc):
         want, n = label_components(u)
         assert g.offsets[j + 1] - g.offsets[j] == n
-        got = np.where(g.labels[j] > 0, g.labels[j] - g.offsets[j], 0)
+        here = g.labels(j)
+        got = np.where(here > 0, here - g.offsets[j], 0)
         assert np.array_equal(got, want)
         if j:
             both = unc[j - 1] & u
             edges |= {(int(a), int(b)) for a, b in
-                      zip(g.labels[j - 1][both], g.labels[j][both])}
+                      zip(g.labels(j - 1)[both], here[both])}
         leaving = g.src[g.cuts[j]:g.cuts[j + 1]]
         assert np.all((leaving > g.offsets[j]) & (leaving <= g.offsets[j + 1]))
     assert sorted(edges) == list(zip(g.src.tolist(), g.dst.tolist()))
@@ -747,13 +810,31 @@ def _flipped_stacks(draw):
 @given(_flipped_stacks())
 def test_core_labels_match_label_slices(stack):
     # Field by field, dtypes included: every consumer reads the graph as is.
+    # The two paths number their table columns differently, so the table
+    # is compared through every label read a consumer can make.
     old, new = _both_paths(stack)
     for field in dataclasses.fields(rasterize.StackGraph):
+        if field.name in ("table", "node_of"):
+            continue
         want, got = getattr(old, field.name), getattr(new, field.name)
-        assert got.dtype == want.dtype
-        assert got.shape == want.shape
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
         assert np.array_equal(got, want)
-    assert new.labels.dtype == np.int32
+    labels, _ = rasterize.label_slices(stack)
+    cells = stack[0].size
+    steps = np.repeat(np.arange(len(stack)), cells)
+    firsts = np.divmod(rasterize.first_cells(labels), cells)
+    for g in (old, new):
+        for j, want in enumerate(labels):
+            got = g.labels(j)
+            assert got.dtype == want.dtype == np.int32
+            assert np.array_equal(got, want)
+        got = g.labels_at(steps, np.tile(np.arange(cells), len(stack)))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, labels.ravel())
+        for got, want in zip(g.firsts(), firsts):
+            assert np.array_equal(got, want)
 
 
 def _cobordism_keys():
@@ -791,6 +872,11 @@ def _dense(s, cob):
     _, inside = domain_masks(s, cob.grid)
     unc = inside[None] & ~coverage_masks(s, cob.times, cob.grid)
     return dataclasses.replace(cob, kept=np.arange(cob.times.size), uncovered=unc)
+
+
+def _label_stack(g):
+    """Every slice's labels of a stack graph, stacked."""
+    return np.stack([g.labels(j) for j in range(len(g.table))])
 
 
 def _expand(kept, size):
@@ -847,7 +933,8 @@ def test_distinct_slices_keep_graph_components_and_reach(data):
     d_comp, d_count = rasterize._graph_components(dense)
     k_comp, k_count = rasterize._graph_components(distinct)
     assert k_count == d_count
-    assert np.array_equal(k_comp[distinct.labels][_expand(kept, n)], d_comp[dense.labels])
+    assert np.array_equal(k_comp[_label_stack(distinct)][_expand(kept, n)],
+                          d_comp[_label_stack(dense)])
 
     def first_to_last(g):
         starts = int(g.offsets[1])
@@ -930,7 +1017,7 @@ def _reference_segment(data, start, target_label, target_cell):
     The graph holds the distinct slices only; kept expands them back to
     every time sample.
     """
-    unc = (data.graph.labels != 0)[_expand(data.kept, data.times.size)]
+    unc = (_label_stack(data.graph) != 0)[_expand(data.kept, data.times.size)]
     labels = [label_components(u)[0] for u in unc]
     times = data.times
     m = len(labels)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
+from evasion_kit import rasterize
 from evasion_kit.rasterize import (
     _SLICE_STRUCTS,
     BoundaryComponents,
@@ -471,27 +472,47 @@ _CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
                   + ["interval/1", "split+edge", "random/1+edge", "interval/1+edge"])
 
 
+def _check_boundary_pairs(c, dimension):
+    """components(c, "covered_boundary") against the reference. A
+    cobordism's label fields hold its end slices, so they are checked
+    against the reference's slices 0 and -1."""
+    b = components(c, "covered_boundary")
+    assert isinstance(b, BoundaryComponents)
+    want = _reference_boundary_pairs(c, dimension)
+    for field in ("pairs", "rep_uncovered", "rep_covered"):
+        assert getattr(b, field) == want[field]
+    assert b.count == len(want["pairs"])
+    stacked = c.uncovered.ndim > dimension
+    steps = (0, c.uncovered.shape[0] - 1) if stacked else (0,)
+    for field in ("uncovered_labels", "covered_labels"):
+        got = getattr(b, field)
+        expected = want[field][list(steps)] if stacked else want[field]
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert b.labels.dtype == np.int32
+    assert b.labels.shape == (len(steps),) * stacked + c.disk.shape
+    # the labels bitmap holds the partition the cell lists spelled out
+    size = c.disk.size
+    for end, step in enumerate(steps):
+        got = b.labels[end] if stacked else b.labels
+        lo = step * size
+        lists = [[cell - lo for cell in cells if lo <= cell < lo + size]
+                 for cells in want["cells"]]
+        for i, cells in enumerate(lists):
+            assert np.flatnonzero(got.ravel() == i + 1).tolist() == cells
+        assert (got > 0).sum() == sum(len(cells) for cells in lists)
+
+
 @pytest.mark.parametrize("key", _CONTACT_CASES)
-def test_boundary_pairs_match_reference(key):
+def test_boundary_pairs_match_reference(key, monkeypatch):
     s, g = _contact_case(key)
-    complexes = rasterize_fibers(s, [0.0, 0.37, 1.0], g)
-    complexes.append(rasterize_cobordism(s, (0.2, 0.6), g))
-    for c in complexes:
-        b = components(c, "covered_boundary")
-        assert isinstance(b, BoundaryComponents)
-        want = _reference_boundary_pairs(c, s.dimension)
-        for field in ("pairs", "rep_uncovered", "rep_covered"):
-            assert getattr(b, field) == want[field]
-        assert b.count == len(want["pairs"])
-        for field in ("uncovered_labels", "covered_labels"):
-            got = getattr(b, field)
-            assert got.dtype == want[field].dtype
-            assert np.array_equal(got, want[field])
-        assert b.labels.dtype == np.int32
-        # the labels bitmap holds the partition the cell lists spelled out
-        for i, cells in enumerate(want["cells"]):
-            assert np.flatnonzero(b.labels.ravel() == i + 1).tolist() == list(cells)
-        assert (b.labels > 0).sum() == sum(len(cells) for cells in want["cells"])
+    for c in rasterize_fibers(s, [0.0, 0.37, 1.0], g):
+        _check_boundary_pairs(c, s.dimension)
+    cob = rasterize_cobordism(s, (0.2, 0.6), g)
+    # Every slice graph on its core path, then on its label_slices path.
+    for cells in (0, 1 << 62):
+        monkeypatch.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
+        _check_boundary_pairs(cob, s.dimension)
 
 
 @settings(max_examples=200, deadline=None)
