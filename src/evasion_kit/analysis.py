@@ -632,8 +632,9 @@ class OracleResult:
 
 
 # Cells of stack the oracle holds at once: its labeling chunks are sized so
-# that their stacks stay near this many cells. BoxCoverage.distinct bounds
-# the search for the distinct slices in the same way.
+# that their stacks stay near this many cells. The search for the distinct
+# slices needs no chunks: BoxCoverage.distinct reads the crossing bands,
+# which grow with the cells the balls sweep, not with the time samples.
 _ORACLE_CHUNK_CELLS = 1 << 19
 
 # A band of two consecutive slices: its component count, and the maps of

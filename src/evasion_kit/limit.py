@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "LimitError",
@@ -104,19 +104,52 @@ def _transfer_matrices(z: ZigzagSetDiagram) -> Tuple[List[List[Tuple[Label, ...]
     return fibers, mats
 
 
-def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += v * bt[j]
-    return out
+def _pull(m: List[List[int]], v: List[int]) -> List[int]:
+    """The product m v of a 0/1 matrix, as rows, and an integer vector."""
+    return [sum(w for a, w in zip(row, v) if a) for row in m]
+
+
+def _paths_back(mats: List[List[List[int]]], end: List[int], keep: bool) -> List[List[int]]:
+    """Per fiber i, how many paths lead from each label to the last fiber,
+    weighted there by end; keep=False returns fiber 0's counts alone."""
+    back = [end]
+    for m in reversed(mats):
+        v = _pull(m, back[-1])
+        if keep:
+            back.append(v)
+        else:
+            back[0] = v
+    return back[::-1]
+
+
+def _first_elements(fibers: List[List[Label]], mats: List[List[List[int]]],
+                    back: List[List[int]], x0: int, limit: int,
+                    out: List[Tuple[Label, ...]]) -> None:
+    """Append to out, in lexicographic order, the elements starting at label
+    x0 of fiber 0 until out holds limit of them. back[i][x] counts the
+    paths from label x of fiber i that end where an element may."""
+    n = len(mats)
+
+    def onward(i: int, x: int) -> List[int]:
+        # Viable labels of fiber i + 1, largest first, so pop() takes the least.
+        row, ahead = mats[i][x], back[i + 1]
+        return [y for y in range(len(row) - 1, -1, -1) if row[y] and ahead[y]]
+
+    path = [x0]
+    todo = [onward(0, x0)]
+    while todo:
+        if not todo[-1]:
+            todo.pop()
+            path.pop()
+            continue
+        path.append(todo[-1].pop())
+        if len(path) == n + 1:
+            out.append(tuple(fibers[i][x] for i, x in enumerate(path)))
+            if len(out) >= limit:
+                return
+            path.pop()
+        else:
+            todo.append(onward(len(path) - 1, path[-1]))
 
 
 def inverse_limit(z: ZigzagSetDiagram, max_elements: int = 10000) -> LimitResult:
@@ -125,6 +158,13 @@ def inverse_limit(z: ZigzagSetDiagram, max_elements: int = 10000) -> LimitResult
     Elements are tuples with one fiber label per fiber entry (a circle tuple
     therefore repeats its starting label at the end). Enumeration stops at
     max_elements; the cardinality is exact regardless.
+
+    The count pulls a vector back through the transfer matrices, one
+    vector-matrix product per cobordism: the paths to the last fiber on an
+    interval, and on a circle, per starting label, the paths back to it.
+    Enumeration walks those paths depth first with an explicit stack,
+    taking only labels with a path onward, so every leaf is an element and
+    the walk is skipped when max_elements is 0.
     """
     fibers, mats = _transfer_matrices(z)
     n = len(mats)
@@ -134,56 +174,24 @@ def inverse_limit(z: ZigzagSetDiagram, max_elements: int = 10000) -> LimitResult
         elems = tuple((x,) for x in fibers[0])
         return LimitResult(len(elems), elems[:max_elements], len(elems) > max_elements)
 
-    # suffix[i][x][y]: paths from label index x at fiber i to label index y at the end
-    suffix: List[List[List[int]]] = [mats[-1]]
-    for m in reversed(mats[:-1]):
-        suffix.append(_mat_mul(m, suffix[-1]))
-    suffix.reverse()
-
-    last = suffix[0]
-    if z.shape == "circle":
-        cardinality = sum(last[x][x] for x in range(len(fibers[0])))
-    else:
-        cardinality = sum(sum(row) for row in last)
-
+    keep = max_elements > 0
     elements: List[Tuple[Label, ...]] = []
-    truncated = False
-
-    def viable(i: int, x: int, target: Optional[int]) -> int:
-        if i == n:
-            if target is None:
-                return 1
-            return 1 if x == target else 0
-        row = suffix[i][x]
-        return row[target] if target is not None else sum(row)
-
-    def walk(i: int, x: int, target: Optional[int], prefix: List[Label]) -> bool:
-        nonlocal truncated
-        prefix.append(fibers[i][x])
-        if i == n:
-            if len(elements) >= max_elements:
-                truncated = True
-                prefix.pop()
-                return False
-            elements.append(tuple(prefix))
-            prefix.pop()
-            return True
-        m = mats[i]
-        for y in range(len(fibers[i + 1])):
-            if m[x][y] and viable(i + 1, y, target):
-                if not walk(i + 1, y, target, prefix):
-                    prefix.pop()
-                    return False
-        prefix.pop()
-        return True
-
-    for x0 in range(len(fibers[0])):
-        target = x0 if z.shape == "circle" else None
-        if viable(0, x0, target):
-            if not walk(0, x0, target, []):
-                break
-
-    return LimitResult(int(cardinality), tuple(elements), truncated)
+    if z.shape == "circle":
+        cardinality = 0
+        for x0 in range(len(fibers[0])):
+            back = _paths_back(mats, [int(y == x0) for y in range(len(fibers[n]))], keep)
+            cardinality += back[0][x0]
+            if back[0][x0] and len(elements) < max_elements:
+                _first_elements(fibers, mats, back, x0, max_elements, elements)
+    else:
+        back = _paths_back(mats, [1] * len(fibers[n]), keep)
+        cardinality = sum(back[0])
+        for x0 in range(len(fibers[0])):
+            if back[0][x0] and len(elements) < max_elements:
+                _first_elements(fibers, mats, back, x0, max_elements, elements)
+    # Every leaf of the walk is an element, so it stops early exactly when
+    # more elements exist than it may return.
+    return LimitResult(int(cardinality), tuple(elements), cardinality > max(max_elements, 0))
 
 
 # ---------------------------------------------------------------------------

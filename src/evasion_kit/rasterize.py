@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import ndimage
 
-from .scenario import Scenario, positions_at
+from .scenario import TIME_SPAN, Scenario, positions_at
 
 __all__ = [
     "GridSpec",
@@ -194,9 +194,44 @@ def _in_ball(offsets: Sequence[np.ndarray], r2: float) -> np.ndarray:
     return d2 <= r2
 
 
+# A crossing band holds the times when f = |c - p(t)|^2 - r^2 lies within
+# _BAND_SLACK * scale^2 of zero, scale bounding the radius and every
+# coordinate of the grid and the tracks. The float error of _in_ball's d2
+# and of positions_at's np.interp is a few ulps of scale^2, far below it.
+_BAND_SLACK = 2.0 ** -30
+# Band ends are widened by this share of 1 + |t|, past the rounding of the
+# time arithmetic that places them.
+_TIME_SLACK = 2.0 ** -48
+
+
+@dataclass(frozen=True)
+class _Bands:
+    """Crossing bands of a scenario's moving tracks on a grid.
+
+    Band i is the closed time interval [lo[i], hi[i]] of the cell whose
+    array-order indices are cells[0][i], ...; bands are sorted by lo, and
+    none is longer than longest.
+    """
+
+    cells: Tuple[np.ndarray, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    longest: float
+
+
+@dataclass(frozen=True)
+class _RasterTables:
+    """A scenario's coverage tables on one grid, cached as one entry: the
+    union of the balls of the constant tracks, the indices of the other
+    tracks, and their crossing bands (_crossing_bands)."""
+
+    static: np.ndarray
+    moving: Tuple[int, ...]
+    bands: _Bands
+
+
 @lru_cache(maxsize=64)
-def _static_union(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Union of the balls of constant tracks, plus the moving track indices."""
+def _raster_tables(s: Scenario, grid: GridSpec) -> _RasterTables:
     cg = _center_grids(grid)
     r2 = s.sensing_radius * s.sensing_radius
     union = np.zeros(grid.shape, dtype=bool)
@@ -209,7 +244,79 @@ def _static_union(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, Tuple[int, .
         p = next(iter(pts))
         union |= _in_ball([c - x for c, x in zip(cg, p)], r2)
     union.flags.writeable = False
-    return union, tuple(moving)
+    return _RasterTables(union, tuple(moving), _crossing_bands(s, grid, moving))
+
+
+def _crossing_bands(s: Scenario, grid: GridSpec, moving: Sequence[int]) -> _Bands:
+    """Per moving track and cell, the closed times when |f| <= eps.
+
+    f(t) = |c - p(t)|^2 - r^2 for the cell center c and the track's exact
+    position p(t), and eps = _BAND_SLACK * scale^2. On a linear piece from
+    p0 to p1, let a be the signed length along the piece from p0 to the
+    foot of c on its line, and q2 the squared distance from c to that line;
+    at arc length x, f = (x - a)^2 + q2 - r^2. So |f| <= eps where |x - a|
+    lies in [h_in, h_out], h_out^2 = r^2 + eps - q2 and h_in^2 = max(r^2 -
+    eps - q2, 0): two closed intervals, which meet when h_in = 0, clipped to
+    the piece and mapped to time. A piece without motion has none (see
+    BoxCoverage.flips). Each piece is cut into sub-pieces of at most one
+    window of travel, and a sub-piece tests only the cells within reach of
+    it, so each array is about two windows in size, and the table grows
+    with the cells the balls sweep.
+    """
+    axes = _axis_centers(grid)
+    dim = grid.dimension
+    r = s.sensing_radius
+    h = grid.cell_size
+    reach = r + h
+    travel = (int(np.ceil(2.0 * r / h)) + 3) * h
+    points = [np.asarray(s.tracks[j].points, dtype=float) for j in moving]
+    scale = r + max([float(np.abs(a).max()) for a in axes]
+                    + [float(np.abs(p).max()) for p in points])
+    eps = _BAND_SLACK * scale * scale
+    r2 = r * r
+    cells = [[np.zeros(0, dtype=np.intp)] for _ in range(dim)]
+    los, his = [np.zeros(0)], [np.zeros(0)]
+    for j, pts in zip(moving, points):
+        wt = np.asarray(s.tracks[j].times, dtype=float)
+        for i in range(len(wt) - 1):
+            d = pts[i + 1] - pts[i]
+            if not d.any():
+                continue
+            # hypot neither overflows nor underflows on a tiny step.
+            length = float(np.hypot(*d)) if dim == 2 else float(abs(d[0]))
+            unit = d / length
+            ta, tb = wt[i], wt[i + 1]
+            n = max(1, int(np.ceil(length / travel)))
+            for k in range(n):
+                xa, xb = length * (k / n), length * ((k + 1) / n)
+                q = pts[i] + np.outer([k / n, (k + 1) / n], d)
+                idx = [np.arange(np.searchsorted(a, q[:, m].min() - reach),
+                                 np.searchsorted(a, q[:, m].max() + reach, side="right"))
+                       for m, a in enumerate(axes)]
+                # World axis m is array axis dim - 1 - m.
+                off = [(a[i_] - pts[i][m]).reshape((-1,) + (1,) * m)
+                       for m, (a, i_) in enumerate(zip(axes, idx))]
+                along = sum(o * u for o, u in zip(off, unit))
+                q2 = np.maximum(sum(o * o for o in off) - along * along, 0.0)
+                near = np.nonzero(r2 + eps - q2 >= 0.0)
+                a_, q2 = along[near], q2[near]
+                h_out = np.sqrt(r2 + eps - q2)
+                h_in = np.sqrt(np.maximum(r2 - eps - q2, 0.0))
+                x_lo = np.concatenate((a_ - h_out, a_ + h_in))
+                x_hi = np.concatenate((a_ - h_in, a_ + h_out))
+                # Clipped to the sub-piece first, so x / length <= 1.
+                keep = (x_lo <= xb) & (x_hi >= xa)
+                los.append(ta + np.maximum(x_lo[keep], xa) / length * (tb - ta))
+                his.append(ta + np.minimum(x_hi[keep], xb) / length * (tb - ta))
+                for ax in range(dim):
+                    c = idx[dim - 1 - ax][near[ax]]
+                    cells[ax].append(np.concatenate((c, c))[keep])
+    lo = np.concatenate(los)
+    order = np.argsort(lo, kind="stable")
+    hi = np.concatenate(his)[order]
+    lo = lo[order]
+    return _Bands(tuple(np.concatenate(c)[order] for c in cells), lo, hi,
+                  float((hi - lo).max(initial=0.0)))
 
 
 def _spread(v: np.ndarray, k: int, dim: int) -> np.ndarray:
@@ -232,34 +339,32 @@ def _patch_balls(axes: Sequence[np.ndarray], idx: Sequence[np.ndarray],
                      for k, (a, i) in enumerate(zip(axes, idx))], r2)
 
 
-# Cells of ball window BoxCoverage.distinct tests at once: each chunk of
-# steps holds about this many cells per moving ball.
-_DISTINCT_CHUNK_CELLS = 1 << 19
-
-
 class BoxCoverage:
     """Coverage of a box of cells at each of a list of times.
 
     box holds slices in array order, such as bounding_box returns; each
     cell's arithmetic is that of the whole grid. The static union is read
-    off its cached mask, and a moving ball is tested only on a window around
+    off its cached mask. masks tests a moving ball only on a window around
     it: cells beyond one cell of the ball's extent on an axis fail the
     distance test on that coordinate alone, so the window leaves the result
-    exact. Every ball test is _in_ball, so masks, covered and flips agree
-    cell by cell.
+    exact. flips reads its candidates off the scenario's crossing bands and
+    keeps those whose coverage changes. Every ball test is _in_ball, so
+    masks, covered and flips agree cell by cell.
     """
 
     def __init__(self, s: Scenario, times: Sequence[float], grid: GridSpec,
                  box: Optional[Tuple[slice, ...]] = None) -> None:
         if box is None:
             box = (slice(None),) * grid.dimension
-        static, moving = _static_union(s, grid)
+        self.tables = _raster_tables(s, grid)
         # A contiguous crop lets masks fill each time as one block.
-        self.static = np.ascontiguousarray(static[box])
+        self.static = np.ascontiguousarray(self.tables.static[box])
+        self.corner = tuple(b.indices(n)[0] for b, n in zip(box, grid.shape))
         # World axes run (x, y); array axes run (y, x).
         self.axes = tuple(c[b] for c, b in zip(_axis_centers(grid), box[::-1]))
-        times = np.asarray(times, dtype=float)
-        self.positions = positions_at(s, times, moving)
+        self.times = np.asarray(times, dtype=float)
+        self.circle = s.time_base == "circle"
+        self.positions = positions_at(s, self.times, self.tables.moving)
         r = s.sensing_radius
         self.r2 = r * r
         self.reach = r + grid.cell_size
@@ -301,59 +406,91 @@ class BoxCoverage:
 
         Returns index arrays (step, *cell) in array order, sorted by step and
         then in raster order; step k runs from time k to time k + 1, so they
-        are np.nonzero of the step diff of the uncovered stack. Coverage is
-        the static union or'ed with every moving ball, so a cell that flips
-        in step k flips in some ball j. Ball j holds no cell outside its
-        window at either time, so a patch holding both windows holds every
-        such cell: those are the candidates, and reading coverage at each
-        candidate's two times keeps exactly the flips.
-        """
-        return self._step_flips(inside, 0, self.positions.shape[1] - 1)
+        are np.nonzero of the step diff of the uncovered stack. The times
+        must not decrease.
 
-    def _step_flips(self, inside: np.ndarray, first: int, end: int
-                    ) -> Tuple[np.ndarray, ...]:
-        """flips(inside) of the steps first to end - 1 alone, steps still
-        counted from the first time."""
-        shape = self.static.shape
-        dim = len(shape)
-        n = self.positions.shape[1] - 1
-        keys = [np.zeros(0, dtype=np.intp)]
-        for p in self.positions[:, first:end + 1]:
-            idx = []
-            for k in range(dim):
-                w, start = self._window(p, k)
-                size = self.axes[k].size
-                span = min(w + int(np.abs(np.diff(start)).max(initial=0)), size)
-                lo = np.minimum(np.minimum(start[:-1], start[1:]), size - span)
-                idx.append(lo[:, None] + np.arange(span))
-            moved = (_patch_balls(self.axes, idx, p[:-1], self.r2)
-                     != _patch_balls(self.axes, idx, p[1:], self.r2))
-            # flatnonzero then unravel: np.nonzero walks a 3-D mask far slower.
-            hit = np.unravel_index(np.flatnonzero(moved), moved.shape)
-            cells = [idx[k][hit[0], hit[dim - k]] for k in range(dim)][::-1]
-            keys.append(np.ravel_multi_index((hit[0] + first, *cells), (n,) + shape))
-        # A cell may be a candidate of several balls.
-        step, *cells = np.unravel_index(sorted_unique(np.concatenate(keys)), (n,) + shape)
-        keep = inside[tuple(cells)]
-        step, cells = step[keep], [c[keep] for c in cells]
+        The candidates come from the crossing bands (_crossing_bands). A
+        cell that flips in step k flips in some moving ball j, since
+        coverage is the static union or'ed with every moving ball. Take
+        f(t) = |c - p_j(t)|^2 - r^2 on the exact track through the float
+        waypoints: the d2 of _in_ball at np.interp's position differs from
+        f + r^2 by far less than the bands' eps, so where |f| > eps the
+        float test agrees with the sign of f. If the tests at t_k and
+        t_{k+1} differ, then f <= eps at one end and f > -eps at the other:
+        either f changes sign, and the track being continuous, has a root
+        in [t_k, t_{k+1}], or |f| <= eps at an end. Either time lies in c's
+        band. A piece without motion has no band: np.interp gives the same
+        bits at every time on it, and a step that reaches past it reaches
+        the moving piece next to it, where f has the same value at their
+        shared waypoint. Times past an interval track's ends clamp, which is
+        a piece without motion too; on a circle base every track closes up,
+        as validate_scenario requires, so the bands repeat with the period
+        and are shifted by whole periods onto the times. So every flip is a
+        cell of inside whose band, widened by _TIME_SLACK, meets the closed
+        span of step k; reading coverage at each candidate's two times
+        keeps exactly the flips. The bands grow with the cells the balls
+        sweep, not with the times.
+        """
+        times = self.times
+        n = times.size - 1
+        if n < 1:
+            return tuple(np.zeros(0, dtype=np.intp) for _ in range(inside.ndim + 1))
+        lo, hi, cells = self._bands_meeting(inside)
+        first = np.maximum(np.searchsorted(times, lo) - 1, 0)
+        count = np.maximum(np.minimum(np.searchsorted(times, hi, side="right") - 1, n - 1)
+                           - first + 1, 0)
+        step = (np.repeat(first - np.cumsum(count) + count, count)
+                + np.arange(int(count.sum())))
+        flat = np.repeat(np.ravel_multi_index(cells, inside.shape), count)
+        # A cell may have several bands in one step.
+        step, *cells = np.unravel_index(sorted_unique(step * inside.size + flat),
+                                        (n,) + inside.shape)
         keep = self.covered(step, cells) != self.covered(step + 1, cells)
         return (step[keep],) + tuple(c[keep] for c in cells)
+
+    def _bands_meeting(self, inside: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """The bands of cells of inside that may meet the times, shifted by
+        whole periods on a circle base and widened by _TIME_SLACK: lo, hi
+        and their cells in the box's array order."""
+        bands = self.tables.bands
+        t_first, t_last = float(self.times.min()), float(self.times.max())
+        shifts = [0.0]
+        if self.circle:
+            t0, t1 = TIME_SPAN
+            span = t1 - t0
+            shifts = span * np.arange(np.floor((t_first - t0) / span) - 1,
+                                      np.floor((t_last - t0) / span) + 1)
+        lo, hi = [np.zeros(0)], [np.zeros(0)]
+        cells = [[np.zeros(0, dtype=np.intp)] for _ in range(inside.ndim)]
+        for m in shifts:
+            # Well past the widening below, so the slice drops no band that
+            # meets the times once widened.
+            pad = 16.0 * _TIME_SLACK * (2.0 + abs(t_first) + abs(t_last) + abs(m)
+                                        + bands.longest)
+            pick = slice(np.searchsorted(bands.lo, t_first - m - bands.longest - pad),
+                         np.searchsorted(bands.lo, t_last - m + pad, side="right"))
+            local = [c[pick] - o for c, o in zip(bands.cells, self.corner)]
+            ok = np.ones(local[0].size, dtype=bool)
+            for c, size in zip(local, inside.shape):
+                ok &= (c >= 0) & (c < size)
+            ok[ok] = inside[tuple(c[ok] for c in local)]
+            a = bands.lo[pick][ok] + m
+            b = bands.hi[pick][ok] + m
+            lo.append(a - _TIME_SLACK * (1.0 + np.abs(a)))
+            hi.append(b + _TIME_SLACK * (1.0 + np.abs(b)))
+            for out, c in zip(cells, local):
+                out.append(c[ok])
+        return np.concatenate(lo), np.concatenate(hi), [np.concatenate(c) for c in cells]
 
     def distinct(self, inside: np.ndarray) -> np.ndarray:
         """Indices of the distinct slices of the uncovered stack inside & ~masks.
 
         They are the first time, the last, and each time after a step that
         flips a cell of inside; every other slice equals its predecessor.
-        The steps are read in chunks of at most _DISTINCT_CHUNK_CELLS //
-        width**dim steps, so the candidate patches stay bounded however many
-        times there are. A step's flips depend on its two times alone, so
-        the chunks' flips are those of the whole list.
         """
         last = self.positions.shape[1] - 1
-        span = max(1, _DISTINCT_CHUNK_CELLS // self.width ** self.static.ndim)
-        steps = [self._step_flips(inside, lo, min(lo + span, last))[0] + 1
-                 for lo in range(0, last, span)]
-        return sorted_unique(np.concatenate(([0], *steps, [last])))
+        return sorted_unique(np.concatenate(([0], self.flips(inside)[0] + 1, [last])))
 
 
 def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
@@ -470,7 +607,9 @@ def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSp
     times = np.linspace(t0, t1, n)
     disk, inside = _domain_masks(s, grid)
     kept = BoxCoverage(s, times, grid).distinct(inside)
-    uncovered = inside[None] & ~coverage_masks(s, times[kept], grid)
+    uncovered = coverage_masks(s, times[kept], grid)
+    np.logical_not(uncovered, out=uncovered)
+    uncovered &= inside
     return CobordismComplex(grid=grid, interval=(float(t0), float(t1)), times=times,
                             kept=kept, uncovered=uncovered, disk=disk, inside=inside)
 
@@ -534,13 +673,13 @@ def face_contacts(source: np.ndarray, target: np.ndarray,
                   axes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Flat indices (source cell, target cell) of every face neighbor pair.
 
-    Only neighbors along the given axes count. Each direction is one
-    contiguous flat shift; a shifted pair that wraps past the end of its
-    axis is dropped.
+    Only neighbors along the given axes count. Each direction ands the two
+    masks shifted by one cell along its axis, as strided views, so neither
+    mask is copied; an index of the shifted shape, which is one cell
+    shorter on that axis, skips one cell per row of the axis to be flat in
+    the whole shape.
     """
     shape = source.shape
-    a = source.ravel()
-    b = target.ravel()
     srcs: List[np.ndarray] = []
     dsts: List[np.ndarray] = []
     for axis in axes:
@@ -548,9 +687,12 @@ def face_contacts(source: np.ndarray, target: np.ndarray,
         step = 1
         for m in shape[axis + 1:]:
             step *= m
-        for lo, hi, forward in ((a, b, True), (b, a, False)):
-            idx = np.flatnonzero(lo[:a.size - step] & hi[step:])
-            idx = idx[idx % (n * step) < (n - 1) * step]
+        lead = (slice(None),) * axis + (slice(1, None),)
+        trail = (slice(None),) * axis + (slice(None, -1),)
+        for lo, hi, forward in ((source, target, True), (target, source, False)):
+            idx = np.flatnonzero(lo[trail] & hi[lead])
+            if n > 1:
+                idx += idx // ((n - 1) * step) * step
             srcs.append(idx if forward else idx + step)
             dsts.append(idx + step if forward else idx)
     return np.concatenate(srcs), np.concatenate(dsts)
@@ -634,13 +776,20 @@ def _cobordism_pairs(c: CobordismComplex) -> BoundaryComponents:
     """
     box = bounding_box(c.disk)
     crop = (slice(None),) + box
+    # The crop is a view, and the covered-with-collar stack its one complement.
     unc = c.uncovered[crop]
     steps, size = len(unc), unc[0].size
-    gu, gv = stack_graph(unc), stack_graph(c.disk[box] & ~unc)
+    covered = np.logical_not(unc)
+    covered &= c.disk[box]
+    gu, gv = stack_graph(unc), stack_graph(covered)
     comp_u, _ = _graph_components(gu)
     comp_v, nv = _graph_components(gv)
-    uc, wc = face_contacts(unc, c.inside[box] & ~unc, range(1, unc.ndim))
+    # Contacts end on covered cells: covered-with-collar cells inside the fence.
+    uc, wc = face_contacts(unc, covered, range(1, unc.ndim))
+    del covered
     w_step, w_cell = np.divmod(wc, size)
+    keep = c.inside[box].ravel()[w_cell]
+    uc, wc, w_step, w_cell = uc[keep], wc[keep], w_step[keep], w_cell[keep]
     pairs, rep_u, rep_w, rank = _rank_pairs(comp_u[gu.labels_at(*np.divmod(uc, size))],
                                             comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)
     labels = np.zeros((2, size), dtype=np.int32)
@@ -837,9 +986,9 @@ def _core_labels(mask: np.ndarray
     """
     steps = mask.shape[0]
     shape = mask.shape[1:]
-    flat = mask.reshape(steps, -1)
-    core = flat.all(axis=0)
-    varying = flat.any(axis=0) & ~core
+    # Reduced and gathered in place: a cropped stack is not copied whole.
+    core = mask.all(axis=0).ravel()
+    varying = mask.any(axis=0).ravel() & ~core
     core_labels, _ = label_components(core.reshape(shape))
     core_labels = core_labels.ravel()
     # A node stands at its first cell, and nodes are numbered in raster order.
@@ -850,7 +999,7 @@ def _core_labels(mask: np.ndarray
     # Per cell its node, and n for a cell never set.
     node_of = np.concatenate(([n], np.searchsorted(cells, firsts)))[core_labels]
     node_of[vary] = np.searchsorted(cells, vary)
-    active = flat[:, cells]
+    active = mask[(slice(None),) + np.unravel_index(cells, shape)]
     # Every contact between two nodes touches a varying cell.
     a, b = face_contacts(varying.reshape(shape), (core | varying).reshape(shape),
                          range(len(shape)))
@@ -876,8 +1025,19 @@ def _slice_roots(active: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     in slice j.
     """
     steps, n = active.shape
-    j, e = np.divmod(np.flatnonzero(active[:, a] & active[:, b]), a.size)
-    return _union_roots(steps * n, j * n + a[e], j * n + b[e])
+    # The edge lists are the largest arrays of a stack graph: int32 halves them.
+    kind = np.int32 if steps * n < 2 ** 31 else np.int64
+    j, e = np.nonzero(active[:, a] & active[:, b])
+    base = j.astype(kind)
+    del j
+    base *= n
+    src = a.astype(kind)[e]
+    src += base
+    dst = b.astype(kind)[e]
+    del e
+    dst += base
+    del base
+    return _union_roots(steps * n, src, dst)
 
 
 def sweep(g: StackGraph, seeds: Sequence[int], backward: bool = False) -> np.ndarray:
@@ -908,13 +1068,17 @@ def _union_roots(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     every edge share a root. A pointer never rises, so each component's
     root is its least node.
     """
-    root = np.arange(size)
+    root = np.arange(size, dtype=src.dtype)
     while True:
         a = root[src]
         b = root[dst]
         if np.array_equal(a, b):
             return root
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        lo = np.minimum(a, b)
+        np.maximum(a, b, out=a)
+        del b
+        np.minimum.at(root, a, lo)
+        del a, lo
         while True:
             up = root[root]
             if np.array_equal(up, root):
@@ -991,17 +1155,19 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     """
     if which == "covered_boundary":
         return _boundary_pairs(c)
-    if which == "uncovered":
-        mask = c.uncovered
-    elif which == "covered":
-        mask = c.inside & ~c.uncovered
-    else:
+    if which not in ("uncovered", "covered"):
         raise RasterError(f"unknown region '{which}'")
     if isinstance(c, FiberComplex):
+        mask = c.uncovered if which == "uncovered" else c.inside & ~c.uncovered
         labels, count = label_components(mask)
         return ComponentLabels(which=which, labels=labels, count=count)
     box = bounding_box(c.inside)
-    g = stack_graph(mask[(slice(None),) + box])
+    # The uncovered crop is a view; the covered one is formed once, cropped.
+    mask = c.uncovered[(slice(None),) + box]
+    if which == "covered":
+        mask = np.logical_not(mask)
+        mask &= c.inside[box]
+    g = stack_graph(mask)
     comp, count = _graph_components(g)
     first, last = np.zeros((2,) + c.inside.shape, dtype=comp.dtype)
     first[box] = comp[g.labels(0)]

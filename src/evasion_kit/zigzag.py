@@ -28,12 +28,19 @@ exactly, and the later slice repeats the earlier one's signature unlabeled.
 
 The flips come from the moving sensors alone, and the scan builds no stack
 of every slice. Coverage is the static union or'ed with every moving ball,
-so a cell whose coverage changes in a step changes in some ball, inside the
-windows that ball has at the step's two times. The cells of those windows
-whose ball membership changes are the candidates; reading full coverage at
-each candidate's two times keeps exactly the flips of the dense step diff,
-and the ring cells are read the same way. Only the labeled slices are then
-rasterized.
+so a cell whose coverage changes in a step changes in some ball, and its
+distance to that ball's center crosses the radius in the step, or is within
+float error of it at an end. The scenario's crossing bands hold those times
+per cell in closed form (BoxCoverage.flips); the cells whose band meets a
+step are the candidates, and reading full coverage at each candidate's two
+times keeps exactly the flips of the dense step diff. The ring cells are
+read the same way, and only the labeled slices are then rasterized, so the
+scan's memory does not grow with its samples.
+
+A window narrowed to _WINDOW_FLOOR that still holds flips both ways is
+classified on its non-simple flips (_classify_at_floor): when a ball's
+diameter is a whole number of cells, its leading and trailing edges cross
+cell centers at the same instants, and no window separates them.
 
 Type D events flip the locus cell from uncovered to covered (a pocket pinches
 or vanishes; the cobordism retracts onto its earlier fiber). Type N events
@@ -149,15 +156,15 @@ def _arc_table() -> np.ndarray:
 
 _ONE_ARC = _arc_table()
 
-# (dy, dx, read from the later slice) per ring bit; see _simple_steps.
+# (dy, dx, read from the later slice) per ring bit; see _simple_flips.
 _RING = ((-1, -1, True), (-1, 0, True), (-1, 1, True), (0, 1, False),
          (1, 1, False), (1, 0, False), (1, -1, False), (0, -1, True))
 
 
-def _simple_steps(flips: Tuple[np.ndarray, ...],
+def _simple_flips(flips: Tuple[np.ndarray, ...],
                   uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
-                  disk: np.ndarray, inside: np.ndarray, steps: int) -> np.ndarray:
-    """Per step k (slice k to k + 1), whether every flip in it is simple.
+                  disk: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per flip, whether it is simple; a step of simple flips keeps the signature.
 
     flips are the index arrays (step, *cell) of the cells each step flips,
     in raster order within a step, and uncovered(slices, cells) reads the
@@ -199,8 +206,7 @@ def _simple_steps(flips: Tuple[np.ndarray, ...],
         v_bits |= v << bit
         if bit % 2:
             contact |= v & inside[yy, xx]
-    simple = _ONE_ARC[u_bits] & _ONE_ARC[v_bits] & contact & ~rim[y, x]
-    return np.bincount(step[~simple], minlength=steps) == 0
+    return _ONE_ARC[u_bits] & _ONE_ARC[v_bits] & contact & ~rim[y, x]
 
 
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
@@ -245,11 +251,11 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
                 ends: Optional[Tuple[Signature, Signature]] = None) -> List[Signature]:
     """Signatures at the given times, computed on the disk's box only.
 
-    Only slice 0 and the slices after a step that is not simple (see
-    _simple_steps) are rasterized and labeled; every other slice repeats
-    its predecessor's signature. The flips come from the moving sensors'
-    windows (BoxCoverage.flips), and the ring cells are read one at a time,
-    so no stack of every slice is built.
+    Only slice 0 and the slices after a step with a flip that is not simple
+    (see _simple_flips) are rasterized and labeled; every other slice repeats
+    its predecessor's signature. The flips come from the crossing bands of
+    the moving sensors (BoxCoverage.flips), and the ring cells are read one
+    at a time, so no stack of every slice is built.
 
     The rule is exact. Under (b) and (c), one uncovered component and one
     covered-with-collar component each gain or lose the flipped cell and
@@ -280,8 +286,9 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
         def uncovered(slices: np.ndarray, cells: Tuple[np.ndarray, ...]) -> np.ndarray:
             return inside[cells] & ~coverage.covered(slices, cells)
 
-        labeled[1:] = ~_simple_steps(coverage.flips(inside), uncovered, disk, inside,
-                                     times.size - 1)
+        flips = coverage.flips(inside)
+        simple = _simple_flips(flips, uncovered, disk, inside)
+        labeled[1:] = np.bincount(flips[0][~simple], minlength=times.size - 1) > 0
     last = times.size
     if ends is not None:
         steps = np.flatnonzero(labeled[1:])
@@ -321,20 +328,27 @@ _WINDOW_FLOOR = 1e-12
 _TABLE_LEVELS = 5
 
 
-def _flip_split(s: Scenario, grid: GridSpec, a: float, b: float
+def _flip_split(s: Scenario, grid: GridSpec, a: float, b: float, non_simple: bool = False
                 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, int]:
     """Coverage flips across a window, with their direction and cluster count.
 
     Returns the flipped cells as index arrays in raster order, whether each
     flips to covered, and how many face-or-corner clusters they form. Every
     flip lies inside the fence, hence in the disk's box, whose raster order
-    is the grid's; the flips are read there and shifted by its origin.
+    is the grid's; the flips are read there and shifted by its origin. With
+    non_simple, the flips that _simple_flips calls simple are dropped.
     """
     disk, inside = domain_masks(s, grid)
     box = bounding_box(disk)
-    inside = inside[box]
+    disk, inside = disk[box], inside[box]
     coverage = BoxCoverage(s, [a, b], grid, box)
     step, *cells = coverage.flips(inside)
+    if non_simple:
+        def uncovered(slices: np.ndarray, at: Tuple[np.ndarray, ...]) -> np.ndarray:
+            return inside[at] & ~coverage.covered(slices, at)
+
+        keep = ~_simple_flips((step, *cells), uncovered, disk, inside)
+        step, cells = step[keep], [c[keep] for c in cells]
     to_covered = coverage.covered(step + 1, cells)
     flips = np.zeros(inside.shape, dtype=bool)
     flips[tuple(cells)] = True
@@ -348,6 +362,16 @@ def _ambiguous(to_covered: np.ndarray, n_clusters: int) -> bool:
     return 0 < to_covered.sum() < to_covered.size or n_clusters > 1
 
 
+def _classified(a: float, b: float, sa: Signature, sb: Signature,
+                split: Tuple[Tuple[np.ndarray, ...], np.ndarray, int]) -> Optional[Event]:
+    """The event of a window whose flips (a _flip_split) are unambiguous."""
+    cells, to_covered, n_clusters = split
+    if _ambiguous(to_covered, n_clusters) or not _jump_ok(sa, sb):
+        return None
+    return Event(window=(float(a), float(b)), locus=tuple(int(c[0]) for c in cells),
+                 type_x="D" if to_covered[0] else "N", before=sa, after=sb)
+
+
 def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
                   sa: Signature, sb: Signature) -> Optional[Event]:
     """Classify the window if its coverage flips are unambiguous.
@@ -359,28 +383,37 @@ def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
     jump exceeds one unit: cells of a thin channel flip close together and
     may still separate at a finer width.
     """
-    cells, to_covered, n_clusters = _flip_split(s, grid, a, b)
-    if not to_covered.size:
+    split = _flip_split(s, grid, a, b)
+    if not split[1].size:
         raise ResolutionError(
             f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip",
             hint="raise --cells")
-    if _ambiguous(to_covered, n_clusters) or not _jump_ok(sa, sb):
-        return None
-    return Event(window=(float(a), float(b)), locus=tuple(int(c[0]) for c in cells),
-                 type_x="D" if to_covered[0] else "N", before=sa, after=sb)
+    return _classified(a, b, sa, sb, split)
 
 
-def _raise_unresolvable(s: Scenario, grid: GridSpec, a: float, b: float,
-                        sa: Signature, sb: Signature) -> None:
-    """Pick the right error for a window that cannot be narrowed further."""
-    _, to_covered, n_clusters = _flip_split(s, grid, a, b)
-    if _ambiguous(to_covered, n_clusters):
-        # No grid separates transitions that share an instant: the scenario
-        # breaks the distinct-critical-values hypothesis.
-        raise SimultaneousEventsError(
-            f"coverage transitions inside ({a:.12f}, {b:.12f}) cannot "
-            "be separated in time",
-            hint="perturb the scenario: two transitions share one instant")
+def _classify_at_floor(s: Scenario, grid: GridSpec, a: float, b: float,
+                       sa: Signature, sb: Signature) -> Event:
+    """Classify a window that cannot be narrowed on its non-simple flips, or
+    raise the right error.
+
+    When a ball's diameter is a whole number of cells, its leading and
+    trailing edges cross cell centers at the same instants, so no window
+    separates their flips. A simple flip keeps the signature, so the change
+    lies in the others: one cluster of them going one way is the event.
+    Flips that cannot be separated otherwise break the distinct-critical-
+    values hypothesis.
+    """
+    split = _flip_split(s, grid, a, b, non_simple=True)
+    if split[1].size:
+        event = _classified(a, b, sa, sb, split)
+        if event is not None:
+            return event
+        if _ambiguous(split[1], split[2]):
+            # No grid separates transitions that share an instant.
+            raise SimultaneousEventsError(
+                f"coverage transitions inside ({a:.12f}, {b:.12f}) cannot "
+                "be separated in time",
+                hint="perturb the scenario: two transitions share one instant")
     raise ResolutionError(
         f"resolution too coarse: signature jumped {sa} -> {sb} "
         f"across ({a:.6f}, {b:.6f})", hint="raise --cells")
@@ -425,14 +458,15 @@ def _bisect(s: Scenario, grid: GridSpec, a: float, b: float,
     while True:
         if b - a <= tol:
             event = _try_classify(s, grid, a, b, sa, sb)
+            if event is None and b - a <= _WINDOW_FLOOR:
+                event = _classify_at_floor(s, grid, a, b, sa, sb)
             if event is not None:
                 out.append(event)
                 return
-            if b - a <= _WINDOW_FLOOR:
-                _raise_unresolvable(s, grid, a, b, sa, sb)
         m = 0.5 * (a + b)
         if not a < m < b:
-            _raise_unresolvable(s, grid, a, b, sa, sb)
+            out.append(_classify_at_floor(s, grid, a, b, sa, sb))
+            return
         if m not in table:
             table = _probe_table(s, grid, a, b, sa, sb, tol)
         sm = table[m]

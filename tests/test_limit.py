@@ -135,6 +135,33 @@ def test_limit_cardinality_exact_past_enumeration():
     assert res.truncated
 
 
+def test_limit_truncation_prefix_matches_brute_force():
+    # Every cap cuts the same lexicographic prefix that brute force lists.
+    rng = random.Random(13)
+    for _ in range(200):
+        z = random_diagram(rng, max_cobordisms=4)
+        want = brute_force_limit(z)
+        for cap in (0, 1, 2, 5):
+            res = inverse_limit(z, max_elements=cap)
+            assert res.cardinality == len(want)
+            assert list(res.elements) == want[:cap]
+            assert res.truncated == (len(want) > cap)
+
+
+@pytest.mark.parametrize("shape", ["interval", "circle"])
+def test_deep_diagram_walks_without_recursion(shape):
+    # One Python frame per fiber exceeded the recursion limit here, even at
+    # max_elements=0, where only the count is needed.
+    n = 5000
+    fibers = [(1,)] * (n + 1)
+    maps = [{1: 1}] * n
+    z = _chain(fibers, [(1,)] * n, maps, maps, shape=shape)
+    res = inverse_limit(z)
+    assert (res.cardinality, res.elements, res.truncated) == (1, ((1,) * (n + 1),), False)
+    res = inverse_limit(z, max_elements=0)
+    assert (res.cardinality, res.elements, res.truncated) == (1, (), True)
+
+
 def test_limit_elements_are_consistent():
     rng = random.Random(11)
     for _ in range(50):

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -24,7 +25,7 @@ from evasion_kit.zigzag import (
     _per_slice,
     _rim,
     _signatures,
-    _simple_steps,
+    _simple_flips,
     _stack_signatures,
     build_zigzag,
     detect_events,
@@ -224,7 +225,8 @@ def _certified_signatures(uncovered, disk, inside):
     def read(slices, cells):
         return uncovered[(slices,) + tuple(cells)]
 
-    labeled = np.concatenate(([True], ~_simple_steps(flips, read, disk, inside, n - 1)))
+    simple = _simple_flips(flips, read, disk, inside)
+    labeled = np.concatenate(([True], np.bincount(flips[0][~simple], minlength=n - 1) > 0))
     sigs = _stack_signatures(uncovered[labeled], disk, inside)
     return [sigs[i] for i in np.cumsum(labeled) - 1]
 
@@ -481,10 +483,114 @@ def _check_scan_against_dense_stack(s, grid, times):
     return got
 
 
+def _underflow_inputs():
+    # A track that moves, but by so little that its squared speed underflows
+    # to 0: the crossing bands must not divide by it.
+    s = Scenario(dimension=1, center=(0.0,), radius=1.0, sensing_radius=0.25,
+                 fence_width=1.0 / 24.0, time_base="interval",
+                 tracks=(SensorTrack(((0.0, (0.0,)), (1.0, (2.5424318169637914e-294,)))),))
+    return s, grid_for_scenario(s, cells=24, margin_cells=0), np.linspace(0.0, 1.0, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_scan_inputs())
+@example(inputs=_underflow_inputs())
 def test_window_bounded_scan_matches_dense_stack(inputs):
     _check_scan_against_dense_stack(*inputs)
+
+
+def _dyadic(dim, tracks, r=0.25, base="interval"):
+    """A scenario on a 40-cell grid of cell size 1/16, whose cell centers
+    are odd multiples of 1/32: with dyadic waypoints and times, every
+    distance below is exact."""
+    s = Scenario(dimension=dim, center=(0.0,) * dim, radius=1.0, sensing_radius=r,
+                 fence_width=0.05, time_base=base,
+                 tracks=tuple(SensorTrack(tuple(t)) for t in tracks))
+    return s, grid_for_scenario(s, cells=40)
+
+
+_EVERY_32ND = np.linspace(0.0, 1.0, 33)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_edge_crossing_at_a_sample_time(dim):
+    # The ball's edge reaches cell centers exactly at sample times, where
+    # d2 equals r^2 and the cell counts as covered.
+    y = (1.0 / 32.0,) * (dim - 1)
+    s, grid = _dyadic(dim, [[(0.0, (-0.5,) + y), (1.0, (0.5,) + y)]])
+    step, *_ = _check_scan_against_dense_stack(s, grid, _EVERY_32ND)
+    assert step.size
+
+
+def test_band_edge_tangency_at_closest_approach():
+    # The track runs exactly r above a row of centers, so each of them is
+    # covered at one instant alone, which is a sample time.
+    s, grid = _dyadic(2, [[(0.0, (-0.5, 9.0 / 32.0)), (1.0, (0.5, 9.0 / 32.0))]])
+    _, iy, _ = _check_scan_against_dense_stack(s, grid, _EVERY_32ND)
+    row = int(round((1.0 / 32.0 - grid.origin[1]) / grid.cell_size - 0.5))
+    assert (iy == row).any()
+    _check_scan_against_dense_stack(s, grid, np.linspace(0.0, 1.0, 200))
+
+
+@pytest.mark.parametrize("end", [-0.25, 0.75], ids=["reverse", "speed-up"])
+@pytest.mark.parametrize("times", [_EVERY_32ND, np.linspace(0.01, 0.99, 50)],
+                         ids=["on-waypoint", "off-waypoint"])
+def test_band_edge_across_a_waypoint(end, times):
+    # At the waypoint t = 1/2 the track stands at 0, exactly r = 9/32 from
+    # a cell center, and then turns back or speeds up.
+    s, grid = _dyadic(1, [[(0.0, (-0.5,)), (0.5, (0.0,)), (1.0, (end,))]], r=9.0 / 32.0)
+    _check_scan_against_dense_stack(s, grid, times)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_edge_circle_span_past_the_end(dim):
+    # A cobordism span on a circle base runs past t = 1; its times wrap,
+    # and the bands are shifted by one period onto them.
+    y = (0.1,) * (dim - 1)
+    track = [(0.0, (-0.5,) + y), (0.5, (0.55,) + y), (1.0, (-0.5,) + y)]
+    s, grid = _dyadic(dim, [track], base="circle")
+    step, *_ = _check_scan_against_dense_stack(s, grid, np.linspace(0.75, 1.5, 97))
+    assert step.size
+    _check_scan_against_dense_stack(s, grid, np.linspace(0.0, 1.0, 65))
+
+
+def test_band_edge_times_near_the_window_floor():
+    # Probe tables near _WINDOW_FLOOR space their times about 1e-13 apart;
+    # consecutive doubles go further. The track's speed is not dyadic, so
+    # float rounding decides in which step the cells flip.
+    s, grid = _dyadic(2, [[(0.0, (-0.5, 1.0 / 32.0)), (1.0, (0.6, 1.0 / 32.0))]])
+    crossing = (1.0 / 32.0 + 0.5 - 0.25) / 1.1
+    for spacing in (1e-13, np.spacing(crossing)):
+        times = crossing + spacing * np.arange(-64, 65)
+        step, *_ = _check_scan_against_dense_stack(s, grid, times)
+        assert step.size
+
+
+def test_detect_events_memory_does_not_grow_with_scan_samples():
+    # Differencing each moving ball on window patches at every scan step
+    # peaked at 704 MiB here; the crossing bands do not grow with the times.
+    s = builtin_scenario("split")
+    tracemalloc.start()
+    try:
+        events = detect_events(s, scan_samples=2 ** 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) == len(detect_events(s))
+    assert peak < 16 * 2 ** 20
+
+
+def test_grid_resonance_events_are_classified_on_non_simple_flips():
+    # At 158 and 208 cells a ball's diameter is a whole number of cells, so
+    # its leading and trailing edges cross cell centers at the same
+    # instants; the window floor is reached with flips both ways, and the
+    # event is the one cluster of non-simple flips.
+    for seed in range(40):
+        s = random_interval_scenario(seed)
+        want = inverse_limit(build_zigzag(s, grid_for_scenario(s, cells=128)).diagram)
+        for cells in (158, 208):
+            got = inverse_limit(build_zigzag(s, grid_for_scenario(s, cells=cells)).diagram)
+            assert got.cardinality == want.cardinality, (seed, cells)
 
 
 def test_window_bounded_scan_at_the_box_edge():
