@@ -5,7 +5,9 @@ takes the exact inverse limit; its cardinality is a lower bound for the
 number of evasion path classes, and a nonempty limit is necessary but not
 sufficient evidence that a path exists. Witness extraction upgrades that
 evidence: a witness is a time-monotone cell path staying uncovered, found by
-directed reachability through the fine sub-samples of each cobordism.
+directed reachability through the fine sub-samples of each cobordism. In
+dimension 1 direct mode reads its zigzag, diagnostics and witnesses off the
+exact gap sweep (gapsweep) instead, and rasterizes nothing.
 
 Boundary mode never looks at uncovered cells directly. It reads the boundary
 components at each sample, groups them by the complement components of the
@@ -25,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import KnobError, WitnessError
+from .gapsweep import GapSweep, sweep_gaps
 from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     ZigzagSetDiagram, inverse_limit, join_partitions,
                     limit_of_algebras, partition_algebra, pullback_partition)
@@ -35,8 +38,9 @@ from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         label_components, label_slices, rasterize_cobordism,
                         rasterize_fiber, stack_graph, sweep)
 from .scenario import TIME_SPAN, Scenario, positions_at
-from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, ZigzagBundle,
-                     build_zigzag, detect_events, fiber_signatures)
+from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
+                     ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
+                     fiber_signatures)
 
 __all__ = [
     "Witness",
@@ -382,29 +386,60 @@ def _event_doc(e: Event) -> dict:
     }
 
 
-def _bundle_diagnostics(bundle: ZigzagBundle) -> Dict[str, object]:
-    grid = bundle.grid
-    fibers = []
-    for f, (pi0, b1, pb) in zip(bundle.fibers, fiber_signatures(bundle.fibers)):
-        fibers.append({
-            "t": float(f.time),
-            "pi0": pi0,
-            "b1": b1,
-            "boundary_pairs": pb,
-        })
+def _diagnostics(time_base: str, grid: GridSpec, samples: Sequence[float],
+                 signatures: Sequence[Signature],
+                 events: Sequence[Event]) -> Dict[str, object]:
     return {
-        "time_base": bundle.time_base,
+        "time_base": time_base,
         "grid": {
             "shape": [int(v) for v in grid.shape],
             "cell_size": float(grid.cell_size),
             "origin": [float(v) for v in grid.origin],
             "fine_time_samples": int(grid.fine_time_samples),
         },
-        "sample_times": [float(t) for t in bundle.samples],
-        "fibers": fibers,
-        "events": [_event_doc(e) for e in bundle.events],
+        "sample_times": [float(t) for t in samples],
+        "fibers": [{"t": float(t), "pi0": pi0, "b1": b1, "boundary_pairs": pb}
+                   for t, (pi0, b1, pb) in zip(samples, signatures)],
+        "events": [_event_doc(e) for e in events],
         "note": LOWER_BOUND_NOTE,
     }
+
+
+class _Direct:
+    """Direct mode's zigzag, diagnostics and witnesses: the gap sweep's in
+    dimension 1, build_zigzag's uncovered bundle otherwise.
+
+    events, when given, are used instead of running detect_events; the
+    sweep finds its own, exactly.
+    """
+
+    def __init__(self, s: Scenario, grid: GridSpec, *, scan_samples: int, tol: float,
+                 events: Optional[Sequence[Event]] = None) -> None:
+        self.source: Union[GapSweep, ZigzagBundle]
+        if s.dimension == 1:
+            check_scan_knobs(scan_samples, tol)
+            self.source = sweep_gaps(s, grid)
+        else:
+            self.source = build_zigzag(s, grid, region="uncovered", events=events,
+                                       scan_samples=scan_samples, tol=tol)
+        self.diagram = self.source.diagram
+        self._builder: Optional[_WitnessBuilder] = None
+
+    def diagnostics(self) -> Dict[str, object]:
+        src = self.source
+        if isinstance(src, GapSweep):
+            return _diagnostics(src.scenario.time_base, src.grid, src.samples,
+                                src.signatures, src.events)
+        return _diagnostics(src.time_base, src.grid, src.samples,
+                            fiber_signatures(src.fibers), src.events)
+
+    def witness(self, element: Sequence[int]) -> Witness:
+        if isinstance(self.source, GapSweep):
+            return Witness(element=tuple(int(v) for v in element),
+                           samples=self.source.path(element))
+        if self._builder is None:
+            self._builder = _WitnessBuilder(self.source)
+        return self._builder.extract(element)
 
 
 def analyze_direct(s: Scenario, grid: Optional[GridSpec] = None, *,
@@ -416,24 +451,23 @@ def analyze_direct(s: Scenario, grid: Optional[GridSpec] = None, *,
                    events: Optional[Sequence[Event]] = None) -> AnalysisReport:
     """Track uncovered components and take the exact inverse limit.
 
-    events, when given, are used instead of running detect_events.
+    events, when given, are used instead of running detect_events; in
+    dimension 1 the gap sweep finds them exactly instead.
     """
     if grid is None:
         grid = grid_for_scenario(s)
-    bundle = build_zigzag(s, grid, region="uncovered", events=events,
-                          scan_samples=scan_samples, tol=tol)
-    limres = inverse_limit(bundle.diagram, max_elements=max_elements)
-    diagnostics = _bundle_diagnostics(bundle)
+    direct = _Direct(s, grid, scan_samples=scan_samples, tol=tol, events=events)
+    limres = inverse_limit(direct.diagram, max_elements=max_elements)
+    diagnostics = direct.diagnostics()
 
     found: List[Witness] = []
     failures: List[dict] = []
     attempted = 0
     if witnesses and limres.elements:
-        builder = _WitnessBuilder(bundle)
         for element in limres.elements[:max_witnesses]:
             attempted += 1
             try:
-                w = builder.extract(element)
+                w = direct.witness(element)
             except WitnessError as exc:
                 failures.append({"element": [int(v) for v in element],
                                  "detail": str(exc)})

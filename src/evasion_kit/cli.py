@@ -16,9 +16,9 @@ import sys
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
-                       DEFAULT_ORACLE_SAMPLES, _event_doc, analyze,
+                       DEFAULT_ORACLE_SAMPLES, _Direct, _event_doc, analyze,
                        analyze_boundary, analyze_direct, analyze_oracle,
-                       extract_boundary_data, extract_witness, verify_witness)
+                       extract_boundary_data, verify_witness)
 from .errors import EvasionError, KnobError, ResolutionError
 from .limit import LimitError, inverse_limit
 from .planar_homology import HomologyError
@@ -26,8 +26,7 @@ from .rasterize import RasterError, grid_for_scenario
 from .render import render_scenario
 from .scenario import (BUILTIN_NAMES, ScenarioError, builtin_scenario,
                        canonical_json, load_scenario, scenario_to_document)
-from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, build_zigzag,
-                     detect_events, interleave)
+from .zigzag import DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, detect_events, interleave
 
 __all__ = ["main"]
 
@@ -199,6 +198,12 @@ def _grid(s, knobs: _Knobs):
                              fine_time_samples=knobs.get("fine_time_samples"))
 
 
+def _direct(s, knobs: _Knobs) -> _Direct:
+    """The zigzag and witnesses that analyze's direct mode reads."""
+    return _Direct(s, _grid(s, knobs), scan_samples=knobs.get("scan_samples"),
+                   tol=knobs.get("tol"))
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
     s = _load(args, knobs)
@@ -242,11 +247,8 @@ def _parse_element(text: str) -> List[int]:
 def _cmd_witness(args: argparse.Namespace) -> int:
     knobs = _Knobs(args)
     s = _load(args, knobs)
-    grid = _grid(s, knobs)
-    bundle = build_zigzag(s, grid, region="uncovered",
-                          scan_samples=knobs.get("scan_samples"),
-                          tol=knobs.get("tol"))
-    limres = inverse_limit(bundle.diagram,
+    direct = _direct(s, knobs)
+    limres = inverse_limit(direct.diagram,
                            max_elements=knobs.get("max_elements"))
     if args.element is not None:
         element = _parse_element(args.element)
@@ -254,7 +256,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         element = list(limres.elements[0])
     else:
         raise EvasionError("the limit is empty; there is no element to witness")
-    w = extract_witness(bundle, element)
+    w = direct.witness(element)
     doc = {
         "element": [int(v) for v in w.element],
         "verified": verify_witness(s, w),
@@ -308,11 +310,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         times = list(interleave(events, s.time_base))
     witnesses = ()
     if args.with_witness:
-        bundle = build_zigzag(s, grid, scan_samples=knobs.get("scan_samples"),
-                              tol=knobs.get("tol"))
-        limres = inverse_limit(bundle.diagram, max_elements=1)
+        direct = _direct(s, knobs)
+        limres = inverse_limit(direct.diagram, max_elements=1)
         if limres.elements:
-            w = extract_witness(bundle, limres.elements[0])
+            w = direct.witness(limres.elements[0])
             if verify_witness(s, w):
                 witnesses = (w,)
     written = render_scenario(s, times, grid, out_dir=args.out_dir,

@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "positions_at",
     "builtin_scenario",
     "random_interval_scenario",
+    "random_waypoint_scenario",
     "BUILTIN_NAMES",
 ]
 
@@ -60,6 +62,15 @@ class SensorTrack:
     @property
     def points(self) -> Tuple[Tuple[float, ...], ...]:
         return tuple(p for _, p in self.waypoints)
+
+    @cached_property
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only float arrays of the waypoint times, shape (k,), and
+        positions, shape (dim, k), built on first use."""
+        times = np.array(self.times, dtype=float)
+        points = np.array(self.points, dtype=float).T.copy()
+        times.flags.writeable = points.flags.writeable = False
+        return times, points
 
 
 @dataclass(frozen=True)
@@ -237,10 +248,9 @@ def positions_at(s: Scenario, times: Sequence[float],
     tracks = s.tracks if sensors is None else [s.tracks[j] for j in sensors]
     out = np.empty((len(tracks), ts.size, s.dimension), dtype=float)
     for j, track in enumerate(tracks):
-        wt = np.asarray(track.times, dtype=float)
+        wt, wx = track.arrays
         for k in range(s.dimension):
-            wx = np.asarray([p[k] for p in track.points], dtype=float)
-            out[j, :, k] = np.interp(ts, wt, wx)
+            out[j, :, k] = np.interp(ts, wt, wx[k])
     return out
 
 
@@ -540,6 +550,43 @@ def random_interval_scenario(seed: int) -> Scenario:
             tracks=tuple(tracks),
         )
     )
+
+
+def random_waypoint_scenario(seed: int, sensors: int, dimension: int) -> Scenario:
+    """Seeded generic motion: each sensor runs through random waypoints.
+
+    Every track has 2-4 waypoints, at times 0, 1 and uniform times between,
+    at positions uniform in [-0.85, 0.85] (dimension 1) or in the disk of
+    radius 0.85 (dimension 2). Sensing radius 0.15, fence 0.1, interval
+    base. Nothing keeps events apart or gaps wider than a cell.
+    """
+    if dimension not in (1, 2):
+        raise ScenarioError("dimension must be 1 or 2")
+    rng = random.Random(seed)
+    reach = 0.85
+
+    def point() -> Point:
+        if dimension == 1:
+            return (rng.uniform(-reach, reach),)
+        while True:
+            p = (rng.uniform(-reach, reach), rng.uniform(-reach, reach))
+            if math.hypot(*p) <= reach:
+                return p
+
+    tracks = []
+    for _ in range(sensors):
+        inner = sorted(rng.uniform(0.0, 1.0) for _ in range(rng.randint(0, 2)))
+        times = [0.0] + inner + [1.0]
+        tracks.append(SensorTrack(tuple((t, point()) for t in times)))
+    return validate_scenario(Scenario(
+        dimension=dimension,
+        center=(0.0,) * dimension,
+        radius=1.0,
+        sensing_radius=0.15,
+        fence_width=0.1,
+        time_base="interval",
+        tracks=tuple(tracks),
+    ))
 
 
 BUILTIN_NAMES = ("split", "close", "annuli", "empty", "full", "random")

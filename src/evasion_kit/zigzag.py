@@ -7,6 +7,8 @@ window; each window is classified by the direction of the single coverage
 flip inside it. Samples interleaved between the windows then carry fibers,
 and the spans between consecutive samples carry cobordisms, yielding a zigzag
 of component sets with restriction maps induced by inclusion of slices.
+The scan below is the one for dimension 2; in dimension 1, detect_events
+returns the exact events of the gap sweep (gapsweep) instead.
 
 The bisection probes no slice on its own. For each changing scan step it
 lists the midpoints its halving can visit, with its own arithmetic, a few
@@ -38,9 +40,10 @@ read the same way, and only the labeled slices are then rasterized, so the
 scan's memory does not grow with its samples.
 
 A window narrowed to _WINDOW_FLOOR that still holds flips both ways is
-classified on its non-simple flips (_classify_at_floor): when a ball's
-diameter is a whole number of cells, its leading and trailing edges cross
-cell centers at the same instants, and no window separates them.
+classified on its non-simple flips (_classify_at_floor): when a ball whose
+diameter is a whole number of cells runs along a row of cell centers, its
+leading and trailing edges cross centers at the same instants, and no
+window separates them.
 
 Type D events flip the locus cell from uncovered to covered (a pocket pinches
 or vanishes; the cobordism retracts onto its earlier fiber). Type N events
@@ -178,29 +181,18 @@ def _simple_flips(flips: Tuple[np.ndarray, ...],
     covered-with-collar cells (disk & ~uncovered; cells off the box or the
     disk are neither), and (d) a covered-with-collar face neighbor lies
     inside the fence.
-    A 1-D stack is read as rows of one cell, so its ring is W and E alone
-    and (a) is dropped: its b1 is 0 whatever the rim does.
     """
-    step, *cell = flips
-    one_d = disk.ndim == 1
-    if one_d:
-        cell = [np.zeros_like(step)] + cell
-        disk, inside = disk[None], inside[None]
-        rim = np.zeros(disk.shape, dtype=bool)
-    else:
-        rim = _rim(disk)
+    step, y, x = flips
+    rim = _rim(disk)
     h, w = disk.shape
-    y, x = cell
     u_bits = np.zeros(step.size, dtype=np.intp)
     v_bits = np.zeros(step.size, dtype=np.intp)
     contact = np.zeros(step.size, dtype=bool)
     for bit, (dy, dx, later) in enumerate(_RING):
-        if dy and h == 1:
-            continue
         yy, xx = y + dy, x + dx
         on_box = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
         yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
-        u = uncovered(step + 1 if later else step, (xx,) if one_d else (yy, xx)) & on_box
+        u = uncovered(step + 1 if later else step, (yy, xx)) & on_box
         v = disk[yy, xx] & ~u & on_box
         u_bits |= u << bit
         v_bits |= v << bit
@@ -211,7 +203,7 @@ def _simple_flips(flips: Tuple[np.ndarray, ...],
 
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
                       inside: np.ndarray) -> List[Signature]:
-    """Signatures of every slice of an uncovered stack (T, *shape).
+    """Signatures of every slice of a 2-D uncovered stack (T, ny, nx).
 
     Callers crop the stack and masks to the disk's bounding box: every
     uncovered cell lies in it, and a disk cell on its edge is a rim cell in
@@ -221,22 +213,22 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
     covered_with_collar = disk & ~uncovered
     v_lab, v_tops = label_slices(covered_with_collar)
     pi0 = np.diff(u_tops, prepend=0)
-    if uncovered.ndim == 3:
-        # The uncovered region lies inside the disk, so its complement is the
-        # covered-with-collar region plus the cells off the disk, which are
-        # connected to each other and to the grid border. The holes are the
-        # covered-with-collar components that do not reach the rim.
-        outer = sorted_unique(v_lab[:, _rim(disk)].ravel())
-        b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
-    else:
-        b1 = np.zeros_like(pi0)
+    # The uncovered region lies inside the disk, so its complement is the
+    # covered-with-collar region plus the cells off the disk, which are
+    # connected to each other and to the grid border. The holes are the
+    # covered-with-collar components that do not reach the rim.
+    outer = sorted_unique(v_lab[:, _rim(disk)].ravel())
+    b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
     pb = _pair_counts(uncovered, u_lab, u_tops, v_lab, v_tops,
                       covered_with_collar & inside)
     return [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
 
 
 def fiber_signatures(fibers: Sequence[FiberComplex]) -> List[Signature]:
-    """fiber_signature of each fiber of one grid and domain, in one labeling."""
+    """fiber_signature of each 2-D fiber of one grid and domain, in one
+    labeling. A 1-D fiber's signature is its gap sweep's (gapsweep)."""
+    if fibers[0].uncovered.ndim != 2:
+        raise ValueError("fiber signatures are read off 2-D fibers only")
     box = bounding_box(fibers[0].disk)
     return _stack_signatures(np.stack([f.uncovered[box] for f in fibers]),
                              fibers[0].disk[box], fibers[0].inside[box])
@@ -480,6 +472,15 @@ def _bisect(s: Scenario, grid: GridSpec, a: float, b: float,
             return
 
 
+def check_scan_knobs(scan_samples: int, tol: float) -> None:
+    """Raise KnobError when scan_samples is below 2 or tol is not a finite
+    positive number."""
+    if scan_samples < 2:
+        raise KnobError(f"scan_samples must be at least 2, got {scan_samples}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise KnobError(f"tol must be a finite positive number, got {tol}")
+
+
 def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
                   scan_samples: int = DEFAULT_SCAN_SAMPLES,
                   tol: float = DEFAULT_TOL) -> Tuple[Event, ...]:
@@ -493,15 +494,18 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
     those of probing one slice at a time.
     On a circle time base the closed tracks make the signature at both span
     endpoints agree, so scanning the span once covers the whole loop.
+    In dimension 1 the events are the gap sweep's (gapsweep): exact, at
+    zero-width windows, whatever scan_samples and tol are; the grid places
+    their loci only.
     Raises KnobError when scan_samples is below 2 or tol is not a finite
     positive number.
     """
-    if scan_samples < 2:
-        raise KnobError(f"scan_samples must be at least 2, got {scan_samples}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise KnobError(f"tol must be a finite positive number, got {tol}")
+    check_scan_knobs(scan_samples, tol)
     if grid is None:
         grid = grid_for_scenario(s)
+    if s.dimension == 1:
+        from .gapsweep import sweep_gaps  # gapsweep builds on this module
+        return sweep_gaps(s, grid).events
     t0, t1 = TIME_SPAN
     times = np.linspace(t0, t1, scan_samples + 1)
     sigs = _signatures(s, times, grid)
@@ -527,9 +531,12 @@ def interleave(events: Sequence[Event], time_base: str) -> Tuple[float, ...]:
     between events. Circle bases get one sample per gap only (the span
     endpoints are identified); an event-free circle keeps a single sample
     at the span start so the wrap-around cobordism is still well formed.
+    Events with one window share its span. An exact event, whose window has
+    zero width, may lie on an interval base's endpoint, the first or last
+    sample; a wider window touching an endpoint is a ResolutionError.
     """
     t0, t1 = TIME_SPAN
-    windows = sorted(e.window for e in events)
+    windows = sorted(set(e.window for e in events))
     for (a1, b1), (a2, b2) in zip(windows, windows[1:]):
         if not b1 < a2:
             raise SimultaneousEventsError(
@@ -538,7 +545,8 @@ def interleave(events: Sequence[Event], time_base: str) -> Tuple[float, ...]:
     if time_base == "interval":
         if not windows:
             return (t0, t1)
-        if windows[0][0] <= t0 or windows[-1][1] >= t1:
+        (a0, b0), (an, bn) = windows[0], windows[-1]
+        if a0 < t0 or bn > t1 or a0 == t0 < b0 or an < t1 == bn:
             raise ResolutionError("an event window touches the time span endpoint",
                                   hint="lower --tol")
         mids = [0.5 * (b1 + a2) for (_, b1), (a2, _) in zip(windows, windows[1:])]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -186,6 +187,20 @@ def test_witness_chosen_element(capsys):
     assert _json(out)["element"] == [1, 2]
 
 
+def test_witness_1d_is_the_direct_reports_path(capsys, tmp_path):
+    # A 1-D witness follows the sweep's gap midpoints, the path analyze
+    # reports for the same element.
+    path = tmp_path / "merge.json"
+    path.write_text(canonical_json(_merge_doc()))
+    code, out, _ = _run(capsys, "witness", str(path))
+    assert code == 0
+    doc = _json(out)
+    assert doc["verified"] is True
+    _, report, _ = _run(capsys, "analyze", str(path))
+    first = _json(report)["witnesses"][0]
+    assert (doc["element"], doc["samples"]) == (first["element"], first["samples"])
+
+
 def test_witness_empty_limit_fails(capsys):
     code, out, err = _run(capsys, "witness", "close")
     assert code == 1
@@ -220,6 +235,27 @@ def test_compare_disagreement_on_unbounded_pocket(capsys):
     assert doc["agree"] is False
     assert doc["exists"]["direct"] is True
     assert doc["exists"]["boundary"] is False
+
+
+def _sub_cell_gap_doc(c0):
+    """A gap (c0 - 0.001, c0 + 0.001) open all the time, between cell centers."""
+    r = 0.22
+    statics = (-0.8, -0.5, 0.5, 0.8, c0 - (0.001 + r), c0 + (0.001 + r))
+    return scenario_to_document(validate_scenario(Scenario(
+        dimension=1, center=(0.0,), radius=1.0, sensing_radius=r, fence_width=0.12,
+        time_base="interval",
+        tracks=tuple(SensorTrack(((0.0, (x,)), (1.0, (x,)))) for x in statics))))
+
+
+@pytest.mark.parametrize("c0", [0.0, 0.003, 0.0041, 0.0067])
+def test_compare_flags_the_oracle_missing_a_sub_cell_gap(capsys, tmp_path, c0):
+    # Direct mode finds the gap exactly; the raster oracle samples cell
+    # centers only and misses it, so the modes disagree out loud.
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(_sub_cell_gap_doc(c0)))
+    code, out, _ = _run(capsys, "compare", str(path))
+    assert code == 1
+    assert _json(out)["exists"] == {"direct": True, "oracle": False}
 
 
 # The document each mode gives when it runs its own event scan.
@@ -272,6 +308,17 @@ def test_render_explicit_times(capsys, tmp_path):
         assert text.startswith("<svg")
 
 
+def test_render_1d_with_witness(capsys, tmp_path):
+    path = tmp_path / "merge.json"
+    path.write_text(canonical_json(_merge_doc()))
+    code, out, _ = _run(capsys, "render", str(path), "--with-witness",
+                        "--out-dir", str(tmp_path / "frames"))
+    assert code == 0
+    written = _json(out)["written"]
+    assert len(written) == 2
+    assert all(Path(p).read_text().count("<polyline") == 1 for p in written)
+
+
 def test_render_bad_times(capsys, tmp_path):
     code, _, err = _run(capsys, "render", "split", "--times", "zero",
                         "--out-dir", str(tmp_path))
@@ -305,22 +352,47 @@ def _static_doc(statics, movers):
 
 
 # A mover closes the middle gap at t ~ 0.233 and opens it again at ~ 0.267,
-# between two scan samples when there are only two scan steps.
+# between two scan samples when there are only two scan steps; the 1-D
+# sweep finds both crossings exactly whatever the scan.
 _BLINK = _static_doc((-0.25, 0.25), [SensorTrack((
     (0.0, (0.25,)), (0.2, (0.25,)), (0.25, (0.0,)), (0.3, (0.25,)), (1.0, (0.25,))))])
-# Mirror-image movers seal two gaps at the same instant, which no finer grid
-# separates.
-_SHARED_INSTANT = "perturb the scenario: two transitions share one instant"
+# Mirror-image movers seal two gaps at the same exact instant.
 _MIRROR = _static_doc((-0.45, 0.45), [
     SensorTrack(((0.0, (0.08,)), (1.0, (0.14,)))),
     SensorTrack(((0.0, (-0.08,)), (1.0, (-0.14,))))])
 
 
+def _close_blink_doc():
+    """The close builtin with its crossing sensor sped up, so the pocket
+    closes and reopens within [0.2, 0.3], inside one of two scan steps."""
+    s = builtin_scenario("close")
+    crossing = SensorTrack(((0.0, (0.40, 0.03)), (0.2, (0.40, 0.03)),
+                            (0.3, (-0.40, 0.03)), (1.0, (-0.40, 0.03))))
+    return scenario_to_document(validate_scenario(
+        dataclasses.replace(s, tracks=s.tracks[:-1] + (crossing,))))
+
+
+def _mirror_2d_doc():
+    """Mirror-image movers fuse with their static partners at one instant,
+    which no finer grid separates."""
+    def static(p):
+        return SensorTrack(((0.0, p), (1.0, p)))
+    movers = [SensorTrack(((0.0, (x, 0.0)), (1.0, (1.75 * x, 0.0)))) for x in (-0.2, 0.2)]
+    return scenario_to_document(validate_scenario(Scenario(
+        dimension=2, center=(0.0, 0.0), radius=1.0, sensing_radius=0.16,
+        fence_width=0.12, time_base="interval",
+        tracks=(static((-0.6, 0.0)), static((0.6, 0.0)), *movers))))
+
+
+_SHARED_INSTANT = "perturb the scenario: two transitions share one instant"
+
+
 @pytest.mark.parametrize("doc,knobs,error,hint", [
-    (_BLINK, ("--scan-samples", "2"), "ResolutionError", "raise --scan-samples"),
-    pytest.param(_MIRROR, (), "SimultaneousEventsError", _SHARED_INSTANT, id="mirror"),
-    pytest.param(_MIRROR, ("--cells", "256"), "SimultaneousEventsError", _SHARED_INSTANT,
-                 id="mirror-cells-256"),
+    (_close_blink_doc(), ("--scan-samples", "2"), "ResolutionError", "raise --scan-samples"),
+    pytest.param(_mirror_2d_doc(), (), "SimultaneousEventsError", _SHARED_INSTANT,
+                 id="mirror"),
+    pytest.param(_mirror_2d_doc(), ("--cells", "256"), "SimultaneousEventsError",
+                 _SHARED_INSTANT, id="mirror-cells-256"),
 ])
 def test_resolution_errors_name_a_knob(capsys, tmp_path, doc, knobs, error, hint):
     path = tmp_path / "scenario.json"
@@ -329,6 +401,24 @@ def test_resolution_errors_name_a_knob(capsys, tmp_path, doc, knobs, error, hint
     assert code == 1
     assert out == ""
     assert _json(err) == {"error": error, "detail": _json(err)["detail"], "hint": hint}
+
+
+@pytest.mark.parametrize("knobs", [(), ("--scan-samples", "2"), ("--cells", "256")])
+def test_1d_answers_exactly_whatever_the_scan(capsys, tmp_path, knobs):
+    # The blink at two scan steps and the mirrored seals at one instant
+    # raised resolution errors on the raster scan; the sweep answers both.
+    for doc, types, cardinality in ((_BLINK, ["D", "N"], 2), (_MIRROR, ["D", "D"], 2)):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = _run(capsys, "analyze", str(path), *knobs)
+        assert code == 0
+        report = _json(out)
+        events = report["diagnostics"]["events"]
+        assert [e["type_uncovered"] for e in events] == types
+        assert report["limit_cardinality"] == cardinality
+        assert len(report["witnesses"]) == cardinality
+    assert events[0]["time"] == events[1]["time"] == pytest.approx(5.0 / 6.0)
+    assert events[0]["locus"] != events[1]["locus"]
 
 
 def test_blink_resolves_at_default_scan(capsys, tmp_path):

@@ -15,6 +15,7 @@ from evasion_kit.scenario import (
     load_scenario,
     positions_at,
     random_interval_scenario,
+    random_waypoint_scenario,
     save_scenario,
     scenario_from_document,
     scenario_to_document,
@@ -198,3 +199,21 @@ def test_random_interval_scenario_is_pure_and_1d():
         for track in a.tracks:
             for _, p in track.waypoints:
                 assert abs(p[0]) <= a.radius
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_random_waypoint_scenario_is_pure_and_in_reach(dimension):
+    for seed in range(20):
+        a = random_waypoint_scenario(seed, 4, dimension)
+        assert scenario_to_document(a) == scenario_to_document(
+            random_waypoint_scenario(seed, 4, dimension))
+        assert (a.dimension, a.sensor_count, a.sensing_radius, a.fence_width,
+                a.time_base) == (dimension, 4, 0.15, 0.1, "interval")
+        for track in a.tracks:
+            assert 2 <= len(track.waypoints) <= 4
+            for _, p in track.waypoints:
+                assert math.hypot(*p) <= 0.85
+    # Fewer sensors draw a prefix of the same tracks.
+    assert random_waypoint_scenario(3, 2, 1).tracks == random_waypoint_scenario(3, 5, 1).tracks[:2]
+    with pytest.raises(ScenarioError):
+        random_waypoint_scenario(0, 2, 3)

@@ -13,6 +13,7 @@ from evasion_kit.scenario import (
     Scenario,
     SensorTrack,
     builtin_scenario,
+    positions_at,
     random_interval_scenario,
     validate_scenario,
 )
@@ -32,11 +33,13 @@ from evasion_kit.zigzag import (
     fiber_signature,
     interleave,
 )
+from evasion_kit.gapsweep import sweep_gaps
 from evasion_kit.rasterize import (
     BoxCoverage,
     CobordismComponents,
     ComponentLabels,
     bounding_box,
+    cell_center,
     components,
     count_holes,
     coverage_masks,
@@ -115,11 +118,43 @@ def _scan_scenario(name, seed):
     return builtin_scenario(name, seed)
 
 
+def _edge_values(s, times):
+    """Every gap end candidate of a 1-D scenario at each time: the sensor
+    edges p - r and p + r and the two fence ends, shape (times, edges)."""
+    p = positions_at(s, times)[:, :, 0].T
+    r = s.sensing_radius
+    inner = s.radius - s.fence_width
+    fence = np.broadcast_to([s.center[0] - inner, s.center[0] + inner], (len(times), 2))
+    return np.concatenate((p - r, p + r, fence), axis=1)
+
+
+def _sweep_signatures(s, times):
+    """(gaps, 0, gap ends that are sensor edges) read off the gap sweep."""
+    inner = s.radius - s.fence_width
+    fence = {s.center[0] - inner, s.center[0] + inner}
+    return [(len(g), 0, sum((lo not in fence) + (hi not in fence) for lo, hi in g))
+            for g in sweep_gaps(s).gaps_at(times)]
+
+
+def _check_1d_sweep_against_raster(s, grid, times):
+    """In 1-D the raster signature is the sweep's wherever every two edges
+    lie two cells apart, so that no gap or contact is thinner than a cell."""
+    values = np.sort(_edge_values(s, times), axis=1)
+    resolved = np.diff(values, axis=1).min(axis=1) > 2.0 * grid.cell_size
+    assert resolved.mean() > 0.25
+    times = np.asarray(times)[resolved]
+    want = [_slice_signature(f) for f in rasterize_fibers(s, times, grid)]
+    assert _sweep_signatures(s, times) == want
+
+
 @pytest.mark.parametrize("name,seed", _SCAN_CASES)
 def test_stack_signatures_match_per_slice(name, seed):
     s = _scan_scenario(name, seed)
     grid = grid_for_scenario(s)
     times = np.linspace(0.0, 1.0, 513)
+    if s.dimension == 1:
+        _check_1d_sweep_against_raster(s, grid, times)
+        return
     expected = [_slice_signature(f) for f in rasterize_fibers(s, times, grid)]
     assert _signatures(s, times, grid) == expected
 
@@ -132,6 +167,9 @@ def test_stack_signatures_match_per_slice_without_margin(name, seed):
     disk, _ = domain_masks(s, grid)
     assert disk[0].any() and disk[-1].any() and disk[..., 0].any()
     times = np.linspace(0.0, 1.0, 129)
+    if s.dimension == 1:
+        _check_1d_sweep_against_raster(s, grid, times)
+        return
     expected = [_slice_signature(f) for f in rasterize_fibers(s, times, grid)]
     assert _signatures(s, times, grid) == expected
 
@@ -178,6 +216,12 @@ def test_pair_counts_match_reference(name, seed, margin):
 def test_stack_signatures_single_slice_and_unchanged_stack(name, seed):
     s = _scan_scenario(name, seed)
     grid = grid_for_scenario(s)
+    if s.dimension == 1:
+        # Here t = 0.3 falls while a gap thinner than a cell dies.
+        _check_1d_sweep_against_raster(s, grid, [0.0, 0.3, 0.77])
+        with pytest.raises(ValueError):
+            fiber_signature(rasterize_fiber(s, 0.0, grid))
+        return
     for t in (0.0, 0.3, 0.77):
         f = rasterize_fiber(s, t, grid)
         expected = _slice_signature(f)
@@ -253,8 +297,6 @@ def _picture_stack(*pictures):
     """
     grids = [np.array([list(row) for row in p.strip("\n").split("\n")])
              for p in pictures]
-    if grids[0].shape[0] == 1:
-        grids = [g[0] for g in grids]
     disk = grids[0] != " "
     inside = disk & (grids[0] != "c")
     return np.stack([g == "." for g in grids]), disk, inside
@@ -332,18 +374,29 @@ _NOT_SIMPLE = {
 .....#...
 .........
 """),
-    # The flipped cell's only covered neighbor is a collar cell, so its
-    # contact with the left covered body is new.
+    # The flipped cell's only covered neighbors are collar cells, so its
+    # contact with the uncovered cells is new.
     "collar": ("""
-c....####c
+cccccccc
+c......c
+c......c
+cccccccc
 """, """
-c#...####c
+cccccccc
+c#.....c
+c......c
+cccccccc
 """),
-    # An uncovered cell with uncovered cells on both sides is covered.
+    # The 1-D split, on a corridor one cell high: an uncovered cell with
+    # uncovered cells on both sides is covered.
     "split1d": ("""
+cccccccccc
 c......##c
+cccccccccc
 """, """
+cccccccccc
 c...#..##c
+cccccccccc
 """),
 }
 
@@ -358,9 +411,9 @@ def test_certificate_labels_signature_changes(case):
 
 @st.composite
 def _domains(draw):
-    """A random disk of one or two dimensions, cropped to its bounding box
-    (no margin), and its fence: the disk eroded by a collar of 0-2 cells."""
-    dim = draw(st.sampled_from((1, 2)))
+    """A random disk, cropped to its bounding box (no margin), and its
+    fence: the disk eroded by a collar of 0-2 cells."""
+    dim = 2
     size = draw(st.integers(6, 20))
     axes = np.ogrid[tuple(slice(0, size) for _ in range(dim))]
     disk = np.zeros((size,) * dim, dtype=bool)
@@ -469,7 +522,8 @@ def _scan_inputs(draw):
 
 def _check_scan_against_dense_stack(s, grid, times):
     """The flips found from the moving windows are the nonzero cells of the
-    dense step diff, and the signatures those of labeling every slice."""
+    dense step diff, and in 2-D the signatures are those of labeling every
+    slice. (A 1-D scan runs the gap sweep; its flips feed the oracle.)"""
     disk, inside = domain_masks(s, grid)
     box = bounding_box(disk)
     disk, inside = disk[box], inside[box]
@@ -479,7 +533,8 @@ def _check_scan_against_dense_stack(s, grid, times):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    assert _signatures(s, times, grid) == _reference_stack_signatures(stack, disk, inside)
+    if s.dimension == 2:
+        assert _signatures(s, times, grid) == _reference_stack_signatures(stack, disk, inside)
     return got
 
 
@@ -580,17 +635,38 @@ def test_detect_events_memory_does_not_grow_with_scan_samples():
     assert peak < 16 * 2 ** 20
 
 
-def test_grid_resonance_events_are_classified_on_non_simple_flips():
-    # At 158 and 208 cells a ball's diameter is a whole number of cells, so
-    # its leading and trailing edges cross cell centers at the same
-    # instants; the window floor is reached with flips both ways, and the
-    # event is the one cluster of non-simple flips.
-    for seed in range(40):
-        s = random_interval_scenario(seed)
-        want = inverse_limit(build_zigzag(s, grid_for_scenario(s, cells=128)).diagram)
-        for cells in (158, 208):
-            got = inverse_limit(build_zigzag(s, grid_for_scenario(s, cells=cells)).diagram)
-            assert got.cardinality == want.cardinality, (seed, cells)
+def test_grid_resonance_events_are_classified_on_non_simple_flips(monkeypatch):
+    # A ball of diameter 0.3, 18 cells of the default grid, runs along a row
+    # of cell centers into a static one, so its leading and trailing edges
+    # cross centers at the same instants; the window floor is reached with
+    # flips both ways, and the fusion is the one cluster of non-simple flips.
+    # Off the row the same fusion is classified above the floor.
+    floor = []
+    classify = zigzag._classify_at_floor
+
+    def spy(*args):
+        event = classify(*args)
+        floor.append(event)
+        return event
+
+    monkeypatch.setattr(zigzag, "_classify_at_floor", spy)
+
+    def fusion(y, x1):
+        static = SensorTrack(((0.0, (0.5, y)), (1.0, (0.5, y))))
+        mover = SensorTrack(((0.0, (-0.3, y)), (1.0, (x1, y))))
+        return validate_scenario(Scenario(
+            dimension=2, center=(0.0, 0.0), radius=1.0, sensing_radius=0.15,
+            fence_width=0.12, time_base="interval", tracks=(static, mover)))
+
+    row = cell_center(grid_for_scenario(fusion(0.0, 0.2)), (64, 0))[1]
+    for x1 in (0.2, 0.25, 0.3):
+        on_row, off_row = fusion(row, x1), fusion(0.0, x1)
+        got, want = detect_events(on_row), detect_events(off_row)
+        assert [e.type_x for e in got] == [e.type_x for e in want] == ["D"]
+        assert got[0].time == pytest.approx(want[0].time, abs=2e-3)
+        assert (inverse_limit(build_zigzag(on_row, events=got).diagram).cardinality
+                == inverse_limit(build_zigzag(off_row, events=want).diagram).cardinality)
+    assert len(floor) == 3 and all(e.type_x == "D" for e in floor)
 
 
 def test_window_bounded_scan_at_the_box_edge():
@@ -688,20 +764,30 @@ def test_d1_merge_classifies_pair_fusion():
     assert len(events) == 1
     e = events[0]
     assert e.type_x == "D"
-    assert e.time == pytest.approx(0.6928, abs=2e-3)
+    # The mover's left edge 0.05 - 0.42 (t - 0.3) - 0.16 meets the static
+    # edge -0.29 at t = 0.3 + 0.18 / 0.42, exactly.
+    assert e.window == (e.time, e.time)
+    assert e.time == pytest.approx(0.3 + 0.18 / 0.42, abs=1e-12)
     assert e.before == (4, 0, 6)
     assert e.after == (3, 0, 4)
 
 
-def test_mirrored_seals_raise_simultaneous():
-    # exactly mirror-image movers seal two gaps at the same instant
+def test_mirrored_seals_share_one_exact_instant():
+    # Exactly mirror-image movers seal two gaps at the same instant. The
+    # sweep puts both deaths in one span, so the answer is exact.
     movers = [
         SensorTrack(((0.0, (0.08,)), (1.0, (0.14,)))),
         SensorTrack(((0.0, (-0.08,)), (1.0, (-0.14,)))),
     ]
     s = _d1([_static1(-0.45), _static1(0.45)] + movers)
-    with pytest.raises(SimultaneousEventsError):
-        detect_events(s)
+    events = detect_events(s)
+    assert [e.type_x for e in events] == ["D", "D"]
+    assert events[0].window == events[1].window
+    assert events[0].time == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert events[0].locus[0] + events[1].locus[0] == grid_for_scenario(s).shape[0] - 1
+    sweep = sweep_gaps(s)
+    assert sweep.samples == (0.0, 1.0)
+    assert inverse_limit(sweep.diagram).cardinality == 2
 
 
 # ---------------------------------------------------------------------------
@@ -811,9 +897,36 @@ def _detection_pool(family, seeds):
     return [random_interval_scenario(seed) for seed in seeds]
 
 
+def _dense_gap_events(s, samples):
+    """(step, type) of each change in the exact gap count between dense
+    sample times, the count read off the sorted edges at each time."""
+    times = np.linspace(0.0, 1.0, samples)
+    values = _edge_values(s, times)
+    n = s.sensor_count
+    ends = np.zeros(values.shape[1], dtype=bool)
+    ends[n:2 * n] = True
+    ends[2 * n] = True
+    is_end = ends[np.argsort(values, axis=1)]
+    depth = 1 + np.cumsum(np.where(is_end, -1, 1), axis=1)
+    counts = (is_end & (depth == 0)).sum(axis=1)
+    steps = np.flatnonzero(np.diff(counts))
+    return times, [(int(k), "D" if counts[k + 1] < counts[k] else "N") for k in steps]
+
+
 def _check_against_reference(scenarios, cells=128, **knobs):
     for s in scenarios:
         grid = grid_for_scenario(s, cells=cells)
+        if s.dimension == 1:
+            # The sweep ignores the scan knobs; its events are the changes
+            # of the exact gap count at 20,001 times.
+            events = detect_events(s, grid, **knobs)
+            assert events == detect_events(s, grid)
+            times, want = _dense_gap_events(s, 20001)
+            assert [e.type_x for e in events] == [kind for _, kind in want]
+            for e, (k, _) in zip(events, want):
+                assert e.window[0] == e.window[1]
+                assert times[k] <= e.time <= times[k + 1]
+            continue
         want = _outcome(_reference_detect_events, s, grid, **knobs)
         assert _outcome(detect_events, s, grid, **knobs) == want
 
@@ -920,6 +1033,14 @@ def test_interleave_rejects_endpoint_contact():
         interleave([_ev(0.0, 0.0001)], "interval")
     with pytest.raises(ResolutionError):
         interleave([_ev(0.9999, 1.0)], "interval")
+
+
+def test_interleave_exact_windows():
+    # Exact events have zero-width windows; those at one instant share a
+    # span, and on an interval base they may lie on an endpoint.
+    assert interleave([_ev(0.0, 0.0), _ev(0.5, 0.5), _ev(0.5, 0.5), _ev(1.0, 1.0)],
+                      "interval") == (0.0, 0.25, 0.75, 1.0)
+    assert interleave([_ev(0.0, 0.0)], "circle") == (0.5,)
 
 
 def test_interleave_rejects_overlap():
