@@ -14,8 +14,9 @@ components at each sample, groups them by the complement components of the
 covered region, and rebuilds the uncovered zigzag as the dual of the
 resulting partition diagram.
 
-Oracle mode ignores the event structure and answers reachability on one
-uniformly fine time grid; it is the independent cross-check for both.
+Oracle mode ignores the event structure and answers reachability, and
+counts the classes, on one uniformly fine time grid; it is the independent
+cross-check for both.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import numpy as np
 from .errors import KnobError, WitnessError
 from .gapsweep import GapSweep, sweep_gaps
 from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
-                    ZigzagSetDiagram, inverse_limit, join_partitions,
-                    limit_of_algebras, partition_algebra, pullback_partition)
+                    inverse_limit, join_partitions, limit_of_algebras,
+                    partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
                         bounding_box, cell_center, coverage_masks,
                         domain_masks, grid_for_scenario,
-                        label_components, label_slices, rasterize_cobordism,
-                        rasterize_fiber, stack_graph, sweep)
+                        label_components, rasterize_cobordism,
+                        rasterize_fiber, stack_graph, sweep, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
                      ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
@@ -344,7 +345,7 @@ LOWER_BOUND_NOTE = (
 class AnalysisReport:
     mode: str
     exists: bool
-    limit_cardinality: Optional[int]
+    limit_cardinality: int
     limit_elements: Tuple[Tuple[object, ...], ...]
     witnesses: Tuple[Witness, ...]
     diagnostics: Dict[str, object]
@@ -662,7 +663,7 @@ class OracleResult:
     start_components: int
     final_components: int
     reachable_pairs: Tuple[Tuple[int, int], ...]
-    class_count: Optional[int]
+    class_count: int
 
 
 # Cells of stack the oracle holds at once: its labeling chunks are sized so
@@ -670,10 +671,6 @@ class OracleResult:
 # slices needs no chunks: BoxCoverage.distinct reads the crossing bands,
 # which grow with the cells the balls sweep, not with the time samples.
 _ORACLE_CHUNK_CELLS = 1 << 19
-
-# A band of two consecutive slices: its component count, and the maps of
-# its left and right slice's components into it.
-_Band = Tuple[int, Dict[int, int], Dict[int, int]]
 
 
 def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
@@ -683,8 +680,10 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     Ignores events entirely: a path may stand on any cell uncovered across
     consecutive slices and move freely within a slice's component. On a
     circle base existence requires returning to the starting component.
-    The class count (dimension 1 only) is the exact number of consistent
-    component chains, counted by transfer matrices over all fine slices.
+    The class count is the exact number of consistent component chains,
+    one component per slice, each two consecutive ones in one component of
+    their two-slice band: the cardinality of the inverse limit of the
+    slices' zigzag, in any dimension (see _carry_chains).
 
     The stack is cropped to the bounding box of the fenced region, which
     holds every uncovered cell and keeps their raster order. Only its
@@ -699,8 +698,9 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     _ORACLE_CHUNK_CELLS // (cells in the box) slices, and each chunk's
     stack starts with the previous chunk's last slice. That slice is the
     same mask, so it gets the same local labels: the reach of every start
-    component into it carries over exactly, and a forward sweep through the
-    chunk carries it on to the chunk's last slice. Only that reach is kept.
+    component into it, and the chain counts ending on each of its
+    components, carry over exactly, and the chunk carries both on to its
+    last slice. Only those are kept.
     Reachable pairs number components within the first and the last slice.
     Raises KnobError when time_samples is below 1.
     """
@@ -715,42 +715,38 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     inside = inside[box]
     kept = BoxCoverage(s, times, grid, box).distinct(inside)
     per_chunk = max(1, _ORACLE_CHUNK_CELLS // inside.size)
+    closed = s.time_base == "circle"
 
     counts: List[int] = []
-    bands: List[_Band] = []
     reach: Optional[np.ndarray] = None
+    chains: List[List[int]] = []
     carried: Optional[np.ndarray] = None
     for lo in range(0, kept.size, per_chunk):
         unc = ~coverage_masks(s, times[kept[lo:lo + per_chunk]], grid, box)
         unc &= inside
         if carried is not None:
             unc = np.concatenate((carried[None], unc))
-        n, last, chunk_bands = _oracle_chunk(unc, s.dimension == 1)
+        n, last, roots = _oracle_chunk(unc)
         if reach is None:
             counts, reach = n, last
+            # On a circle one column per start component, else a single
+            # column that starts a chain on each.
+            chains = ([[int(a == b) for a in range(n[0])] for b in range(n[0])]
+                      if closed else [[1] * n[0]])
         else:
             counts += n[1:]
             reach = last @ reach
-        bands += chunk_bands
+        chains = _carry_chains(n, roots, chains)
         carried = unc[-1].copy()
 
     pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(reach.T)]
-    if s.time_base == "circle":
+    if closed:
         exists = any(a == b for a, b in pairs)
+        # The chains that close up: the trace.
+        class_count = sum(col[b] for b, col in enumerate(chains))
     else:
         exists = bool(pairs)
-
-    class_count: Optional[int] = None
-    if s.dimension == 1:
-        band_counts, lefts, rights = zip(*bands)
-        diagram = ZigzagSetDiagram(
-            shape=s.time_base,
-            fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
-            cobordism_sets=tuple(tuple(range(1, n + 1)) for n in band_counts),
-            left_maps=lefts,
-            right_maps=rights,
-        )
-        class_count = int(inverse_limit(diagram, max_elements=0).cardinality)
+        class_count = sum(chains[0])
 
     return OracleResult(
         exists=exists,
@@ -761,41 +757,45 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     )
 
 
-def _oracle_chunk(unc: np.ndarray, with_bands: bool
-                  ) -> Tuple[List[int], np.ndarray, List[_Band]]:
+def _oracle_chunk(unc: np.ndarray) -> Tuple[List[int], np.ndarray, List[int]]:
     """Label one chunk's stack (T, *box shape).
 
     Returns the component count of each slice, the reach of each first-slice
     component into the last slice as a boolean (last count, first count)
-    matrix, and with_bands, the chunk's bands (see _band_maps). Its arrays
-    go when it returns, so no two chunks' labels are held at once.
+    matrix, and the band roots of _carry_chains. Its arrays go when it
+    returns, so no two chunks' labels are held at once.
     """
     g = stack_graph(unc)
     n = np.diff(g.offsets).tolist()
     last = sweep(g, range(1, n[0] + 1))[g.offsets[-2] + 1:]
-    return n, last, _band_maps(unc, g) if with_bands else []
+    size = int(g.offsets[-1]) + 1
+    return n, last, _union_roots(2 * size, g.src, g.dst + size).tolist()
 
 
-def _band_maps(unc: np.ndarray, g: StackGraph) -> List[_Band]:
-    """Each band (slice j, slice j + 1) of a 1-D stack.
+def _carry_chains(n: Sequence[int], roots: Sequence[int],
+                  chains: List[List[int]]) -> List[List[int]]:
+    """Chain counts carried from a chunk's first slice to its last.
 
-    Every band is labeled in one call; a slice component maps to the band
-    component holding its first cell (StackGraph.firsts).
+    Each column of chains counts, per component of a slice, the chains
+    ending there. The components of the band (slice j, slice j + 1) are the
+    union-find components of the standing edges between its slices, which
+    are exactly their shared cells. roots labels every band at once: label
+    x as a band's left end is node x, as its right end node size + x, and
+    edge (src, dst) joins src to size + dst. A component of slice j + 1 gets
+    the chains of those of slice j in its band component. Counts are Python
+    ints, exact however many chains there are.
     """
-    if len(unc) < 2:
-        return []
-    bands, tops = label_slices(np.stack((unc[:-1], unc[1:]), axis=1))
-    offsets = np.concatenate(([0], tops))
-    lefts: List[Dict[int, int]] = [{} for _ in range(len(bands))]
-    rights: List[Dict[int, int]] = [{} for _ in range(len(bands))]
-    slices, cells = g.firsts()
-    for label, j, x in zip(range(1, len(slices) + 1), slices.tolist(), cells.tolist()):
-        local = label - int(g.offsets[j])
-        if j < len(bands):
-            lefts[j][local] = int(bands[j, 0, x] - offsets[j])
-        if j > 0:
-            rights[j - 1][local] = int(bands[j - 1, 1, x] - offsets[j - 1])
-    return list(zip(np.diff(offsets).tolist(), lefts, rights))
+    size = len(roots) // 2
+    a = 1
+    for j in range(len(n) - 1):
+        b = a + n[j]
+        members: Dict[int, List[int]] = {}
+        for x, root in enumerate(roots[a:b]):
+            members.setdefault(root, []).append(x)
+        take = [members.get(root, []) for root in roots[size + b:size + b + n[j + 1]]]
+        chains = [[sum(col[x] for x in xs) for xs in take] for col in chains]
+        a = b
+    return chains
 
 
 def analyze_oracle(s: Scenario, grid: Optional[GridSpec] = None, *,

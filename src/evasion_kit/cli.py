@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--config", default=None)
 
-    p = sub.add_parser("compare", help="run all modes and compare existence")
+    p = sub.add_parser("compare", help="run all modes and compare existence and cardinality")
     _add_source(p)
     _add_knobs(p)
     p.add_argument("--time-samples", type=int, default=None)
@@ -278,18 +278,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     max_elements = knobs.get("max_elements")
-    # The direct and boundary modes share one event scan.
-    events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
-                           tol=knobs.get("tol"))
+    scan = {"scan_samples": knobs.get("scan_samples"), "tol": knobs.get("tol")}
+    # The direct and boundary modes share one event scan; direct mode
+    # sweeps a 1-D scenario exactly and scans nothing.
+    events = detect_events(s, grid, **scan) if s.dimension == 2 else None
     reports = {"direct": analyze_direct(s, grid, max_elements=max_elements,
-                                        witnesses=False, events=events)}
+                                        witnesses=False, events=events, **scan)}
     if s.dimension == 2:
         data = extract_boundary_data(s, grid, events=events)
         reports["boundary"] = analyze_boundary(data, max_elements=max_elements)
     reports["oracle"] = analyze_oracle(s, grid, time_samples=knobs.get("time_samples"))
     exists = {mode: r.exists for mode, r in reports.items()}
     cardinality = {mode: r.limit_cardinality for mode, r in reports.items()}
-    agree = len(set(exists.values())) == 1
+    agree = len(set(exists.values())) == 1 and len(set(cardinality.values())) == 1
     doc = {"exists": exists, "limit_cardinality": cardinality, "agree": agree}
     _emit(doc, args.output)
     return 0 if agree else 1
@@ -304,18 +305,21 @@ def _cmd_render(args: argparse.Namespace) -> int:
             times = [float(part) for part in args.times.split(",")]
         except ValueError:
             raise ScenarioError(f"--times must be comma-separated numbers, got {args.times!r}")
-    else:
-        events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
-                               tol=knobs.get("tol"))
-        times = list(interleave(events, s.time_base))
     witnesses = ()
     if args.with_witness:
         direct = _direct(s, knobs)
+        if args.times is None:
+            # The zigzag's own samples are interleave's: no second scan.
+            times = list(direct.source.samples)
         limres = inverse_limit(direct.diagram, max_elements=1)
         if limres.elements:
             w = direct.witness(limres.elements[0])
             if verify_witness(s, w):
                 witnesses = (w,)
+    elif args.times is None:
+        events = detect_events(s, grid, scan_samples=knobs.get("scan_samples"),
+                               tol=knobs.get("tol"))
+        times = list(interleave(events, s.time_base))
     written = render_scenario(s, times, grid, out_dir=args.out_dir,
                               witnesses=witnesses)
     _emit({"written": written}, args.output)

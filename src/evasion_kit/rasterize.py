@@ -896,17 +896,6 @@ class StackGraph:
         """The stack-wide label of each flat cell cells[i] in slice steps[i]."""
         return self.table[steps, self.node_of[cells]]
 
-    def firsts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The slice and flat cell of each stack-wide label's first cell.
-
-        A slice numbers its labels by their least column, so a label's least
-        column is where the running maximum of the table's rows, flat, rises
-        (first_cells); its first cell is that column's first cell.
-        """
-        steps, columns = np.divmod(first_cells(self.table), self.table.shape[1])
-        order = np.argsort(self.node_of, kind="stable")
-        return steps, order[np.searchsorted(self.node_of[order], columns)]
-
 
 def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The slice owning each stack-wide label."""

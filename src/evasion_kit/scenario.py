@@ -280,11 +280,6 @@ def _line(p0: Tuple[float, float], p1: Tuple[float, float]) -> SensorTrack:
     return SensorTrack(((0.0, p0), (1.0, p1)))
 
 
-def _radial(angle: float, stops: Sequence[Tuple[float, float]]) -> SensorTrack:
-    ca, sa = math.cos(angle), math.sin(angle)
-    return SensorTrack(tuple((t, (r * ca, r * sa)) for t, r in stops))
-
-
 def _scenario2(tracks: Iterable[SensorTrack], sensing_radius: float) -> Scenario:
     return validate_scenario(
         Scenario(

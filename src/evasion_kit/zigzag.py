@@ -687,8 +687,12 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
 
     t0, t1 = TIME_SPAN
     span = t1 - t0
+    # Events with one window share its span, as interleave gives them; in
+    # the uncovered region a span holding more than one fails its tracking
+    # check below.
+    windows = max(len(set(e.window for e in events)), 1)
     if s.time_base == "interval":
-        if len(samples) != max(len(events), 1) + 1:
+        if len(samples) != windows + 1:
             raise ValueError("need exactly one sample between consecutive events")
         spans = [(samples[i], samples[i + 1]) for i in range(len(samples) - 1)]
         if not spans:
@@ -696,7 +700,7 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     else:
         spans = [(samples[i], samples[i + 1]) for i in range(len(samples) - 1)]
         spans.append((samples[-1], samples[0] + span))
-        if len(spans) != max(len(events), 1) or len(samples) != max(len(events), 1):
+        if len(spans) != windows or len(samples) != windows:
             raise ValueError("need exactly one sample per gap between events")
 
     fibers = tuple(rasterize_fibers(s, samples, grid))

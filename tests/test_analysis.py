@@ -264,7 +264,7 @@ def test_oracle_builtins():
     assert split.start_components == 1
     assert split.final_components == 2
     assert split.reachable_pairs == ((1, 1), (1, 2))
-    assert split.class_count is None
+    assert split.class_count == 2
     close = oracle_reachability(builtin_scenario("close"))
     assert not close.exists
     assert close.reachable_pairs == ()
@@ -284,7 +284,7 @@ def test_analyze_oracle_report():
     report = analyze_oracle(builtin_scenario("split"))
     assert report.mode == "oracle"
     assert report.exists
-    assert report.limit_cardinality is None
+    assert report.limit_cardinality == 2
     assert report.diagnostics["reachable_pairs"] == [[1, 1], [1, 2]]
 
 
@@ -485,7 +485,8 @@ def _band_map(slice_labels, count, band_labels, row) -> Dict[int, int]:
 
 def _reference_oracle(s, time_samples=512, grid=None):
     """The per-slice oracle, uncropped: a label call per slice and per
-    two-slice band, and one np.isin sweep per start component."""
+    two-slice band, one np.isin sweep per start component, and the class
+    count as the inverse limit of the slices and bands, in any dimension."""
     if grid is None:
         grid = grid_for_scenario(s)
     t0, t1 = TIME_SPAN
@@ -510,22 +511,20 @@ def _reference_oracle(s, time_samples=512, grid=None):
     else:
         exists = bool(pairs)
 
-    class_count = None
-    if s.dimension == 1:
-        cob_sets, lefts, rights = [], [], []
-        for j in range(len(labels) - 1):
-            band_labels, band_n = label_components(unc[j:j + 2])
-            cob_sets.append(tuple(range(1, band_n + 1)))
-            lefts.append(_band_map(labels[j], counts[j], band_labels, 0))
-            rights.append(_band_map(labels[j + 1], counts[j + 1], band_labels, 1))
-        diagram = ZigzagSetDiagram(
-            shape=s.time_base,
-            fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
-            cobordism_sets=tuple(cob_sets),
-            left_maps=tuple(lefts),
-            right_maps=tuple(rights),
-        )
-        class_count = int(inverse_limit(diagram, max_elements=0).cardinality)
+    cob_sets, lefts, rights = [], [], []
+    for j in range(len(labels) - 1):
+        band_labels, band_n = label_components(unc[j:j + 2])
+        cob_sets.append(tuple(range(1, band_n + 1)))
+        lefts.append(_band_map(labels[j], counts[j], band_labels, 0))
+        rights.append(_band_map(labels[j + 1], counts[j + 1], band_labels, 1))
+    diagram = ZigzagSetDiagram(
+        shape=s.time_base,
+        fiber_sets=tuple(tuple(range(1, n + 1)) for n in counts),
+        cobordism_sets=tuple(cob_sets),
+        left_maps=tuple(lefts),
+        right_maps=tuple(rights),
+    )
+    class_count = int(inverse_limit(diagram, max_elements=0).cardinality)
     return OracleResult(exists=exists, start_components=counts[0],
                         final_components=counts[-1],
                         reachable_pairs=tuple(pairs), class_count=class_count)
@@ -589,7 +588,7 @@ def test_oracle_matches_per_slice_reference(key, time_samples, monkeypatch):
 def test_oracle_circle_d1_counts_classes():
     res = oracle_reachability(_circle_d1())
     assert res.exists
-    assert res.class_count is not None and res.class_count > 0
+    assert res.class_count > 0
 
 
 def test_oracle_rasterizes_only_distinct_slices(monkeypatch):
@@ -718,9 +717,9 @@ def _graph_stack(key, monkeypatch):
         stacks = []
         chunk = analysis._oracle_chunk
 
-        def spy(unc, with_bands):
+        def spy(unc):
             stacks.append(unc)
-            return chunk(unc, with_bands)
+            return chunk(unc)
 
         monkeypatch.setattr(analysis, "_oracle_chunk", spy)
         oracle_reachability(_scenario(name))
@@ -809,7 +808,6 @@ def test_core_labels_match_label_slices(stack):
     labels, _ = rasterize.label_slices(stack)
     cells = stack[0].size
     steps = np.repeat(np.arange(len(stack)), cells)
-    firsts = np.divmod(rasterize.first_cells(labels), cells)
     for g in (old, new):
         for j, want in enumerate(labels):
             got = g.labels(j)
@@ -818,8 +816,6 @@ def test_core_labels_match_label_slices(stack):
         got = g.labels_at(steps, np.tile(np.arange(cells), len(stack)))
         assert got.dtype == np.int32
         assert np.array_equal(got, labels.ravel())
-        for got, want in zip(g.firsts(), firsts):
-            assert np.array_equal(got, want)
 
 
 def _cobordism_keys():

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from evasion_kit import analysis, cli, zigzag
+from evasion_kit import analysis, cli, gapsweep, zigzag
 from evasion_kit.cli import main
+from evasion_kit.errors import EvasionError, SimultaneousEventsError
 from evasion_kit.scenario import (
     BUILTIN_NAMES,
     Scenario,
     SensorTrack,
     builtin_scenario,
     canonical_json,
+    random_waypoint_scenario,
     scenario_from_document,
     scenario_to_document,
     validate_scenario,
@@ -269,26 +271,55 @@ _SPLIT_COMPARE = """{
   "limit_cardinality": {
     "boundary": 2,
     "direct": 2,
-    "oracle": null
+    "oracle": 2
   }
 }
 """
 
 
-def test_compare_scans_once(capsys, monkeypatch):
+def _count_scans(monkeypatch):
+    """Record every detect_events and sweep_gaps call, by name."""
     calls = []
-    original = zigzag.detect_events
+    for name, module, users in (("detect_events", zigzag, (cli, zigzag, analysis)),
+                                ("sweep_gaps", gapsweep, (gapsweep, analysis))):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+        for user in users:
+            monkeypatch.setattr(user, name, counted)
+    return calls
 
-    for module in (cli, zigzag, analysis):
-        monkeypatch.setattr(module, "detect_events", counted)
+
+def test_compare_scans_once(capsys, monkeypatch):
+    calls = _count_scans(monkeypatch)
     code, out, _ = _run(capsys, "compare", "split")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == ["detect_events"]
     assert out == _SPLIT_COMPARE
+
+
+def test_compare_sweeps_a_1d_scenario_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "merge.json"
+    path.write_text(canonical_json(_merge_doc()))
+    calls = _count_scans(monkeypatch)
+    code, out, _ = _run(capsys, "compare", str(path))
+    assert code == 0
+    assert calls == ["sweep_gaps"]
+    assert _json(out)["limit_cardinality"] == {"direct": 3, "oracle": 3}
+
+
+def test_compare_flags_a_cardinality_disagreement(capsys, tmp_path):
+    # Both modes find a path, but the oracle's raster joins two of direct
+    # mode's classes; agreement needs the counts to match too.
+    path = tmp_path / "waypoints.json"
+    path.write_text(canonical_json(scenario_to_document(random_waypoint_scenario(79, 3, 1))))
+    code, out, _ = _run(capsys, "compare", str(path))
+    assert code == 1
+    doc = _json(out)
+    assert doc["exists"] == {"direct": True, "oracle": True}
+    assert doc["limit_cardinality"] == {"direct": 2, "oracle": 1}
+    assert doc["agree"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +339,28 @@ def test_render_explicit_times(capsys, tmp_path):
         assert text.startswith("<svg")
 
 
-def test_render_1d_with_witness(capsys, tmp_path):
+def test_render_1d_with_witness(capsys, monkeypatch, tmp_path):
     path = tmp_path / "merge.json"
     path.write_text(canonical_json(_merge_doc()))
+    calls = _count_scans(monkeypatch)
     code, out, _ = _run(capsys, "render", str(path), "--with-witness",
                         "--out-dir", str(tmp_path / "frames"))
     assert code == 0
+    # The frames are drawn at the witness zigzag's own samples: one sweep.
+    assert calls == ["sweep_gaps"]
     written = _json(out)["written"]
     assert len(written) == 2
     assert all(Path(p).read_text().count("<polyline") == 1 for p in written)
+
+
+def test_render_2d_with_witness_scans_once(capsys, monkeypatch, tmp_path):
+    calls = _count_scans(monkeypatch)
+    code, out, _ = _run(capsys, "render", "split", "--with-witness",
+                        "--out-dir", str(tmp_path / "frames"))
+    assert code == 0
+    assert calls == ["detect_events"]
+    # One event: a frame at each end of the span.
+    assert len(_json(out)["written"]) == 2
 
 
 def test_render_bad_times(capsys, tmp_path):
@@ -419,6 +463,15 @@ def test_1d_answers_exactly_whatever_the_scan(capsys, tmp_path, knobs):
         assert len(report["witnesses"]) == cardinality
     assert events[0]["time"] == events[1]["time"] == pytest.approx(5.0 / 6.0)
     assert events[0]["locus"] != events[1]["locus"]
+
+
+def test_raster_zigzag_of_shared_instant_is_a_typed_error():
+    # The mirrored seals share one window and so one span: the raster zigzag
+    # cannot track two events in it, and says so as a resolution failure
+    # (exit 1), not as a malformed call.
+    with pytest.raises(SimultaneousEventsError, match="2 events share the span"):
+        zigzag.build_zigzag(scenario_from_document(_MIRROR))
+    assert issubclass(SimultaneousEventsError, EvasionError)
 
 
 def test_blink_resolves_at_default_scan(capsys, tmp_path):
