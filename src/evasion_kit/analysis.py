@@ -9,10 +9,13 @@ directed reachability through the fine sub-samples of each cobordism. In
 dimension 1 direct mode reads its zigzag, diagnostics and witnesses off the
 exact gap sweep (gapsweep) instead, and rasterizes nothing.
 
-Boundary mode never looks at uncovered cells directly. It reads the boundary
-components at each sample, groups them by the complement components of the
-covered region, and rebuilds the uncovered zigzag as the dual of the
-resulting partition diagram.
+Boundary mode reads the boundary components at each sample, the pairs of an
+uncovered and a covered component that touch; they are read off the uncovered
+zigzag's own components, so `compare` labels the uncovered region once for
+both modes. It groups them by the complement components of the covered
+region, and rebuilds the uncovered zigzag as the dual of the resulting
+partition diagram; the reconstruction sees only the boundary components'
+counts, partitions and maps (BoundaryData).
 
 Oracle mode ignores the event structure and answers reachability, and
 counts the classes, on one uniformly fine time grid; it is the independent
@@ -27,17 +30,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import KnobError, WitnessError
+from .errors import KnobError, ResolutionError, WitnessError
 from .gapsweep import GapSweep, sweep_gaps
 from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     inverse_limit, join_partitions, limit_of_algebras,
                     partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
-from .rasterize import (BoundaryComponents, BoxCoverage, GridSpec, StackGraph,
-                        bounding_box, cell_center, coverage_masks,
-                        domain_masks, grid_for_scenario,
-                        label_components, rasterize_cobordism,
-                        rasterize_fiber, stack_graph, sweep, _union_roots)
+from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComponents,
+                        GridSpec, StackGraph, boundary_pairs, bounding_box,
+                        cell_center, coverage_masks, domain_masks,
+                        grid_for_scenario, label_components,
+                        rasterize_cobordism, rasterize_fiber, stack_graph,
+                        sweep, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
                      ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
@@ -262,8 +266,6 @@ class _WitnessBuilder:
     """
 
     def __init__(self, bundle: ZigzagBundle, max_refine: int = 2) -> None:
-        if bundle.region != "uncovered":
-            raise WitnessError("witnesses require an uncovered-region bundle")
         self.bundle = bundle
         self.max_refine = max_refine
         self.box = bundle.cobordism_parts[0].box
@@ -407,22 +409,17 @@ def _diagnostics(time_base: str, grid: GridSpec, samples: Sequence[float],
 
 
 class _Direct:
-    """Direct mode's zigzag, diagnostics and witnesses: the gap sweep's in
-    dimension 1, build_zigzag's uncovered bundle otherwise.
+    """Direct mode's zigzag, diagnostics, witnesses and report: the gap
+    sweep's in dimension 1, build_zigzag's bundle otherwise."""
 
-    events, when given, are used instead of running detect_events; the
-    sweep finds its own, exactly.
-    """
-
-    def __init__(self, s: Scenario, grid: GridSpec, *, scan_samples: int, tol: float,
-                 events: Optional[Sequence[Event]] = None) -> None:
+    def __init__(self, s: Scenario, grid: GridSpec, *, scan_samples: int, tol: float) -> None:
+        self.scenario = s
         self.source: Union[GapSweep, ZigzagBundle]
         if s.dimension == 1:
             check_scan_knobs(scan_samples, tol)
             self.source = sweep_gaps(s, grid)
         else:
-            self.source = build_zigzag(s, grid, region="uncovered", events=events,
-                                       scan_samples=scan_samples, tol=tol)
+            self.source = build_zigzag(s, grid, scan_samples=scan_samples, tol=tol)
         self.diagram = self.source.diagram
         self._builder: Optional[_WitnessBuilder] = None
 
@@ -442,57 +439,58 @@ class _Direct:
             self._builder = _WitnessBuilder(self.source)
         return self._builder.extract(element)
 
+    def report(self, *, max_elements: int = DEFAULT_MAX_ELEMENTS,
+               max_witnesses: int = DEFAULT_MAX_WITNESSES,
+               witnesses: bool = True) -> AnalysisReport:
+        """The inverse limit, and a verified witness per element up to max_witnesses."""
+        limres = inverse_limit(self.diagram, max_elements=max_elements)
+        diagnostics = self.diagnostics()
+
+        found: List[Witness] = []
+        failures: List[dict] = []
+        attempted = 0
+        if witnesses and limres.elements:
+            for element in limres.elements[:max_witnesses]:
+                attempted += 1
+                try:
+                    w = self.witness(element)
+                except WitnessError as exc:
+                    failures.append({"element": [int(v) for v in element],
+                                     "detail": str(exc)})
+                    continue
+                if not verify_witness(self.scenario, w):
+                    failures.append({"element": [int(v) for v in element],
+                                     "detail": "witness failed exact re-verification"})
+                    continue
+                found.append(w)
+        if failures:
+            diagnostics["witness_failures"] = failures
+
+        return AnalysisReport(
+            mode="direct",
+            exists=limres.cardinality > 0,
+            limit_cardinality=int(limres.cardinality),
+            limit_elements=limres.elements,
+            witnesses=tuple(found),
+            diagnostics=diagnostics,
+            truncated={
+                "elements": limres.truncated,
+                "witnesses": bool(witnesses) and limres.cardinality > attempted,
+            },
+        )
+
 
 def analyze_direct(s: Scenario, grid: Optional[GridSpec] = None, *,
                    scan_samples: int = DEFAULT_SCAN_SAMPLES,
                    tol: float = DEFAULT_TOL,
                    max_elements: int = DEFAULT_MAX_ELEMENTS,
                    max_witnesses: int = DEFAULT_MAX_WITNESSES,
-                   witnesses: bool = True,
-                   events: Optional[Sequence[Event]] = None) -> AnalysisReport:
-    """Track uncovered components and take the exact inverse limit.
-
-    events, when given, are used instead of running detect_events; in
-    dimension 1 the gap sweep finds them exactly instead.
-    """
+                   witnesses: bool = True) -> AnalysisReport:
+    """Track uncovered components and take the exact inverse limit."""
     if grid is None:
         grid = grid_for_scenario(s)
-    direct = _Direct(s, grid, scan_samples=scan_samples, tol=tol, events=events)
-    limres = inverse_limit(direct.diagram, max_elements=max_elements)
-    diagnostics = direct.diagnostics()
-
-    found: List[Witness] = []
-    failures: List[dict] = []
-    attempted = 0
-    if witnesses and limres.elements:
-        for element in limres.elements[:max_witnesses]:
-            attempted += 1
-            try:
-                w = direct.witness(element)
-            except WitnessError as exc:
-                failures.append({"element": [int(v) for v in element],
-                                 "detail": str(exc)})
-                continue
-            if not verify_witness(s, w):
-                failures.append({"element": [int(v) for v in element],
-                                 "detail": "witness failed exact re-verification"})
-                continue
-            found.append(w)
-    if failures:
-        diagnostics["witness_failures"] = failures
-
-    return AnalysisReport(
-        mode="direct",
-        exists=limres.cardinality > 0,
-        limit_cardinality=int(limres.cardinality),
-        limit_elements=limres.elements,
-        witnesses=tuple(found),
-        diagnostics=diagnostics,
-        truncated={
-            "elements": limres.truncated,
-            "witnesses": bool(witnesses) and limres.cardinality > attempted,
-        },
-    )
+    return _Direct(s, grid, scan_samples=scan_samples, tol=tol).report(
+        max_elements=max_elements, max_witnesses=max_witnesses, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -560,35 +558,60 @@ def boundary_data_from_document(doc: dict) -> BoundaryData:
     )
 
 
-def extract_boundary_data(s: Scenario, grid: Optional[GridSpec] = None, *,
+def _pair_map(fiber: BoundaryComponents, cob: BoundaryComponents,
+              uncovered: CobordismComponents, end: int) -> Dict[int, int]:
+    """Each boundary component of a fiber, sent to the cobordism's pair that
+    holds its two representative cells in the end slice (0 or -1) where the
+    fiber maps in."""
+    index = {pair: i + 1 for i, pair in enumerate(cob.pairs)}
+    u_lab = uncovered.ends[end].ravel()
+    w_lab = cob.covered_labels[end].ravel()
+    out: Dict[int, int] = {}
+    for i, (u, w) in enumerate(zip(fiber.rep_uncovered, fiber.rep_covered)):
+        value = index.get((int(u_lab[u]), int(w_lab[w])))
+        if value is None:
+            raise ResolutionError(
+                "a boundary component is missing from the spanning cobordism",
+                hint="raise --cells")
+        out[i + 1] = value
+    return out
+
+
+def extract_boundary_data(source: Union[Scenario, ZigzagBundle],
+                          grid: Optional[GridSpec] = None, *,
                           scan_samples: int = DEFAULT_SCAN_SAMPLES,
-                          tol: float = DEFAULT_TOL,
-                          events: Optional[Sequence[Event]] = None) -> BoundaryData:
+                          tol: float = DEFAULT_TOL) -> BoundaryData:
     """Measure boundary components and their partitions by the complement
     components of the covered region, per sample.
 
-    events, when given, are used instead of running detect_events. Raises
-    KnobError on a scenario that is not two-dimensional.
+    source is a scenario, whose zigzag is built here, or a built zigzag
+    bundle, whose fibers, cobordisms and uncovered components are reused;
+    grid and the scan knobs apply to a scenario only. Raises KnobError on a
+    scenario that is not two-dimensional.
     """
+    s = source.scenario if isinstance(source, ZigzagBundle) else source
     if s.dimension != 2:
         raise KnobError("boundary analysis is defined for dimension 2 only")
-    if grid is None:
-        grid = grid_for_scenario(s)
-    bundle = build_zigzag(s, grid, region="covered_boundary", events=events,
-                          scan_samples=scan_samples, tol=tol)
-    algebras = []
-    for fiber, parts in zip(bundle.fibers, bundle.fiber_parts):
-        assert isinstance(parts, BoundaryComponents)
-        algebras.append(alexander_image(fiber.covered_with_collar, parts))
-    events = tuple(_event_doc(e) for e in bundle.events)
+    if isinstance(source, ZigzagBundle):
+        bundle = source
+    else:
+        bundle = build_zigzag(s, grid, scan_samples=scan_samples, tol=tol)
+    fiber_pairs = [boundary_pairs(f, p) for f, p in zip(bundle.fibers, bundle.fiber_parts)]
+    cob_pairs = [boundary_pairs(c, p)
+                 for c, p in zip(bundle.cobordisms, bundle.cobordism_parts)]
+    lefts, rights = [], []
+    for i, (pairs, unc) in enumerate(zip(cob_pairs, bundle.cobordism_parts)):
+        lefts.append(_pair_map(fiber_pairs[i], pairs, unc, 0))
+        rights.append(_pair_map(fiber_pairs[(i + 1) % len(fiber_pairs)], pairs, unc, -1))
     return BoundaryData(
         time_base=bundle.time_base,
         sample_times=bundle.samples,
-        fiber_partitions=tuple(algebras),
-        cobordism_counts=tuple(p.count for p in bundle.cobordism_parts),
-        left_maps=bundle.diagram.left_maps,
-        right_maps=bundle.diagram.right_maps,
-        events=events,
+        fiber_partitions=tuple(alexander_image(f.covered_with_collar, p)
+                               for f, p in zip(bundle.fibers, fiber_pairs)),
+        cobordism_counts=tuple(p.count for p in cob_pairs),
+        left_maps=tuple(lefts),
+        right_maps=tuple(rights),
+        events=tuple(_event_doc(e) for e in bundle.events),
     )
 
 
@@ -832,30 +855,23 @@ def analyze_oracle(s: Scenario, grid: Optional[GridSpec] = None, *,
 # ---------------------------------------------------------------------------
 
 
-def d1_count(s: Scenario, grid: Optional[GridSpec] = None, *,
-             fence_ends: str = "included",
-             scan_samples: int = DEFAULT_SCAN_SAMPLES,
-             tol: float = DEFAULT_TOL) -> int:
+def d1_count(s: Scenario, grid: Optional[GridSpec] = None) -> int:
     """Evasion path classes over a 1d interval domain, by event bookkeeping.
 
-    Count = (covered components at the start) - 1 - (events whose locus turns
-    covered). Exact whenever no uncovered component is created after the
-    start (no gap splits or births), since then every starting gap keeps its
-    own class until it possibly dies. fence_ends selects whether the fence
-    collar counts as covered ("included", default) or is dropped ("excluded").
+    Count = (covered components at the start, the fence collar included) - 1
+    - (events whose locus turns covered). Exact whenever no uncovered
+    component is created after the start (no gap splits or births), since
+    then every starting gap keeps its own class until it possibly dies. The
+    events are the exact gap sweep's (detect_events in dimension 1).
     """
     if s.dimension != 1:
         raise ValueError("the closed-form count applies to dimension 1 only")
     if s.time_base != "interval":
         raise ValueError("the closed-form count applies to an interval time base")
-    if fence_ends not in ("included", "excluded"):
-        raise ValueError("fence_ends must be 'included' or 'excluded'")
     if grid is None:
         grid = grid_for_scenario(s)
-    events = detect_events(s, grid, scan_samples=scan_samples, tol=tol)
-    f0 = rasterize_fiber(s, TIME_SPAN[0], grid)
-    region = f0.covered_with_collar if fence_ends == "included" else f0.covered
-    _, c0 = label_components(region)
+    events = detect_events(s, grid)
+    _, c0 = label_components(rasterize_fiber(s, TIME_SPAN[0], grid).covered_with_collar)
     deaths = sum(1 for e in events if e.type_x == "D")
     return c0 - 1 - deaths
 

@@ -17,7 +17,7 @@ from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .analysis import (DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_WITNESSES,
                        DEFAULT_ORACLE_SAMPLES, _Direct, _event_doc, analyze,
-                       analyze_boundary, analyze_direct, analyze_oracle,
+                       analyze_boundary, analyze_oracle,
                        extract_boundary_data, verify_witness)
 from .errors import EvasionError, KnobError, ResolutionError
 from .limit import LimitError, inverse_limit
@@ -278,14 +278,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     s = _load(args, knobs)
     grid = _grid(s, knobs)
     max_elements = knobs.get("max_elements")
-    scan = {"scan_samples": knobs.get("scan_samples"), "tol": knobs.get("tol")}
-    # The direct and boundary modes share one event scan; direct mode
+    # The direct and boundary modes share one zigzag: one event scan, and
+    # each fiber and cobordism rasterized and labeled once. Direct mode
     # sweeps a 1-D scenario exactly and scans nothing.
-    events = detect_events(s, grid, **scan) if s.dimension == 2 else None
-    reports = {"direct": analyze_direct(s, grid, max_elements=max_elements,
-                                        witnesses=False, events=events, **scan)}
+    direct = _direct(s, knobs)
+    reports = {"direct": direct.report(max_elements=max_elements, witnesses=False)}
     if s.dimension == 2:
-        data = extract_boundary_data(s, grid, events=events)
+        data = extract_boundary_data(direct.source)
         reports["boundary"] = analyze_boundary(data, max_elements=max_elements)
     reports["oracle"] = analyze_oracle(s, grid, time_samples=knobs.get("time_samples"))
     exists = {mode: r.exists for mode, r in reports.items()}

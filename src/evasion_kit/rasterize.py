@@ -12,7 +12,9 @@ component's least flat cell index. This is scipy's raster-order numbering,
 used as ndimage.label returns it; a property test pins that assumption.
 Boundary components are adjacency pairs (uncovered component, covered
 component), the discrete counterparts of the boundary curves; see
-components() for the rationale.
+BoundaryComponents for the rationale. They are read off the uncovered
+components a complex already has (boundary_pairs), so the uncovered region
+is labeled once for both.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "CobordismComponents",
     "BoundaryComponents",
     "components",
+    "boundary_pairs",
     "face_contacts",
     "bounding_box",
     "label_components",
@@ -567,10 +570,6 @@ class CobordismComplex:
     disk: np.ndarray
     inside: np.ndarray
 
-    @property
-    def slice_count(self) -> int:
-        return int(self.times.size)
-
 
 def rasterize_fiber(s: Scenario, t: float, grid: GridSpec) -> FiberComplex:
     return rasterize_fibers(s, [t], grid)[0]
@@ -621,14 +620,11 @@ def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSp
 
 @dataclass
 class ComponentLabels:
-    """Face-adjacency components of a region, canonically labeled 1..count."""
+    """Face-adjacency components of a fiber's uncovered region, canonically
+    labeled 1..count."""
 
-    which: str
     labels: np.ndarray
     count: int
-
-    def label_at(self, cell: Tuple[int, ...]) -> int:
-        return int(self.labels[cell])
 
 
 @dataclass
@@ -645,21 +641,21 @@ class BoundaryComponents:
     pairs are assigned to the least pair, so the labels bitmap partitions
     covered_boundary.
 
-    A fiber's labels, uncovered_labels and covered_labels are whole-grid
-    bitmaps. A cobordism's pairs and representatives cover all its slices,
-    the representatives as flat indices of the stack (slices, *grid shape),
-    but its three label fields keep only the end slices, where fibers map
-    in: each is a (2, *grid shape) stack, [0] the first slice and [-1] the
-    last.
+    A pair's uncovered component is numbered as in the complex's uncovered
+    components (ComponentLabels.labels, CobordismComponents.ends), and its
+    covered one as in covered_labels. A fiber's labels and covered_labels
+    are whole-grid bitmaps. A cobordism's pairs and representatives cover
+    all its slices, the representatives as flat indices of the stack
+    (slices, *grid shape), but its two label fields keep only the end
+    slices, where fibers map in: each is a (2, *grid shape) stack, [0] the
+    first slice and [-1] the last.
     """
 
-    which: str
     count: int
     pairs: Tuple[Tuple[int, int], ...]
     rep_uncovered: Tuple[int, ...]
     rep_covered: Tuple[int, ...]
     labels: np.ndarray
-    uncovered_labels: np.ndarray
     covered_labels: np.ndarray
 
 
@@ -747,31 +743,37 @@ def _least_pairs(out: np.ndarray, cells: np.ndarray, rank: np.ndarray) -> None:
     out[sorted_cells[first]] = rank[by_cell][first] + 1
 
 
-def _boundary_pairs(c: Union[FiberComplex, CobordismComplex]) -> BoundaryComponents:
+def boundary_pairs(c: Union[FiberComplex, CobordismComplex],
+                   uncovered: Union[ComponentLabels, CobordismComponents]
+                   ) -> BoundaryComponents:
+    """The boundary components of a complex, given its uncovered components
+    (components(c, "uncovered")); only the covered region is labeled here."""
     if isinstance(c, FiberComplex):
-        u_lab, _ = label_components(c.uncovered)
         v_lab, nv = label_components(c.disk & ~c.uncovered)
         # Contacts end on covered cells: covered-with-collar cells off the collar.
         uc, wc = face_contacts(c.uncovered, c.inside & ~c.uncovered, range(c.uncovered.ndim))
-        pairs, rep_u, rep_w, rank = _rank_pairs(u_lab.ravel()[uc], v_lab.ravel()[wc],
-                                                uc, wc, nv)
+        pairs, rep_u, rep_w, rank = _rank_pairs(uncovered.labels.ravel()[uc],
+                                                v_lab.ravel()[wc], uc, wc, nv)
         labels = np.zeros(c.uncovered.shape, dtype=np.int32)
         _least_pairs(labels.ravel(), wc, rank)
         return BoundaryComponents(
-            which="covered_boundary", count=len(pairs), pairs=pairs,
+            count=len(pairs), pairs=pairs,
             rep_uncovered=tuple(rep_u.tolist()), rep_covered=tuple(rep_w.tolist()),
-            labels=labels, uncovered_labels=u_lab, covered_labels=v_lab)
-    return _cobordism_pairs(c)
+            labels=labels, covered_labels=v_lab)
+    return _cobordism_pairs(c, uncovered)
 
 
-def _cobordism_pairs(c: CobordismComplex) -> BoundaryComponents:
-    """_boundary_pairs of a cobordism, read off two slice graphs.
+def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
+                     ) -> BoundaryComponents:
+    """boundary_pairs of a cobordism, read off two slice graphs.
 
-    Both regions' graphs are built on the stack cropped to the disk's
-    bounding box, which holds every cell of either region and keeps their
-    raster order. So the graph components are numbered as a labeling of the
-    whole stack numbers them, the contacts come in the same order, and the
-    pairs and their ranks are those of the whole stack; only the
+    The covered-with-collar graph is built on the stack cropped to the
+    disk's bounding box, which the collar needs; the uncovered graph is the
+    one of uncovered, on the fenced region's box. Each box holds every cell
+    of its region and keeps their raster order, so the graph components are
+    numbered as a labeling of the whole stack numbers them. The contacts
+    are read on the disk's box, so they come in the whole stack's order,
+    and the pairs and their ranks are those of the whole stack; only the
     representatives and the end slices are mapped back to the whole grid.
     """
     box = bounding_box(c.disk)
@@ -781,8 +783,7 @@ def _cobordism_pairs(c: CobordismComplex) -> BoundaryComponents:
     steps, size = len(unc), unc[0].size
     covered = np.logical_not(unc)
     covered &= c.disk[box]
-    gu, gv = stack_graph(unc), stack_graph(covered)
-    comp_u, _ = _graph_components(gu)
+    gv = stack_graph(covered)
     comp_v, nv = _graph_components(gv)
     # Contacts end on covered cells: covered-with-collar cells inside the fence.
     uc, wc = face_contacts(unc, covered, range(1, unc.ndim))
@@ -790,7 +791,14 @@ def _cobordism_pairs(c: CobordismComplex) -> BoundaryComponents:
     w_step, w_cell = np.divmod(wc, size)
     keep = c.inside[box].ravel()[w_cell]
     uc, wc, w_step, w_cell = uc[keep], wc[keep], w_step[keep], w_cell[keep]
-    pairs, rep_u, rep_w, rank = _rank_pairs(comp_u[gu.labels_at(*np.divmod(uc, size))],
+    corner = [b.start or 0 for b in box]
+    # An uncovered cell lies inside the fence, so in the uncovered graph's box.
+    gu = uncovered.graph
+    u_step, u_cell = np.divmod(uc, size)
+    u_at = np.unravel_index(u_cell, unc.shape[1:])
+    u_cell = np.ravel_multi_index([k + o - (b.start or 0) for k, o, b
+                                   in zip(u_at, corner, uncovered.box)], gu.shape)
+    pairs, rep_u, rep_w, rank = _rank_pairs(uncovered.component[gu.labels_at(u_step, u_cell)],
                                             comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)
     labels = np.zeros((2, size), dtype=np.int32)
     for end, step in enumerate((0, steps - 1)):
@@ -802,17 +810,14 @@ def _cobordism_pairs(c: CobordismComplex) -> BoundaryComponents:
         out[crop] = np.reshape(values, (2,) + unc.shape[1:])
         return out
 
-    corner = [b.start or 0 for b in box]
-
     def whole(flat: np.ndarray) -> Tuple[int, ...]:
         step, *cell = np.unravel_index(flat, unc.shape)
         cell = [k + o for k, o in zip(cell, corner)]
         return tuple(np.ravel_multi_index((step, *cell), (steps,) + c.disk.shape).tolist())
 
     return BoundaryComponents(
-        which="covered_boundary", count=len(pairs), pairs=pairs,
+        count=len(pairs), pairs=pairs,
         rep_uncovered=whole(rep_u), rep_covered=whole(rep_w), labels=ends(labels),
-        uncovered_labels=ends([comp_u[gu.labels(0)], comp_u[gu.labels(-1)]]),
         covered_labels=ends([comp_v[gv.labels(0)], comp_v[gv.labels(-1)]]))
 
 
@@ -1092,23 +1097,25 @@ def _graph_components(g: StackGraph) -> Tuple[np.ndarray, int]:
 
 @dataclass
 class CobordismComponents:
-    """Space-time components of a region of a cobordism, labeled 1..count.
+    """Space-time components of a cobordism's uncovered region, labeled
+    1..count.
 
     They are the connected components of the region's slice graph, and are
     numbered as a face-adjacency labeling of the whole stack would number
-    them. The graph is built on the stack cropped to box, the bounding box
-    of the fenced region: it holds every cell of either region and keeps
-    their raster order. The graph's slices are the cobordism's distinct
-    ones, graph slice i at times[kept[i]]. The witness search walks the
-    graph in those cropped coordinates, reading a slice's labels only where
-    its path moves. Only the first and last slices are labeled on the whole
-    grid (ends[0] and ends[-1]), since fibers map in at those.
+    them: component[x] is the component of the graph's stack-wide label x
+    (0 for label 0). The graph is built on the stack cropped to box, the
+    bounding box of the fenced region: it holds every uncovered cell and
+    keeps their raster order. The graph's slices are the cobordism's
+    distinct ones, graph slice i at times[kept[i]]. The witness search walks
+    the graph in those cropped coordinates, reading a slice's labels only
+    where its path moves. Only the first and last slices are labeled on the
+    whole grid (ends[0] and ends[-1]), since fibers map in at those.
     """
 
-    which: str
     count: int
     ends: Tuple[np.ndarray, np.ndarray]
     graph: StackGraph
+    component: np.ndarray
     box: Tuple[slice, ...]
     kept: np.ndarray
 
@@ -1120,7 +1127,8 @@ def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered"
                ) -> Union[ComponentLabels, CobordismComponents, BoundaryComponents]:
-    """Labeled components of a region of a fiber or cobordism.
+    """Labeled components of the uncovered region of a fiber or cobordism,
+    or its covered_boundary components.
 
     Face adjacency within a slice; cobordisms additionally connect the same
     cell across consecutive sub-samples. A cobordism's components are read
@@ -1129,8 +1137,8 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     components, and the witness search walks that same graph. Only the end
     slices' labels are written, on the whole grid; no stack is labeled with
     adjacency across slices. covered_boundary components are adjacency
-    pairs, see BoundaryComponents; a cobordism's are read off one slice
-    graph per region in the same way.
+    pairs, see BoundaryComponents: boundary_pairs of the uncovered
+    components.
 
     A cobordism holds only its distinct slices, and that changes nothing
     here. Equal slices have the same components, and their standing edges
@@ -1143,26 +1151,22 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     original's, so the boundary pairs and their order are unchanged too.
     """
     if which == "covered_boundary":
-        return _boundary_pairs(c)
-    if which not in ("uncovered", "covered"):
+        return boundary_pairs(c, components(c, "uncovered"))
+    if which != "uncovered":
         raise RasterError(f"unknown region '{which}'")
     if isinstance(c, FiberComplex):
-        mask = c.uncovered if which == "uncovered" else c.inside & ~c.uncovered
-        labels, count = label_components(mask)
-        return ComponentLabels(which=which, labels=labels, count=count)
+        labels, count = label_components(c.uncovered)
+        return ComponentLabels(labels=labels, count=count)
     box = bounding_box(c.inside)
-    # The uncovered crop is a view; the covered one is formed once, cropped.
-    mask = c.uncovered[(slice(None),) + box]
-    if which == "covered":
-        mask = np.logical_not(mask)
-        mask &= c.inside[box]
-    g = stack_graph(mask)
+    # The crop is a view.
+    g = stack_graph(c.uncovered[(slice(None),) + box])
     comp, count = _graph_components(g)
-    first, last = np.zeros((2,) + c.inside.shape, dtype=comp.dtype)
+    # int32, as every label array here is.
+    first, last = np.zeros((2,) + c.inside.shape, dtype=np.int32)
     first[box] = comp[g.labels(0)]
     last[box] = comp[g.labels(-1)]
-    return CobordismComponents(which=which, count=count, ends=(first, last),
-                               graph=g, box=box, kept=c.kept)
+    return CobordismComponents(count=count, ends=(first, last), graph=g,
+                               component=comp, box=box, kept=c.kept)
 
 
 def _complement_holes(mask: np.ndarray) -> Tuple[np.ndarray, int]:

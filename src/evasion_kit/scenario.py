@@ -27,7 +27,6 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "canonical_json",
-    "sensor_position",
     "positions_at",
     "builtin_scenario",
     "random_interval_scenario",
@@ -252,11 +251,6 @@ def positions_at(s: Scenario, times: Sequence[float],
         for k in range(s.dimension):
             out[j, :, k] = np.interp(ts, wt, wx[k])
     return out
-
-
-def sensor_position(s: Scenario, sensor: int, t: float) -> Tuple[float, ...]:
-    pos = positions_at(s, [t])[sensor, 0]
-    return tuple(float(v) for v in pos)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from scipy import ndimage
 
 from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
-from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComplex,
+from .rasterize import (BoxCoverage, CobordismComplex,
                         CobordismComponents, ComponentLabels, FiberComplex,
                         GridSpec, bounding_box, components,
                         coverage_masks, domain_masks, face_contacts,
@@ -570,13 +570,10 @@ def interleave(events: Sequence[Event], time_base: str) -> Tuple[float, ...]:
 # diagram assembly
 # ---------------------------------------------------------------------------
 
-FiberParts = Union[ComponentLabels, BoundaryComponents]
-CobordismParts = Union[CobordismComponents, BoundaryComponents]
-
-
 @dataclass(frozen=True)
 class ZigzagBundle:
-    """A zigzag diagram together with the geometry it was read off from.
+    """A zigzag diagram of uncovered components together with the geometry
+    it was read off from.
 
     Fibers sit at the sample times and cobordisms span consecutive samples
     (plus the wrap-around span on a circle base). The diagram's maps send
@@ -585,19 +582,18 @@ class ZigzagBundle:
 
     scenario: Scenario
     grid: GridSpec
-    region: str
     time_base: str
     samples: Tuple[float, ...]
     events: Tuple[Event, ...]
     fibers: Tuple[FiberComplex, ...]
-    fiber_parts: Tuple[FiberParts, ...]
+    fiber_parts: Tuple[ComponentLabels, ...]
     cobordisms: Tuple[CobordismComplex, ...]
-    cobordism_parts: Tuple[CobordismParts, ...]
+    cobordism_parts: Tuple[CobordismComponents, ...]
     cobordism_events: Tuple[Tuple[Event, ...], ...]
     diagram: ZigzagSetDiagram
 
 
-def _labels_of(parts: Union[FiberParts, CobordismParts]) -> Tuple[int, ...]:
+def _labels_of(parts: Union[ComponentLabels, CobordismComponents]) -> Tuple[int, ...]:
     return tuple(range(1, parts.count + 1))
 
 
@@ -609,32 +605,6 @@ def _region_map(fparts: ComponentLabels, cparts: CobordismComponents,
             "a fiber component is missing from the spanning cobordism",
             hint="raise --cells")
     return dict(enumerate(values.tolist(), 1))
-
-
-def _pair_map(fparts: BoundaryComponents, cparts: BoundaryComponents,
-              slice_index: int) -> Dict[int, int]:
-    index = {pair: i + 1 for i, pair in enumerate(cparts.pairs)}
-    shape = fparts.labels.shape
-    out: Dict[int, int] = {}
-    for i in range(fparts.count):
-        u_cell = np.unravel_index(int(fparts.rep_uncovered[i]), shape)
-        w_cell = np.unravel_index(int(fparts.rep_covered[i]), shape)
-        u_lab = int(cparts.uncovered_labels[(slice_index,) + tuple(u_cell)])
-        w_lab = int(cparts.covered_labels[(slice_index,) + tuple(w_cell)])
-        value = index.get((u_lab, w_lab))
-        if value is None:
-            raise ResolutionError(
-                "a boundary component is missing from the spanning cobordism",
-                hint="raise --cells")
-        out[i + 1] = value
-    return out
-
-
-def _fiber_to_cob(fparts: FiberParts, cparts: CobordismParts,
-                  slice_index: int) -> Dict[int, int]:
-    if isinstance(fparts, BoundaryComponents):
-        return _pair_map(fparts, cparts, slice_index)
-    return _region_map(fparts, cparts, slice_index)
 
 
 def _is_bijection(mapping: Dict[int, int], target_count: int) -> bool:
@@ -663,21 +633,19 @@ def _validate_tracking(bundle_events: Sequence[Event], left: Dict[int, int],
 
 
 def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
-                 region: str = "uncovered",
                  events: Optional[Sequence[Event]] = None,
                  samples: Optional[Sequence[float]] = None,
                  scan_samples: int = DEFAULT_SCAN_SAMPLES,
                  tol: float = DEFAULT_TOL) -> ZigzagBundle:
-    """Assemble the zigzag of `region` components over interleaved samples.
+    """Assemble the zigzag of uncovered components over interleaved samples.
 
-    Component tracking across each cobordism is validated for the uncovered
-    region: event-free spans must restrict bijectively from both ends, spans
-    holding one event from the end the cobordism retracts onto.
+    Component tracking across each cobordism is validated: event-free spans
+    must restrict bijectively from both ends, spans holding one event from
+    the end the cobordism retracts onto. Boundary mode reads its pairs off
+    the same components (analysis.extract_boundary_data).
     """
     if grid is None:
         grid = grid_for_scenario(s)
-    if region not in ("uncovered", "covered", "covered_boundary"):
-        raise ValueError(f"unknown region {region!r}")
     if events is None:
         events = detect_events(s, grid, scan_samples=scan_samples, tol=tol)
     events = tuple(sorted(events, key=lambda e: e.window[0]))
@@ -687,9 +655,8 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
 
     t0, t1 = TIME_SPAN
     span = t1 - t0
-    # Events with one window share its span, as interleave gives them; in
-    # the uncovered region a span holding more than one fails its tracking
-    # check below.
+    # Events with one window share its span, as interleave gives them; a
+    # span holding more than one fails its tracking check below.
     windows = max(len(set(e.window for e in events)), 1)
     if s.time_base == "interval":
         if len(samples) != windows + 1:
@@ -704,9 +671,9 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
             raise ValueError("need exactly one sample per gap between events")
 
     fibers = tuple(rasterize_fibers(s, samples, grid))
-    fiber_parts = tuple(components(f, region) for f in fibers)
+    fiber_parts = tuple(components(f) for f in fibers)
     cobordisms = tuple(rasterize_cobordism(s, sp, grid) for sp in spans)
-    cobordism_parts = tuple(components(c, region) for c in cobordisms)
+    cobordism_parts = tuple(components(c) for c in cobordisms)
 
     per_cob: List[Tuple[Event, ...]] = []
     for a, b in spans:
@@ -721,15 +688,11 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     left_maps = []
     right_maps = []
     for i in range(n):
-        fp_left = fiber_parts[i]
-        fp_right = fiber_parts[(i + 1) % len(fibers)]
-        left = _fiber_to_cob(fp_left, cobordism_parts[i], 0)
-        right = _fiber_to_cob(fp_right, cobordism_parts[i], -1)
+        left = _region_map(fiber_parts[i], cobordism_parts[i], 0)
+        right = _region_map(fiber_parts[(i + 1) % len(fibers)], cobordism_parts[i], -1)
         left_maps.append(left)
         right_maps.append(right)
-        if region == "uncovered":
-            _validate_tracking(per_cob[i], left, right,
-                               cobordism_parts[i].count, spans[i])
+        _validate_tracking(per_cob[i], left, right, cobordism_parts[i].count, spans[i])
 
     fiber_sets = [_labels_of(p) for p in fiber_parts]
     if s.time_base == "circle":
@@ -742,7 +705,7 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
         right_maps=tuple(right_maps),
     )
     return ZigzagBundle(
-        scenario=s, grid=grid, region=region, time_base=s.time_base,
+        scenario=s, grid=grid, time_base=s.time_base,
         samples=samples, events=events, fibers=fibers,
         fiber_parts=fiber_parts, cobordisms=cobordisms,
         cobordism_parts=cobordism_parts, cobordism_events=tuple(per_cob),

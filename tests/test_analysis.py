@@ -140,7 +140,7 @@ def test_split_witnesses_end_in_distinct_pockets(direct_reports):
             int(round((c - grid.origin[k]) / grid.cell_size - 0.5))
             for k, c in enumerate(reversed(p_last))
         )
-        ends.append(final.label_at(cell))
+        ends.append(int(final.labels[cell]))
     assert sorted(ends) == [1, 2]
 
 
@@ -296,23 +296,17 @@ def test_analyze_oracle_report():
 def test_d1_count_static_conventions():
     s = _d1([_static1(-0.45), _static1(0.45)])
     assert d1_count(s) == 3
-    assert d1_count(s, fence_ends="included") == 3
-    assert d1_count(s, fence_ends="excluded") == 1
     assert oracle_reachability(s).class_count == 3
 
 
 def test_d1_count_merge():
     s = _merge_scenario()
     assert d1_count(s) == 3
-    # three covered bodies without the collar, one death
-    assert d1_count(s, fence_ends="excluded") == 1
 
 
 def test_d1_count_rejects_bad_inputs():
     with pytest.raises(ValueError):
         d1_count(builtin_scenario("split"))
-    with pytest.raises(ValueError):
-        d1_count(_d1([_static1(0.0)]), fence_ends="both")
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +323,19 @@ def test_boundary_matches_direct_on_split(direct_reports):
     data = extract_boundary_data(s)
     dual = boundary_limit(data).dual_diagram
     assert diagrams_isomorphic(dual, build_zigzag(s).diagram)
+
+
+@pytest.mark.parametrize("key", ["split", "close", "annuli", "empty", "full"]
+                         + [f"random/{k}" for k in range(10)])
+def test_boundary_data_of_a_bundle_equals_that_of_its_scenario(key):
+    # compare reads the boundary pairs off direct mode's bundle; the data
+    # are those of the scenario read alone.
+    kind, _, seed = key.partition("/")
+    s = builtin_scenario(kind, int(seed or 0))
+    grid = grid_for_scenario(s)
+    bundle = build_zigzag(s, grid)
+    assert (extract_boundary_data(bundle).to_document()
+            == extract_boundary_data(s, grid).to_document())
 
 
 def test_boundary_agrees_on_close_and_full(direct_reports):
@@ -831,12 +838,10 @@ def test_cobordism_components_match_3d_labels(key):
     bundle = build_zigzag(_scenario(key))
     for cob, parts in zip(bundle.cobordisms, bundle.cobordism_parts):
         structure = ndimage.generate_binary_structure(cob.uncovered.ndim, 1)
-        covered = cob.inside & ~cob.uncovered
-        for mask, got in ((cob.uncovered, parts), (covered, components(cob, "covered"))):
-            want, n = ndimage.label(mask, structure=structure)
-            assert got.count == n
-            assert np.array_equal(got.ends[0], want[0])
-            assert np.array_equal(got.ends[-1], want[-1])
+        want, n = ndimage.label(cob.uncovered, structure=structure)
+        assert parts.count == n
+        assert np.array_equal(parts.ends[0], want[0])
+        assert np.array_equal(parts.ends[-1], want[-1])
 
 
 def _spans(s, grid):
@@ -881,17 +886,15 @@ def test_distinct_cobordisms_match_dense_reference(key):
             assert np.array_equal(cob.uncovered[_expand(cob.kept, n)], dense.uncovered)
             for k in cob.kept[1:-1]:
                 assert not np.array_equal(dense.uncovered[k], dense.uncovered[k - 1])
-            for which in ("uncovered", "covered"):
-                got, want = components(cob, which), components(dense, which)
-                assert got.count == want.count
-                assert np.array_equal(got.ends[0], want.ends[0])
-                assert np.array_equal(got.ends[-1], want.ends[-1])
+            got, want = components(cob), components(dense)
+            assert got.count == want.count
+            assert np.array_equal(got.ends[0], want.ends[0])
+            assert np.array_equal(got.ends[-1], want.ends[-1])
             got = components(cob, "covered_boundary")
             want = components(dense, "covered_boundary")
             assert (got.count, got.pairs) == (want.count, want.pairs)
-            for field in ("uncovered_labels", "covered_labels"):
-                g, w = getattr(got, field), getattr(want, field)
-                assert np.array_equal(g[0], w[0]) and np.array_equal(g[-1], w[-1])
+            g, w = got.covered_labels, want.covered_labels
+            assert np.array_equal(g[0], w[0]) and np.array_equal(g[-1], w[-1])
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evasion_kit import analysis, cli, gapsweep, zigzag
+from evasion_kit import analysis, cli, gapsweep, rasterize, zigzag
 from evasion_kit.cli import main
 from evasion_kit.errors import EvasionError, SimultaneousEventsError
 from evasion_kit.scenario import (
@@ -297,6 +298,39 @@ def test_compare_scans_once(capsys, monkeypatch):
     assert code == 0
     assert calls == ["detect_events"]
     assert out == _SPLIT_COMPARE
+
+
+def _record(monkeypatch, name, module, users):
+    """Record every call of module.name made from users, as (args, result)."""
+    seen = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append((args, out))
+        return out
+
+    for user in users:
+        monkeypatch.setattr(user, name, recorded)
+    return seen
+
+
+def test_compare_rasterizes_and_labels_each_complex_once(capsys, monkeypatch):
+    # Direct and boundary modes read one zigzag: its fibers are rasterized
+    # in one call, each span's cobordism once, and each cobordism's
+    # uncovered stack is labeled once.
+    fibers = _record(monkeypatch, "rasterize_fibers", rasterize, (rasterize, zigzag))
+    cobordisms = _record(monkeypatch, "rasterize_cobordism", rasterize, (zigzag, analysis))
+    graphs = _record(monkeypatch, "stack_graph", rasterize, (rasterize, analysis))
+    code, out, _ = _run(capsys, "compare", "split")
+    assert code == 0
+    assert out == _SPLIT_COMPARE
+    assert len(fibers) == 1
+    # split has one event, so one span.
+    assert [args[1] for args, _ in cobordisms] == [(0.0, 1.0)]
+    for _, cob in cobordisms:
+        labeled = [args for args, _ in graphs if np.may_share_memory(args[0], cob.uncovered)]
+        assert len(labeled) == 1
 
 
 def test_compare_sweeps_a_1d_scenario_once(capsys, monkeypatch, tmp_path):

@@ -1,10 +1,13 @@
-"""The benchmark's traced run must find every function it traces.
+"""The benchmark's traced run must find every function it traces, and its
+calls must answer correctly.
 
 perfbench/spans.py wraps the functions named in TRACED; one that no longer
 exists is left out of the metrics and counted in trace.missing, while the
 run still exits 0. BENCHMARK.json declares the per-layer metrics the traced
-run reports. These tests read both files and edit neither, so a change that
-deletes or renames a traced function fails here rather than in a traced run.
+run reports. perfbench/workloads.py makes each part's program calls and
+checks their answers; a call the program no longer accepts, or a wrong
+answer, ends a bench run as a failed operation. These tests read those
+files and edit none, so such a change fails here rather than in a bench run.
 """
 
 import importlib
@@ -17,15 +20,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _spans():
+def _perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_TRACED = [(module, fn) for module, fns in _spans().TRACED.items() for fn in fns]
+_SPANS = _perfbench("spans")
+_TRACED = [(module, fn) for module, fns in _SPANS.TRACED.items() for fn in fns]
+_WORKLOADS = _perfbench("workloads")
+# One key of each part of each workload: its first random or interval key.
+_PARTS = [(w.name, part.section,
+           next(k for k in part.keys if k in ("random/1000", "interval/1000")))
+          for w in _WORKLOADS.WORKLOADS.values() for part in w.parts]
 
 
 @pytest.mark.parametrize("module,fn", _TRACED, ids=[f"{m}.{f}" for m, f in _TRACED])
@@ -36,4 +45,16 @@ def test_traced_function_exists(module, fn):
 
 def test_per_layer_metrics_match_benchmark_declaration():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    assert [m["name"] for m in _spans().per_layer_spec()] == [m["name"] for m in declared]
+    assert [m["name"] for m in _SPANS.per_layer_spec()] == [m["name"] for m in declared]
+
+
+@pytest.mark.parametrize("workload,section,key", _PARTS,
+                         ids=[f"{w}.{s}.{k}" for w, s, k in _PARTS])
+def test_bench_part_answers_its_reference(workload, section, key):
+    ek = importlib.import_module("evasion_kit")
+    (part,) = [p for p in _WORKLOADS.WORKLOADS[workload].parts if p.section == section]
+    s = _WORKLOADS.make_scenario(ek, key)
+    facts, reports, objects = part.calls(ek, s, part.grid(ek, s))
+    assert part.check(key, facts, objects, s, _WORKLOADS.load_reference(),
+                      ek.analysis.verify_witness) == []
+    assert set(_WORKLOADS.report_digests(ek, reports)) == set(reports)

@@ -27,10 +27,9 @@ def _boundary(labels):
     count = int(labels.max())
     reps = tuple(int(np.flatnonzero(labels.ravel() == k)[0]) for k in range(1, count + 1))
     return BoundaryComponents(
-        which="covered_boundary", count=count,
-        pairs=tuple((k, k) for k in range(1, count + 1)),
+        count=count, pairs=tuple((k, k) for k in range(1, count + 1)),
         rep_uncovered=reps, rep_covered=reps, labels=labels,
-        uncovered_labels=np.zeros_like(labels), covered_labels=np.zeros_like(labels))
+        covered_labels=np.zeros_like(labels))
 
 
 def _labels(shape, groups):

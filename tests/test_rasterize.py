@@ -94,8 +94,7 @@ def test_coverage_masks_match_distances():
     assert balls.shape == (3,) + g.shape
     rng = random.Random(1)
     for k, t in enumerate(times):
-        pos = [tuple(p) for p in np.asarray(
-            [track_pos for track_pos in _positions(s, t)])]
+        pos = [tuple(p) for p in positions_at(s, [t])[:, 0]]
         for _ in range(200):
             cell = (rng.randrange(40), rng.randrange(40))
             c = cell_center(g, cell)
@@ -149,12 +148,6 @@ def test_coverage_masks_on_a_box_equal_cropped_full_grid(key, s):
     for box in (bounding_box(disk), bounding_box(inside), odd, corner):
         got = coverage_masks(s, times, g, box)
         assert np.array_equal(got, full[(slice(None),) + box]), (key, box)
-
-
-def _positions(s, t):
-    from evasion_kit.scenario import sensor_position
-
-    return [sensor_position(s, j, t) for j in range(s.sensor_count)]
 
 
 def _label_oracle(mask):
@@ -226,6 +219,7 @@ def test_boundary_pairs_partition_bitmap():
     for t in (0.0, 0.5, 1.0):
         f = rasterize_fiber(s, t, g)
         b = components(f, "covered_boundary")
+        u_lab = components(f, "uncovered").labels
         assert np.array_equal(b.labels > 0, f.covered_boundary)
         index = {pair: i + 1 for i, pair in enumerate(b.pairs)}
         ny, nx = f.uncovered.shape
@@ -234,7 +228,7 @@ def test_boundary_pairs_partition_bitmap():
             touching = set()
             for y, x in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1)):
                 if 0 <= y < ny and 0 <= x < nx and f.uncovered[y, x]:
-                    pair = (int(b.uncovered_labels[y, x]), int(b.covered_labels[iy, ix]))
+                    pair = (int(u_lab[y, x]), int(b.covered_labels[iy, ix]))
                     touching.add(index[pair])
             assert b.labels[iy, ix] == min(touching)
 
@@ -246,22 +240,22 @@ def test_empty_scenario_has_no_boundary():
     assert not f.covered_boundary.any()
     assert components(f, "covered_boundary").count == 0
     assert components(f, "uncovered").count == 1
-    assert components(f, "covered").count == 0
 
 
 def test_components_rejects_unknown_region():
     s = builtin_scenario("empty")
     g = grid_for_scenario(s, cells=32)
     f = rasterize_fiber(s, 0.0, g)
-    with pytest.raises(RasterError):
-        components(f, "nonesuch")
+    for which in ("nonesuch", "covered"):
+        with pytest.raises(RasterError):
+            components(f, which)
 
 
 def test_cobordism_samples_and_slices():
     s = builtin_scenario("close")
     g = grid_for_scenario(s, cells=48, fine_time_samples=5)
     cob = rasterize_cobordism(s, (0.2, 0.6), g)
-    assert cob.slice_count == 5
+    assert cob.times.size == 5
     assert cob.times[0] == pytest.approx(0.2)
     assert cob.times[-1] == pytest.approx(0.6)
     direct = rasterize_fiber(s, float(cob.times[2]), g)
@@ -270,7 +264,7 @@ def test_cobordism_samples_and_slices():
     at_2 = int(np.searchsorted(cob.kept, 2, side="right")) - 1
     assert np.array_equal(cob.uncovered[at_2], direct.uncovered)
     fine = rasterize_cobordism(s, (0.2, 0.6), g, fine_time_samples=9)
-    assert fine.slice_count == 9
+    assert fine.times.size == 9
     with pytest.raises(RasterError):
         rasterize_cobordism(s, (0.6, 0.2), g)
 
@@ -475,7 +469,8 @@ _CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
 def _check_boundary_pairs(c, dimension):
     """components(c, "covered_boundary") against the reference. A
     cobordism's label fields hold its end slices, so they are checked
-    against the reference's slices 0 and -1."""
+    against the reference's slices 0 and -1. The pairs number uncovered
+    components as components(c, "uncovered") does."""
     b = components(c, "covered_boundary")
     assert isinstance(b, BoundaryComponents)
     want = _reference_boundary_pairs(c, dimension)
@@ -484,8 +479,9 @@ def _check_boundary_pairs(c, dimension):
     assert b.count == len(want["pairs"])
     stacked = c.uncovered.ndim > dimension
     steps = (0, c.uncovered.shape[0] - 1) if stacked else (0,)
-    for field in ("uncovered_labels", "covered_labels"):
-        got = getattr(b, field)
+    unc = components(c, "uncovered")
+    for got, field in ((b.covered_labels, "covered_labels"),
+                       (np.stack(unc.ends) if stacked else unc.labels, "uncovered_labels")):
         expected = want[field][list(steps)] if stacked else want[field]
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)

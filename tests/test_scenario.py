@@ -19,7 +19,6 @@ from evasion_kit.scenario import (
     save_scenario,
     scenario_from_document,
     scenario_to_document,
-    sensor_position,
     validate_scenario,
 )
 
@@ -147,19 +146,19 @@ def test_positions_interpolate_linearly():
     s = validate_scenario(_plain(tracks=[
         _track((0.0, (0.0, 0.0)), (0.5, (0.4, 0.0)), (1.0, (0.4, 0.4))),
     ]))
-    assert sensor_position(s, 0, 0.25) == pytest.approx((0.2, 0.0))
-    assert sensor_position(s, 0, 0.75) == pytest.approx((0.4, 0.2))
+    assert positions_at(s, [0.25])[0, 0] == pytest.approx((0.2, 0.0))
+    assert positions_at(s, [0.75])[0, 0] == pytest.approx((0.4, 0.2))
     # interval bases clamp queries outside the span
-    assert sensor_position(s, 0, -1.0) == pytest.approx((0.0, 0.0))
-    assert sensor_position(s, 0, 2.0) == pytest.approx((0.4, 0.4))
+    assert positions_at(s, [-1.0])[0, 0] == pytest.approx((0.0, 0.0))
+    assert positions_at(s, [2.0])[0, 0] == pytest.approx((0.4, 0.4))
 
 
 def test_positions_wrap_on_circle():
     s = validate_scenario(_plain(time_base="circle", tracks=[
         _track((0.0, (0.0, 0.0)), (0.5, (0.4, 0.0)), (1.0, (0.0, 0.0))),
     ]))
-    assert sensor_position(s, 0, 1.25) == pytest.approx(sensor_position(s, 0, 0.25))
-    assert sensor_position(s, 0, -0.25) == pytest.approx(sensor_position(s, 0, 0.75))
+    assert positions_at(s, [1.25])[0, 0] == pytest.approx(positions_at(s, [0.25])[0, 0])
+    assert positions_at(s, [-0.25])[0, 0] == pytest.approx(positions_at(s, [0.75])[0, 0])
 
 
 def test_positions_at_shape():

@@ -38,6 +38,7 @@ from evasion_kit.rasterize import (
     BoxCoverage,
     CobordismComponents,
     ComponentLabels,
+    boundary_pairs,
     bounding_box,
     cell_center,
     components,
@@ -1090,14 +1091,16 @@ def test_build_zigzag_close_structure(builtin_events):
     assert inverse_limit(bundle.diagram).cardinality == 0
 
 
-def test_build_zigzag_other_regions(builtin_events):
+def test_split_bundle_boundary_pairs(builtin_events):
+    # The pairs are read off the bundle's own uncovered components: one
+    # pocket and its wall before the split, two after.
     s, events = builtin_events["split"]
-    boundary = build_zigzag(s, events=events, region="covered_boundary")
-    assert boundary.diagram.fiber_sets == ((1,), (1, 2))
-    covered = build_zigzag(s, events=events, region="covered")
-    assert covered.diagram.fiber_sets[0] == (1,)
-    with pytest.raises(ValueError):
-        build_zigzag(s, events=events, region="nonesuch")
+    bundle = build_zigzag(s, events=events)
+    fibers = [boundary_pairs(f, p) for f, p in zip(bundle.fibers, bundle.fiber_parts)]
+    assert [b.count for b in fibers] == [1, 2]
+    assert sorted(u for u, _ in fibers[1].pairs) == [1, 2]
+    (cob,) = [boundary_pairs(c, p) for c, p in zip(bundle.cobordisms, bundle.cobordism_parts)]
+    assert cob.pairs == ((1, 1),)
 
 
 def test_build_zigzag_rejects_missed_event(builtin_events):
@@ -1186,9 +1189,9 @@ def test_region_map_reads_each_first_cell():
     for _ in range(20):
         labels, count = label_components(rng.random((9, 11)) < 0.5)
         end = rng.integers(1, 4, size=labels.shape)
-        fparts = ComponentLabels(which="uncovered", labels=labels, count=count)
-        cparts = CobordismComponents(which="uncovered", count=3, ends=(end, end),
-                                     graph=None, box=(), kept=np.arange(2))
+        fparts = ComponentLabels(labels=labels, count=count)
+        cparts = CobordismComponents(count=3, ends=(end, end), graph=None,
+                                     component=None, box=(), kept=np.arange(2))
         flat = labels.ravel()
         want = {k: int(end.ravel()[np.flatnonzero(flat == k)[0]]) for k in range(1, count + 1)}
         assert zigzag._region_map(fparts, cparts, 0) == want
