@@ -18,8 +18,13 @@ partition diagram; the reconstruction sees only the boundary components'
 counts, partitions and maps (BoundaryData).
 
 Oracle mode ignores the event structure and answers reachability, and
-counts the classes, on one uniformly fine time grid; it is the independent
-cross-check for both.
+counts the classes, on one uniformly fine time grid; it is the cross-check
+for both. It shares with the event scan only how coverage flips are found
+(the crossing bands) and the local ring certificate that vouches for a
+step; no event, window or bisection enters it. Where the certificate
+vouches for a step, the components of its two slices match one to one and
+are carried by representative cells, unlabeled. The tests' per-slice
+reference oracle labels every slice.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComponents,
                         GridSpec, StackGraph, boundary_pairs, bounding_box,
                         cell_center, coverage_masks, domain_masks,
-                        grid_for_scenario, label_components,
-                        rasterize_cobordism, rasterize_fiber, stack_graph,
-                        sweep, _union_roots)
+                        first_cells, grid_for_scenario, label_components,
+                        rasterize_cobordism, rasterize_fiber, sorted_unique,
+                        stack_graph, sweep, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
                      ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
-                     fiber_signatures)
+                     fiber_signatures, _box_flips)
 
 __all__ = [
     "Witness",
@@ -691,8 +696,9 @@ class OracleResult:
 
 # Cells of stack the oracle holds at once: its labeling chunks are sized so
 # that their stacks stay near this many cells. The search for the distinct
-# slices needs no chunks: BoxCoverage.distinct reads the crossing bands,
-# which grow with the cells the balls sweep, not with the time samples.
+# slices and the certified transitions needs no chunks: the flips come from
+# the crossing bands, which grow with the cells the balls sweep, not with
+# the time samples.
 _ORACLE_CHUNK_CELLS = 1 << 19
 
 
@@ -709,15 +715,22 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     slices' zigzag, in any dimension (see _carry_chains).
 
     The stack is cropped to the bounding box of the fenced region, which
-    holds every uncovered cell and keeps their raster order. Only its
-    distinct slices are rasterized: the first, the last, and each one after
-    a step that flips a cell inside the fence (BoxCoverage.distinct). Every
-    other slice equals its predecessor, and equal masks have equal
-    components joined one to one.
+    holds every uncovered cell and keeps their raster order. Only distinct
+    slices count: the first, the last, and each one after a step that
+    flips a cell inside the fence. Every other slice equals its
+    predecessor, and equal masks have equal components joined one to one.
+    A transition is the step from one distinct slice to the next. In 2-D
+    most transitions are certified (see _Transitions): their bands join the
+    components of their two slices one to one, so reach and chain counts
+    pass through them as a permutation, read off representative cells
+    without a raster. Only the first and the last slice and the two slices
+    of each other transition are rasterized and labeled; in 1-D that is
+    every distinct slice. Each run of consecutive labeled slices is one
+    stack of slices and bands.
 
     No more than about _ORACLE_CHUNK_CELLS cells of stack are held at once,
     so memory does not grow with the grid's cells times the time samples.
-    The distinct slices are rasterized and labeled in chunks of at most
+    A run is rasterized and labeled in chunks of at most
     _ORACLE_CHUNK_CELLS // (cells in the box) slices, and each chunk's
     stack starts with the previous chunk's last slice. That slice is the
     same mask, so it gets the same local labels: the reach of every start
@@ -736,31 +749,38 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     _, inside = domain_masks(s, grid)
     box = bounding_box(inside)
     inside = inside[box]
-    kept = BoxCoverage(s, times, grid, box).distinct(inside)
+    tr = _Transitions(s, times, grid, box, inside)
     per_chunk = max(1, _ORACLE_CHUNK_CELLS // inside.size)
     closed = s.time_base == "circle"
 
-    counts: List[int] = []
+    start = final = 0
     reach: Optional[np.ndarray] = None
     chains: List[List[int]] = []
-    carried: Optional[np.ndarray] = None
-    for lo in range(0, kept.size, per_chunk):
-        unc = ~coverage_masks(s, times[kept[lo:lo + per_chunk]], grid, box)
-        unc &= inside
-        if carried is not None:
-            unc = np.concatenate((carried[None], unc))
-        n, last, roots = _oracle_chunk(unc)
-        if reach is None:
-            counts, reach = n, last
-            # On a circle one column per start component, else a single
-            # column that starts a chain on each.
-            chains = ([[int(a == b) for a in range(n[0])] for b in range(n[0])]
-                      if closed else [[1] * n[0]])
-        else:
-            counts += n[1:]
-            reach = last @ reach
-        chains = _carry_chains(n, roots, chains)
-        carried = unc[-1].copy()
+    reps: Tuple[np.ndarray, ...] = ()
+    for r, run in enumerate(tr.runs):
+        carried: Optional[np.ndarray] = None
+        for lo in range(0, run.size, per_chunk):
+            unc = ~coverage_masks(s, times[run[lo:lo + per_chunk]], grid, box)
+            unc &= inside
+            if carried is not None:
+                unc = np.concatenate((carried[None], unc))
+            n, last, roots, ends = _oracle_chunk(unc)
+            if carried is None and reach is not None:
+                reach, chains = _land(ends[0], n[0], reps, reach, chains)
+            if reach is None:
+                start, reach = n[0], last
+                # On a circle one column per start component, else a single
+                # column that starts a chain on each.
+                chains = ([[int(a == b) for a in range(n[0])] for b in range(n[0])]
+                          if closed else [[1] * n[0]])
+            else:
+                reach = last @ reach
+            final = n[-1]
+            chains = _carry_chains(n, roots, chains)
+            carried = unc[-1].copy()
+        if r + 1 < len(tr.runs):
+            reps = tr.follow(np.unravel_index(first_cells(ends[1]), ends[1].shape),
+                             int(run[-1]), int(tr.runs[r + 1][0]))
 
     pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(reach.T)]
     if closed:
@@ -773,26 +793,127 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
 
     return OracleResult(
         exists=exists,
-        start_components=counts[0],
-        final_components=counts[-1],
+        start_components=start,
+        final_components=final,
         reachable_pairs=tuple(pairs),
         class_count=class_count,
     )
 
 
-def _oracle_chunk(unc: np.ndarray) -> Tuple[List[int], np.ndarray, List[int]]:
+class _Transitions:
+    """The oracle's distinct slices, and the transitions the ring certificate
+    vouches for.
+
+    kept are the distinct slices' time indices, and certified[i] says
+    whether transition i, from kept[i] to kept[i + 1], is certified. It is
+    step kept[i + 1] - 1 alone, the only one between them with flips, and
+    it is certified when each of its flips is (zigzag._flip_anchors): the
+    flip is simple and has an anchor, a face neighbor uncovered at both
+    ends of the step. Then the band's standing edges are a perfect matching
+    of the two slices' components, and a component's cell keeps it across
+    the step, or hands it to the anchor of the flip that covers it (follow).
+    The flips and the ring are read on the disk's box, as the event scan
+    reads them; the ring test is 2-D only, so in 1-D no transition is
+    certified.
+
+    runs are the time indices of the slices to label: the first and the
+    last distinct slice and both ends of every uncertified transition, cut
+    where two of them are not consecutive distinct slices. Only certified
+    transitions lie between runs.
+    """
+
+    def __init__(self, s: Scenario, times: np.ndarray, grid: GridSpec,
+                 box: Tuple[slice, ...], inside: np.ndarray) -> None:
+        if s.dimension != 2:
+            self.kept = BoxCoverage(s, times, grid, box).distinct(inside)
+            self.certified = np.zeros(self.kept.size - 1, dtype=bool)
+            self.runs = [self.kept]
+            return
+        bf = _box_flips(s, times, grid)
+        step, *cells = bf.flips
+        anchors = bf.anchors()
+        self.steps = times.size - 1
+        # BoxCoverage.distinct, off the flips already read.
+        self.kept = sorted_unique(np.concatenate(([0], step + 1, [self.steps])))
+        vouched = np.ones(self.steps, dtype=bool)
+        vouched[step[anchors < 0]] = False
+        self.certified = vouched[self.kept[1:] - 1]
+        labeled = np.zeros(self.kept.size, dtype=bool)
+        labeled[[0, -1]] = True
+        labeled[:-1] |= ~self.certified
+        labeled[1:] |= ~self.certified
+        at = np.flatnonzero(labeled)
+        self.runs = np.split(self.kept[at], np.flatnonzero(np.diff(at) > 1) + 1)
+        # Each cell's flips in step order, to follow a cell from step to step.
+        keys = np.ravel_multi_index(cells, bf.disk.shape) * self.steps + step
+        order = np.argsort(keys)
+        self.keys, self.anchors = keys[order], anchors[order]
+        self.shape = bf.disk.shape
+        self.shift = tuple(b.indices(n)[0] - d.indices(n)[0]
+                           for b, d, n in zip(box, bf.box, grid.shape))
+
+    def follow(self, cells: Tuple[np.ndarray, ...], a: int, b: int) -> Tuple[np.ndarray, ...]:
+        """Carry cells across the certified steps a .. b - 1.
+
+        cells are index arrays in the oracle's box, each uncovered at time
+        a. A cell stays uncovered until a step covers it, and then moves to
+        that flip's anchor, which the step leaves uncovered; so each cell
+        ends uncovered at time b in the component matched to its own.
+        """
+        flat = np.ravel_multi_index(tuple(c + o for c, o in zip(cells, self.shift)),
+                                    self.shape)
+        at = np.full(flat.size, a)
+        moving = np.arange(flat.size)
+        while moving.size:
+            key = flat[moving] * self.steps + at[moving]
+            i = np.searchsorted(self.keys, key)
+            hit = i < self.keys.size
+            # The cell's next flip, if it comes before step b.
+            hit[hit] = self.keys[i[hit]] < (key - at[moving] + b)[hit]
+            moving, i = moving[hit], i[hit]
+            at[moving] = self.keys[i] % self.steps + 1
+            flat[moving] = self.anchors[i]
+        return tuple(c - o for c, o in zip(np.unravel_index(flat, self.shape), self.shift))
+
+
+def _land(labels: np.ndarray, n: int, reps: Tuple[np.ndarray, ...], reach: np.ndarray,
+          chains: List[List[int]]) -> Tuple[np.ndarray, List[List[int]]]:
+    """Renumber reach's rows and the chain counts by the n components of a
+    slice labeled labels, given one cell of each earlier component carried
+    there (_Transitions.follow).
+
+    The cells must land one per component, since certified transitions
+    match components one to one; anything else is a bug, not a resolution
+    limit, and raises RuntimeError.
+    """
+    to = labels[reps] - 1
+    if not np.array_equal(np.sort(to), np.arange(n)):
+        raise RuntimeError("certified transitions did not carry the uncovered "
+                           "components one to one")
+    out = np.empty_like(reach)
+    out[to] = reach
+    back = np.argsort(to).tolist()
+    return out, [[col[i] for i in back] for col in chains]
+
+
+def _oracle_chunk(unc: np.ndarray
+                  ) -> Tuple[List[int], np.ndarray, List[int], Tuple[np.ndarray, np.ndarray]]:
     """Label one chunk's stack (T, *box shape).
 
     Returns the component count of each slice, the reach of each first-slice
     component into the last slice as a boolean (last count, first count)
-    matrix, and the band roots of _carry_chains. Its arrays go when it
-    returns, so no two chunks' labels are held at once.
+    matrix, the band roots of _carry_chains, and the labels of the first and
+    the last slice (the first's are label_components'; the last's are
+    offset by the earlier slices' counts, in the same order). Its other
+    arrays go when it returns, so no two chunks' stacks of labels are held
+    at once.
     """
     g = stack_graph(unc)
     n = np.diff(g.offsets).tolist()
     last = sweep(g, range(1, n[0] + 1))[g.offsets[-2] + 1:]
     size = int(g.offsets[-1]) + 1
-    return n, last, _union_roots(2 * size, g.src, g.dst + size).tolist()
+    return (n, last, _union_roots(2 * size, g.src, g.dst + size).tolist(),
+            (g.labels(0), g.labels(-1)))
 
 
 def _carry_chains(n: Sequence[int], roots: Sequence[int],

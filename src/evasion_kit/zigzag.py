@@ -162,6 +162,9 @@ _ONE_ARC = _arc_table()
 # (dy, dx, read from the later slice) per ring bit; see _simple_flips.
 _RING = ((-1, -1, True), (-1, 0, True), (-1, 1, True), (0, 1, False),
          (1, 1, False), (1, 0, False), (1, -1, False), (0, -1, True))
+# The same as (8, 1) columns, and each bit's weight in a ring pattern.
+_RING_DY, _RING_DX, _RING_LATER = (np.array(v)[:, None] for v in zip(*_RING))
+_RING_WEIGHTS = 1 << np.arange(8)
 
 
 def _simple_flips(flips: Tuple[np.ndarray, ...],
@@ -182,23 +185,111 @@ def _simple_flips(flips: Tuple[np.ndarray, ...],
     disk are neither), and (d) a covered-with-collar face neighbor lies
     inside the fence.
     """
+    return _ring_test(flips, uncovered, disk, inside)[0]
+
+
+def _ring_test(flips: Tuple[np.ndarray, ...],
+               uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
+               disk: np.ndarray, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_simple_flips, and per flip its uncovered ring bits as read there.
+
+    Every flip's eight ring cells are read in one call, as (8, flips)
+    arrays. A flipped cell lies on the disk, and it is a rim cell when a
+    face neighbor is off the box or off the disk, as _rim has it.
+    """
     step, y, x = flips
-    rim = _rim(disk)
     h, w = disk.shape
-    u_bits = np.zeros(step.size, dtype=np.intp)
-    v_bits = np.zeros(step.size, dtype=np.intp)
-    contact = np.zeros(step.size, dtype=bool)
-    for bit, (dy, dx, later) in enumerate(_RING):
-        yy, xx = y + dy, x + dx
-        on_box = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
-        u = uncovered(step + 1 if later else step, (yy, xx)) & on_box
-        v = disk[yy, xx] & ~u & on_box
-        u_bits |= u << bit
-        v_bits |= v << bit
-        if bit % 2:
-            contact |= v & inside[yy, xx]
-    return _ONE_ARC[u_bits] & _ONE_ARC[v_bits] & contact & ~rim[y, x]
+    yy, xx = y + _RING_DY, x + _RING_DX
+    on_box = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
+    on_disk = disk[yy, xx] & on_box
+    u = uncovered((step + _RING_LATER).ravel(), (yy.ravel(), xx.ravel())).reshape(yy.shape)
+    u &= on_box
+    v = on_disk & ~u
+    u_bits = _RING_WEIGHTS @ u
+    contact = (v[1::2] & inside[yy[1::2], xx[1::2]]).any(axis=0)
+    rim = ~on_disk[1::2].all(axis=0)
+    return _ONE_ARC[u_bits] & _ONE_ARC[_RING_WEIGHTS @ v] & contact & ~rim, u_bits
+
+
+def _flip_anchors(flips: Tuple[np.ndarray, ...],
+                  uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
+                  disk: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per flip, the flat box index of its anchor where it is certified, else -1.
+
+    A flip is certified when it is simple (_simple_flips, same arguments)
+    and a face neighbor stands: it is uncovered at both ends of the step.
+    The anchor is the first standing face neighbor in the order N, E, S, W.
+    A face neighbor that the step does not flip holds the same value at both
+    ends, so the ring read already says whether it stands; one that the
+    step flips does not stand. flips must be sorted by step and then in
+    raster order, as BoxCoverage.flips and np.nonzero give them.
+
+    A step whose flips are all certified joins the components of its two
+    slices one to one through their shared cells, the standing edges of
+    their band: no simple flip merges, splits, creates or removes a
+    component of the uncovered region, and a flipped cell's component
+    keeps its anchor across the step. Simplicity alone is not enough: a
+    one-cell pocket that moves one cell in one step is two simple flips,
+    yet its two slices share no cell.
+    """
+    simple, u_bits = _ring_test(flips, uncovered, disk, inside)
+    step, y, x = flips
+    h, w = disk.shape
+    anchor = np.full(step.size, -1, dtype=np.intp)
+    if not step.size:
+        return anchor
+    keys = (step * h + y) * w + x
+    # The face cells N, E, S, W, flat in the box, and as keys of their step.
+    faces = (y + _RING_DY[1::2]) * w + (x + _RING_DX[1::2])
+    wanted = step * (h * w) + faces
+    flipped = keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
+    stands = ((u_bits >> np.arange(1, 8, 2)[:, None]) & 1).astype(bool) & ~flipped & simple
+    ok = stands.any(axis=0)
+    anchor[ok] = faces[stands.argmax(axis=0)[ok], np.flatnonzero(ok)]
+    return anchor
+
+
+@dataclass(frozen=True)
+class _BoxFlips:
+    """A list of times' coverage flips inside the fence, on the disk's box.
+
+    box is the disk's bounding box in the grid, disk and inside are cropped
+    to it, and flips are BoxCoverage.flips(inside): index arrays (step,
+    *cell) in box coordinates, sorted by step and then in raster order.
+    """
+
+    box: Tuple[slice, ...]
+    disk: np.ndarray
+    inside: np.ndarray
+    coverage: BoxCoverage
+    flips: Tuple[np.ndarray, ...]
+
+    def uncovered(self, slices: np.ndarray, cells: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """Whether cell i (index arrays in box order) is uncovered at slices[i]."""
+        return self.inside[cells] & ~self.coverage.covered(slices, cells)
+
+    def simple(self) -> np.ndarray:
+        """_simple_flips of the flips."""
+        return _simple_flips(self.flips, self.uncovered, self.disk, self.inside)
+
+    def anchors(self) -> np.ndarray:
+        """_flip_anchors of the flips."""
+        return _flip_anchors(self.flips, self.uncovered, self.disk, self.inside)
+
+
+def _box_flips(s: Scenario, times: Sequence[float], grid: GridSpec) -> _BoxFlips:
+    """The coverage flips between consecutive times, read on the disk's box.
+
+    Every flip lies inside the fence, hence in the disk's box, and a disk
+    cell on its edge is a rim cell in both frames, so the ring test there
+    is that of the whole grid.
+    """
+    disk, inside = domain_masks(s, grid)
+    box = bounding_box(disk)
+    disk, inside = disk[box], inside[box]
+    coverage = BoxCoverage(s, times, grid, box)
+    return _BoxFlips(box, disk, inside, coverage, coverage.flips(inside))
 
 
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
@@ -267,20 +358,11 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
     without such a step contradict the certificate, and raise
     ResolutionError.
     """
-    disk, inside = domain_masks(s, grid)
-    box = bounding_box(disk)
-    disk, inside = disk[box], inside[box]
     times = np.asarray(times, dtype=float)
+    bf = _box_flips(s, times, grid)
     labeled = np.ones(times.size, dtype=bool)
     if times.size > 1:
-        coverage = BoxCoverage(s, times, grid, box)
-
-        def uncovered(slices: np.ndarray, cells: Tuple[np.ndarray, ...]) -> np.ndarray:
-            return inside[cells] & ~coverage.covered(slices, cells)
-
-        flips = coverage.flips(inside)
-        simple = _simple_flips(flips, uncovered, disk, inside)
-        labeled[1:] = np.bincount(flips[0][~simple], minlength=times.size - 1) > 0
+        labeled[1:] = np.bincount(bf.flips[0][~bf.simple()], minlength=times.size - 1) > 0
     last = times.size
     if ends is not None:
         steps = np.flatnonzero(labeled[1:])
@@ -292,8 +374,8 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
         labeled[0] = labeled[last] = False
     sigs = []
     if labeled.any():
-        sigs = _stack_signatures(inside & ~coverage_masks(s, times[labeled], grid, box),
-                                 disk, inside)
+        sigs = _stack_signatures(bf.inside & ~coverage_masks(s, times[labeled], grid, bf.box),
+                                 bf.disk, bf.inside)
     if ends is None:
         return [sigs[i] for i in np.cumsum(labeled) - 1]
     sigs = [ends[0]] + sigs
@@ -330,22 +412,16 @@ def _flip_split(s: Scenario, grid: GridSpec, a: float, b: float, non_simple: boo
     is the grid's; the flips are read there and shifted by its origin. With
     non_simple, the flips that _simple_flips calls simple are dropped.
     """
-    disk, inside = domain_masks(s, grid)
-    box = bounding_box(disk)
-    disk, inside = disk[box], inside[box]
-    coverage = BoxCoverage(s, [a, b], grid, box)
-    step, *cells = coverage.flips(inside)
+    bf = _box_flips(s, [a, b], grid)
+    step, *cells = bf.flips
     if non_simple:
-        def uncovered(slices: np.ndarray, at: Tuple[np.ndarray, ...]) -> np.ndarray:
-            return inside[at] & ~coverage.covered(slices, at)
-
-        keep = ~_simple_flips((step, *cells), uncovered, disk, inside)
+        keep = ~bf.simple()
         step, cells = step[keep], [c[keep] for c in cells]
-    to_covered = coverage.covered(step + 1, cells)
-    flips = np.zeros(inside.shape, dtype=bool)
+    to_covered = bf.coverage.covered(step + 1, cells)
+    flips = np.zeros(bf.inside.shape, dtype=bool)
     flips[tuple(cells)] = True
     _, n_clusters = ndimage.label(flips, structure=np.ones((3,) * flips.ndim, dtype=int))
-    cells = tuple(c + (sl.start or 0) for c, sl in zip(cells, box))
+    cells = tuple(c + (sl.start or 0) for c, sl in zip(cells, bf.box))
     return cells, to_covered, int(n_clusters)
 
 

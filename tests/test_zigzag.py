@@ -22,6 +22,7 @@ from evasion_kit.zigzag import (
     _ONE_ARC,
     _RING,
     Event,
+    _flip_anchors,
     _pair_counts,
     _per_slice,
     _rim,
@@ -453,6 +454,68 @@ def test_stack_signatures_match_reference_on_moving_balls(stack):
     uncovered, disk, inside = stack
     assert (_certified_signatures(uncovered, disk, inside)
             == _reference_stack_signatures(uncovered, disk, inside))
+
+
+def _dense_anchors(uncovered, disk, inside):
+    """The flips of a dense stack (T, *shape), off its step diff, and their
+    _flip_anchors with the ring cells read off the stack itself."""
+    flips = np.nonzero(uncovered[1:] != uncovered[:-1])
+
+    def read(slices, cells):
+        return uncovered[(slices,) + tuple(cells)]
+
+    return flips, _flip_anchors(flips, read, disk, inside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moving_ball_stacks())
+def test_certified_steps_match_components_one_to_one(stack):
+    # Each step is a two-slice stack. When every flip of a step is
+    # certified, the band's standing edges, the component pairs sharing a
+    # cell, form a perfect matching of the two slices' components, and
+    # every anchor stands.
+    uncovered, disk, inside = stack
+    flips, anchors = _dense_anchors(uncovered, disk, inside)
+    for k in range(len(uncovered) - 1):
+        at = anchors[flips[0] == k]
+        if (at < 0).any():
+            continue
+        before, n_before = label_components(uncovered[k])
+        after, n_after = label_components(uncovered[k + 1])
+        both = uncovered[k] & uncovered[k + 1]
+        pairs = set(zip(before[both].tolist(), after[both].tolist()))
+        assert n_before == n_after == len(pairs)
+        assert ({a for a, _ in pairs} == {b for _, b in pairs}
+                == set(range(1, n_before + 1)))
+        assert both.ravel()[at].all()
+
+
+def test_certificate_rejects_a_one_cell_pocket_that_moves():
+    # The pocket moves one cell west. Its new cell comes first in raster
+    # order and joins the old one, which then goes: both flips are simple,
+    # yet the slices share no uncovered cell, and neither flip has a face
+    # neighbor uncovered at both ends.
+    stack, disk, inside = _picture_stack("""
+#######
+#######
+###.###
+#######
+#######
+""", """
+#######
+#######
+##.####
+#######
+#######
+""")
+    flips = np.nonzero(stack[1:] != stack[:-1])
+    assert flips[0].size == 2
+
+    def read(slices, cells):
+        return stack[(slices,) + tuple(cells)]
+
+    assert _simple_flips(flips, read, disk, inside).all()
+    assert (_dense_anchors(stack, disk, inside)[1] == -1).all()
 
 
 def test_scan_labels_few_slices(monkeypatch):
