@@ -2,7 +2,9 @@
 
 The pool is the builtins, `random` seeds 0-9 and `random_interval_scenario`
 seeds 0-9. Each scenario gets its direct, oracle and, in dimension 2,
-boundary report at default knobs. tests/test_report_digests.py recomputes
+boundary report at default knobs, and its direct report once more with its
+witnesses removed ("direct_no_witnesses"): a change that moves only
+witnesses changes "direct" alone. tests/test_report_digests.py recomputes
 the digests and compares them with tests/report_digests.json, so a change
 that alters a single report byte fails tier-1.
 
@@ -40,13 +42,20 @@ def scenario_for(key: str):
     return builtin_scenario(kind)
 
 
+def _digest(doc: dict) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
 def report_digests(key: str) -> Dict[str, str]:
-    """sha256 of each mode's canonical report JSON for one pool scenario."""
+    """sha256 of each mode's canonical report JSON for one pool scenario,
+    and of the direct report without its witnesses."""
     s = scenario_for(key)
     modes = ("direct", "boundary", "oracle") if s.dimension == 2 else ("direct", "oracle")
-    return {mode: hashlib.sha256(canonical_json(analyze(s, mode=mode).to_document())
-                                 .encode()).hexdigest()
-            for mode in modes}
+    docs = {mode: analyze(s, mode=mode).to_document() for mode in modes}
+    out = {mode: _digest(doc) for mode, doc in docs.items()}
+    out["direct_no_witnesses"] = _digest({k: v for k, v in docs["direct"].items()
+                                          if k != "witnesses"})
+    return out
 
 
 def main() -> None:
