@@ -29,7 +29,6 @@ reference oracle labels every slice.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,16 +40,15 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     inverse_limit, join_partitions, limit_of_algebras,
                     partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
-from .rasterize import (BoundaryComponents, BoxCoverage, CobordismComponents,
+from .rasterize import (BoundaryComponents, CobordismComplex, CobordismComponents,
                         GridSpec, StackGraph, boundary_pairs, bounding_box,
-                        cell_center, coverage_masks, domain_masks,
-                        first_cells, grid_for_scenario, label_components,
-                        rasterize_cobordism, rasterize_fiber, sorted_unique,
+                        cell_center, domain_masks, grid_for_scenario,
+                        label_components, rasterize_cobordism, rasterize_fiber,
                         stack_graph, sweep, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
                      ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
-                     fiber_signatures, _box_flips)
+                     fiber_signatures, _Transitions)
 
 __all__ = [
     "Witness",
@@ -142,41 +140,52 @@ def verify_witness(s: Scenario, w: Witness, eta: float = 0.0) -> bool:
 
 
 def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
-                goal: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+                goal: Union[Tuple[int, ...], np.ndarray]) -> List[Tuple[int, ...]]:
     """Cells of a shortest face-adjacent path inside one component, start excluded.
 
+    goal is one cell, or a boolean mask of goal cells, of which the path
+    reaches the nearest, the first in raster order among those as near.
     Breadth-first search over flat indices of the component's mask, padded
     by one cell outside it on every side so that no step needs a bounds
-    check. Neighbors are tried axis by axis, the lower one first, and a
-    cell's parent is the cell that discovered it, so the search may stop as
-    soon as the goal is discovered.
+    check, one distance at a time. Neighbors are tried axis by axis, the
+    lower one first, and a cell's parent is the cell that discovered it, so
+    the search may stop at the first distance that holds a goal.
     """
-    if start == goal:
-        return []
     free = np.pad(labels == comp, 1)
     shape = free.shape
+    origin = int(np.ravel_multi_index(tuple(v + 1 for v in start), shape))
+    if isinstance(goal, tuple):
+        goals = np.zeros(shape, dtype=bool)
+        goals[tuple(v + 1 for v in goal)] = True
+    else:
+        # Padding keeps the raster order of the cells.
+        goals = np.pad(goal, 1)
+    goals = goals.ravel()
+    if goals[origin]:
+        return []
     steps = []
-    for axis in range(free.ndim):
+    for axis in range(len(shape)):
         stride = int(np.prod(shape[axis + 1:], dtype=np.int64))
         steps += [-stride, stride]
-    origin = int(np.ravel_multi_index(tuple(v + 1 for v in start), shape))
-    target = int(np.ravel_multi_index(tuple(v + 1 for v in goal), shape))
     open_cells = free.ravel().tolist()
     open_cells[origin] = False
     parents = {origin: origin}
-    queue = deque([origin])
-    while queue and target not in parents:
-        cur = queue.popleft()
-        for step in steps:
-            nxt = cur + step
-            if open_cells[nxt]:
-                open_cells[nxt] = False
-                parents[nxt] = cur
-                if nxt == target:
-                    break
-                queue.append(nxt)
-    if target not in parents:
+    level = [origin]
+    hits: List[int] = []
+    while level and not hits:
+        found = []
+        for cur in level:
+            for step in steps:
+                nxt = cur + step
+                if open_cells[nxt]:
+                    open_cells[nxt] = False
+                    parents[nxt] = cur
+                    found.append(nxt)
+        hits = [cell for cell in found if goals.item(cell)]
+        level = found
+    if not hits:
         raise WitnessError("cells reported in one component are not connected")
+    target = min(hits)
     path = [target]
     while path[-1] != origin:
         path.append(parents[path[-1]])
@@ -191,9 +200,12 @@ def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
 
 @dataclass
 class _CobData:
-    times: np.ndarray
-    kept: np.ndarray
+    """A cobordism and the slice graph of its uncovered region on box, the
+    one its components were read from or one built alike."""
+
+    cob: CobordismComplex
     graph: StackGraph
+    box: Tuple[slice, ...]
 
 
 def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
@@ -204,20 +216,26 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     target_label is numbered within the last slice. The components some
     path can use are those reached forward from the start's component and
     backward from the target. The path stands still across a slice step
-    where it can; otherwise it walks inside its component to the first cell,
-    in raster order, that stands on a usable component of the next slice.
+    where it can; otherwise it walks inside its component to the nearest
+    cell that stands on a usable component of the next slice, the first in
+    raster order among those as near (_slice_path).
 
-    The graph holds the distinct slices only, graph slice j at
-    times[kept[j]]. A usable component's only edge into a slice that
-    repeats it is to its copy, so the copy is usable too: the path stands
-    still through a run of repeats, emitting one sample at each repeated
-    time, and moves at most at the run's last time, times[kept[j + 1] - 1].
-    The walk to target_cell is stamped with the last time. So the samples
-    are those of the same search over every slice.
+    The graph holds the labeled slices only, graph slice j at
+    times[labeled[j]], yet the samples are those of the same search over
+    every sample. A usable component's only edge into a slice that repeats
+    it is to its copy, so the copy is usable too: the path stands still
+    through a run of repeats, emitting one sample at each repeated time,
+    and moves at most at the run's last time, the one before the next
+    distinct slice. Across a gap (transitions.gaps) every transition is
+    certified, and a usable component's match is usable; so the path
+    stands still unless a step covers its cell, and then the nearest cell
+    is its first standing face neighbor in raster order: the flip's
+    anchor, where transitions.trail moves it. The walk to target_cell is
+    stamped with the last time.
     """
     g = data.graph
-    times = data.times
-    kept = data.kept
+    tr = data.cob.transitions
+    times, kept, labeled = tr.times, tr.kept, tr.labeled
     m = len(g.table)
 
     # The path's cell is read off its column of the label table; only a
@@ -234,7 +252,18 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     path: List[Tuple[float, Tuple[int, ...]]] = [(float(times[0]), start)]
     cur = start
     for j in range(m - 1):
-        a, b = int(kept[j]), int(kept[j + 1])
+        a, b = int(labeled[j]), int(labeled[j + 1])
+        if tr.gaps[j]:
+            moves = dict(tr.trail(cur, a, b, data.box))
+            run = kept[np.searchsorted(kept, a):np.searchsorted(kept, b) + 1].tolist()
+            for p, q in zip(run, run[1:]):
+                path.extend((float(times[r]), cur) for r in range(p + 1, q))
+                if q - 1 in moves:
+                    cur = moves[q - 1]
+                    path.append((float(times[q - 1]), cur))
+                path.append((float(times[q]), cur))
+            col = int(g.node_of[np.ravel_multi_index(cur, g.shape)])
+            continue
         path.extend((float(times[r]), cur) for r in range(a + 1, b))
         if usable[g.table[j + 1, col]]:
             nxt = cur
@@ -244,11 +273,11 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
             cand = (here == comp) & usable[g.labels(j + 1)]
             if not cand.any():
                 return None
-            flat = int(np.flatnonzero(cand.ravel())[0])
-            nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
-            for cell in _slice_path(here, comp, cur, nxt):
+            walk = _slice_path(here, comp, cur, cand)
+            nxt = walk[-1]
+            for cell in walk:
                 path.append((float(times[b - 1]), cell))
-            col = int(g.node_of[flat])
+            col = int(g.node_of[np.ravel_multi_index(nxt, g.shape)])
         path.append((float(times[b]), nxt))
         cur = nxt
     if target_cell is not None and cur != target_cell:
@@ -280,16 +309,15 @@ class _WitnessBuilder:
         key = (i, level)
         if key not in self._cache:
             if level == 0:
-                parts = self.bundle.cobordism_parts[i]
-                data = _CobData(times=self.bundle.cobordisms[i].times,
-                                kept=parts.kept, graph=parts.graph)
+                data = _CobData(self.bundle.cobordisms[i],
+                                self.bundle.cobordism_parts[i].graph, self.box)
             else:
                 base = self.bundle.grid.fine_time_samples
                 cob = rasterize_cobordism(
                     self.bundle.scenario, self.bundle.cobordisms[i].interval,
                     self.bundle.grid, fine_time_samples=base * (2 ** level))
-                data = _CobData(times=cob.times, kept=cob.kept,
-                                graph=stack_graph(cob.uncovered[(slice(None),) + self.box]))
+                graph = stack_graph(cob.uncovered[(slice(None),) + self.box])
+                data = _CobData(cob, cob.transitions.join(graph, self.box), self.box)
             self._cache[key] = data
         return self._cache[key]
 
@@ -720,23 +748,24 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     flips a cell inside the fence. Every other slice equals its
     predecessor, and equal masks have equal components joined one to one.
     A transition is the step from one distinct slice to the next. In 2-D
-    most transitions are certified (see _Transitions): their bands join the
-    components of their two slices one to one, so reach and chain counts
-    pass through them as a permutation, read off representative cells
-    without a raster. Only the first and the last slice and the two slices
-    of each other transition are rasterized and labeled; in 1-D that is
-    every distinct slice. Each run of consecutive labeled slices is one
-    stack of slices and bands.
+    most transitions are certified (see zigzag._Transitions): their bands
+    join the components of their two slices one to one, so reach and chain
+    counts pass through them as a permutation, read off representative
+    cells without a raster. Only the first and the last slice and the two
+    slices of each other transition are rasterized and labeled; in 1-D that
+    is every distinct slice. The labeled slices form one stack of slices
+    and bands, whose band across a gap of certified transitions is their
+    matching (_Transitions.join).
 
     No more than about _ORACLE_CHUNK_CELLS cells of stack are held at once,
     so memory does not grow with the grid's cells times the time samples.
-    A run is rasterized and labeled in chunks of at most
-    _ORACLE_CHUNK_CELLS // (cells in the box) slices, and each chunk's
-    stack starts with the previous chunk's last slice. That slice is the
-    same mask, so it gets the same local labels: the reach of every start
-    component into it, and the chain counts ending on each of its
-    components, carry over exactly, and the chunk carries both on to its
-    last slice. Only those are kept.
+    The labeled slices are rasterized and labeled in chunks of at most
+    _ORACLE_CHUNK_CELLS // (cells in the box) slices, one coverage_masks
+    call each, and each chunk's stack starts with the previous chunk's last
+    slice. That slice is the same mask, so it gets the same local labels:
+    the reach of every start component into it, and the chain counts ending
+    on each of its components, carry over exactly, and the chunk carries
+    both on to its last slice. Only those are kept.
     Reachable pairs number components within the first and the last slice.
     Raises KnobError when time_samples is below 1.
     """
@@ -745,42 +774,34 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     if grid is None:
         grid = grid_for_scenario(s)
     t0, t1 = TIME_SPAN
-    times = np.linspace(t0, t1, time_samples + 1)
+    tr = _Transitions(s, np.linspace(t0, t1, time_samples + 1), grid)
     _, inside = domain_masks(s, grid)
     box = bounding_box(inside)
-    inside = inside[box]
-    tr = _Transitions(s, times, grid, box, inside)
-    per_chunk = max(1, _ORACLE_CHUNK_CELLS // inside.size)
+    per_chunk = max(1, _ORACLE_CHUNK_CELLS // inside[box].size)
     closed = s.time_base == "circle"
 
     start = final = 0
     reach: Optional[np.ndarray] = None
     chains: List[List[int]] = []
-    reps: Tuple[np.ndarray, ...] = ()
-    for r, run in enumerate(tr.runs):
-        carried: Optional[np.ndarray] = None
-        for lo in range(0, run.size, per_chunk):
-            unc = ~coverage_masks(s, times[run[lo:lo + per_chunk]], grid, box)
-            unc &= inside
-            if carried is not None:
-                unc = np.concatenate((carried[None], unc))
-            n, last, roots, ends = _oracle_chunk(unc)
-            if carried is None and reach is not None:
-                reach, chains = _land(ends[0], n[0], reps, reach, chains)
-            if reach is None:
-                start, reach = n[0], last
-                # On a circle one column per start component, else a single
-                # column that starts a chain on each.
-                chains = ([[int(a == b) for a in range(n[0])] for b in range(n[0])]
-                          if closed else [[1] * n[0]])
-            else:
-                reach = last @ reach
-            final = n[-1]
-            chains = _carry_chains(n, roots, chains)
-            carried = unc[-1].copy()
-        if r + 1 < len(tr.runs):
-            reps = tr.follow(np.unravel_index(first_cells(ends[1]), ends[1].shape),
-                             int(run[-1]), int(tr.runs[r + 1][0]))
+    carried: Optional[np.ndarray] = None
+    for lo in range(0, tr.labeled.size, per_chunk):
+        unc = tr.uncovered(tr.labeled[lo:lo + per_chunk], box)
+        first = lo
+        if carried is not None:
+            unc = np.concatenate((carried[None], unc))
+            first -= 1
+        n, last, roots = _oracle_chunk(unc, tr, box, first)
+        if reach is None:
+            start, reach = n[0], last
+            # On a circle one column per start component, else a single
+            # column that starts a chain on each.
+            chains = ([[int(a == b) for a in range(n[0])] for b in range(n[0])]
+                      if closed else [[1] * n[0]])
+        else:
+            reach = last @ reach
+        final = n[-1]
+        chains = _carry_chains(n, roots, chains)
+        carried = unc[-1].copy()
 
     pairs = [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(reach.T)]
     if closed:
@@ -800,120 +821,21 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     )
 
 
-class _Transitions:
-    """The oracle's distinct slices, and the transitions the ring certificate
-    vouches for.
-
-    kept are the distinct slices' time indices, and certified[i] says
-    whether transition i, from kept[i] to kept[i + 1], is certified. It is
-    step kept[i + 1] - 1 alone, the only one between them with flips, and
-    it is certified when each of its flips is (zigzag._flip_anchors): the
-    flip is simple and has an anchor, a face neighbor uncovered at both
-    ends of the step. Then the band's standing edges are a perfect matching
-    of the two slices' components, and a component's cell keeps it across
-    the step, or hands it to the anchor of the flip that covers it (follow).
-    The flips and the ring are read on the disk's box, as the event scan
-    reads them; the ring test is 2-D only, so in 1-D no transition is
-    certified.
-
-    runs are the time indices of the slices to label: the first and the
-    last distinct slice and both ends of every uncertified transition, cut
-    where two of them are not consecutive distinct slices. Only certified
-    transitions lie between runs.
-    """
-
-    def __init__(self, s: Scenario, times: np.ndarray, grid: GridSpec,
-                 box: Tuple[slice, ...], inside: np.ndarray) -> None:
-        if s.dimension != 2:
-            self.kept = BoxCoverage(s, times, grid, box).distinct(inside)
-            self.certified = np.zeros(self.kept.size - 1, dtype=bool)
-            self.runs = [self.kept]
-            return
-        bf = _box_flips(s, times, grid)
-        step, *cells = bf.flips
-        anchors = bf.anchors()
-        self.steps = times.size - 1
-        # BoxCoverage.distinct, off the flips already read.
-        self.kept = sorted_unique(np.concatenate(([0], step + 1, [self.steps])))
-        vouched = np.ones(self.steps, dtype=bool)
-        vouched[step[anchors < 0]] = False
-        self.certified = vouched[self.kept[1:] - 1]
-        labeled = np.zeros(self.kept.size, dtype=bool)
-        labeled[[0, -1]] = True
-        labeled[:-1] |= ~self.certified
-        labeled[1:] |= ~self.certified
-        at = np.flatnonzero(labeled)
-        self.runs = np.split(self.kept[at], np.flatnonzero(np.diff(at) > 1) + 1)
-        # Each cell's flips in step order, to follow a cell from step to step.
-        keys = np.ravel_multi_index(cells, bf.disk.shape) * self.steps + step
-        order = np.argsort(keys)
-        self.keys, self.anchors = keys[order], anchors[order]
-        self.shape = bf.disk.shape
-        self.shift = tuple(b.indices(n)[0] - d.indices(n)[0]
-                           for b, d, n in zip(box, bf.box, grid.shape))
-
-    def follow(self, cells: Tuple[np.ndarray, ...], a: int, b: int) -> Tuple[np.ndarray, ...]:
-        """Carry cells across the certified steps a .. b - 1.
-
-        cells are index arrays in the oracle's box, each uncovered at time
-        a. A cell stays uncovered until a step covers it, and then moves to
-        that flip's anchor, which the step leaves uncovered; so each cell
-        ends uncovered at time b in the component matched to its own.
-        """
-        flat = np.ravel_multi_index(tuple(c + o for c, o in zip(cells, self.shift)),
-                                    self.shape)
-        at = np.full(flat.size, a)
-        moving = np.arange(flat.size)
-        while moving.size:
-            key = flat[moving] * self.steps + at[moving]
-            i = np.searchsorted(self.keys, key)
-            hit = i < self.keys.size
-            # The cell's next flip, if it comes before step b.
-            hit[hit] = self.keys[i[hit]] < (key - at[moving] + b)[hit]
-            moving, i = moving[hit], i[hit]
-            at[moving] = self.keys[i] % self.steps + 1
-            flat[moving] = self.anchors[i]
-        return tuple(c - o for c, o in zip(np.unravel_index(flat, self.shape), self.shift))
-
-
-def _land(labels: np.ndarray, n: int, reps: Tuple[np.ndarray, ...], reach: np.ndarray,
-          chains: List[List[int]]) -> Tuple[np.ndarray, List[List[int]]]:
-    """Renumber reach's rows and the chain counts by the n components of a
-    slice labeled labels, given one cell of each earlier component carried
-    there (_Transitions.follow).
-
-    The cells must land one per component, since certified transitions
-    match components one to one; anything else is a bug, not a resolution
-    limit, and raises RuntimeError.
-    """
-    to = labels[reps] - 1
-    if not np.array_equal(np.sort(to), np.arange(n)):
-        raise RuntimeError("certified transitions did not carry the uncovered "
-                           "components one to one")
-    out = np.empty_like(reach)
-    out[to] = reach
-    back = np.argsort(to).tolist()
-    return out, [[col[i] for i in back] for col in chains]
-
-
-def _oracle_chunk(unc: np.ndarray
-                  ) -> Tuple[List[int], np.ndarray, List[int], Tuple[np.ndarray, np.ndarray]]:
-    """Label one chunk's stack (T, *box shape).
+def _oracle_chunk(unc: np.ndarray, tr: _Transitions, box: Tuple[slice, ...],
+                  first: int) -> Tuple[List[int], np.ndarray, List[int]]:
+    """Label one chunk's stack (T, *box shape), the labeled slices first,
+    first + 1, ... of tr, joined across their gaps (_Transitions.join).
 
     Returns the component count of each slice, the reach of each first-slice
     component into the last slice as a boolean (last count, first count)
-    matrix, the band roots of _carry_chains, and the labels of the first and
-    the last slice (the first's are label_components'; the last's are
-    offset by the earlier slices' counts, in the same order). Its other
-    arrays go when it returns, so no two chunks' stacks of labels are held
-    at once.
+    matrix, and the band roots of _carry_chains. Its other arrays go when it
+    returns, so no two chunks' stacks of labels are held at once.
     """
-    g = stack_graph(unc)
+    g = tr.join(stack_graph(unc), box, first)
     n = np.diff(g.offsets).tolist()
     last = sweep(g, range(1, n[0] + 1))[g.offsets[-2] + 1:]
     size = int(g.offsets[-1]) + 1
-    return (n, last, _union_roots(2 * size, g.src, g.dst + size).tolist(),
-            (g.labels(0), g.labels(-1)))
+    return n, last, _union_roots(2 * size, g.src, g.dst + size).tolist()
 
 
 def _carry_chains(n: Sequence[int], roots: Sequence[int],
@@ -922,8 +844,9 @@ def _carry_chains(n: Sequence[int], roots: Sequence[int],
 
     Each column of chains counts, per component of a slice, the chains
     ending there. The components of the band (slice j, slice j + 1) are the
-    union-find components of the standing edges between its slices, which
-    are exactly their shared cells. roots labels every band at once: label
+    union-find components of the edges between its slices: their shared
+    cells, or across a gap the certified matching, the components of the
+    band of every sample between them. roots labels every band at once: label
     x as a band's left end is node x, as its right end node size + x, and
     edge (src, dst) joins src to size + dst. A component of slice j + 1 gets
     the chains of those of slice j in its band component. Counts are Python

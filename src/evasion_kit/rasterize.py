@@ -21,12 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
 from .scenario import TIME_SPAN, Scenario, positions_at
+
+if TYPE_CHECKING:
+    from .zigzag import _Transitions
 
 __all__ = [
     "GridSpec",
@@ -352,11 +355,15 @@ class BoxCoverage:
     distance test on that coordinate alone, so the window leaves the result
     exact. flips reads its candidates off the scenario's crossing bands and
     keeps those whose coverage changes. Every ball test is _in_ball, so
-    masks, covered and flips agree cell by cell.
+    masks, covered and flips agree cell by cell. positions, when given, are
+    the moving tracks' positions at the times (the positions of another
+    BoxCoverage of the scenario, at some of its times), so the tracks are
+    not evaluated again.
     """
 
     def __init__(self, s: Scenario, times: Sequence[float], grid: GridSpec,
-                 box: Optional[Tuple[slice, ...]] = None) -> None:
+                 box: Optional[Tuple[slice, ...]] = None,
+                 positions: Optional[np.ndarray] = None) -> None:
         if box is None:
             box = (slice(None),) * grid.dimension
         self.tables = _raster_tables(s, grid)
@@ -367,7 +374,9 @@ class BoxCoverage:
         self.axes = tuple(c[b] for c, b in zip(_axis_centers(grid), box[::-1]))
         self.times = np.asarray(times, dtype=float)
         self.circle = s.time_base == "circle"
-        self.positions = positions_at(s, self.times, self.tables.moving)
+        if positions is None:
+            positions = positions_at(s, self.times, self.tables.moving)
+        self.positions = positions
         r = s.sensing_radius
         self.r2 = r * r
         self.reach = r + grid.cell_size
@@ -486,18 +495,10 @@ class BoxCoverage:
                 out.append(c[ok])
         return np.concatenate(lo), np.concatenate(hi), [np.concatenate(c) for c in cells]
 
-    def distinct(self, inside: np.ndarray) -> np.ndarray:
-        """Indices of the distinct slices of the uncovered stack inside & ~masks.
-
-        They are the first time, the last, and each time after a step that
-        flips a cell of inside; every other slice equals its predecessor.
-        """
-        last = self.positions.shape[1] - 1
-        return sorted_unique(np.concatenate(([0], self.flips(inside)[0] + 1, [last])))
-
 
 def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
-                   box: Optional[Tuple[slice, ...]] = None) -> np.ndarray:
+                   box: Optional[Tuple[slice, ...]] = None,
+                   positions: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean stack (T, *shape): cell center within sensing range of a sensor.
 
     box, slices in array order such as bounding_box returns, restricts the
@@ -505,9 +506,11 @@ def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
     so the result equals the whole-grid stack cropped to the box. The stack
     is BoxCoverage.masks: each moving ball is tested on a window around it,
     by the one ball test _in_ball that BoxCoverage's single-cell reads and
-    flips share, so those equal the cells of this stack.
+    flips share, so those equal the cells of this stack. positions, when
+    given, are the moving tracks' positions at the times, as BoxCoverage
+    takes them.
     """
-    return BoxCoverage(s, times, grid, box).masks()
+    return BoxCoverage(s, times, grid, box, positions).masks()
 
 
 def _boundary_bitmap(uncovered: np.ndarray, covered: np.ndarray) -> np.ndarray:
@@ -554,21 +557,38 @@ class FiberComplex:
 
 @dataclass
 class CobordismComplex:
-    """Uniform time samples over one interval, and their distinct slices.
+    """Uniform time samples over one interval, and the slices labeled there.
 
-    times holds every sample. Only the distinct slices are stacked along
-    axis 0 (see BoxCoverage.distinct): uncovered[i] is the slice at
-    times[kept[i]], and it stands for every sample up to the next kept one,
-    which all equal it. kept starts at the first sample and ends at the last.
+    transitions (zigzag._Transitions) holds every sample (times), the
+    distinct slices (kept), each standing for every sample up to the next
+    one, which all equal it, and the labeled slices (labeled): the first
+    and the last sample and both ends of every transition between distinct
+    slices that the ring certificate does not vouch for. Only the labeled
+    slices are stacked along axis 0: uncovered[i] is the slice at
+    times[labeled[i]]. Between two labeled slices that are not consecutive
+    distinct ones lie certified transitions alone (transitions.gaps); they
+    match components one to one, and components() carries the components
+    across them instead of labeling them.
     """
 
     grid: GridSpec
     interval: Tuple[float, float]
-    times: np.ndarray
-    kept: np.ndarray
+    transitions: "_Transitions"
     uncovered: np.ndarray
     disk: np.ndarray
     inside: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.transitions.times
+
+    @property
+    def kept(self) -> np.ndarray:
+        return self.transitions.kept
+
+    @property
+    def labeled(self) -> np.ndarray:
+        return self.transitions.labeled
 
 
 def rasterize_fiber(s: Scenario, t: float, grid: GridSpec) -> FiberComplex:
@@ -590,27 +610,25 @@ def rasterize_fibers(s: Scenario, times: Sequence[float], grid: GridSpec) -> Lis
 
 def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSpec,
                         fine_time_samples: Optional[int] = None) -> CobordismComplex:
-    """Rasterize the distinct sub-samples of `interval`, endpoints included.
+    """Rasterize the labeled sub-samples of `interval`, endpoints included.
 
-    The flips between sub-samples pick the distinct slices, so the repeated
-    ones are never rasterized. On a circle time base the interval may extend
-    past the span end; sample times are stored as given and wrapped only for
-    sensor evaluation.
+    The flips between sub-samples and their ring certificate pick the
+    labeled slices (CobordismComplex), so the others are never rasterized.
+    On a circle time base the interval may extend past the span end; sample
+    times are stored as given and wrapped only for sensor evaluation.
     """
+    from .zigzag import _Transitions  # zigzag builds on this module
     t0, t1 = interval
     if not t1 > t0:
         raise RasterError("cobordism interval must have positive length")
     n = fine_time_samples if fine_time_samples is not None else grid.fine_time_samples
     if n < 2:
         raise RasterError("a cobordism needs at least two time samples")
-    times = np.linspace(t0, t1, n)
     disk, inside = _domain_masks(s, grid)
-    kept = BoxCoverage(s, times, grid).distinct(inside)
-    uncovered = coverage_masks(s, times[kept], grid)
-    np.logical_not(uncovered, out=uncovered)
-    uncovered &= inside
-    return CobordismComplex(grid=grid, interval=(float(t0), float(t1)), times=times,
-                            kept=kept, uncovered=uncovered, disk=disk, inside=inside)
+    tr = _Transitions(s, np.linspace(t0, t1, n), grid)
+    uncovered = tr.uncovered(tr.labeled, (slice(None),) * grid.dimension)
+    return CobordismComplex(grid=grid, interval=(float(t0), float(t1)), transitions=tr,
+                            uncovered=uncovered, disk=disk, inside=inside)
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +663,10 @@ class BoundaryComponents:
     components (ComponentLabels.labels, CobordismComponents.ends), and its
     covered one as in covered_labels. A fiber's labels and covered_labels
     are whole-grid bitmaps. A cobordism's pairs and representatives cover
-    all its slices, the representatives as flat indices of the stack
-    (slices, *grid shape), but its two label fields keep only the end
-    slices, where fibers map in: each is a (2, *grid shape) stack, [0] the
-    first slice and [-1] the last.
+    all its slices, the representatives as flat indices of the stack of
+    its distinct slices (kept, *grid shape), but its two label fields keep
+    only the end slices, where fibers map in: each is a (2, *grid shape)
+    stack, [0] the first slice and [-1] the last.
     """
 
     count: int
@@ -767,14 +785,18 @@ def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
                      ) -> BoundaryComponents:
     """boundary_pairs of a cobordism, read off two slice graphs.
 
-    The covered-with-collar graph is built on the stack cropped to the
-    disk's bounding box, which the collar needs; the uncovered graph is the
-    one of uncovered, on the fenced region's box. Each box holds every cell
-    of its region and keeps their raster order, so the graph components are
-    numbered as a labeling of the whole stack numbers them. The contacts
-    are read on the disk's box, so they come in the whole stack's order,
-    and the pairs and their ranks are those of the whole stack; only the
-    representatives and the end slices are mapped back to the whole grid.
+    The covered-with-collar graph is built on the labeled stack cropped to
+    the disk's bounding box, which the collar needs, and carried across
+    each gap as the uncovered one is (zigzag._Transitions.join); the
+    uncovered graph is the one of uncovered, on the fenced region's box.
+    Each box holds every cell of its region and keeps their raster order,
+    so the graph components are numbered as a labeling of the whole stack
+    numbers them. The contacts are read on the disk's box, so they come in
+    the whole stack's order. A pair's least contacts lie in the first slice
+    where it exists, which is labeled, so the pairs and their ranks are
+    those of the whole stack; only the representatives, mapped to the
+    stack of distinct slices, and the end slices are mapped back to the
+    whole grid.
     """
     box = bounding_box(c.disk)
     crop = (slice(None),) + box
@@ -783,7 +805,7 @@ def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
     steps, size = len(unc), unc[0].size
     covered = np.logical_not(unc)
     covered &= c.disk[box]
-    gv = stack_graph(covered)
+    gv = c.transitions.join(stack_graph(covered), box, covered=True)
     comp_v, nv = _graph_components(gv)
     # Contacts end on covered cells: covered-with-collar cells inside the fence.
     uc, wc = face_contacts(unc, covered, range(1, unc.ndim))
@@ -813,7 +835,9 @@ def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
     def whole(flat: np.ndarray) -> Tuple[int, ...]:
         step, *cell = np.unravel_index(flat, unc.shape)
         cell = [k + o for k, o in zip(cell, corner)]
-        return tuple(np.ravel_multi_index((step, *cell), (steps,) + c.disk.shape).tolist())
+        step = np.searchsorted(c.kept, c.labeled)[step]
+        return tuple(np.ravel_multi_index((step, *cell),
+                                          (c.kept.size,) + c.disk.shape).tolist())
 
     return BoundaryComponents(
         count=len(pairs), pairs=pairs,
@@ -876,18 +900,20 @@ class StackGraph:
     in the canonical order of label_components. They are held as a table,
     not as a stack: node_of maps each flat cell of a slice to a column, the
     columns that hold a set cell are numbered in the order of their first
-    cells, and slice j's labels are table[j, node_of]. Readers ask for one
-    slice (labels) or for given (slice, cell) pairs (labels_at), so no
-    reader writes the (T, *shape) labels of every slice. A standing edge
-    (src, dst) joins a component of slice j to one of slice j+1 that shares
-    a set cell with it; edges are sorted, and cuts[j]:cuts[j+1] are those
-    leaving slice j. stack_graph's two paths give the same labels and
-    edges; only their columns differ.
+    cells, cells[c] is column c's first cell, and slice j's labels are
+    table[j, node_of]. Readers ask for one slice (labels), for given (slice,
+    cell) pairs (labels_at) or for a slice's components' first cells
+    (firsts), so no reader writes the (T, *shape) labels of every slice. A
+    standing edge (src, dst) joins a component of slice j to one of slice
+    j+1 that shares a set cell with it; edges are sorted, and
+    cuts[j]:cuts[j+1] are those leaving slice j. stack_graph's two paths
+    give the same labels and edges; only their columns differ.
     """
 
     shape: Tuple[int, ...]
     table: np.ndarray
     node_of: np.ndarray
+    cells: np.ndarray
     offsets: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -901,46 +927,68 @@ class StackGraph:
         """The stack-wide label of each flat cell cells[i] in slice steps[i]."""
         return self.table[steps, self.node_of[cells]]
 
+    def firsts(self, j: int) -> np.ndarray:
+        """The flat first cell of each of slice j's components, in label order.
+
+        A component's first cell is that of its first column, and its
+        columns are read off the table alone.
+        """
+        return self.cells[first_cells(self.table[j, :self.cells.size])]
+
 
 def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The slice owning each stack-wide label."""
     return np.searchsorted(offsets, labels) - 1
 
 
-# Stacks of at least this many cells are labeled from their core; see
+# Stacks of at least this many cells, whose varying cells are at most
+# 1 / _CORE_VARYING_SHARE of a slice's, are labeled from their core; see
 # stack_graph.
 _CORE_LABEL_CELLS = 1 << 16
+_CORE_VARYING_SHARE = 32
 
 
 def stack_graph(mask: np.ndarray) -> StackGraph:
     """Label the slices of the stack (T, *shape) and collect its standing edges.
 
     Two paths give the same labels and edges, dtype for dtype; only the
-    table's columns differ. A stack of _CORE_LABEL_CELLS cells or more
-    labels its core, the cells set in every slice, once (_core_labels), and
-    its columns are the core's components and the varying cells. A core component is connected in
+    table's columns differ. A stack of _CORE_LABEL_CELLS cells or more whose
+    varying cells, those set in some slices but not all, are at most one in
+    _CORE_VARYING_SHARE of a slice's cells labels its core, the cells set in
+    every slice, once (_core_labels), and its columns are the core's
+    components and the varying cells. A core component is connected in
     every slice, and every other face contact within a slice touches a
     varying cell, so slice j's components are the union-find components of
     the core's components and slice j's set varying cells, numbered by their
-    first cell as label_slices numbers them. A smaller stack is labeled in
+    first cell as label_slices numbers them. Any other stack is labeled in
     one label_slices call, whose labels are the table, each cell its own
     column: the core path costs about half a millisecond of numpy calls
-    however small the stack, more than relabeling a few slices.
+    however small the stack, more than relabeling a few slices, and its
+    union-find grows with the slices times the varying cells.
     On a 2-CPU host, 2-D stacks broke even near 45K cells (four slices of
     106 x 106), and the 1-D oracle stacks of random_interval_scenario
     1000-1023, at most 7.5K cells, always lost (129 against 404 us at 3.8K).
+    Stacks of consecutive distinct slices broke even near 3% varying cells;
+    labeled slices far apart in time vary far more, and the oracle's chunks
+    of them on the generic waypoint pool, at 10-24%, took 2 to 7 times as
+    long on the core path.
 
     Keys pair a stack-wide source label with a target label local to its
     slice, so they stay below (labels + 1) * (largest slice count + 1).
     """
+    core = varying = None
     if mask.size >= _CORE_LABEL_CELLS:
-        table, node_of, offsets, pa, pb = _core_labels(mask)
+        # Reduced in place: a cropped stack is not copied whole.
+        core = mask.all(axis=0).ravel()
+        varying = mask.any(axis=0).ravel() & ~core
+    if core is not None and varying.sum() * _CORE_VARYING_SHARE <= core.size:
+        table, node_of, cells, offsets, pa, pb = _core_labels(mask, core, varying)
     else:
         labels, tops = label_slices(mask)
         offsets = np.concatenate(([0], tops)).astype(np.int64)
         table = labels.reshape(len(mask), -1)
         # Every cell is its own column.
-        node_of = np.arange(table.shape[1])
+        node_of = cells = np.arange(table.shape[1])
         a = table[:-1].ravel()
         b = table[1:].ravel()
         # A component pair repeats along every cell it shares: keep run starts.
@@ -954,18 +1002,19 @@ def stack_graph(mask: np.ndarray) -> StackGraph:
     src = keys // width
     dst = keys % width + offsets[_slice_of(offsets, src) + 1]
     cuts = np.searchsorted(src, offsets, side="right")
-    return StackGraph(shape=mask.shape[1:], table=table, node_of=node_of, offsets=offsets,
-                      src=src, dst=dst, cuts=cuts)
+    return StackGraph(shape=mask.shape[1:], table=table, node_of=node_of, cells=cells,
+                      offsets=offsets, src=src, dst=dst, cuts=cuts)
 
 
-def _core_labels(mask: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """label_slices' labels of a stack (T, *shape), labeling its core once.
+def _core_labels(mask: np.ndarray, core: np.ndarray, varying: np.ndarray
+                 ) -> Tuple[np.ndarray, ...]:
+    """label_slices' labels of a stack (T, *shape), labeling its core once;
+    core and varying are its flat core and varying cells (stack_graph).
 
-    Returns StackGraph's table and node_of, whose columns are the nodes and
-    a last one, all zeros, for the cells never set; the offsets; and the
-    (slice j, slice j + 1) label pairs of the cells set in both, repeats
-    allowed.
+    Returns StackGraph's table, node_of and cells, whose columns are the
+    nodes and a last one, all zeros, for the cells never set; the offsets;
+    and the (slice j, slice j + 1) label pairs of the cells set in both,
+    repeats allowed.
 
     The nodes are the core's components and the varying cells, the others
     set in some slice; slice j's components are those of its set nodes
@@ -980,9 +1029,6 @@ def _core_labels(mask: np.ndarray
     """
     steps = mask.shape[0]
     shape = mask.shape[1:]
-    # Reduced and gathered in place: a cropped stack is not copied whole.
-    core = mask.all(axis=0).ravel()
-    varying = mask.any(axis=0).ravel() & ~core
     core_labels, _ = label_components(core.reshape(shape))
     core_labels = core_labels.ravel()
     # A node stands at its first cell, and nodes are numbered in raster order.
@@ -1007,7 +1053,7 @@ def _core_labels(mask: np.ndarray
     both = active[:-1] & active[1:]
     pa = table[:-1, :n][both].astype(np.int64)
     pb = table[1:, :n][both].astype(np.int64)
-    return table, node_of, offsets.astype(np.int64), pa, pb
+    return table, node_of, cells, offsets.astype(np.int64), pa, pb
 
 
 def _slice_roots(active: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1101,15 +1147,17 @@ class CobordismComponents:
     1..count.
 
     They are the connected components of the region's slice graph, and are
-    numbered as a face-adjacency labeling of the whole stack would number
-    them: component[x] is the component of the graph's stack-wide label x
-    (0 for label 0). The graph is built on the stack cropped to box, the
-    bounding box of the fenced region: it holds every uncovered cell and
-    keeps their raster order. The graph's slices are the cobordism's
-    distinct ones, graph slice i at times[kept[i]]. The witness search walks
-    the graph in those cropped coordinates, reading a slice's labels only
-    where its path moves. Only the first and last slices are labeled on the
-    whole grid (ends[0] and ends[-1]), since fibers map in at those.
+    numbered as a face-adjacency labeling of the whole stack of every
+    sample would number them: component[x] is the component of the graph's
+    stack-wide label x (0 for label 0). The graph is built on the stack
+    cropped to box, the bounding box of the fenced region: it holds every
+    uncovered cell and keeps their raster order. The graph's slices are the
+    cobordism's labeled ones, graph slice i at times[labeled[i]], and its
+    edges across a gap between them are the certified matching
+    (zigzag._Transitions.join). The witness search walks the graph in those
+    cropped coordinates, reading a slice's labels only where its path
+    moves. Only the first and last slices are labeled on the whole grid
+    (ends[0] and ends[-1]), since fibers map in at those.
     """
 
     count: int
@@ -1117,7 +1165,6 @@ class CobordismComponents:
     graph: StackGraph
     component: np.ndarray
     box: Tuple[slice, ...]
-    kept: np.ndarray
 
 
 def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -1140,15 +1187,19 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     pairs, see BoundaryComponents: boundary_pairs of the uncovered
     components.
 
-    A cobordism holds only its distinct slices, and that changes nothing
+    A cobordism holds only its labeled slices, and that changes nothing
     here. Equal slices have the same components, and their standing edges
-    join each to its copy one to one. A slice and the one after its run of
-    copies share the cells its last copy and that slice share, so dropping
-    the copies keeps the space-time components and the time-monotone
-    reachability. A copy's cell appears earlier in its original, so each
-    component's first cell in raster order lies in a kept slice and the
-    numbering is that of the whole stack. A copy's contacts repeat its
-    original's, so the boundary pairs and their order are unchanged too.
+    join each to its copy one to one; so do a certified transition's two
+    slices (zigzag._flip_anchors). Across a gap the graph's edges are that
+    matching, carried by one cell per component, so the space-time
+    components and the time-monotone reachability are those of the stack
+    of every sample. A component appears only at the first slice or after
+    an uncertified transition, where a slice is labeled, so each
+    component's first cell in raster order lies in a labeled slice and the
+    numbering is that of the whole stack. A certified transition keeps the
+    boundary pairs of space-time components, so each pair's least contact
+    lies in a labeled slice too, and the pairs and their order are
+    unchanged.
     """
     if which == "covered_boundary":
         return boundary_pairs(c, components(c, "uncovered"))
@@ -1159,14 +1210,14 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
         return ComponentLabels(labels=labels, count=count)
     box = bounding_box(c.inside)
     # The crop is a view.
-    g = stack_graph(c.uncovered[(slice(None),) + box])
+    g = c.transitions.join(stack_graph(c.uncovered[(slice(None),) + box]), box)
     comp, count = _graph_components(g)
     # int32, as every label array here is.
     first, last = np.zeros((2,) + c.inside.shape, dtype=np.int32)
     first[box] = comp[g.labels(0)]
     last[box] = comp[g.labels(-1)]
     return CobordismComponents(count=count, ends=(first, last), graph=g,
-                               component=comp, box=box, kept=c.kept)
+                               component=comp, box=box)
 
 
 def _complement_holes(mask: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from evasion_kit import analysis, rasterize
+from evasion_kit import analysis, rasterize, zigzag
 from evasion_kit.analysis import (
     BoundaryData,
     LOWER_BOUND_NOTE,
@@ -35,6 +36,7 @@ from evasion_kit.analysis import (
 from evasion_kit.errors import KnobError, WitnessError
 from evasion_kit.limit import ZigzagSetDiagram, diagrams_isomorphic, inverse_limit
 from evasion_kit.rasterize import (
+    boundary_pairs,
     bounding_box,
     components,
     coverage_masks,
@@ -570,11 +572,11 @@ def _spy_chunks(monkeypatch):
     its labeling chunks."""
     handed = []
 
-    def counted(s, times, *args):
+    def counted(s, times, *args, **kwargs):
         handed.append(len(times))
-        return coverage_masks(s, times, *args)
+        return coverage_masks(s, times, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "coverage_masks", counted)
+    monkeypatch.setattr(zigzag, "coverage_masks", counted)
     return handed
 
 
@@ -583,9 +585,7 @@ def _labeled_runs(s, grid, time_samples):
     distinct slice and both ends of each uncertified transition, in runs of
     consecutive distinct slices."""
     times = np.linspace(*TIME_SPAN, time_samples + 1)
-    _, inside = domain_masks(s, grid)
-    box = bounding_box(inside)
-    tr = analysis._Transitions(s, times, grid, box, inside[box])
+    tr = zigzag._Transitions(s, times, grid)
     open_ = np.flatnonzero(~tr.certified)
     runs: List[int] = []
     previous = None
@@ -609,12 +609,14 @@ def test_oracle_matches_per_slice_reference(key, time_samples, monkeypatch):
 
     # Small chunk budgets. One cell puts every labeled slice in its own
     # labeling chunk; twice the box's cells puts two slices in a labeling
-    # chunk. Each chunk boundary within a run carries the last slice
-    # across, and the representatives carry the components from one run to
-    # the next.
+    # chunk. The labeled slices of every run go through the chunks in
+    # order, one coverage_masks call each. Each chunk boundary carries the
+    # last slice across, and the certified matching joins the runs, also
+    # where a chunk starts with one.
     grid = grid or grid_for_scenario(s)
     cells = _box_cells(s, grid)
     runs = _labeled_runs(s, grid, time_samples)
+    labeled = sum(runs)
     if s.dimension == 1:
         assert len(runs) == 1
     if name.startswith("waypoint"):
@@ -625,8 +627,7 @@ def test_oracle_matches_per_slice_reference(key, time_samples, monkeypatch):
         handed.clear()
         assert oracle_reachability(s, grid, time_samples=time_samples) == want
         per_chunk = max(1, budget // cells)
-        assert handed == [min(per_chunk, run - lo) for run in runs
-                          for lo in range(0, run, per_chunk)]
+        assert handed == [min(per_chunk, labeled - lo) for lo in range(0, labeled, per_chunk)]
         if budget == 1:
             assert len(handed) == sum(handed) >= 2
 
@@ -643,13 +644,7 @@ def test_oracle_rasterizes_only_distinct_slices(monkeypatch):
     # oracle labels the first and the last slice and that transition's two.
     s = builtin_scenario("random", 1000)
     want = oracle_reachability(s)
-    handed = []
-
-    def counted(s, times, *args):
-        handed.append(len(times))
-        return coverage_masks(s, times, *args)
-
-    monkeypatch.setattr(analysis, "coverage_masks", counted)
+    handed = _spy_chunks(monkeypatch)
     assert oracle_reachability(s) == want
     assert 0 < sum(handed) <= 8
     assert max(handed) <= analysis._ORACLE_CHUNK_CELLS // _box_cells(s, grid_for_scenario(s))
@@ -709,8 +704,10 @@ def test_no_space_time_labeling(monkeypatch):
     read = rasterize.StackGraph.labels
     reads: Dict[int, Set[int]] = {}
 
+    # Keyed by the table, which a graph joined across gaps shares with the
+    # graph it was made from.
     def spy_read(g, j):
-        reads.setdefault(id(g), set()).add(j % len(g.table))
+        reads.setdefault(id(g.table), set()).add(j % len(g.table))
         return read(g, j)
 
     monkeypatch.setattr(ndimage, "label", spy_label)
@@ -723,13 +720,15 @@ def test_no_space_time_labeling(monkeypatch):
         oracle_reachability(s)
     assert not space_time
     planar = [(shape, g) for shape, g in graphs if len(shape) == 3]
-    assert any(math.prod(shape) >= rasterize._CORE_LABEL_CELLS for shape, _ in planar)
+    # A graph on the core path has fewer table columns than a slice has cells.
+    core = [(shape, g) for shape, g in planar if g.table.shape[1] < math.prod(shape[1:])]
+    assert any(math.prod(shape) >= rasterize._CORE_LABEL_CELLS for shape, _ in core)
+    for shape, g in core:
+        for field in dataclasses.fields(g):
+            value = getattr(g, field.name)
+            assert not isinstance(value, np.ndarray) or value.size < math.prod(shape)
     for shape, g in planar:
-        if math.prod(shape) >= rasterize._CORE_LABEL_CELLS:
-            for field in dataclasses.fields(g):
-                value = getattr(g, field.name)
-                assert not isinstance(value, np.ndarray) or value.size < math.prod(shape)
-        assert reads.get(id(g), set()) <= {0, shape[0] - 1}
+        assert reads.get(id(g.table), set()) <= {0, shape[0] - 1}
 
 
 def test_oracle_rejects_bad_time_samples():
@@ -764,9 +763,9 @@ def _graph_stack(key, monkeypatch):
         stacks = []
         chunk = analysis._oracle_chunk
 
-        def spy(unc):
+        def spy(unc, *args):
             stacks.append(unc)
-            return chunk(unc)
+            return chunk(unc, *args)
 
         monkeypatch.setattr(analysis, "_oracle_chunk", spy)
         oracle_reachability(_scenario(name))
@@ -783,6 +782,7 @@ def _both_paths(unc):
     for cells in (1 << 62, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
+            mp.setattr(rasterize, "_CORE_VARYING_SHARE", 0)
             graphs.append(rasterize.stack_graph(unc))
     return graphs
 
@@ -845,7 +845,7 @@ def test_core_labels_match_label_slices(stack):
     # is compared through every label read a consumer can make.
     old, new = _both_paths(stack)
     for field in dataclasses.fields(rasterize.StackGraph):
-        if field.name in ("table", "node_of"):
+        if field.name in ("table", "node_of", "cells"):
             continue
         want, got = getattr(old, field.name), getattr(new, field.name)
         if isinstance(want, np.ndarray):
@@ -860,6 +860,7 @@ def test_core_labels_match_label_slices(stack):
             got = g.labels(j)
             assert got.dtype == want.dtype == np.int32
             assert np.array_equal(got, want)
+            assert np.array_equal(g.firsts(j), rasterize.first_cells(want))
         got = g.labels_at(steps, np.tile(np.arange(cells), len(stack)))
         assert got.dtype == np.int32
         assert np.array_equal(got, labels.ravel())
@@ -874,11 +875,13 @@ def _cobordism_keys():
 
 @pytest.mark.parametrize("key", _cobordism_keys())
 def test_cobordism_components_match_3d_labels(key):
-    # The slice graph's components are the stack's face-adjacency components.
+    # The slice graph's components are the face-adjacency components of the
+    # stack of every distinct slice.
     bundle = build_zigzag(_scenario(key))
     for cob, parts in zip(bundle.cobordisms, bundle.cobordism_parts):
-        structure = ndimage.generate_binary_structure(cob.uncovered.ndim, 1)
-        want, n = ndimage.label(cob.uncovered, structure=structure)
+        stack = _stack(cob, cob.kept)
+        structure = ndimage.generate_binary_structure(stack.ndim, 1)
+        want, n = ndimage.label(stack, structure=structure)
         assert parts.count == n
         assert np.array_equal(parts.ends[0], want[0])
         assert np.array_equal(parts.ends[-1], want[-1])
@@ -893,11 +896,21 @@ def _spans(s, grid):
     return spans
 
 
-def _dense(s, cob):
-    """The cobordism with every time sample stacked, repeats included."""
-    _, inside = domain_masks(s, cob.grid)
-    unc = inside[None] & ~coverage_masks(s, cob.times, cob.grid)
-    return dataclasses.replace(cob, kept=np.arange(cob.times.size), uncovered=unc)
+def _stack(cob, kept):
+    """A cobordism's uncovered stack at the time indices kept, whole grid,
+    rasterized on its own."""
+    s = cob.transitions.scenario
+    return cob.inside[None] & ~coverage_masks(s, cob.times[kept], cob.grid)
+
+
+def _uncertified(cob, kept):
+    """The cobordism with every slice of kept (time indices) labeled and no
+    transition certified, as before the certificate: cob.kept gives the
+    full-stack reference, every time index the dense one."""
+    tr = copy.copy(cob.transitions)
+    tr.kept = tr.labeled = kept
+    tr.certified = tr.gaps = np.zeros(kept.size - 1, dtype=bool)
+    return dataclasses.replace(cob, transitions=tr, uncovered=_stack(cob, kept))
 
 
 def _label_stack(g):
@@ -910,20 +923,84 @@ def _expand(kept, size):
     return np.searchsorted(kept, np.arange(size), side="right") - 1
 
 
+def _check_against_full_stack(cob):
+    """components and boundary_pairs of a cobordism equal those of its
+    full-stack reference, field by field, and the components of every
+    labeled slice are numbered as there."""
+    full = _uncertified(cob, cob.kept)
+    got, want = components(cob), components(full)
+    assert got.count == want.count
+    assert np.array_equal(got.ends[0], want.ends[0])
+    assert np.array_equal(got.ends[-1], want.ends[-1])
+    at = np.searchsorted(cob.kept, cob.labeled)
+    assert np.array_equal(cob.uncovered, full.uncovered[at])
+    for i, j in enumerate(at):
+        assert np.array_equal(got.component[got.graph.labels(i)],
+                              want.component[want.graph.labels(j)])
+    got, want = boundary_pairs(cob, got), boundary_pairs(full, want)
+    for field in ("count", "pairs", "rep_uncovered", "rep_covered"):
+        assert getattr(got, field) == getattr(want, field)
+    for field in ("labels", "covered_labels"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+_FULL_STACK_KEYS = (["split", "close", "annuli", "empty", "full"]
+                    + [f"random/{k}" for k in range(100)]
+                    + [f"waypoint/{k}/{n}" for k in range(4) for n in (3, 5)])
+
+
+@pytest.mark.parametrize("key", _FULL_STACK_KEYS)
+def test_cobordisms_match_full_stack_reference(key):
+    # A generic waypoint scenario's events need not resolve, so its
+    # cobordism spans a fixed interval.
+    s = _scenario(key)
+    grid = grid_for_scenario(s)
+    spans = _spans(s, grid) if not key.startswith("waypoint") else [(0.25, 0.75)]
+    for fine in (64, 128, 256):
+        grid = grid_for_scenario(s, fine_time_samples=fine)
+        for span in spans:
+            _check_against_full_stack(rasterize_cobordism(s, span, grid))
+
+
+def test_cobordism_of_a_moving_island_matches_full_stack_reference():
+    # A sensor whose ball covers one cell center moves one cell west per
+    # time sample: a one-cell covered island that moves one cell in each
+    # step. In raster order its new cell is covered before its old one is
+    # uncovered, so each step is two simple flips with a standing uncovered
+    # neighbor, but the island's two cells share no covered cell, so no
+    # step is certified, and each slice's island is a covered component of
+    # its own.
+    h = 2.0 / 24  # the cell size of a 32-cell grid over the unit disk
+    s = validate_scenario(Scenario(
+        dimension=2, center=(0.0, 0.0), radius=1.0, sensing_radius=0.3 * h,
+        fence_width=0.12, time_base="interval",
+        tracks=(SensorTrack(((0.0, (4.5 * h, 0.5 * h)), (1.0, (0.5 * h, 0.5 * h)))),)))
+    grid = grid_for_scenario(s, cells=32, fine_time_samples=5)
+    assert grid.cell_size == pytest.approx(h)
+    cob = rasterize_cobordism(s, (0.0, 1.0), grid)
+    assert cob.kept.size == 5
+    flips = zigzag._box_flips(s, cob.times, grid)
+    assert flips.flips[0].size == 8 and flips.simple().all()
+    assert not cob.transitions.certified.any()
+    _check_against_full_stack(cob)
+    assert boundary_pairs(cob, components(cob)).count == 5
+
+
 @pytest.mark.parametrize("key", ["split", "close", "annuli", "empty", "full", "pulse"]
                          + [f"random/{k}" for k in range(10)]
                          + [f"interval/{k}" for k in range(10)])
 def test_distinct_cobordisms_match_dense_reference(key):
+    # The dense reference stacks every time sample and labels each.
     s = _scenario(key)
     spans = _spans(s, grid_for_scenario(s))
     for fine in (16, 64):
         grid = grid_for_scenario(s, fine_time_samples=fine)
         for span in spans:
             cob = rasterize_cobordism(s, span, grid)
-            dense = _dense(s, cob)
             n = cob.times.size
+            dense = _uncertified(cob, np.arange(n))
             assert cob.kept[0] == 0 and cob.kept[-1] == n - 1
-            assert np.array_equal(cob.uncovered[_expand(cob.kept, n)], dense.uncovered)
+            assert np.array_equal(_stack(cob, cob.kept)[_expand(cob.kept, n)], dense.uncovered)
             for k in cob.kept[1:-1]:
                 assert not np.array_equal(dense.uncovered[k], dense.uncovered[k - 1])
             got, want = components(cob), components(dense)
@@ -1035,15 +1112,41 @@ def test_slice_path_matches_reference(data):
         assert isinstance(got, str)
 
 
-def _reference_segment(data, start, target_label, target_cell):
-    """The per-slice witness step: per-slice labels and np.isin sweeps.
+def _reference_nearest_path(labels, comp, start, goals):
+    """The tuple-and-dict breadth-first search over the whole component,
+    then the path to the nearest goal cell, the first in raster order among
+    those as near."""
+    shape = labels.shape
+    parents = {start: start}
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for axis in range(labels.ndim):
+            for step in (-1, 1):
+                nxt = list(cur)
+                nxt[axis] += step
+                cell = tuple(nxt)
+                if not 0 <= nxt[axis] < shape[axis] or cell in parents or labels[cell] != comp:
+                    continue
+                parents[cell] = cur
+                dist[cell] = dist[cur] + 1
+                queue.append(cell)
+    goal = min((dist[c], c) for c in dist if goals[c])[1]
+    path = [goal]
+    while path[-1] != start:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path[1:]
 
-    The graph holds the distinct slices only; kept expands them back to
-    every time sample.
-    """
-    unc = (_label_stack(data.graph) != 0)[_expand(data.kept, data.times.size)]
+
+def _reference_segment(data, start, target_label, target_cell):
+    """The per-slice witness step over every time sample: per-slice labels
+    and np.isin sweeps on a stack rasterized on its own."""
+    cob = data.cob
+    unc = _stack(cob, np.arange(cob.times.size))[(slice(None),) + data.box]
     labels = [label_components(u)[0] for u in unc]
-    times = data.times
+    times = cob.times
     m = len(labels)
 
     reach: List[Set[int]] = [set() for _ in range(m)]
@@ -1074,9 +1177,9 @@ def _reference_segment(data, start, target_label, target_cell):
         if cand[cur]:
             nxt = cur
         else:
-            flat = int(np.flatnonzero(cand.ravel())[0])
-            nxt = tuple(int(v) for v in np.unravel_index(flat, cand.shape))
-            for cell in _reference_slice_path(labels[j], comp, cur, nxt):
+            walk = _reference_nearest_path(labels[j], comp, cur, cand)
+            nxt = walk[-1]
+            for cell in walk:
                 path.append((float(times[j]), cell))
         path.append((float(times[j + 1]), nxt))
         cur = nxt
@@ -1113,7 +1216,7 @@ def test_refined_witnesses_match_whole_grid_search(key, monkeypatch):
     coarse = bundle.grid.fine_time_samples
 
     def refined_only(data, *args):
-        return None if data.times.size == coarse else segment(data, *args)
+        return None if data.cob.times.size == coarse else segment(data, *args)
 
     monkeypatch.setattr(analysis, "_segment", refined_only)
     whole = analysis._WitnessBuilder(bundle)
@@ -1134,7 +1237,8 @@ def _check_witnesses_against_reference(key, monkeypatch, refined):
     def searched(segment):
         if not refined:
             return segment
-        return lambda data, *args: None if data.times.size == coarse else segment(data, *args)
+        return lambda data, *args: (None if data.cob.times.size == coarse
+                                    else segment(data, *args))
 
     monkeypatch.setattr(analysis, "_segment", searched(analysis._segment))
     got = _witness_outcomes(bundle, elements)

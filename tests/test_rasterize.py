@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -258,11 +259,14 @@ def test_cobordism_samples_and_slices():
     assert cob.times.size == 5
     assert cob.times[0] == pytest.approx(0.2)
     assert cob.times[-1] == pytest.approx(0.6)
-    direct = rasterize_fiber(s, float(cob.times[2]), g)
-    # uncovered[i] is the slice at times[kept[i]] and every repeat after it.
+    # uncovered[i] is the slice at times[labeled[i]], a distinct slice; the
+    # first and the last are labeled.
     assert cob.kept[0] == 0 and cob.kept[-1] == 4
-    at_2 = int(np.searchsorted(cob.kept, 2, side="right")) - 1
-    assert np.array_equal(cob.uncovered[at_2], direct.uncovered)
+    assert cob.labeled[0] == 0 and cob.labeled[-1] == 4
+    assert set(cob.labeled.tolist()) <= set(cob.kept.tolist())
+    assert len(cob.uncovered) == cob.labeled.size
+    for unc, k in zip(cob.uncovered, cob.labeled):
+        assert np.array_equal(unc, rasterize_fiber(s, float(cob.times[k]), g).uncovered)
     fine = rasterize_cobordism(s, (0.2, 0.6), g, fine_time_samples=9)
     assert fine.times.size == 9
     with pytest.raises(RasterError):
@@ -466,19 +470,21 @@ _CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
                   + ["interval/1", "split+edge", "random/1+edge", "interval/1+edge"])
 
 
-def _check_boundary_pairs(c, dimension):
-    """components(c, "covered_boundary") against the reference. A
-    cobordism's label fields hold its end slices, so they are checked
-    against the reference's slices 0 and -1. The pairs number uncovered
-    components as components(c, "uncovered") does."""
+def _check_boundary_pairs(c, dimension, reference=None):
+    """components(c, "covered_boundary") against the reference, which
+    labels reference (c by default); a cobordism's reference holds every
+    distinct slice. A cobordism's label fields hold its end slices, so they
+    are checked against the reference's slices 0 and -1. The pairs number
+    uncovered components as components(c, "uncovered") does."""
+    reference = reference or c
     b = components(c, "covered_boundary")
     assert isinstance(b, BoundaryComponents)
-    want = _reference_boundary_pairs(c, dimension)
+    want = _reference_boundary_pairs(reference, dimension)
     for field in ("pairs", "rep_uncovered", "rep_covered"):
         assert getattr(b, field) == want[field]
     assert b.count == len(want["pairs"])
     stacked = c.uncovered.ndim > dimension
-    steps = (0, c.uncovered.shape[0] - 1) if stacked else (0,)
+    steps = (0, reference.uncovered.shape[0] - 1) if stacked else (0,)
     unc = components(c, "uncovered")
     for got, field in ((b.covered_labels, "covered_labels"),
                        (np.stack(unc.ends) if stacked else unc.labels, "uncovered_labels")):
@@ -505,10 +511,14 @@ def test_boundary_pairs_match_reference(key, monkeypatch):
     for c in rasterize_fibers(s, [0.0, 0.37, 1.0], g):
         _check_boundary_pairs(c, s.dimension)
     cob = rasterize_cobordism(s, (0.2, 0.6), g)
+    # The reference labels the stack of every distinct slice.
+    full = dataclasses.replace(
+        cob, uncovered=cob.inside & ~coverage_masks(s, cob.times[cob.kept], g))
     # Every slice graph on its core path, then on its label_slices path.
+    monkeypatch.setattr(rasterize, "_CORE_VARYING_SHARE", 0)
     for cells in (0, 1 << 62):
         monkeypatch.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
-        _check_boundary_pairs(cob, s.dimension)
+        _check_boundary_pairs(cob, s.dimension, full)
 
 
 @settings(max_examples=200, deadline=None)

@@ -46,6 +46,7 @@ from evasion_kit.rasterize import (
     count_holes,
     coverage_masks,
     domain_masks,
+    face_contacts,
     grid_for_scenario,
     label_components,
     label_slices,
@@ -204,7 +205,9 @@ def test_pair_counts_match_reference(name, seed, margin):
     grid = grid_for_scenario(s, cells=96, fine_time_samples=16, margin_cells=margin)
     disk, inside = domain_masks(s, grid)
     fibers = inside & ~coverage_masks(s, np.linspace(0.0, 1.0, 33), grid)
-    cobordism = rasterize_cobordism(s, (0.2, 0.6), grid).uncovered
+    # Every distinct slice of a cobordism, as a stack.
+    cob = rasterize_cobordism(s, (0.2, 0.6), grid)
+    cobordism = inside & ~coverage_masks(s, cob.times[cob.kept], grid)
     for unc in (fibers, cobordism):
         u_lab, u_tops = label_slices(unc)
         v_lab, v_tops = label_slices(disk & ~unc)
@@ -458,13 +461,21 @@ def test_stack_signatures_match_reference_on_moving_balls(stack):
 
 def _dense_anchors(uncovered, disk, inside):
     """The flips of a dense stack (T, *shape), off its step diff, and their
-    _flip_anchors with the ring cells read off the stack itself."""
+    _flip_anchors, uncovered and covered, with the ring cells read off the
+    stack itself."""
     flips = np.nonzero(uncovered[1:] != uncovered[:-1])
 
     def read(slices, cells):
         return uncovered[(slices,) + tuple(cells)]
 
-    return flips, _flip_anchors(flips, read, disk, inside)
+    return (flips,) + _flip_anchors(flips, read, disk, inside)
+
+
+def _contact_pairs(uncovered, u_lab, v_lab, inside):
+    """The (uncovered, covered-with-collar) label pairs of a slice's
+    contacts: face neighbors whose covered cell is inside the fence."""
+    src, dst = face_contacts(uncovered, ~uncovered & inside, range(uncovered.ndim))
+    return set(zip(u_lab.ravel()[src].tolist(), v_lab.ravel()[dst].tolist()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,22 +483,34 @@ def _dense_anchors(uncovered, disk, inside):
 def test_certified_steps_match_components_one_to_one(stack):
     # Each step is a two-slice stack. When every flip of a step is
     # certified, the band's standing edges, the component pairs sharing a
-    # cell, form a perfect matching of the two slices' components, and
-    # every anchor stands.
+    # cell, form a perfect matching of the two slices' components, in the
+    # uncovered and in the covered-with-collar region alike; every anchor
+    # stands, and the matchings carry the boundary pairs of one slice onto
+    # those of the other.
     uncovered, disk, inside = stack
-    flips, anchors = _dense_anchors(uncovered, disk, inside)
+    covered = disk & ~uncovered
+    flips, anchors, covered_anchors = _dense_anchors(uncovered, disk, inside)
+    assert np.array_equal(anchors < 0, covered_anchors < 0)
     for k in range(len(uncovered) - 1):
-        at = anchors[flips[0] == k]
-        if (at < 0).any():
+        at = flips[0] == k
+        if (anchors[at] < 0).any():
             continue
-        before, n_before = label_components(uncovered[k])
-        after, n_after = label_components(uncovered[k + 1])
-        both = uncovered[k] & uncovered[k + 1]
-        pairs = set(zip(before[both].tolist(), after[both].tolist()))
-        assert n_before == n_after == len(pairs)
-        assert ({a for a, _ in pairs} == {b for _, b in pairs}
-                == set(range(1, n_before + 1)))
-        assert both.ravel()[at].all()
+        matches, labels = [], []
+        for region, anchor in ((uncovered, anchors[at]), (covered, covered_anchors[at])):
+            before, n_before = label_components(region[k])
+            after, n_after = label_components(region[k + 1])
+            both = region[k] & region[k + 1]
+            pairs = set(zip(before[both].tolist(), after[both].tolist()))
+            assert n_before == n_after == len(pairs)
+            assert ({a for a, _ in pairs} == {b for _, b in pairs}
+                    == set(range(1, n_before + 1)))
+            assert both.ravel()[anchor].all()
+            matches.append(dict(pairs))
+            labels.append((before, after))
+        (u0, u1), (v0, v1) = labels
+        carried = {(matches[0][u], matches[1][v])
+                   for u, v in _contact_pairs(uncovered[k], u0, v0, inside)}
+        assert carried == _contact_pairs(uncovered[k + 1], u1, v1, inside)
 
 
 def test_certificate_rejects_a_one_cell_pocket_that_moves():
@@ -516,6 +539,36 @@ def test_certificate_rejects_a_one_cell_pocket_that_moves():
 
     assert _simple_flips(flips, read, disk, inside).all()
     assert (_dense_anchors(stack, disk, inside)[1] == -1).all()
+
+
+def test_certificate_rejects_a_one_cell_island_that_moves():
+    # The covered island moves one cell west: the mirror image of the
+    # moving pocket. Both flips are simple and each has a standing
+    # uncovered face neighbor, yet the slices share no cell of the island,
+    # and neither flip has a face neighbor covered at both ends; the
+    # boundary pair of the island would not carry across the step.
+    stack, disk, inside = _picture_stack("""
+.......
+.......
+...#...
+.......
+.......
+""", """
+.......
+.......
+..#....
+.......
+.......
+""")
+    flips = np.nonzero(stack[1:] != stack[:-1])
+    assert flips[0].size == 2
+
+    def read(slices, cells):
+        return stack[(slices,) + tuple(cells)]
+
+    assert _simple_flips(flips, read, disk, inside).all()
+    _, anchors, covered_anchors = _dense_anchors(stack, disk, inside)
+    assert (anchors == -1).all() and (covered_anchors == -1).all()
 
 
 def test_scan_labels_few_slices(monkeypatch):
@@ -1254,7 +1307,7 @@ def test_region_map_reads_each_first_cell():
         end = rng.integers(1, 4, size=labels.shape)
         fparts = ComponentLabels(labels=labels, count=count)
         cparts = CobordismComponents(count=3, ends=(end, end), graph=None,
-                                     component=None, box=(), kept=np.arange(2))
+                                     component=None, box=())
         flat = labels.ravel()
         want = {k: int(end.ravel()[np.flatnonzero(flat == k)[0]]) for k in range(1, count + 1)}
         assert zigzag._region_map(fparts, cparts, 0) == want
