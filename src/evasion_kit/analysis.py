@@ -44,11 +44,11 @@ from .rasterize import (BoundaryComponents, CobordismComplex, CobordismComponent
                         GridSpec, StackGraph, boundary_pairs, bounding_box,
                         cell_center, domain_masks, grid_for_scenario,
                         label_components, rasterize_cobordism, rasterize_fiber,
-                        stack_graph, sweep, _union_roots)
+                        stack_graph, sweep, _Transitions, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
                      ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
-                     fiber_signatures, _Transitions)
+                     fiber_signatures)
 
 __all__ = [
     "Witness",
@@ -748,7 +748,7 @@ def oracle_reachability(s: Scenario, grid: Optional[GridSpec] = None,
     flips a cell inside the fence. Every other slice equals its
     predecessor, and equal masks have equal components joined one to one.
     A transition is the step from one distinct slice to the next. In 2-D
-    most transitions are certified (see zigzag._Transitions): their bands
+    most transitions are certified (see rasterize._Transitions): their bands
     join the components of their two slices one to one, so reach and chain
     counts pass through them as a permutation, read off representative
     cells without a raster. Only the first and the last slice and the two

@@ -30,7 +30,8 @@ exactly, and the later slice repeats the earlier one's signature unlabeled.
 A simple flip that also keeps an uncovered and a covered-with-collar face
 neighbor as they were keeps more: the components of both regions, matched
 one to one across the step. The oracle and every cobordism label only the
-slices around the steps without that certificate (_Transitions).
+slices around the steps without that certificate
+(rasterize._Transitions).
 
 The flips come from the moving sensors alone, and the scan builds no stack
 of every slice. Coverage is the static union or'ed with every moving ball,
@@ -59,20 +60,20 @@ the covered region sees the opposite letter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
-from .rasterize import (BoxCoverage, CobordismComplex,
-                        CobordismComponents, ComponentLabels, FiberComplex,
-                        GridSpec, StackGraph, bounding_box, components,
-                        coverage_masks, domain_masks, face_contacts,
-                        first_cells, grid_for_scenario, label_slices,
-                        rasterize_cobordism, rasterize_fibers, sorted_unique)
+from .rasterize import (CobordismComplex, CobordismComponents,
+                        ComponentLabels, FiberComplex, GridSpec, _box_flips,
+                        bounding_box, components, coverage_masks,
+                        face_contacts, first_cells, grid_for_scenario,
+                        label_slices, rasterize_cobordism, rasterize_fibers,
+                        sorted_unique)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -134,328 +135,6 @@ def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
     stride = np.int64(v_tops[-1]) + 1
     keys = u_lab.ravel()[src].astype(np.int64) * stride + v_lab.ravel()[dst]
     return _per_slice(u_tops, sorted_unique(keys) // stride)
-
-
-def _arc_table() -> np.ndarray:
-    """Per 8-bit ring pattern: its face cells are set and lie on one arc.
-
-    Bit i is ring cell i in the cyclic order NW, N, NE, E, SE, S, SW, W;
-    the face cells N, E, S, W are bits 1, 3, 5, 7. Consecutive ring cells
-    are face-adjacent and no others are, so an arc is a cyclic run of set
-    bits, and the set face cells are connected through the set ring cells
-    exactly when one run holds them all.
-    """
-    table = np.zeros(256, dtype=bool)
-    for pattern in range(256):
-        bits = [(pattern >> i) & 1 for i in range(8)]
-        # Walk from an unset bit, if there is one, so that no run wraps.
-        start = bits.index(0) if 0 in bits else 0
-        run, runs = 0, set()
-        for step in range(1, 9):
-            i = (start + step) % 8
-            if not bits[i]:
-                run += 1
-            elif i % 2:
-                runs.add(run)
-        table[pattern] = len(runs) == 1
-    return table
-
-
-_ONE_ARC = _arc_table()
-
-# (dy, dx, read from the later slice) per ring bit; see _simple_flips.
-_RING = ((-1, -1, True), (-1, 0, True), (-1, 1, True), (0, 1, False),
-         (1, 1, False), (1, 0, False), (1, -1, False), (0, -1, True))
-# The same as (8, 1) columns, and each bit's weight in a ring pattern.
-_RING_DY, _RING_DX, _RING_LATER = (np.array(v)[:, None] for v in zip(*_RING))
-_RING_WEIGHTS = 1 << np.arange(8)
-
-
-def _simple_flips(flips: Tuple[np.ndarray, ...],
-                  uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
-                  disk: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Per flip, whether it is simple; a step of simple flips keeps the signature.
-
-    flips are the index arrays (step, *cell) of the cells each step flips,
-    in raster order within a step, and uncovered(slices, cells) reads the
-    uncovered region at single cells: cell i, given as index arrays in array
-    order, at slice slices[i].
-    The flips of a step are applied one at a time in raster order, so when
-    cell p flips, its earlier ring cells NW, N, NE, W hold slice k + 1 and
-    the later ones E, SE, S, SW hold slice k. p is simple when (a) it is not
-    a rim cell, (b) its uncovered face neighbors are not empty and lie on
-    one arc of uncovered ring cells, (c) the same holds for
-    covered-with-collar cells (disk & ~uncovered; cells off the box or the
-    disk are neither), and (d) a covered-with-collar face neighbor lies
-    inside the fence.
-    """
-    return _ring_test(flips, uncovered, disk, inside)[0]
-
-
-def _ring_test(flips: Tuple[np.ndarray, ...],
-               uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
-               disk: np.ndarray, inside: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_simple_flips, and per flip its uncovered and its covered-with-collar
-    ring cells as read there, (8, flips) arrays in ring bit order.
-
-    Every flip's eight ring cells are read in one call. A flipped cell lies
-    on the disk, and it is a rim cell when a face neighbor is off the box or
-    off the disk, as _rim has it.
-    """
-    step, y, x = flips
-    h, w = disk.shape
-    yy, xx = y + _RING_DY, x + _RING_DX
-    on_box = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-    yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
-    on_disk = disk[yy, xx] & on_box
-    u = uncovered((step + _RING_LATER).ravel(), (yy.ravel(), xx.ravel())).reshape(yy.shape)
-    u &= on_box
-    v = on_disk & ~u
-    contact = (v[1::2] & inside[yy[1::2], xx[1::2]]).any(axis=0)
-    rim = ~on_disk[1::2].all(axis=0)
-    simple = _ONE_ARC[_RING_WEIGHTS @ u] & _ONE_ARC[_RING_WEIGHTS @ v] & contact & ~rim
-    return simple, u, v
-
-
-# The face cells' ring bits in raster order, N, W, E, S: of the cells
-# nearest a point, the witness walk (analysis._slice_path) goes to the
-# first in raster order.
-_FACES = np.array([1, 7, 3, 5])
-
-
-def _flip_anchors(flips: Tuple[np.ndarray, ...],
-                  uncovered: Callable[[np.ndarray, Tuple[np.ndarray, ...]], np.ndarray],
-                  disk: np.ndarray, inside: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per flip, the flat box indices of its two anchors where it is
-    certified, else -1 for both.
-
-    A flip is certified when it is simple (_simple_flips, same arguments)
-    and two face neighbors stand: one uncovered at both ends of the step,
-    and one covered-with-collar at both ends. Each anchor is the first such
-    neighbor in raster order: N, W, E, S. A face neighbor that the step does not
-    flip holds the same value at both ends, so the ring read already says
-    whether it stands; one that the step flips does not stand. flips must be
-    sorted by step and then in raster order, as BoxCoverage.flips and
-    np.nonzero give them.
-
-    A step whose flips are all certified joins the components of its two
-    slices one to one through their shared cells, the standing edges of
-    their band, in the uncovered and in the covered-with-collar region
-    alike: no simple flip merges, splits, creates or removes a component of
-    either, and a flipped cell's component keeps its anchor across the
-    step. A simple flip also keeps the one contact pair it touches, so the
-    two slices have the same boundary pairs of space-time components.
-    Simplicity alone is not enough: a one-cell pocket, or a one-cell
-    covered island, that moves one cell in one step is two simple flips,
-    yet its two slices share no cell of it.
-    """
-    simple, u, v = _ring_test(flips, uncovered, disk, inside)
-    step, y, x = flips
-    h, w = disk.shape
-    anchor = np.full(step.size, -1, dtype=np.intp)
-    covered_anchor = anchor.copy()
-    if not step.size:
-        return anchor, covered_anchor
-    keys = (step * h + y) * w + x
-    # The face cells, flat in the box, and as keys of their step.
-    faces = (y + _RING_DY[_FACES]) * w + (x + _RING_DX[_FACES])
-    wanted = step * (h * w) + faces
-    flipped = keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
-    stands = u[_FACES] & ~flipped
-    covered_stands = v[_FACES] & ~flipped
-    ok = simple & stands.any(axis=0) & covered_stands.any(axis=0)
-    at = np.flatnonzero(ok)
-    anchor[ok] = faces[stands.argmax(axis=0)[ok], at]
-    covered_anchor[ok] = faces[covered_stands.argmax(axis=0)[ok], at]
-    return anchor, covered_anchor
-
-
-@dataclass(frozen=True)
-class _BoxFlips:
-    """A list of times' coverage flips inside the fence, on the disk's box.
-
-    box is the disk's bounding box in the grid, disk and inside are cropped
-    to it, and flips are BoxCoverage.flips(inside): index arrays (step,
-    *cell) in box coordinates, sorted by step and then in raster order.
-    """
-
-    box: Tuple[slice, ...]
-    disk: np.ndarray
-    inside: np.ndarray
-    coverage: BoxCoverage
-    flips: Tuple[np.ndarray, ...]
-
-    def uncovered(self, slices: np.ndarray, cells: Tuple[np.ndarray, ...]) -> np.ndarray:
-        """Whether cell i (index arrays in box order) is uncovered at slices[i]."""
-        return self.inside[cells] & ~self.coverage.covered(slices, cells)
-
-    def simple(self) -> np.ndarray:
-        """_simple_flips of the flips."""
-        return _simple_flips(self.flips, self.uncovered, self.disk, self.inside)
-
-    def anchors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """_flip_anchors of the flips."""
-        return _flip_anchors(self.flips, self.uncovered, self.disk, self.inside)
-
-
-def _box_flips(s: Scenario, times: Sequence[float], grid: GridSpec) -> _BoxFlips:
-    """The coverage flips between consecutive times, read on the disk's box.
-
-    Every flip lies inside the fence, hence in the disk's box, and a disk
-    cell on its edge is a rim cell in both frames, so the ring test there
-    is that of the whole grid.
-    """
-    disk, inside = domain_masks(s, grid)
-    box = bounding_box(disk)
-    disk, inside = disk[box], inside[box]
-    coverage = BoxCoverage(s, times, grid, box)
-    return _BoxFlips(box, disk, inside, coverage, coverage.flips(inside))
-
-
-class _Transitions:
-    """The distinct slices of a list of times, and which steps between them
-    the ring certificate vouches for; the oracle and every cobordism label
-    only the slices around the others.
-
-    kept are the distinct slices' time indices: the first time, the last,
-    and each time after a step that flips a cell inside the fence; every
-    other slice equals its predecessor. Transition i, from kept[i] to
-    kept[i + 1], is step kept[i + 1] - 1 alone, the only one between them
-    with flips, and certified[i] says whether each of its flips is
-    (_flip_anchors). Then the band's standing edges match the two slices'
-    uncovered components one to one, and their covered-with-collar
-    components too, and both slices have the same boundary pairs.
-
-    labeled are the time indices of the slices to label: the first and the
-    last distinct slice and both ends of every uncertified transition.
-    gaps[i] says whether labeled[i] and labeled[i + 1] are not consecutive
-    distinct slices, so that certified transitions alone lie between them:
-    across a gap, components are carried by a cell each (follow), not
-    labeled, and join puts the matching into a slice graph. Every
-    component of a stack that is not the first slice's appears after an
-    uncertified transition, so its first slice is labeled.
-
-    The flips and the ring are read on the disk's box, as the event scan
-    reads them; the ring test is 2-D only, so in 1-D no transition is
-    certified and every distinct slice is labeled.
-    """
-
-    def __init__(self, s: Scenario, times: Sequence[float], grid: GridSpec) -> None:
-        self.scenario = s
-        self.grid = grid
-        self.times = np.asarray(times, dtype=float)
-        bf = _box_flips(s, self.times, grid)
-        self.box = bf.box
-        self.coverage = bf.coverage
-        step, *cells = bf.flips
-        n = self.times.size
-        self.kept = sorted_unique(np.concatenate(([0], step + 1, [n - 1])))
-        if s.dimension == 2:
-            anchor, covered_anchor = bf.anchors()
-        else:
-            anchor = covered_anchor = np.full(step.size, -1, dtype=np.intp)
-        vouched = np.ones(n, dtype=bool)
-        vouched[step[anchor < 0]] = False
-        self.certified = vouched[self.kept[1:] - 1]
-        labeled = np.zeros(self.kept.size, dtype=bool)
-        labeled[[0, -1]] = True
-        labeled[:-1] |= ~self.certified
-        labeled[1:] |= ~self.certified
-        at = np.flatnonzero(labeled)
-        self.labeled = self.kept[at]
-        self.gaps = np.diff(at) > 1
-        # Each cell's flips in step order, to follow a cell from step to step.
-        self._shape = bf.disk.shape
-        keys = np.ravel_multi_index(cells, self._shape) * n + step
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._anchors = (anchor[order], covered_anchor[order])
-
-    def uncovered(self, at: np.ndarray, box: Tuple[slice, ...]) -> np.ndarray:
-        """The uncovered stack (slices, *box shape) at the time indices at.
-
-        One coverage_masks call, which reads the moving tracks' positions
-        off this object's coverage instead of evaluating them again.
-        """
-        _, inside = domain_masks(self.scenario, self.grid)
-        unc = coverage_masks(self.scenario, self.times[at], self.grid, box,
-                             positions=self.coverage.positions[:, at])
-        np.logical_not(unc, out=unc)
-        unc &= inside[box]
-        return unc
-
-    def _shift(self, box: Tuple[slice, ...]) -> Tuple[int, ...]:
-        """How far box's corner lies from the disk's box's, per axis."""
-        return tuple(b.indices(n)[0] - d.indices(n)[0]
-                     for b, d, n in zip(box, self.box, self.grid.shape))
-
-    def trail(self, cell: Tuple[int, ...], a: int, b: int, box: Tuple[slice, ...],
-              covered: bool = False) -> List[Tuple[int, Tuple[int, ...]]]:
-        """Where a cell moves across the certified steps a .. b - 1, as
-        (step, cell) per move; cells are index tuples in box.
-
-        The cell is uncovered at time a, or covered-with-collar with
-        covered. It keeps its state until a step flips it, and then moves
-        to that flip's anchor of its kind, which the step leaves as it was;
-        so it ends at time b in the component matched to its own.
-        """
-        shift = self._shift(box)
-        flat = int(np.ravel_multi_index(tuple(c + o for c, o in zip(cell, shift)), self._shape))
-        anchors = self._anchors[covered]
-        n = self.times.size
-        moves = []
-        while True:
-            i = int(np.searchsorted(self._keys, flat * n + a))
-            if i == self._keys.size or self._keys[i] >= flat * n + b:
-                return moves
-            a = int(self._keys[i]) % n + 1
-            flat = int(anchors[i])
-            moves.append((a - 1, tuple(int(v) - o for v, o
-                                       in zip(np.unravel_index(flat, self._shape), shift))))
-
-    def follow(self, cells: Tuple[np.ndarray, ...], a: int, b: int, box: Tuple[slice, ...],
-               covered: bool = False) -> Tuple[np.ndarray, ...]:
-        """Where each cell (index arrays in box) ends at time b (trail)."""
-        ends = []
-        for cell in zip(*(c.tolist() for c in cells)):
-            moves = self.trail(cell, a, b, box, covered)
-            ends.append(moves[-1][1] if moves else cell)
-        return tuple(np.array(c, dtype=np.intp) for c in zip(*ends))
-
-    def join(self, g: StackGraph, box: Tuple[slice, ...], first: int = 0,
-             covered: bool = False) -> StackGraph:
-        """A slice graph of the labeled slices first, first + 1, ... on box,
-        with the edges across each gap read off the certificate.
-
-        The slices on either side of a gap are not consecutive distinct
-        slices, so the cells they share say nothing; the certified
-        transitions between them match their components one to one
-        instead. The first cell of each component of the earlier slice is
-        followed to the later one (follow), and the component it lands in
-        is its match. They must land one per component; anything else is a
-        bug, not a resolution limit, and raises RuntimeError.
-        """
-        gaps = np.flatnonzero(self.gaps[first:first + len(g.table) - 1])
-        if not gaps.size:
-            return g
-        src: List[np.ndarray] = []
-        dst: List[np.ndarray] = []
-        done = 0
-        for i in gaps.tolist():
-            cells = np.unravel_index(g.firsts(i), g.shape)
-            moved = self.follow(cells, int(self.labeled[first + i]),
-                                int(self.labeled[first + i + 1]), box, covered)
-            to = g.labels_at(np.full(cells[0].size, i + 1), np.ravel_multi_index(moved, g.shape))
-            if not np.array_equal(np.sort(to), np.arange(g.offsets[i + 1], g.offsets[i + 2]) + 1):
-                raise RuntimeError("certified transitions did not carry the components "
-                                   "one to one")
-            src += [g.src[done:g.cuts[i]], np.arange(g.offsets[i], g.offsets[i + 1]) + 1]
-            dst += [g.dst[done:g.cuts[i]], to.astype(np.int64)]
-            done = g.cuts[i + 1]
-        src = np.concatenate(src + [g.src[done:]])
-        dst = np.concatenate(dst + [g.dst[done:]])
-        return replace(g, src=src, dst=dst, cuts=np.searchsorted(src, g.offsets, side="right"))
 
 
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,

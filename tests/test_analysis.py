@@ -576,7 +576,7 @@ def _spy_chunks(monkeypatch):
         handed.append(len(times))
         return coverage_masks(s, times, *args, **kwargs)
 
-    monkeypatch.setattr(zigzag, "coverage_masks", counted)
+    monkeypatch.setattr(rasterize, "coverage_masks", counted)
     return handed
 
 
@@ -585,7 +585,7 @@ def _labeled_runs(s, grid, time_samples):
     distinct slice and both ends of each uncertified transition, in runs of
     consecutive distinct slices."""
     times = np.linspace(*TIME_SPAN, time_samples + 1)
-    tr = zigzag._Transitions(s, times, grid)
+    tr = rasterize._Transitions(s, times, grid)
     open_ = np.flatnonzero(~tr.certified)
     runs: List[int] = []
     previous = None
@@ -720,14 +720,12 @@ def test_no_space_time_labeling(monkeypatch):
         oracle_reachability(s)
     assert not space_time
     planar = [(shape, g) for shape, g in graphs if len(shape) == 3]
-    # A graph on the core path has fewer table columns than a slice has cells.
-    core = [(shape, g) for shape, g in planar if g.table.shape[1] < math.prod(shape[1:])]
-    assert any(math.prod(shape) >= rasterize._CORE_LABEL_CELLS for shape, _ in core)
-    for shape, g in core:
-        for field in dataclasses.fields(g):
-            value = getattr(g, field.name)
-            assert not isinstance(value, np.ndarray) or value.size < math.prod(shape)
+    assert any(math.prod(shape) >= rasterize._CORE_LABEL_CELLS for shape, _ in planar)
     for shape, g in planar:
+        if math.prod(shape) >= rasterize._CORE_LABEL_CELLS:
+            for field in dataclasses.fields(g):
+                value = getattr(g, field.name)
+                assert not isinstance(value, np.ndarray) or value.size < math.prod(shape)
         assert reads.get(id(g.table), set()) <= {0, shape[0] - 1}
 
 
@@ -782,7 +780,6 @@ def _both_paths(unc):
     for cells in (1 << 62, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
-            mp.setattr(rasterize, "_CORE_VARYING_SHARE", 0)
             graphs.append(rasterize.stack_graph(unc))
     return graphs
 
@@ -979,7 +976,7 @@ def test_cobordism_of_a_moving_island_matches_full_stack_reference():
     assert grid.cell_size == pytest.approx(h)
     cob = rasterize_cobordism(s, (0.0, 1.0), grid)
     assert cob.kept.size == 5
-    flips = zigzag._box_flips(s, cob.times, grid)
+    flips = rasterize._box_flips(s, cob.times, grid)
     assert flips.flips[0].size == 8 and flips.simple().all()
     assert not cob.transitions.certified.any()
     _check_against_full_stack(cob)

@@ -515,7 +515,6 @@ def test_boundary_pairs_match_reference(key, monkeypatch):
     full = dataclasses.replace(
         cob, uncovered=cob.inside & ~coverage_masks(s, cob.times[cob.kept], g))
     # Every slice graph on its core path, then on its label_slices path.
-    monkeypatch.setattr(rasterize, "_CORE_VARYING_SHARE", 0)
     for cells in (0, 1 << 62):
         monkeypatch.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
         _check_boundary_pairs(cob, s.dimension, full)

@@ -17,17 +17,13 @@ from evasion_kit.scenario import (
     random_interval_scenario,
     validate_scenario,
 )
-from evasion_kit import zigzag
+from evasion_kit import rasterize, zigzag
 from evasion_kit.zigzag import (
-    _ONE_ARC,
-    _RING,
     Event,
-    _flip_anchors,
     _pair_counts,
     _per_slice,
     _rim,
     _signatures,
-    _simple_flips,
     _stack_signatures,
     build_zigzag,
     detect_events,
@@ -36,9 +32,13 @@ from evasion_kit.zigzag import (
 )
 from evasion_kit.gapsweep import sweep_gaps
 from evasion_kit.rasterize import (
+    _ONE_ARC,
+    _RING,
     BoxCoverage,
     CobordismComponents,
     ComponentLabels,
+    _flip_anchors,
+    _simple_flips,
     boundary_pairs,
     bounding_box,
     cell_center,
@@ -1105,12 +1105,12 @@ def test_probe_tables_stay_bounded(monkeypatch):
     # all of them would hold 2**30 times.
     sizes = []
 
-    class Spy(zigzag.BoxCoverage):
-        def __init__(self, s, times, grid, box=None):
+    class Spy(rasterize.BoxCoverage):
+        def __init__(self, s, times, grid, box=None, positions=None):
             sizes.append(len(times))
-            super().__init__(s, times, grid, box)
+            super().__init__(s, times, grid, box, positions)
 
-    monkeypatch.setattr(zigzag, "BoxCoverage", Spy)
+    monkeypatch.setattr(rasterize, "BoxCoverage", Spy)
     s = builtin_scenario("split")
     with pytest.raises(SimultaneousEventsError):
         detect_events(s, grid_for_scenario(s, cells=64), tol=1e-12)
