@@ -238,10 +238,9 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
     times, kept, labeled = tr.times, tr.kept, tr.labeled
     m = len(g.table)
 
-    # The path's cell is read off its column of the label table; only a
-    # slice the path walks in is read whole.
-    col = int(g.node_of[np.ravel_multi_index(start, g.shape)])
-    first = int(g.table[0, col])
+    # The path's label is read at its cell alone; only a slice the path
+    # walks in is read whole.
+    first = int(g.labels(0)[start])
     if first == 0 or not 0 < target_label <= g.offsets[m] - g.offsets[m - 1]:
         return None
     target = int(g.offsets[m - 1]) + target_label
@@ -262,10 +261,9 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
                     cur = moves[q - 1]
                     path.append((float(times[q - 1]), cur))
                 path.append((float(times[q]), cur))
-            col = int(g.node_of[np.ravel_multi_index(cur, g.shape)])
             continue
         path.extend((float(times[r]), cur) for r in range(a + 1, b))
-        if usable[g.table[j + 1, col]]:
+        if usable[g.labels(j + 1)[cur]]:
             nxt = cur
         else:
             here = g.labels(j)
@@ -277,7 +275,6 @@ def _segment(data: _CobData, start: Tuple[int, ...], target_label: int,
             nxt = walk[-1]
             for cell in walk:
                 path.append((float(times[b - 1]), cell))
-            col = int(g.node_of[np.ravel_multi_index(nxt, g.shape)])
         path.append((float(times[b]), nxt))
         cur = nxt
     if target_cell is not None and cur != target_cell:

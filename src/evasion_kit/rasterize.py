@@ -147,8 +147,9 @@ def _center_grids(grid: GridSpec) -> Tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=64)
-def _domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """(disk, inside): cell centers within the disk / strictly inside the fence."""
+def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """(disk, inside) masks of the domain on this grid: cell centers within
+    the disk / strictly inside the fence. Both are read-only."""
     if grid.dimension != s.dimension:
         raise RasterError("grid dimension does not match the scenario")
     cg = _center_grids(grid)
@@ -863,18 +864,22 @@ class _Transitions:
 
 @dataclass
 class FiberComplex:
-    """One time slice: uncovered cells and the covered boundary cells."""
+    """One time slice: the uncovered cells, and the regions read off them."""
 
     grid: GridSpec
     time: float
     uncovered: np.ndarray
-    covered_boundary: np.ndarray
     disk: np.ndarray
     inside: np.ndarray
 
     @property
     def covered(self) -> np.ndarray:
         return self.inside & ~self.uncovered
+
+    @property
+    def covered_boundary(self) -> np.ndarray:
+        """Covered cells with an uncovered face neighbor."""
+        return _boundary_bitmap(self.uncovered, self.covered)
 
     @property
     def covered_with_collar(self) -> np.ndarray:
@@ -927,15 +932,11 @@ def rasterize_fiber(s: Scenario, t: float, grid: GridSpec) -> FiberComplex:
 
 def rasterize_fibers(s: Scenario, times: Sequence[float], grid: GridSpec) -> List[FiberComplex]:
     """Rasterize many fibers with one batched coverage evaluation."""
-    disk, inside = _domain_masks(s, grid)
+    disk, inside = domain_masks(s, grid)
     balls = coverage_masks(s, times, grid)
-    out = []
-    for t, ball in zip(times, balls):
-        uncovered = inside & ~ball
-        boundary = _boundary_bitmap(uncovered, inside & ball)
-        out.append(FiberComplex(grid=grid, time=float(t), uncovered=uncovered,
-                                covered_boundary=boundary, disk=disk, inside=inside))
-    return out
+    return [FiberComplex(grid=grid, time=float(t), uncovered=inside & ~ball,
+                         disk=disk, inside=inside)
+            for t, ball in zip(times, balls)]
 
 
 def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSpec,
@@ -953,7 +954,7 @@ def rasterize_cobordism(s: Scenario, interval: Tuple[float, float], grid: GridSp
     n = fine_time_samples if fine_time_samples is not None else grid.fine_time_samples
     if n < 2:
         raise RasterError("a cobordism needs at least two time samples")
-    disk, inside = _domain_masks(s, grid)
+    disk, inside = domain_masks(s, grid)
     tr = _Transitions(s, np.linspace(t0, t1, n), grid)
     uncovered = tr.uncovered(tr.labeled, (slice(None),) * grid.dimension)
     return CobordismComplex(grid=grid, interval=(float(t0), float(t1)), transitions=tr,
@@ -1094,7 +1095,7 @@ def boundary_pairs(c: Union[FiberComplex, CobordismComplex],
                    uncovered: Union[ComponentLabels, CobordismComponents]
                    ) -> BoundaryComponents:
     """The boundary components of a complex, given its uncovered components
-    (components(c, "uncovered")); only the covered region is labeled here."""
+    (components(c)); only the covered region is labeled here."""
     if isinstance(c, FiberComplex):
         v_lab, nv = label_components(c.disk & ~c.uncovered)
         # Contacts end on covered cells: covered-with-collar cells off the collar.
@@ -1225,44 +1226,34 @@ def label_slices(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class StackGraph:
     """The components of every slice of a stack (T, *shape), and how they meet.
 
-    Labels are stack-wide int32: slice j owns offsets[j]+1 .. offsets[j+1],
-    in the canonical order of label_components. They are held as a table,
-    not as a stack: node_of maps each flat cell of a slice to a column, the
-    columns that hold a set cell are numbered in the order of their first
-    cells, cells[c] is column c's first cell, and slice j's labels are
-    table[j, node_of]. Readers ask for one slice (labels), for given (slice,
-    cell) pairs (labels_at) or for a slice's components' first cells
-    (firsts), so no reader writes the (T, *shape) labels of every slice. A
-    standing edge (src, dst) joins a component of slice j to one of slice
-    j+1 that shares a set cell with it; edges are sorted, and
-    cuts[j]:cuts[j+1] are those leaving slice j. stack_graph's two paths
-    give the same labels and edges; only their columns differ.
+    table is the (T, cells) int32 array of label_slices' stack-wide labels,
+    one row per slice: slice j owns offsets[j]+1 .. offsets[j+1], in the
+    canonical order of label_components. Readers ask for one slice
+    (labels), for given (slice, flat cell) pairs (labels_at) or for a
+    slice's components' first cells (firsts). A standing edge (src, dst)
+    joins a component of slice j to one of slice j+1 that shares a set cell
+    with it; edges are sorted, and cuts[j]:cuts[j+1] are those leaving
+    slice j.
     """
 
     shape: Tuple[int, ...]
     table: np.ndarray
-    node_of: np.ndarray
-    cells: np.ndarray
     offsets: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     cuts: np.ndarray
 
     def labels(self, j: int) -> np.ndarray:
-        """Slice j's stack-wide labels, shaped as a slice."""
-        return self.table[j].take(self.node_of).reshape(self.shape)
+        """Slice j's stack-wide labels, shaped as a slice (a view of the table)."""
+        return self.table[j].reshape(self.shape)
 
     def labels_at(self, steps: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """The stack-wide label of each flat cell cells[i] in slice steps[i]."""
-        return self.table[steps, self.node_of[cells]]
+        return self.table[steps, cells]
 
     def firsts(self, j: int) -> np.ndarray:
-        """The flat first cell of each of slice j's components, in label order.
-
-        A component's first cell is that of its first column, and its
-        columns are read off the table alone.
-        """
-        return self.cells[first_cells(self.table[j, :self.cells.size])]
+        """The flat first cell of each of slice j's components, in label order."""
+        return first_cells(self.table[j])
 
 
 def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -1270,130 +1261,31 @@ def _slice_of(offsets: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.searchsorted(offsets, labels) - 1
 
 
-# Stacks of at least this many cells are labeled from their core; see
-# stack_graph.
-_CORE_LABEL_CELLS = 1 << 16
-
-
 def stack_graph(mask: np.ndarray) -> StackGraph:
     """Label the slices of the stack (T, *shape) and collect its standing edges.
 
-    Two paths give the same labels and edges, dtype for dtype; only the
-    table's columns differ. A stack of _CORE_LABEL_CELLS cells or more
-    labels its core, the cells set in every slice, once (_core_labels), and
-    its columns are the core's components and the varying cells. A core component is connected in
-    every slice, and every other face contact within a slice touches a
-    varying cell, so slice j's components are the union-find components of
-    the core's components and slice j's set varying cells, numbered by their
-    first cell as label_slices numbers them. A smaller stack is labeled in
-    one label_slices call, whose labels are the table, each cell its own
-    column: the core path costs about half a millisecond of numpy calls
-    however small the stack, more than relabeling a few slices.
-    On a 2-CPU host, 2-D stacks broke even near 45K cells (four slices of
-    106 x 106), and the 1-D oracle stacks of random_interval_scenario
-    1000-1023, at most 7.5K cells, always lost (129 against 404 us at 3.8K).
-
-    Keys pair a stack-wide source label with a target label local to its
-    slice, so they stay below (labels + 1) * (largest slice count + 1).
+    Every slice is labeled in one label_slices call, whose labels are the
+    table. Keys pair a stack-wide source label with a target label local to
+    its slice, so they stay below (labels + 1) * (largest slice count + 1).
     """
-    if mask.size >= _CORE_LABEL_CELLS:
-        table, node_of, cells, offsets, pa, pb = _core_labels(mask)
-    else:
-        labels, tops = label_slices(mask)
-        offsets = np.concatenate(([0], tops)).astype(np.int64)
-        table = labels.reshape(len(mask), -1)
-        # Every cell is its own column.
-        node_of = cells = np.arange(table.shape[1])
-        a = table[:-1].ravel()
-        b = table[1:].ravel()
-        # A component pair repeats along every cell it shares: keep run starts.
-        run = (mask[:-1] & mask[1:]).ravel()
-        run[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        idx = np.flatnonzero(run)
-        pa = a[idx].astype(np.int64)
-        pb = b[idx].astype(np.int64)
+    labels, tops = label_slices(mask)
+    offsets = np.concatenate(([0], tops)).astype(np.int64)
+    table = labels.reshape(len(mask), -1)
+    a = table[:-1].ravel()
+    b = table[1:].ravel()
+    # A component pair repeats along every cell it shares: keep run starts.
+    run = (mask[:-1] & mask[1:]).ravel()
+    run[1:] &= (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    idx = np.flatnonzero(run)
+    pa = a[idx].astype(np.int64)
+    pb = b[idx].astype(np.int64)
     width = int(np.diff(offsets).max(initial=0)) + 1
     keys = sorted_unique(pa * width + pb - offsets[_slice_of(offsets, pb)])
     src = keys // width
     dst = keys % width + offsets[_slice_of(offsets, src) + 1]
     cuts = np.searchsorted(src, offsets, side="right")
-    return StackGraph(shape=mask.shape[1:], table=table, node_of=node_of, cells=cells,
-                      offsets=offsets, src=src, dst=dst, cuts=cuts)
-
-
-def _core_labels(mask: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """label_slices' labels of a stack (T, *shape), labeling its core once.
-
-    Returns StackGraph's table, node_of and cells, whose columns are the
-    nodes and a last one, all zeros, for the cells never set; the offsets;
-    and the (slice j, slice j + 1) label pairs of the cells set in both,
-    repeats allowed.
-
-    The nodes are the core's components and the varying cells, the others
-    set in some slice; slice j's components are those of its set nodes
-    (see stack_graph), and one union-find joins every slice's nodes at once.
-    A component's first cell is the least first cell of its nodes, and
-    nodes are numbered in the order of their first cells, so numbering each
-    slice's components by their least node is label_slices' numbering. A
-    cell set in two consecutive slices is a core cell or a varying cell set
-    in both, so the node pairs give every standing pair. Its arrays are
-    (T, nodes) and (T, node contacts), besides the stack's own booleans; no
-    label array is the size of the stack.
-    """
-    steps = mask.shape[0]
-    shape = mask.shape[1:]
-    # Reduced and gathered in place: a cropped stack is not copied whole.
-    core = mask.all(axis=0).ravel()
-    varying = mask.any(axis=0).ravel() & ~core
-    core_labels, _ = label_components(core.reshape(shape))
-    core_labels = core_labels.ravel()
-    # A node stands at its first cell, and nodes are numbered in raster order.
-    firsts = first_cells(core_labels)
-    vary = np.flatnonzero(varying)
-    cells = np.sort(np.concatenate((firsts, vary)))
-    n = cells.size
-    # Per cell its node, and n for a cell never set.
-    node_of = np.concatenate(([n], np.searchsorted(cells, firsts)))[core_labels]
-    node_of[vary] = np.searchsorted(cells, vary)
-    active = mask[(slice(None),) + np.unravel_index(cells, shape)]
-    # Every contact between two nodes touches a varying cell.
-    a, b = face_contacts(varying.reshape(shape), (core | varying).reshape(shape),
-                         range(len(shape)))
-    root = _slice_roots(active, node_of[a], node_of[b])
-    # Each slice's components, numbered stack-wide by their least node.
-    lead = active.ravel() & (root == np.arange(steps * n))
-    rank = np.cumsum(lead)
-    table = np.zeros((steps, n + 1), dtype=np.int32)
-    table[:, :n] = np.where(active, rank[root].reshape(steps, n), 0)
-    offsets = np.concatenate(([0], np.cumsum(lead.reshape(steps, n).sum(axis=1))))
-    both = active[:-1] & active[1:]
-    pa = table[:-1, :n][both].astype(np.int64)
-    pb = table[1:, :n][both].astype(np.int64)
-    return table, node_of, cells, offsets.astype(np.int64), pa, pb
-
-
-def _slice_roots(active: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The union-find roots of every slice's nodes, flat as slice * nodes + node.
-
-    active (T, nodes) says which nodes each slice sets; the contact
-    (a[i], b[i]) joins its two nodes in every slice that sets both. Entry
-    j * nodes + v is j * nodes + u, for u the least node of v's component
-    in slice j.
-    """
-    steps, n = active.shape
-    # The edge lists are the largest arrays of a stack graph: int32 halves them.
-    kind = np.int32 if steps * n < 2 ** 31 else np.int64
-    j, e = np.nonzero(active[:, a] & active[:, b])
-    base = j.astype(kind)
-    del j
-    base *= n
-    src = a.astype(kind)[e]
-    src += base
-    dst = b.astype(kind)[e]
-    del e
-    dst += base
-    del base
-    return _union_roots(steps * n, src, dst)
+    return StackGraph(shape=mask.shape[1:], table=table, offsets=offsets,
+                      src=src, dst=dst, cuts=cuts)
 
 
 def sweep(g: StackGraph, seeds: Sequence[int], backward: bool = False) -> np.ndarray:
@@ -1483,15 +1375,9 @@ class CobordismComponents:
     box: Tuple[slice, ...]
 
 
-def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """(disk, inside) masks of the domain on this grid; both are read-only."""
-    return _domain_masks(s, grid)
-
-
-def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered"
-               ) -> Union[ComponentLabels, CobordismComponents, BoundaryComponents]:
-    """Labeled components of the uncovered region of a fiber or cobordism,
-    or its covered_boundary components.
+def components(c: Union[FiberComplex, CobordismComplex]
+               ) -> Union[ComponentLabels, CobordismComponents]:
+    """Labeled components of the uncovered region of a fiber or cobordism.
 
     Face adjacency within a slice; cobordisms additionally connect the same
     cell across consecutive sub-samples. A cobordism's components are read
@@ -1499,9 +1385,8 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     a standing edge, so the space-time components are the graph's connected
     components, and the witness search walks that same graph. Only the end
     slices' labels are written, on the whole grid; no stack is labeled with
-    adjacency across slices. covered_boundary components are adjacency
-    pairs, see BoundaryComponents: boundary_pairs of the uncovered
-    components.
+    adjacency across slices. boundary_pairs reads the boundary components
+    off these.
 
     A cobordism holds only its labeled slices, and that changes nothing
     here. Equal slices have the same components, and their standing edges
@@ -1512,15 +1397,8 @@ def components(c: Union[FiberComplex, CobordismComplex], which: str = "uncovered
     of every sample. A component appears only at the first slice or after
     an uncertified transition, where a slice is labeled, so each
     component's first cell in raster order lies in a labeled slice and the
-    numbering is that of the whole stack. A certified transition keeps the
-    boundary pairs of space-time components, so each pair's least contact
-    lies in a labeled slice too, and the pairs and their order are
-    unchanged.
+    numbering is that of the whole stack.
     """
-    if which == "covered_boundary":
-        return boundary_pairs(c, components(c, "uncovered"))
-    if which != "uncovered":
-        raise RasterError(f"unknown region '{which}'")
     if isinstance(c, FiberComplex):
         labels, count = label_components(c.uncovered)
         return ComponentLabels(labels=labels, count=count)

@@ -29,6 +29,7 @@ from evasion_kit.limit import (
     partition_algebra,
 )
 from evasion_kit.rasterize import (
+    boundary_pairs,
     components,
     grid_for_scenario,
     rasterize_fiber,
@@ -57,7 +58,7 @@ class _Budget:
 
 
 def _end_pocket(s, grid, witness):
-    final = components(rasterize_fiber(s, 1.0, grid), "uncovered")
+    final = components(rasterize_fiber(s, 1.0, grid))
     _, p_last = witness.samples[-1]
     cell = tuple(
         int(round((c - grid.origin[k]) / grid.cell_size - 0.5))
@@ -178,7 +179,7 @@ def test_boundary_partitions_dualize_to_components():
         data = extract_boundary_data(s, grid)
         for t, partition in zip(data.sample_times, data.fiber_partitions):
             f = rasterize_fiber(s, t, grid)
-            boundary = components(f, "covered_boundary")
+            boundary = boundary_pairs(f, components(f))
             by_pocket = {}
             for label, (pocket, _) in enumerate(boundary.pairs, start=1):
                 by_pocket.setdefault(pocket, set()).add(label)
@@ -205,7 +206,7 @@ def test_boundary_partitions_match_fill_reference():
         data = extract_boundary_data(s, grid)
         for t, partition in zip(data.sample_times, data.fiber_partitions):
             f = rasterize_fiber(s, t, grid)
-            boundary = components(f, "covered_boundary")
+            boundary = boundary_pairs(f, components(f))
             assert partition == fill_partition(f.covered_with_collar, boundary)
             split += len(partition.blocks) > 1
     assert split > 0

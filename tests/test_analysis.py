@@ -133,7 +133,7 @@ def test_split_witnesses_end_in_distinct_pockets(direct_reports):
     assert len(report.witnesses) == 2
     s = builtin_scenario("split")
     grid = grid_for_scenario(s)
-    final = components(rasterize_fiber(s, 1.0, grid), "uncovered")
+    final = components(rasterize_fiber(s, 1.0, grid))
     ends = []
     for w in report.witnesses:
         assert verify_witness(s, w)
@@ -673,7 +673,7 @@ def test_cobordism_boundary_memory_is_bounded():
     cob = rasterize_cobordism(s, (0.2, 0.6), grid)
     tracemalloc.start()
     try:
-        components(cob, "covered_boundary")
+        boundary_pairs(cob, components(cob))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -682,8 +682,8 @@ def test_cobordism_boundary_memory_is_bounded():
 
 def test_no_space_time_labeling(monkeypatch):
     # Boundary extraction and the oracle label no stack with face adjacency
-    # across slices. No 2-D slice graph holds an array the size of its
-    # stack on the core path, and its readers read its end slices alone.
+    # across slices, and the readers of a 2-D slice graph read its end
+    # slices alone.
     face = ndimage.generate_binary_structure(3, 1)
     label = ndimage.label
     space_time = []
@@ -720,12 +720,8 @@ def test_no_space_time_labeling(monkeypatch):
         oracle_reachability(s)
     assert not space_time
     planar = [(shape, g) for shape, g in graphs if len(shape) == 3]
-    assert any(math.prod(shape) >= rasterize._CORE_LABEL_CELLS for shape, _ in planar)
+    assert planar
     for shape, g in planar:
-        if math.prod(shape) >= rasterize._CORE_LABEL_CELLS:
-            for field in dataclasses.fields(g):
-                value = getattr(g, field.name)
-                assert not isinstance(value, np.ndarray) or value.size < math.prod(shape)
         assert reads.get(id(g.table), set()) <= {0, shape[0] - 1}
 
 
@@ -774,24 +770,16 @@ def _graph_stack(key, monkeypatch):
     return _scenario_stack(name)
 
 
-def _both_paths(unc):
-    """stack_graph on its label_slices path and on its core path."""
-    graphs = []
-    for cells in (1 << 62, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
-            graphs.append(rasterize.stack_graph(unc))
-    return graphs
-
-
 @pytest.mark.parametrize("key", ["noise", "split", "annuli", "empty", "full",
                                  "random/0", "interval/0", "circle1d",
-                                 "oracle:random/0", "cobordism:random/0"])
+                                 "oracle:random/0", "oracle:waypoint/0/5",
+                                 "cobordism:random/0"])
 def test_stack_graph_matches_per_slice_labels(key, monkeypatch):
     # Stack labels rely on scipy numbering components in raster order.
+    # oracle:waypoint/0/5 is a generic-pool chunk whose slices lie far apart
+    # in time, so many of its cells vary.
     unc = _graph_stack(key, monkeypatch)
-    for g in _both_paths(unc):
-        _check_per_slice(unc, g)
+    _check_per_slice(unc, rasterize.stack_graph(unc))
 
 
 def _check_per_slice(unc, g):
@@ -836,31 +824,21 @@ def _flipped_stacks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_flipped_stacks())
-def test_core_labels_match_label_slices(stack):
-    # Field by field, dtypes included: every consumer reads the graph as is.
-    # The two paths number their table columns differently, so the table
-    # is compared through every label read a consumer can make.
-    old, new = _both_paths(stack)
-    for field in dataclasses.fields(rasterize.StackGraph):
-        if field.name in ("table", "node_of", "cells"):
-            continue
-        want, got = getattr(old, field.name), getattr(new, field.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape
-        assert np.array_equal(got, want)
+def test_stack_graph_reads_match_label_slices(stack):
+    # Every label read a consumer can make, dtypes included, on stacks with
+    # one slice, an empty core, every cell varying, or no cell set.
+    g = rasterize.stack_graph(stack)
     labels, _ = rasterize.label_slices(stack)
     cells = stack[0].size
     steps = np.repeat(np.arange(len(stack)), cells)
-    for g in (old, new):
-        for j, want in enumerate(labels):
-            got = g.labels(j)
-            assert got.dtype == want.dtype == np.int32
-            assert np.array_equal(got, want)
-            assert np.array_equal(g.firsts(j), rasterize.first_cells(want))
-        got = g.labels_at(steps, np.tile(np.arange(cells), len(stack)))
-        assert got.dtype == np.int32
-        assert np.array_equal(got, labels.ravel())
+    for j, want in enumerate(labels):
+        got = g.labels(j)
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert np.array_equal(g.firsts(j), rasterize.first_cells(want))
+    got = g.labels_at(steps, np.tile(np.arange(cells), len(stack)))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, labels.ravel())
 
 
 def _cobordism_keys():
@@ -1004,8 +982,8 @@ def test_distinct_cobordisms_match_dense_reference(key):
             assert got.count == want.count
             assert np.array_equal(got.ends[0], want.ends[0])
             assert np.array_equal(got.ends[-1], want.ends[-1])
-            got = components(cob, "covered_boundary")
-            want = components(dense, "covered_boundary")
+            got = boundary_pairs(cob, components(cob))
+            want = boundary_pairs(dense, components(dense))
             assert (got.count, got.pairs) == (want.count, want.pairs)
             g, w = got.covered_labels, want.covered_labels
             assert np.array_equal(g[0], w[0]) and np.array_equal(g[-1], w[-1])

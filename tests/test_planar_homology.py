@@ -4,6 +4,7 @@ import pytest
 from evasion_kit.planar_homology import HomologyError, alexander_image
 from evasion_kit.rasterize import (
     BoundaryComponents,
+    boundary_pairs,
     components,
     count_holes,
     grid_for_scenario,
@@ -148,7 +149,7 @@ def _fiber(name, t, cells=128):
 
 def test_alexander_image_single_pocket():
     f = _fiber("split", 0.0)
-    b = components(f, "covered_boundary")
+    b = boundary_pairs(f, components(f))
     assert b.count == 1
     p = alexander_image(f.covered_with_collar, b)
     assert p.blocks == ((1,),)
@@ -156,7 +157,7 @@ def test_alexander_image_single_pocket():
 
 def test_alexander_image_split_pockets():
     f = _fiber("split", 1.0)
-    b = components(f, "covered_boundary")
+    b = boundary_pairs(f, components(f))
     assert b.count == 2
     p = alexander_image(f.covered_with_collar, b)
     assert p.blocks == ((1,), (2,))
@@ -164,7 +165,7 @@ def test_alexander_image_split_pockets():
 
 def test_alexander_image_empty_boundary():
     f = _fiber("empty", 0.5, cells=64)
-    b = components(f, "covered_boundary")
+    b = boundary_pairs(f, components(f))
     p = alexander_image(f.covered_with_collar, b)
     assert p.ground == ()
     assert p.blocks == ()
@@ -172,7 +173,7 @@ def test_alexander_image_empty_boundary():
 
 def test_alexander_image_rejects_stray_boundary():
     f = _fiber("split", 0.0)
-    b = components(f, "covered_boundary")
+    b = boundary_pairs(f, components(f))
     with pytest.raises(HomologyError):
         alexander_image(np.zeros_like(f.covered_with_collar), b)
 
@@ -182,14 +183,14 @@ def test_alexander_blocks_match_pockets():
     for name, t in [("split", 0.0), ("split", 1.0), ("annuli", 0.0),
                     ("annuli", 1.0), ("close", 0.0)]:
         f = _fiber(name, t)
-        b = components(f, "covered_boundary")
+        b = boundary_pairs(f, components(f))
         p = alexander_image(f.covered_with_collar, b)
         by_pocket = {}
         for label, (pocket, _) in zip(range(1, b.count + 1), b.pairs):
             by_pocket.setdefault(pocket, set()).add(label)
         assert {frozenset(blk) for blk in p.blocks} == \
             {frozenset(v) for v in by_pocket.values()}
-        assert len(p.blocks) == components(f, "uncovered").count
+        assert len(p.blocks) == components(f).count
 
 
 def test_uncovered_holes_count_covered_islands():

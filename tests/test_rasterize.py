@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
-from evasion_kit import rasterize
 from evasion_kit.rasterize import (
     _SLICE_STRUCTS,
     BoundaryComponents,
     GridSpec,
     RasterError,
+    boundary_pairs,
     bounding_box,
     cell_center,
     components,
@@ -209,9 +209,9 @@ def test_annuli_start_signature():
     s = builtin_scenario("annuli")
     g = grid_for_scenario(s, cells=128)
     f = rasterize_fiber(s, 0.0, g)
-    assert components(f, "uncovered").count == 1
+    assert components(f).count == 1
     assert count_holes(f.covered_with_collar) == 1
-    assert components(f, "covered_boundary").count == 3
+    assert boundary_pairs(f, components(f)).count == 3
 
 
 def test_boundary_pairs_partition_bitmap():
@@ -219,8 +219,8 @@ def test_boundary_pairs_partition_bitmap():
     g = grid_for_scenario(s, cells=128)
     for t in (0.0, 0.5, 1.0):
         f = rasterize_fiber(s, t, g)
-        b = components(f, "covered_boundary")
-        u_lab = components(f, "uncovered").labels
+        b = boundary_pairs(f, components(f))
+        u_lab = components(f).labels
         assert np.array_equal(b.labels > 0, f.covered_boundary)
         index = {pair: i + 1 for i, pair in enumerate(b.pairs)}
         ny, nx = f.uncovered.shape
@@ -239,17 +239,8 @@ def test_empty_scenario_has_no_boundary():
     g = grid_for_scenario(s, cells=64)
     f = rasterize_fiber(s, 0.5, g)
     assert not f.covered_boundary.any()
-    assert components(f, "covered_boundary").count == 0
-    assert components(f, "uncovered").count == 1
-
-
-def test_components_rejects_unknown_region():
-    s = builtin_scenario("empty")
-    g = grid_for_scenario(s, cells=32)
-    f = rasterize_fiber(s, 0.0, g)
-    for which in ("nonesuch", "covered"):
-        with pytest.raises(RasterError):
-            components(f, which)
+    assert boundary_pairs(f, components(f)).count == 0
+    assert components(f).count == 1
 
 
 def test_cobordism_samples_and_slices():
@@ -278,7 +269,7 @@ def test_cobordism_components_connect_in_time():
     s = builtin_scenario("annuli")
     g = grid_for_scenario(s, cells=64, fine_time_samples=8)
     cob = rasterize_cobordism(s, (0.0, 0.2), g)
-    assert components(cob, "uncovered").count == 1
+    assert components(cob).count == 1
 
 
 def test_rasterize_fibers_batches_match_single():
@@ -471,13 +462,14 @@ _CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
 
 
 def _check_boundary_pairs(c, dimension, reference=None):
-    """components(c, "covered_boundary") against the reference, which
-    labels reference (c by default); a cobordism's reference holds every
-    distinct slice. A cobordism's label fields hold its end slices, so they
-    are checked against the reference's slices 0 and -1. The pairs number
-    uncovered components as components(c, "uncovered") does."""
+    """boundary_pairs of c against the reference, which labels reference (c
+    by default); a cobordism's reference holds every distinct slice. A
+    cobordism's label fields hold its end slices, so they are checked
+    against the reference's slices 0 and -1. The pairs number uncovered
+    components as components(c) does."""
     reference = reference or c
-    b = components(c, "covered_boundary")
+    unc = components(c)
+    b = boundary_pairs(c, unc)
     assert isinstance(b, BoundaryComponents)
     want = _reference_boundary_pairs(reference, dimension)
     for field in ("pairs", "rep_uncovered", "rep_covered"):
@@ -485,7 +477,6 @@ def _check_boundary_pairs(c, dimension, reference=None):
     assert b.count == len(want["pairs"])
     stacked = c.uncovered.ndim > dimension
     steps = (0, reference.uncovered.shape[0] - 1) if stacked else (0,)
-    unc = components(c, "uncovered")
     for got, field in ((b.covered_labels, "covered_labels"),
                        (np.stack(unc.ends) if stacked else unc.labels, "uncovered_labels")):
         expected = want[field][list(steps)] if stacked else want[field]
@@ -506,7 +497,7 @@ def _check_boundary_pairs(c, dimension, reference=None):
 
 
 @pytest.mark.parametrize("key", _CONTACT_CASES)
-def test_boundary_pairs_match_reference(key, monkeypatch):
+def test_boundary_pairs_match_reference(key):
     s, g = _contact_case(key)
     for c in rasterize_fibers(s, [0.0, 0.37, 1.0], g):
         _check_boundary_pairs(c, s.dimension)
@@ -514,10 +505,7 @@ def test_boundary_pairs_match_reference(key, monkeypatch):
     # The reference labels the stack of every distinct slice.
     full = dataclasses.replace(
         cob, uncovered=cob.inside & ~coverage_masks(s, cob.times[cob.kept], g))
-    # Every slice graph on its core path, then on its label_slices path.
-    for cells in (0, 1 << 62):
-        monkeypatch.setattr(rasterize, "_CORE_LABEL_CELLS", cells)
-        _check_boundary_pairs(cob, s.dimension, full)
+    _check_boundary_pairs(cob, s.dimension, full)
 
 
 @settings(max_examples=200, deadline=None)

@@ -106,8 +106,8 @@ def test_fiber_signature_values():
 
 def _slice_signature(f):
     """The signature read off one fiber with the per-slice primitives."""
-    return (components(f, "uncovered").count, count_holes(f.uncovered),
-            components(f, "covered_boundary").count)
+    return (components(f).count, count_holes(f.uncovered),
+            boundary_pairs(f, components(f)).count)
 
 
 _SCAN_CASES = ([(name, 0) for name in ("split", "annuli", "empty", "full")]
