@@ -47,8 +47,7 @@ from .rasterize import (BoundaryComponents, CobordismComplex, CobordismComponent
                         stack_graph, sweep, _Transitions, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
 from .zigzag import (DEFAULT_SCAN_SAMPLES, DEFAULT_TOL, Event, Signature,
-                     ZigzagBundle, build_zigzag, check_scan_knobs, detect_events,
-                     fiber_signatures)
+                     ZigzagBundle, build_zigzag, check_scan_knobs, detect_events)
 
 __all__ = [
     "Witness",
@@ -459,7 +458,7 @@ class _Direct:
             return _diagnostics(src.scenario.time_base, src.grid, src.samples,
                                 src.signatures, src.events)
         return _diagnostics(src.time_base, src.grid, src.samples,
-                            fiber_signatures(src.fibers), src.events)
+                            src.signatures, src.events)
 
     def witness(self, element: Sequence[int]) -> Witness:
         if isinstance(self.source, GapSweep):

@@ -44,6 +44,13 @@ times keeps exactly the flips of the dense step diff. The ring cells are
 read the same way, and only the labeled slices are then rasterized, so the
 scan's memory does not grow with its samples.
 
+The sample fibers are labeled once, as one stack on the disk's box, which
+gives both their components and their signatures (build_zigzag). On an
+interval base the end samples are the span's endpoints, which are also the
+scan's first and last slices, so they are labeled before the scan and their
+signatures handed to it: a scan with one step of non-simple flips then
+labels no slice at all.
+
 A window narrowed to _WINDOW_FLOOR that still holds flips both ways is
 classified on its non-simple flips (_classify_at_floor): when a ball whose
 diameter is a whole number of cells runs along a row of cell centers, its
@@ -137,9 +144,10 @@ def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
     return _per_slice(u_tops, sorted_unique(keys) // stride)
 
 
-def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
-                      inside: np.ndarray) -> List[Signature]:
-    """Signatures of every slice of a 2-D uncovered stack (T, ny, nx).
+def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarray
+                      ) -> Tuple[List[Signature], np.ndarray, np.ndarray]:
+    """Signatures of every slice of a 2-D uncovered stack (T, ny, nx), with
+    the stack's uncovered labels and tops (label_slices) they were read off.
 
     Callers crop the stack and masks to the disk's bounding box: every
     uncovered cell lies in it, and a disk cell on its edge is a rim cell in
@@ -157,7 +165,7 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray,
     b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
     pb = _pair_counts(uncovered, u_lab, u_tops, v_lab, v_tops,
                       covered_with_collar & inside)
-    return [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
+    return [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)], u_lab, u_tops
 
 
 def fiber_signatures(fibers: Sequence[FiberComplex]) -> List[Signature]:
@@ -167,7 +175,7 @@ def fiber_signatures(fibers: Sequence[FiberComplex]) -> List[Signature]:
         raise ValueError("fiber signatures are read off 2-D fibers only")
     box = bounding_box(fibers[0].disk)
     return _stack_signatures(np.stack([f.uncovered[box] for f in fibers]),
-                             fibers[0].disk[box], fibers[0].inside[box])
+                             fibers[0].disk[box], fibers[0].inside[box])[0]
 
 
 def fiber_signature(f: FiberComplex) -> Signature:
@@ -196,12 +204,13 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
     slices and the signatures are those of labeling every slice.
 
     ends, when given, are the known signatures of the first and the last
-    slice, and they differ. Then slice 0 is not labeled, and neither is the
-    slice after the last step that is not simple: every step after it is
-    simple, so it and every later slice carry the last slice's signature.
-    A bisection table with one such step labels nothing. Differing ends
-    without such a step contradict the certificate, and raise
-    ResolutionError.
+    slice. Then slice 0 is not labeled, and neither is the slice after the
+    last step that is not simple: every step after it is simple, so it and
+    every later slice carry the last slice's signature. A bisection table,
+    or a scan given its end fibers' signatures, with one such step labels
+    nothing. Without such a step every slice carries the first slice's
+    signature, so equal ends give that constant, and differing ends
+    contradict the certificate and raise ResolutionError.
     """
     times = np.asarray(times, dtype=float)
     bf = _box_flips(s, times, grid)
@@ -212,6 +221,8 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
     if ends is not None:
         steps = np.flatnonzero(labeled[1:])
         if not steps.size:
+            if ends[0] == ends[1]:
+                return [ends[0]] * times.size
             raise ResolutionError(
                 f"signature changed across ({times[0]:.6f}, {times[-1]:.6f}) "
                 "although every coverage flip inside it is simple", hint="raise --cells")
@@ -220,7 +231,7 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
     sigs = []
     if labeled.any():
         sigs = _stack_signatures(bf.inside & ~coverage_masks(s, times[labeled], grid, bf.box),
-                                 bf.disk, bf.inside)
+                                 bf.disk, bf.inside)[0]
     if ends is None:
         return [sigs[i] for i in np.cumsum(labeled) - 1]
     sigs = [ends[0]] + sigs
@@ -404,7 +415,8 @@ def check_scan_knobs(scan_samples: int, tol: float) -> None:
 
 def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
                   scan_samples: int = DEFAULT_SCAN_SAMPLES,
-                  tol: float = DEFAULT_TOL) -> Tuple[Event, ...]:
+                  tol: float = DEFAULT_TOL,
+                  ends: Optional[Tuple[Signature, Signature]] = None) -> Tuple[Event, ...]:
     """Locate all signature changes over the time span.
 
     Changes that cancel exactly between two adjacent scan samples are
@@ -418,6 +430,11 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
     In dimension 1 the events are the gap sweep's (gapsweep): exact, at
     zero-width windows, whatever scan_samples and tol are; the grid places
     their loci only.
+    ends, in 2-D, are the signatures of the fibers at the span's two
+    endpoints when the caller has them (build_zigzag). The scan's first and
+    last slices are those fibers cropped to the disk's box, so the scan
+    labels neither (see _signatures), and a scan with one step of
+    non-simple flips labels nothing.
     Raises KnobError when scan_samples is below 2 or tol is not a finite
     positive number.
     """
@@ -429,7 +446,7 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
         return sweep_gaps(s, grid).events
     t0, t1 = TIME_SPAN
     times = np.linspace(t0, t1, scan_samples + 1)
-    sigs = _signatures(s, times, grid)
+    sigs = _signatures(s, times, grid, ends=ends)
     events: List[Event] = []
     for i in range(scan_samples):
         if sigs[i] != sigs[i + 1]:
@@ -499,6 +516,8 @@ class ZigzagBundle:
     Fibers sit at the sample times and cobordisms span consecutive samples
     (plus the wrap-around span on a circle base). The diagram's maps send
     each fiber component to the spacetime component containing it.
+    signatures are the 2-D fibers' fiber_signatures, read off the labeling
+    that gives fiber_parts; a 1-D bundle carries None.
     """
 
     scenario: Scenario
@@ -508,10 +527,39 @@ class ZigzagBundle:
     events: Tuple[Event, ...]
     fibers: Tuple[FiberComplex, ...]
     fiber_parts: Tuple[ComponentLabels, ...]
+    signatures: Optional[Tuple[Signature, ...]]
     cobordisms: Tuple[CobordismComplex, ...]
     cobordism_parts: Tuple[CobordismComponents, ...]
     cobordism_events: Tuple[Tuple[Event, ...], ...]
     diagram: ZigzagSetDiagram
+
+
+def _label_fibers(fibers: Sequence[FiberComplex]
+                  ) -> Tuple[Tuple[ComponentLabels, ...], Optional[Tuple[Signature, ...]]]:
+    """Each fiber's components(), and in 2-D its fiber_signature, from one
+    labeling of the fibers' stack on the disk's box.
+
+    The box holds every uncovered cell in raster order, so a slice's labels
+    less the tops below it, written back onto the whole grid, are that
+    fiber's label_components. In 1-D only the uncovered region is labeled.
+    """
+    f0 = fibers[0]
+    box = bounding_box(f0.disk)
+    stack = np.stack([f.uncovered[box] for f in fibers])
+    sigs: Optional[Tuple[Signature, ...]] = None
+    if stack.ndim == 3:
+        signatures, u_lab, u_tops = _stack_signatures(stack, f0.disk[box], f0.inside[box])
+        sigs = tuple(signatures)
+    else:
+        u_lab, u_tops = label_slices(stack)
+    parts = []
+    below = 0
+    for lab, top in zip(u_lab, u_tops.tolist()):
+        labels = np.zeros(f0.uncovered.shape, dtype=u_lab.dtype)
+        np.subtract(lab, below, out=labels[box], where=lab > 0)
+        parts.append(ComponentLabels(labels=labels, count=top - below))
+        below = top
+    return tuple(parts), sigs
 
 
 def _labels_of(parts: Union[ComponentLabels, CobordismComponents]) -> Tuple[int, ...]:
@@ -564,11 +612,26 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     must restrict bijectively from both ends, spans holding one event from
     the end the cobordism retracts onto. Boundary mode reads its pairs off
     the same components (analysis.extract_boundary_data).
+
+    The sample fibers are labeled once (_label_fibers), which gives both
+    their components and their signatures. On a 2-D interval base with
+    neither events nor samples given, the end samples are the span's
+    endpoints whatever the events are, and they are the scan's first and
+    last slices (np.linspace returns both endpoints exactly), so those two
+    fibers are rasterized and labeled first and their signatures passed to
+    detect_events as ends; the mid samples follow in one more labeling.
+    Otherwise every fiber is labeled in one call after the scan.
     """
     if grid is None:
         grid = grid_for_scenario(s)
+    end_fibers: List[FiberComplex] = []
+    end_parts: Tuple[ComponentLabels, ...] = ()
+    end_sigs: Optional[Tuple[Signature, ...]] = None
     if events is None:
-        events = detect_events(s, grid, scan_samples=scan_samples, tol=tol)
+        if samples is None and s.time_base == "interval" and s.dimension == 2:
+            end_fibers = rasterize_fibers(s, TIME_SPAN, grid)
+            end_parts, end_sigs = _label_fibers(end_fibers)
+        events = detect_events(s, grid, scan_samples=scan_samples, tol=tol, ends=end_sigs)
     events = tuple(sorted(events, key=lambda e: e.window[0]))
     if samples is None:
         samples = interleave(events, s.time_base)
@@ -591,8 +654,16 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
         if len(spans) != windows or len(samples) != windows:
             raise ValueError("need exactly one sample per gap between events")
 
-    fibers = tuple(rasterize_fibers(s, samples, grid))
-    fiber_parts = tuple(components(f) for f in fibers)
+    if end_fibers:
+        mids = samples[1:-1]
+        mid_fibers = tuple(rasterize_fibers(s, mids, grid)) if mids else ()
+        mid_parts, mid_sigs = _label_fibers(mid_fibers) if mids else ((), ())
+        fibers = (end_fibers[0], *mid_fibers, end_fibers[1])
+        fiber_parts = (end_parts[0], *mid_parts, end_parts[1])
+        signatures = (end_sigs[0], *mid_sigs, end_sigs[1])
+    else:
+        fibers = tuple(rasterize_fibers(s, samples, grid))
+        fiber_parts, signatures = _label_fibers(fibers)
     cobordisms = tuple(rasterize_cobordism(s, sp, grid) for sp in spans)
     cobordism_parts = tuple(components(c) for c in cobordisms)
 
@@ -628,7 +699,7 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     return ZigzagBundle(
         scenario=s, grid=grid, time_base=s.time_base,
         samples=samples, events=events, fibers=fibers,
-        fiber_parts=fiber_parts, cobordisms=cobordisms,
+        fiber_parts=fiber_parts, signatures=signatures, cobordisms=cobordisms,
         cobordism_parts=cobordism_parts, cobordism_events=tuple(per_cob),
         diagram=diagram,
     )

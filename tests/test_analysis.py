@@ -57,7 +57,7 @@ from evasion_kit.scenario import (
     random_waypoint_scenario,
     validate_scenario,
 )
-from evasion_kit.zigzag import build_zigzag, detect_events, interleave
+from evasion_kit.zigzag import build_zigzag, detect_events, fiber_signatures, interleave
 
 
 def _d1(tracks):
@@ -723,6 +723,73 @@ def test_no_space_time_labeling(monkeypatch):
     assert planar
     for shape, g in planar:
         assert reads.get(id(g.table), set()) <= {0, shape[0] - 1}
+
+
+def test_direct_mode_labels_each_sample_fiber_once(monkeypatch):
+    # On the certify pool one labeling of the sample fibers gives their
+    # components and their signatures, and the scan, given the end fibers'
+    # signatures, labels no slice when one step holds its non-simple flips.
+    stacks = []
+    in_fibers = []
+    stack_signatures = zigzag._stack_signatures
+    label_fibers = zigzag._label_fibers
+    label = rasterize.label_components
+    whole_grid = []
+
+    def spy_stack(uncovered, disk, inside):
+        stacks.append(("fibers" if in_fibers else "scan", uncovered.shape[0]))
+        return stack_signatures(uncovered, disk, inside)
+
+    def spy_fibers(fibers):
+        in_fibers.append(True)
+        try:
+            return label_fibers(fibers)
+        finally:
+            in_fibers.pop()
+
+    def spy_label(mask):
+        whole_grid.append(mask.shape)
+        return label(mask)
+
+    monkeypatch.setattr(zigzag, "_stack_signatures", spy_stack)
+    monkeypatch.setattr(zigzag, "_label_fibers", spy_fibers)
+    monkeypatch.setattr(rasterize, "label_components", spy_label)
+    scan = 0
+    for key in (["split", "close", "annuli", "empty", "full"]
+                + [f"random/{k}" for k in range(1000, 1020)]):
+        stacks.clear()
+        report = analyze_direct(_scenario(key))
+        fibers = sum(n for kind, n in stacks if kind == "fibers")
+        assert fibers == len(report.diagnostics["sample_times"])
+        scanned = sum(n for kind, n in stacks if kind == "scan")
+        if len(report.diagnostics["events"]) == 1:
+            assert scanned == 0
+        scan += scanned
+    assert not whole_grid
+    assert scan <= 2
+
+
+@pytest.mark.parametrize("key", ["split", "close", "annuli", "empty", "full"]
+                         + [f"random/{k}" for k in range(20)] + ["pulse", "interval/0"])
+def test_bundle_fibers_match_their_own_labeling(key):
+    # Each fiber's components equal labeling it alone on the whole grid, and
+    # its signature equals fiber_signatures; with the events or the samples
+    # given, every fiber is labeled after the scan, to the same result.
+    s = _scenario(key)
+    bundle = build_zigzag(s)
+    bundles = [bundle, build_zigzag(s, events=bundle.events),
+               build_zigzag(s, samples=bundle.samples)]
+    for b in bundles:
+        assert b.samples == bundle.samples
+        if s.dimension == 2:
+            assert b.signatures == tuple(fiber_signatures(b.fibers))
+        else:
+            assert b.signatures is None
+        for f, got in zip(b.fibers, b.fiber_parts):
+            want = components(f)
+            assert got.count == want.count
+            assert got.labels.dtype == want.labels.dtype
+            assert np.array_equal(got.labels, want.labels)
 
 
 def test_oracle_rejects_bad_time_samples():

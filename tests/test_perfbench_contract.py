@@ -58,3 +58,21 @@ def test_bench_part_answers_its_reference(workload, section, key):
     assert part.check(key, facts, objects, s, _WORKLOADS.load_reference(),
                       ek.analysis.verify_witness) == []
     assert set(_WORKLOADS.report_digests(ek, reports)) == set(reports)
+
+
+@pytest.mark.parametrize("key", ["split", "empty", "random/1000"])
+def test_build_zigzag_scans_once_through_the_traced_detect_events(key):
+    # build_zigzag reaches detect_events through its module binding, once
+    # per 2-D build, so the traced run times the scan as its own layer.
+    ek = importlib.import_module("evasion_kit")
+    s = _WORKLOADS.make_scenario(ek, key)
+    grid = ek.rasterize.grid_for_scenario(s)
+    tracer = _SPANS.Tracer()
+    tracer.open_scenario(0)
+    try:
+        ek.zigzag.build_zigzag(s, grid)
+    finally:
+        tracer.close_scenario()
+    scans = [span for span in tracer.spans if span[0] == "zigzag.detect_events"]
+    assert len(scans) == 1
+    assert tracer.spans[scans[0][3]][0] == "zigzag.build_zigzag"

@@ -10,11 +10,13 @@ from scipy import ndimage
 from evasion_kit.errors import KnobError, ResolutionError, SimultaneousEventsError
 from evasion_kit.limit import inverse_limit
 from evasion_kit.scenario import (
+    TIME_SPAN,
     Scenario,
     SensorTrack,
     builtin_scenario,
     positions_at,
     random_interval_scenario,
+    random_waypoint_scenario,
     validate_scenario,
 )
 from evasion_kit import rasterize, zigzag
@@ -28,6 +30,7 @@ from evasion_kit.zigzag import (
     build_zigzag,
     detect_events,
     fiber_signature,
+    fiber_signatures,
     interleave,
 )
 from evasion_kit.gapsweep import sweep_gaps
@@ -37,6 +40,7 @@ from evasion_kit.rasterize import (
     BoxCoverage,
     CobordismComponents,
     ComponentLabels,
+    _box_flips,
     _flip_anchors,
     _simple_flips,
     boundary_pairs,
@@ -233,7 +237,7 @@ def test_stack_signatures_single_slice_and_unchanged_stack(name, seed):
         assert _signatures(s, [t], grid) == [expected]
         assert fiber_signature(f) == expected
         repeated = np.repeat(f.uncovered[None], 4, axis=0)
-        assert _stack_signatures(repeated, f.disk, f.inside) == [expected] * 4
+        assert _stack_signatures(repeated, f.disk, f.inside)[0] == [expected] * 4
 
 
 def _reference_stack_signatures(uncovered, disk, inside):
@@ -276,7 +280,7 @@ def _certified_signatures(uncovered, disk, inside):
 
     simple = _simple_flips(flips, read, disk, inside)
     labeled = np.concatenate(([True], np.bincount(flips[0][~simple], minlength=n - 1) > 0))
-    sigs = _stack_signatures(uncovered[labeled], disk, inside)
+    sigs = _stack_signatures(uncovered[labeled], disk, inside)[0]
     return [sigs[i] for i in np.cumsum(labeled) - 1]
 
 
@@ -1126,6 +1130,63 @@ def test_probe_table_with_simple_steps_only_is_an_error():
     grid = grid_for_scenario(s)
     with pytest.raises(ResolutionError, match="every coverage flip"):
         _signatures(s, [0.2, 0.3, 0.4], grid, ends=((1, 0, 1), (2, 0, 2)))
+
+
+def test_equal_ends_without_non_simple_step_give_a_constant(monkeypatch):
+    # In (0, 0.05) of split every flip is simple: equal ends carry over
+    # every slice unlabeled, and differing ends still raise.
+    s = builtin_scenario("split")
+    grid = grid_for_scenario(s)
+    times = np.linspace(0.0, 0.05, 6)
+    assert _box_flips(s, times, grid).flips[0].size
+    want = _signatures(s, times, grid)
+    assert want == [(1, 0, 1)] * 6
+    labeled = []
+    stack_signatures = zigzag._stack_signatures
+
+    def spy(uncovered, disk, inside):
+        labeled.append(uncovered.shape[0])
+        return stack_signatures(uncovered, disk, inside)
+
+    monkeypatch.setattr(zigzag, "_stack_signatures", spy)
+    assert _signatures(s, times, grid, ends=((1, 0, 1), (1, 0, 1))) == want
+    empty = builtin_scenario("empty")
+    assert (_signatures(empty, [0.2, 0.3, 0.4], grid_for_scenario(empty),
+                        ends=((1, 0, 1), (1, 0, 1))) == [(1, 0, 1)] * 3)
+    assert not labeled
+    with pytest.raises(ResolutionError, match="every coverage flip"):
+        _signatures(s, times, grid, ends=((1, 0, 1), (2, 0, 2)))
+
+
+def _end_signatures(s, grid):
+    return tuple(fiber_signatures(rasterize_fibers(s, TIME_SPAN, grid)))
+
+
+def _check_known_ends(scenarios, **knobs):
+    """detect_events given its end fibers' signatures as ends gives the
+    events, or the error, of the scan that labels its end slices."""
+    for s in scenarios:
+        grid = grid_for_scenario(s)
+        want = _outcome(detect_events, s, grid, **knobs)
+        assert _outcome(detect_events, s, grid, ends=_end_signatures(s, grid), **knobs) == want
+
+
+@pytest.mark.parametrize("family", ["builtin", "random", "generic"])
+def test_known_ends_scan_matches_the_scan_that_labels_them(family):
+    if family == "builtin":
+        pool = _detection_pool("builtin", ())
+    elif family == "random":
+        pool = _detection_pool("random", list(range(100)) + list(range(1000, 1020)))
+    else:
+        pool = [random_waypoint_scenario(seed, n, 2) for seed in range(20) for n in (3, 5)]
+    _check_known_ends(pool)
+
+
+@pytest.mark.parametrize("knobs", [{"scan_samples": 100}, {"tol": 1e-6}],
+                         ids=["scan100", "tol1e-6"])
+def test_known_ends_scan_matches_off_default_knobs(knobs):
+    _check_known_ends(_detection_pool("builtin", ()) + _detection_pool("random", range(10)),
+                      **knobs)
 
 
 # ---------------------------------------------------------------------------
