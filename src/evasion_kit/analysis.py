@@ -41,7 +41,7 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
                     partition_algebra, pullback_partition)
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, CobordismComplex, CobordismComponents,
-                        GridSpec, StackGraph, boundary_pairs, bounding_box,
+                        FiberBoundary, GridSpec, StackGraph, boundary_pairs, bounding_box,
                         cell_center, domain_masks, grid_for_scenario,
                         label_components, rasterize_cobordism, rasterize_fiber,
                         stack_graph, sweep, _Transitions, _union_roots)
@@ -454,10 +454,7 @@ class _Direct:
 
     def diagnostics(self) -> Dict[str, object]:
         src = self.source
-        if isinstance(src, GapSweep):
-            return _diagnostics(src.scenario.time_base, src.grid, src.samples,
-                                src.signatures, src.events)
-        return _diagnostics(src.time_base, src.grid, src.samples,
+        return _diagnostics(src.scenario.time_base, src.grid, src.samples,
                             src.signatures, src.events)
 
     def witness(self, element: Sequence[int]) -> Witness:
@@ -587,7 +584,7 @@ def boundary_data_from_document(doc: dict) -> BoundaryData:
     )
 
 
-def _pair_map(fiber: BoundaryComponents, cob: BoundaryComponents,
+def _pair_map(fiber: FiberBoundary, cob: BoundaryComponents,
               uncovered: CobordismComponents, end: int) -> Dict[int, int]:
     """Each boundary component of a fiber, sent to the cobordism's pair that
     holds its two representative cells in the end slice (0 or -1) where the
@@ -635,7 +632,7 @@ def extract_boundary_data(source: Union[Scenario, ZigzagBundle],
     return BoundaryData(
         time_base=bundle.time_base,
         sample_times=bundle.samples,
-        fiber_partitions=tuple(alexander_image(f.covered_with_collar, p)
+        fiber_partitions=tuple(alexander_image(f.covered_with_collar, f.covered_boundary, p)
                                for f, p in zip(bundle.fibers, fiber_pairs)),
         cobordism_counts=tuple(p.count for p in cob_pairs),
         left_maps=tuple(lefts),

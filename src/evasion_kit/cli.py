@@ -303,7 +303,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         try:
             times = [float(part) for part in args.times.split(",")]
         except ValueError:
-            raise ScenarioError(f"--times must be comma-separated numbers, got {args.times!r}")
+            times = []
+        if not times or not all(math.isfinite(t) for t in times):
+            raise ScenarioError(f"--times must be comma-separated finite numbers, "
+                                f"got {args.times!r}")
     witnesses = ()
     if args.with_witness:
         direct = _direct(s, knobs)

@@ -16,7 +16,7 @@ from typing import Dict, List
 import numpy as np
 
 from .limit import PartitionAlgebra, partition_algebra
-from .rasterize import BoundaryComponents, _complement_holes
+from .rasterize import FiberBoundary, _complement_holes
 
 __all__ = ["HomologyError", "alexander_image"]
 
@@ -25,21 +25,23 @@ class HomologyError(ValueError):
     """Bad region for the duality partition."""
 
 
-def alexander_image(c_region: np.ndarray, boundary: BoundaryComponents) -> PartitionAlgebra:
+def alexander_image(c_region: np.ndarray, boundary_cells: np.ndarray,
+                    boundary: FiberBoundary) -> PartitionAlgebra:
     """Partition of boundary labels by the complement components of c_region.
 
-    c_region is the covered region including the fence collar. Its boundary
-    cells are removed before labeling the complement, so each component's
-    representative cell lies in one complement component: a hole, or the
-    unbounded component. Labels in the same one share a block.
+    c_region is the covered region including the fence collar, and
+    boundary_cells its covered boundary (FiberComplex.covered_boundary),
+    every contact cell of boundary's pairs. Those cells are removed before
+    labeling the complement, so each component's representative cell lies
+    in one complement component: a hole, or the unbounded component. Labels
+    in the same one share a block.
     """
     if c_region.ndim != 2:
         raise HomologyError("boundary reconstruction needs a 2d region")
-    bitmap = boundary.labels != 0
-    if np.any(bitmap & ~c_region):
+    if np.any(boundary_cells & ~c_region):
         raise HomologyError("boundary cells must lie inside the covered region")
     ground = range(1, boundary.count + 1)
-    labels, _ = _complement_holes(c_region & ~bitmap)
+    labels, _ = _complement_holes(c_region & ~boundary_cells)
     nx = c_region.shape[1]
     groups: Dict[int, List[int]] = {}
     for label, flat in zip(ground, boundary.rep_covered):

@@ -47,6 +47,7 @@ __all__ = [
     "ComponentLabels",
     "CobordismComponents",
     "BoundaryComponents",
+    "FiberBoundary",
     "components",
     "boundary_pairs",
     "face_contacts",
@@ -985,26 +986,30 @@ class BoundaryComponents:
     resolution. Each component here is an adjacency pair of an uncovered
     component and a covered component (collar-only contacts are dropped),
     which matches the curve count whenever the walls are at least a few cells
-    thick and stays stable when they are not. Contact cells shared by several
-    pairs are assigned to the least pair, so the labels bitmap partitions
-    covered_boundary.
+    thick and stays stable when they are not. Pairs are ranked by their
+    least contact cell on the covered side, in raster order.
 
     A pair's uncovered component is numbered as in the complex's uncovered
     components (ComponentLabels.labels, CobordismComponents.ends), and its
-    covered one as in covered_labels. A fiber's labels and covered_labels
-    are whole-grid bitmaps. A cobordism's pairs and representatives cover
-    all its slices, the representatives as flat indices of the stack of
-    its distinct slices (kept, *grid shape), but its two label fields keep
-    only the end slices, where fibers map in: each is a (2, *grid shape)
-    stack, [0] the first slice and [-1] the last.
+    covered one as in covered_labels. A fiber's covered_labels are a
+    whole-grid bitmap (FiberBoundary). A cobordism's pairs cover all its
+    slices, but its covered_labels keep only the end slices, where fibers
+    map in: a (2, *grid shape) stack, [0] the first slice and [-1] the last.
     """
 
     count: int
     pairs: Tuple[Tuple[int, int], ...]
+    covered_labels: np.ndarray
+
+
+@dataclass
+class FiberBoundary(BoundaryComponents):
+    """A fiber's boundary components with each pair's representative cells,
+    its least uncovered and least covered contact cell, as whole-grid flat
+    indices."""
+
     rep_uncovered: Tuple[int, ...]
     rep_covered: Tuple[int, ...]
-    labels: np.ndarray
-    covered_labels: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -1059,15 +1064,13 @@ def bounding_box(mask: np.ndarray) -> Tuple[slice, ...]:
 
 
 def _rank_pairs(u: np.ndarray, v: np.ndarray, uc: np.ndarray, wc: np.ndarray,
-                nv: int) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray, np.ndarray,
-                                  np.ndarray]:
+                nv: int) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray, np.ndarray]:
     """The (uncovered, covered) component pairs of a list of contacts.
 
     Contact i joins uncovered cell uc[i], of component u[i], to covered
     cell wc[i], of component v[i] <= nv; cells are flat indices in one
     raster order. Pairs are ranked by their least covered cell. Returns the
-    pairs in rank order, their least uncovered and covered cells, and each
-    contact's pair rank.
+    pairs in rank order and their least uncovered and covered cells.
     """
     key, inv = sorted_unique(u.astype(np.int64) * (nv + 1) + v, return_inverse=True)
     least_uc = np.full(key.size, np.iinfo(np.int64).max, dtype=np.int64)
@@ -1075,39 +1078,25 @@ def _rank_pairs(u: np.ndarray, v: np.ndarray, uc: np.ndarray, wc: np.ndarray,
     np.minimum.at(least_uc, inv, uc)
     np.minimum.at(least_wc, inv, wc)
     order = np.argsort(least_wc, kind="stable")
-    rank = np.empty(key.size, dtype=np.int64)
-    rank[order] = np.arange(key.size)
     pairs = tuple((int(k // (nv + 1)), int(k % (nv + 1))) for k in key[order])
-    return pairs, least_uc[order], least_wc[order], rank[inv]
-
-
-def _least_pairs(out: np.ndarray, cells: np.ndarray, rank: np.ndarray) -> None:
-    """Write into the flat array out, at each contact cell, 1 + the least
-    rank of the pairs it is a contact of."""
-    by_cell = np.lexsort((rank, cells))
-    sorted_cells = cells[by_cell]
-    first = np.ones(sorted_cells.size, dtype=bool)
-    first[1:] = sorted_cells[1:] != sorted_cells[:-1]
-    out[sorted_cells[first]] = rank[by_cell][first] + 1
+    return pairs, least_uc[order], least_wc[order]
 
 
 def boundary_pairs(c: Union[FiberComplex, CobordismComplex],
                    uncovered: Union[ComponentLabels, CobordismComponents]
                    ) -> BoundaryComponents:
     """The boundary components of a complex, given its uncovered components
-    (components(c)); only the covered region is labeled here."""
+    (components(c)); only the covered region is labeled here. A fiber's are
+    a FiberBoundary."""
     if isinstance(c, FiberComplex):
         v_lab, nv = label_components(c.disk & ~c.uncovered)
         # Contacts end on covered cells: covered-with-collar cells off the collar.
         uc, wc = face_contacts(c.uncovered, c.inside & ~c.uncovered, range(c.uncovered.ndim))
-        pairs, rep_u, rep_w, rank = _rank_pairs(uncovered.labels.ravel()[uc],
-                                                v_lab.ravel()[wc], uc, wc, nv)
-        labels = np.zeros(c.uncovered.shape, dtype=np.int32)
-        _least_pairs(labels.ravel(), wc, rank)
-        return BoundaryComponents(
-            count=len(pairs), pairs=pairs,
-            rep_uncovered=tuple(rep_u.tolist()), rep_covered=tuple(rep_w.tolist()),
-            labels=labels, covered_labels=v_lab)
+        pairs, rep_u, rep_w = _rank_pairs(uncovered.labels.ravel()[uc], v_lab.ravel()[wc],
+                                          uc, wc, nv)
+        return FiberBoundary(count=len(pairs), pairs=pairs, covered_labels=v_lab,
+                             rep_uncovered=tuple(rep_u.tolist()),
+                             rep_covered=tuple(rep_w.tolist()))
     return _cobordism_pairs(c, uncovered)
 
 
@@ -1124,15 +1113,14 @@ def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
     numbers them. The contacts are read on the disk's box, so they come in
     the whole stack's order. A pair's least contacts lie in the first slice
     where it exists, which is labeled, so the pairs and their ranks are
-    those of the whole stack; only the representatives, mapped to the
-    stack of distinct slices, and the end slices are mapped back to the
-    whole grid.
+    those of the whole stack; only the end slices' covered labels are
+    mapped back to the whole grid.
     """
     box = bounding_box(c.disk)
     crop = (slice(None),) + box
     # The crop is a view, and the covered-with-collar stack its one complement.
     unc = c.uncovered[crop]
-    steps, size = len(unc), unc[0].size
+    size = unc[0].size
     covered = np.logical_not(unc)
     covered &= c.disk[box]
     gv = c.transitions.join(stack_graph(covered), box, covered=True)
@@ -1143,36 +1131,17 @@ def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
     w_step, w_cell = np.divmod(wc, size)
     keep = c.inside[box].ravel()[w_cell]
     uc, wc, w_step, w_cell = uc[keep], wc[keep], w_step[keep], w_cell[keep]
-    corner = [b.start or 0 for b in box]
     # An uncovered cell lies inside the fence, so in the uncovered graph's box.
     gu = uncovered.graph
     u_step, u_cell = np.divmod(uc, size)
     u_at = np.unravel_index(u_cell, unc.shape[1:])
-    u_cell = np.ravel_multi_index([k + o - (b.start or 0) for k, o, b
-                                   in zip(u_at, corner, uncovered.box)], gu.shape)
-    pairs, rep_u, rep_w, rank = _rank_pairs(uncovered.component[gu.labels_at(u_step, u_cell)],
-                                            comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)
-    labels = np.zeros((2, size), dtype=np.int32)
-    for end, step in enumerate((0, steps - 1)):
-        at = w_step == step
-        _least_pairs(labels[end], w_cell[at], rank[at])
-
-    def ends(values: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.zeros((2,) + c.disk.shape, dtype=np.int32)
-        out[crop] = np.reshape(values, (2,) + unc.shape[1:])
-        return out
-
-    def whole(flat: np.ndarray) -> Tuple[int, ...]:
-        step, *cell = np.unravel_index(flat, unc.shape)
-        cell = [k + o for k, o in zip(cell, corner)]
-        step = np.searchsorted(c.kept, c.labeled)[step]
-        return tuple(np.ravel_multi_index((step, *cell),
-                                          (c.kept.size,) + c.disk.shape).tolist())
-
-    return BoundaryComponents(
-        count=len(pairs), pairs=pairs,
-        rep_uncovered=whole(rep_u), rep_covered=whole(rep_w), labels=ends(labels),
-        covered_labels=ends([comp_v[gv.labels(0)], comp_v[gv.labels(-1)]]))
+    u_cell = np.ravel_multi_index([k + (b.start or 0) - (o.start or 0) for k, b, o
+                                   in zip(u_at, box, uncovered.box)], gu.shape)
+    pairs = _rank_pairs(uncovered.component[gu.labels_at(u_step, u_cell)],
+                        comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)[0]
+    covered_labels = np.zeros((2,) + c.disk.shape, dtype=np.int32)
+    covered_labels[crop] = [comp_v[gv.labels(0)], comp_v[gv.labels(-1)]]
+    return BoundaryComponents(count=len(pairs), pairs=pairs, covered_labels=covered_labels)
 
 
 def label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:

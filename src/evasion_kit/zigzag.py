@@ -87,7 +87,6 @@ __all__ = [
     "Event",
     "Signature",
     "fiber_signature",
-    "fiber_signatures",
     "detect_events",
     "interleave",
     "ZigzagBundle",
@@ -168,19 +167,13 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarra
     return [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)], u_lab, u_tops
 
 
-def fiber_signatures(fibers: Sequence[FiberComplex]) -> List[Signature]:
-    """fiber_signature of each 2-D fiber of one grid and domain, in one
-    labeling. A 1-D fiber's signature is its gap sweep's (gapsweep)."""
-    if fibers[0].uncovered.ndim != 2:
-        raise ValueError("fiber signatures are read off 2-D fibers only")
-    box = bounding_box(fibers[0].disk)
-    return _stack_signatures(np.stack([f.uncovered[box] for f in fibers]),
-                             fibers[0].disk[box], fibers[0].inside[box])[0]
-
-
 def fiber_signature(f: FiberComplex) -> Signature:
-    """(uncovered components, uncovered holes, boundary components)."""
-    return fiber_signatures([f])[0]
+    """(uncovered components, uncovered holes, boundary components) of a
+    2-D fiber, labeled alone. A 1-D fiber's signature is its gap sweep's
+    (gapsweep)."""
+    if f.uncovered.ndim != 2:
+        raise ValueError("fiber signatures are read off 2-D fibers only")
+    return _label_fibers([f])[1][0]
 
 
 def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
@@ -516,7 +509,7 @@ class ZigzagBundle:
     Fibers sit at the sample times and cobordisms span consecutive samples
     (plus the wrap-around span on a circle base). The diagram's maps send
     each fiber component to the spacetime component containing it.
-    signatures are the 2-D fibers' fiber_signatures, read off the labeling
+    signatures are the 2-D fibers' fiber_signature, read off the labeling
     that gives fiber_parts; a 1-D bundle carries None.
     """
 
@@ -530,7 +523,6 @@ class ZigzagBundle:
     signatures: Optional[Tuple[Signature, ...]]
     cobordisms: Tuple[CobordismComplex, ...]
     cobordism_parts: Tuple[CobordismComponents, ...]
-    cobordism_events: Tuple[Tuple[Event, ...], ...]
     diagram: ZigzagSetDiagram
 
 
@@ -560,6 +552,11 @@ def _label_fibers(fibers: Sequence[FiberComplex]
         parts.append(ComponentLabels(labels=labels, count=top - below))
         below = top
     return tuple(parts), sigs
+
+
+def _between(ends: Tuple, mids: Tuple) -> Tuple:
+    """mids between the first and the last of ends, which is empty or a pair."""
+    return (*ends[:1], *mids, *ends[1:])
 
 
 def _labels_of(parts: Union[ComponentLabels, CobordismComponents]) -> Tuple[int, ...]:
@@ -602,8 +599,6 @@ def _validate_tracking(bundle_events: Sequence[Event], left: Dict[int, int],
 
 
 def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
-                 events: Optional[Sequence[Event]] = None,
-                 samples: Optional[Sequence[float]] = None,
                  scan_samples: int = DEFAULT_SCAN_SAMPLES,
                  tol: float = DEFAULT_TOL) -> ZigzagBundle:
     """Assemble the zigzag of uncovered components over interleaved samples.
@@ -614,77 +609,56 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     the same components (analysis.extract_boundary_data).
 
     The sample fibers are labeled once (_label_fibers), which gives both
-    their components and their signatures. On a 2-D interval base with
-    neither events nor samples given, the end samples are the span's
-    endpoints whatever the events are, and they are the scan's first and
-    last slices (np.linspace returns both endpoints exactly), so those two
-    fibers are rasterized and labeled first and their signatures passed to
-    detect_events as ends; the mid samples follow in one more labeling.
-    Otherwise every fiber is labeled in one call after the scan.
+    their components and their signatures. On a 2-D interval base the end
+    samples are the span's endpoints whatever the events are, and they are
+    the scan's first and last slices (np.linspace returns both endpoints
+    exactly), so those two fibers are rasterized and labeled first and their
+    signatures passed to detect_events as ends. The other samples, every one
+    on a circle base or in 1-D, follow in one more labeling.
     """
     if grid is None:
         grid = grid_for_scenario(s)
-    end_fibers: List[FiberComplex] = []
+    ends: Tuple[FiberComplex, ...] = ()
     end_parts: Tuple[ComponentLabels, ...] = ()
     end_sigs: Optional[Tuple[Signature, ...]] = None
-    if events is None:
-        if samples is None and s.time_base == "interval" and s.dimension == 2:
-            end_fibers = rasterize_fibers(s, TIME_SPAN, grid)
-            end_parts, end_sigs = _label_fibers(end_fibers)
-        events = detect_events(s, grid, scan_samples=scan_samples, tol=tol, ends=end_sigs)
-    events = tuple(sorted(events, key=lambda e: e.window[0]))
-    if samples is None:
-        samples = interleave(events, s.time_base)
-    samples = tuple(float(t) for t in samples)
+    if s.time_base == "interval" and s.dimension == 2:
+        ends = tuple(rasterize_fibers(s, TIME_SPAN, grid))
+        end_parts, end_sigs = _label_fibers(ends)
+    events = detect_events(s, grid, scan_samples=scan_samples, tol=tol, ends=end_sigs)
+    samples = tuple(float(t) for t in interleave(events, s.time_base))
+
+    fibers, fiber_parts, signatures = ends, end_parts, end_sigs
+    rest = samples[1:-1] if ends else samples
+    if rest:
+        mid = tuple(rasterize_fibers(s, rest, grid))
+        mid_parts, mid_sigs = _label_fibers(mid)
+        fibers, fiber_parts = _between(ends, mid), _between(end_parts, mid_parts)
+        signatures = None if mid_sigs is None else _between(end_sigs or (), mid_sigs)
 
     t0, t1 = TIME_SPAN
     span = t1 - t0
-    # Events with one window share its span, as interleave gives them; a
-    # span holding more than one fails its tracking check below.
-    windows = max(len(set(e.window for e in events)), 1)
-    if s.time_base == "interval":
-        if len(samples) != windows + 1:
-            raise ValueError("need exactly one sample between consecutive events")
-        spans = [(samples[i], samples[i + 1]) for i in range(len(samples) - 1)]
-        if not spans:
-            raise ValueError("an interval base needs at least two samples")
-    else:
-        spans = [(samples[i], samples[i + 1]) for i in range(len(samples) - 1)]
+    spans = list(zip(samples, samples[1:]))
+    if s.time_base == "circle":
         spans.append((samples[-1], samples[0] + span))
-        if len(spans) != windows or len(samples) != windows:
-            raise ValueError("need exactly one sample per gap between events")
-
-    if end_fibers:
-        mids = samples[1:-1]
-        mid_fibers = tuple(rasterize_fibers(s, mids, grid)) if mids else ()
-        mid_parts, mid_sigs = _label_fibers(mid_fibers) if mids else ((), ())
-        fibers = (end_fibers[0], *mid_fibers, end_fibers[1])
-        fiber_parts = (end_parts[0], *mid_parts, end_parts[1])
-        signatures = (end_sigs[0], *mid_sigs, end_sigs[1])
-    else:
-        fibers = tuple(rasterize_fibers(s, samples, grid))
-        fiber_parts, signatures = _label_fibers(fibers)
     cobordisms = tuple(rasterize_cobordism(s, sp, grid) for sp in spans)
     cobordism_parts = tuple(components(c) for c in cobordisms)
 
-    per_cob: List[Tuple[Event, ...]] = []
-    for a, b in spans:
-        inside = tuple(e for e in events
-                       if a < (e.time if e.time > a else e.time + span) < b)
-        per_cob.append(inside)
+    # Events with one window share its span, as interleave gives them; a
+    # span holding more than one fails its tracking check below.
+    per_cob = [tuple(e for e in events if a < (e.time if e.time > a else e.time + span) < b)
+               for a, b in spans]
     if sum(len(es) for es in per_cob) != len(events):
         raise ResolutionError("an event window straddles a sample time",
                               hint="lower --tol")
 
-    n = len(cobordisms)
     left_maps = []
     right_maps = []
-    for i in range(n):
-        left = _region_map(fiber_parts[i], cobordism_parts[i], 0)
-        right = _region_map(fiber_parts[(i + 1) % len(fibers)], cobordism_parts[i], -1)
+    for i, parts in enumerate(cobordism_parts):
+        left = _region_map(fiber_parts[i], parts, 0)
+        right = _region_map(fiber_parts[(i + 1) % len(fibers)], parts, -1)
         left_maps.append(left)
         right_maps.append(right)
-        _validate_tracking(per_cob[i], left, right, cobordism_parts[i].count, spans[i])
+        _validate_tracking(per_cob[i], left, right, parts.count, spans[i])
 
     fiber_sets = [_labels_of(p) for p in fiber_parts]
     if s.time_base == "circle":
@@ -700,6 +674,5 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
         scenario=s, grid=grid, time_base=s.time_base,
         samples=samples, events=events, fibers=fibers,
         fiber_parts=fiber_parts, signatures=signatures, cobordisms=cobordisms,
-        cobordism_parts=cobordism_parts, cobordism_events=tuple(per_cob),
-        diagram=diagram,
+        cobordism_parts=cobordism_parts, diagram=diagram,
     )

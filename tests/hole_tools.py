@@ -30,14 +30,15 @@ def reference_holes(mask):
     return out
 
 
-def fill_partition(c_region, boundary):
+def fill_partition(c_region, boundary_cells, boundary):
     """Boundary labels grouped by which hole fills hold their representative.
 
-    The holes are those of c_region minus the boundary cells; each hole gives
-    the functional "the representative lies in this hole's fill", and the
-    labels are split into the joint level sets of those functionals.
+    The holes are those of c_region minus the boundary cells (a bitmap);
+    each hole gives the functional "the representative lies in this hole's
+    fill", and the labels are split into the joint level sets of those
+    functionals.
     """
-    region = c_region & (boundary.labels == 0)
+    region = c_region & ~boundary_cells
     fills = [fill for _, fill in reference_holes(region)]
     groups = {}
     for label, flat in enumerate(boundary.rep_covered, start=1):

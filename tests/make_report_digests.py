@@ -4,7 +4,10 @@ The pool is the builtins, `random` seeds 0-9 and `random_interval_scenario`
 seeds 0-9. Each scenario gets its direct, oracle and, in dimension 2,
 boundary report at default knobs, and its direct report once more with its
 witnesses removed ("direct_no_witnesses"): a change that moves only
-witnesses changes "direct" alone. tests/test_report_digests.py recomputes
+witnesses changes "direct" alone. In dimension 2 the boundary data the
+boundary report is reconstructed from is pinned too ("boundary_data"), so
+renumbered cobordism pairs or changed pair maps fail even where the limit
+they give is the same. tests/test_report_digests.py recomputes
 the digests and compares them with tests/report_digests.json, so a change
 that alters a single report byte fails tier-1.
 
@@ -21,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
-from evasion_kit.analysis import analyze
+from evasion_kit.analysis import analyze, extract_boundary_data
 from evasion_kit.scenario import (BUILTIN_NAMES, builtin_scenario, canonical_json,
                                   random_interval_scenario)
 
@@ -48,13 +51,16 @@ def _digest(doc: dict) -> str:
 
 def report_digests(key: str) -> Dict[str, str]:
     """sha256 of each mode's canonical report JSON for one pool scenario,
-    and of the direct report without its witnesses."""
+    of the direct report without its witnesses and, in dimension 2, of the
+    boundary data document."""
     s = scenario_for(key)
     modes = ("direct", "boundary", "oracle") if s.dimension == 2 else ("direct", "oracle")
     docs = {mode: analyze(s, mode=mode).to_document() for mode in modes}
     out = {mode: _digest(doc) for mode, doc in docs.items()}
     out["direct_no_witnesses"] = _digest({k: v for k, v in docs["direct"].items()
                                           if k != "witnesses"})
+    if s.dimension == 2:
+        out["boundary_data"] = _digest(extract_boundary_data(s).to_document())
     return out
 
 

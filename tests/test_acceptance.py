@@ -207,7 +207,7 @@ def test_boundary_partitions_match_fill_reference():
         for t, partition in zip(data.sample_times, data.fiber_partitions):
             f = rasterize_fiber(s, t, grid)
             boundary = boundary_pairs(f, components(f))
-            assert partition == fill_partition(f.covered_with_collar, boundary)
+            assert partition == fill_partition(f.covered_with_collar, f.covered_boundary, boundary)
             split += len(partition.blocks) > 1
     assert split > 0
     budget.check()

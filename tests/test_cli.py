@@ -398,10 +398,13 @@ def test_render_2d_with_witness_scans_once(capsys, monkeypatch, tmp_path):
 
 
 def test_render_bad_times(capsys, tmp_path):
-    code, _, err = _run(capsys, "render", "split", "--times", "zero",
-                        "--out-dir", str(tmp_path))
-    assert code == 2
-    assert _json(err)["error"] == "ScenarioError"
+    # A time that is not a finite number is bad input, and nothing is written.
+    for times in ("zero", "nan", "inf", "0.5,nan", "0.2,-inf"):
+        code, _, err = _run(capsys, "render", "split", "--times", times,
+                            "--out-dir", str(tmp_path))
+        assert code == 2
+        assert _json(err)["error"] == "ScenarioError"
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circle_tools import closed, phase_shifted
 from evasion_kit.analysis import (analyze_direct, d1_count, oracle_reachability,
                                   verify_witness)
 from evasion_kit.gapsweep import sweep_gaps
@@ -219,32 +220,14 @@ def test_reflection_time_reversal_and_sensor_order_keep_the_answer():
             assert _facts(analyze_direct(moved, witnesses=False)) == want
 
 
-def _closed(s):
-    """The scenario on a circle base, each track closed by its first point."""
-    return dataclasses.replace(s, time_base="circle", tracks=tuple(
-        SensorTrack(track.waypoints[:-1] + ((1.0, track.points[0]),))
-        for track in s.tracks))
-
-
-def _phase_shifted(s, delta):
-    """The circle scenario run delta later: p'(t) = p(t - delta mod 1)."""
-    tracks = []
-    for track in s.tracks:
-        at_zero = tuple(positions_at(dataclasses.replace(s, tracks=(track,)), [-delta])[0, 0])
-        inner = sorted(((t + delta) % 1.0, p) for t, p in track.waypoints[:-1]
-                       if 0.0 < (t + delta) % 1.0 < 1.0)
-        tracks.append(SensorTrack(((0.0, at_zero), *inner, (1.0, at_zero))))
-    return validate_scenario(dataclasses.replace(s, tracks=tuple(tracks)))
-
-
 def test_circle_phase_shift_keeps_the_answer():
     rng = np.random.default_rng(7)
     for seed in range(40):
-        s = _closed(random_waypoint_scenario(seed, 2 + seed % 4, 1))
+        s = closed(random_waypoint_scenario(seed, 2 + seed % 4, 1))
         report = analyze_direct(s)
         assert all(verify_witness(s, w) for w in report.witnesses)
         for delta in rng.random(3):
-            got = analyze_direct(_phase_shifted(s, float(delta)), witnesses=False)
+            got = analyze_direct(phase_shifted(s, float(delta)), witnesses=False)
             assert _facts(got) == _facts(report), (seed, delta)
 
 
@@ -253,7 +236,7 @@ def test_circle_phase_shift_keeps_the_answer():
 def test_gaps_match_positions_at_random_times(seed, sensors, base):
     s = random_waypoint_scenario(seed, sensors, 1)
     if base == "circle":
-        s = _closed(s)
+        s = closed(s)
     # Times past the span are clamped on an interval base and wrapped on a
     # circle, as positions_at does.
     times = np.random.default_rng(seed).uniform(-0.25, 1.25, 10 ** 4)

@@ -3,7 +3,7 @@ import pytest
 
 from evasion_kit.planar_homology import HomologyError, alexander_image
 from evasion_kit.rasterize import (
-    BoundaryComponents,
+    FiberBoundary,
     boundary_pairs,
     components,
     count_holes,
@@ -20,17 +20,16 @@ def _mask(rows):
 
 
 def _boundary(labels):
-    """BoundaryComponents with the given label bitmap, one label per value.
+    """FiberBoundary with one label per nonzero value of the bitmap labels.
 
-    Only the fields alexander_image reads are meaningful: the bitmap, the
-    count, and each label's least cell as its covered representative.
+    Only the fields alexander_image reads are meaningful: the count, and
+    each label's least cell as its covered representative.
     """
     count = int(labels.max())
     reps = tuple(int(np.flatnonzero(labels.ravel() == k)[0]) for k in range(1, count + 1))
-    return BoundaryComponents(
+    return FiberBoundary(
         count=count, pairs=tuple((k, k) for k in range(1, count + 1)),
-        rep_uncovered=reps, rep_covered=reps, labels=labels,
-        covered_labels=np.zeros_like(labels))
+        covered_labels=np.zeros_like(labels), rep_uncovered=reps, rep_covered=reps)
 
 
 def _labels(shape, groups):
@@ -44,9 +43,10 @@ def _labels(shape, groups):
 
 def _partition(region, groups):
     """alexander_image of the labels, checked against the fill reference."""
-    b = _boundary(_labels(region.shape, groups))
-    p = alexander_image(region, b)
-    assert p == fill_partition(region, b)
+    labels = _labels(region.shape, groups)
+    b = _boundary(labels)
+    p = alexander_image(region, labels != 0, b)
+    assert p == fill_partition(region, labels != 0, b)
     return p
 
 
@@ -108,7 +108,8 @@ def test_holes_none():
 
 def test_holes_requires_2d():
     with pytest.raises(HomologyError):
-        alexander_image(np.ones(5, dtype=bool), _boundary(np.zeros(5, dtype=np.int32)))
+        alexander_image(np.ones(5, dtype=bool), np.zeros(5, dtype=bool),
+                        _boundary(np.zeros(5, dtype=np.int32)))
 
 
 def test_alexander_image_matches_fill_reference():
@@ -127,8 +128,8 @@ def test_alexander_image_matches_fill_reference():
         # renumber the labels that occur as 1..count; 0 always occurs
         labels = np.searchsorted(np.unique(labels), labels).astype(np.int32)
         b = _boundary(labels)
-        p = alexander_image(region, b)
-        assert p == fill_partition(region, b)
+        p = alexander_image(region, labels != 0, b)
+        assert p == fill_partition(region, labels != 0, b)
         free = region & (labels == 0)
         fills = [fill for _, fill in reference_holes(free)]
         outside += sum(not any(fill.flat[r] for fill in fills) for r in b.rep_covered)
@@ -151,7 +152,7 @@ def test_alexander_image_single_pocket():
     f = _fiber("split", 0.0)
     b = boundary_pairs(f, components(f))
     assert b.count == 1
-    p = alexander_image(f.covered_with_collar, b)
+    p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
     assert p.blocks == ((1,),)
 
 
@@ -159,14 +160,14 @@ def test_alexander_image_split_pockets():
     f = _fiber("split", 1.0)
     b = boundary_pairs(f, components(f))
     assert b.count == 2
-    p = alexander_image(f.covered_with_collar, b)
+    p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
     assert p.blocks == ((1,), (2,))
 
 
 def test_alexander_image_empty_boundary():
     f = _fiber("empty", 0.5, cells=64)
     b = boundary_pairs(f, components(f))
-    p = alexander_image(f.covered_with_collar, b)
+    p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
     assert p.ground == ()
     assert p.blocks == ()
 
@@ -175,7 +176,7 @@ def test_alexander_image_rejects_stray_boundary():
     f = _fiber("split", 0.0)
     b = boundary_pairs(f, components(f))
     with pytest.raises(HomologyError):
-        alexander_image(np.zeros_like(f.covered_with_collar), b)
+        alexander_image(np.zeros_like(f.covered_with_collar), f.covered_boundary, b)
 
 
 def test_alexander_blocks_match_pockets():
@@ -184,7 +185,7 @@ def test_alexander_blocks_match_pockets():
                     ("annuli", 1.0), ("close", 0.0)]:
         f = _fiber(name, t)
         b = boundary_pairs(f, components(f))
-        p = alexander_image(f.covered_with_collar, b)
+        p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
         by_pocket = {}
         for label, (pocket, _) in zip(range(1, b.count + 1), b.pairs):
             by_pocket.setdefault(pocket, set()).add(label)

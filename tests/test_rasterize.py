@@ -12,6 +12,7 @@ from scipy import ndimage
 from evasion_kit.rasterize import (
     _SLICE_STRUCTS,
     BoundaryComponents,
+    FiberBoundary,
     GridSpec,
     RasterError,
     boundary_pairs,
@@ -214,24 +215,30 @@ def test_annuli_start_signature():
     assert boundary_pairs(f, components(f)).count == 3
 
 
-def test_boundary_pairs_partition_bitmap():
+def test_boundary_pairs_contacts_are_the_covered_boundary():
+    # Every covered boundary cell is a contact of some pair, which
+    # alexander_image relies on when it is handed covered_boundary; each
+    # pair's representatives are its least contact cells on either side.
     s = builtin_scenario("split")
     g = grid_for_scenario(s, cells=128)
     for t in (0.0, 0.5, 1.0):
         f = rasterize_fiber(s, t, g)
         b = boundary_pairs(f, components(f))
+        assert isinstance(b, FiberBoundary)
         u_lab = components(f).labels
-        assert np.array_equal(b.labels > 0, f.covered_boundary)
-        index = {pair: i + 1 for i, pair in enumerate(b.pairs)}
+        index = {pair: i for i, pair in enumerate(b.pairs)}
+        least_u = [f.uncovered.size] * b.count
+        least_w = [f.uncovered.size] * b.count
         ny, nx = f.uncovered.shape
         for iy, ix in zip(*np.nonzero(f.covered_boundary)):
-            # every pair this cell is a contact of, by its face neighbors
-            touching = set()
             for y, x in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1)):
                 if 0 <= y < ny and 0 <= x < nx and f.uncovered[y, x]:
-                    pair = (int(u_lab[y, x]), int(b.covered_labels[iy, ix]))
-                    touching.add(index[pair])
-            assert b.labels[iy, ix] == min(touching)
+                    i = index[(int(u_lab[y, x]), int(b.covered_labels[iy, ix]))]
+                    least_u[i] = min(least_u[i], y * nx + x)
+                    least_w[i] = min(least_w[i], iy * nx + ix)
+        assert b.rep_uncovered == tuple(least_u)
+        assert b.rep_covered == tuple(least_w)
+        assert list(b.rep_covered) == sorted(b.rep_covered)
 
 
 def test_empty_scenario_has_no_boundary():
@@ -418,7 +425,7 @@ def _reference_boundary_pairs(c, dimension):
     P, W = np.concatenate(ps), np.concatenate(ws)
     UC, WC = np.concatenate(ucells), np.concatenate(wcells)
     if P.size == 0:
-        return dict(pairs=(), rep_uncovered=(), rep_covered=(), cells=(),
+        return dict(pairs=(), rep_uncovered=(), rep_covered=(),
                     uncovered_labels=u_lab, covered_labels=v_lab)
     nv = int(v_lab.max())
     key = P.astype(np.int64) * (nv + 1) + W
@@ -429,17 +436,10 @@ def _reference_boundary_pairs(c, dimension):
     np.minimum.at(min_wc, inv, WC)
     np.minimum.at(min_uc, inv, UC)
     order = np.argsort(min_wc, kind="stable")
-    rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k)
-    pair_rank = rank[inv]
-    cell_lists = [[] for _ in range(k)]
-    for cell in np.unique(WC):
-        cell_lists[int(pair_rank[WC == cell].min())].append(int(cell))
     return dict(
         pairs=tuple((int(uniq_key[i] // (nv + 1)), int(uniq_key[i] % (nv + 1))) for i in order),
         rep_uncovered=tuple(int(min_uc[i]) for i in order),
         rep_covered=tuple(int(min_wc[i]) for i in order),
-        cells=tuple(tuple(sorted(lst)) for lst in cell_lists),
         uncovered_labels=u_lab, covered_labels=v_lab)
 
 
@@ -464,36 +464,25 @@ _CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
 def _check_boundary_pairs(c, dimension, reference=None):
     """boundary_pairs of c against the reference, which labels reference (c
     by default); a cobordism's reference holds every distinct slice. A
-    cobordism's label fields hold its end slices, so they are checked
-    against the reference's slices 0 and -1. The pairs number uncovered
-    components as components(c) does."""
+    fiber's representatives are checked too; a cobordism's covered labels
+    hold its end slices, so they are checked against the reference's
+    slices 0 and -1. The pairs number uncovered components as components(c)
+    does."""
     reference = reference or c
     unc = components(c)
     b = boundary_pairs(c, unc)
-    assert isinstance(b, BoundaryComponents)
+    stacked = c.uncovered.ndim > dimension
+    assert type(b) is (BoundaryComponents if stacked else FiberBoundary)
     want = _reference_boundary_pairs(reference, dimension)
-    for field in ("pairs", "rep_uncovered", "rep_covered"):
+    for field in ("pairs",) if stacked else ("pairs", "rep_uncovered", "rep_covered"):
         assert getattr(b, field) == want[field]
     assert b.count == len(want["pairs"])
-    stacked = c.uncovered.ndim > dimension
-    steps = (0, reference.uncovered.shape[0] - 1) if stacked else (0,)
+    steps = [0, reference.uncovered.shape[0] - 1]
     for got, field in ((b.covered_labels, "covered_labels"),
                        (np.stack(unc.ends) if stacked else unc.labels, "uncovered_labels")):
-        expected = want[field][list(steps)] if stacked else want[field]
+        expected = want[field][steps] if stacked else want[field]
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
-    assert b.labels.dtype == np.int32
-    assert b.labels.shape == (len(steps),) * stacked + c.disk.shape
-    # the labels bitmap holds the partition the cell lists spelled out
-    size = c.disk.size
-    for end, step in enumerate(steps):
-        got = b.labels[end] if stacked else b.labels
-        lo = step * size
-        lists = [[cell - lo for cell in cells if lo <= cell < lo + size]
-                 for cells in want["cells"]]
-        for i, cells in enumerate(lists):
-            assert np.flatnonzero(got.ravel() == i + 1).tolist() == cells
-        assert (got > 0).sum() == sum(len(cells) for cells in lists)
 
 
 @pytest.mark.parametrize("key", _CONTACT_CASES)

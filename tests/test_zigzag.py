@@ -30,7 +30,6 @@ from evasion_kit.zigzag import (
     build_zigzag,
     detect_events,
     fiber_signature,
-    fiber_signatures,
     interleave,
 )
 from evasion_kit.gapsweep import sweep_gaps
@@ -781,12 +780,12 @@ def test_grid_resonance_events_are_classified_on_non_simple_flips(monkeypatch):
 
     row = cell_center(grid_for_scenario(fusion(0.0, 0.2)), (64, 0))[1]
     for x1 in (0.2, 0.25, 0.3):
-        on_row, off_row = fusion(row, x1), fusion(0.0, x1)
-        got, want = detect_events(on_row), detect_events(off_row)
+        on_row, off_row = build_zigzag(fusion(row, x1)), build_zigzag(fusion(0.0, x1))
+        got, want = on_row.events, off_row.events
         assert [e.type_x for e in got] == [e.type_x for e in want] == ["D"]
         assert got[0].time == pytest.approx(want[0].time, abs=2e-3)
-        assert (inverse_limit(build_zigzag(on_row, events=got).diagram).cardinality
-                == inverse_limit(build_zigzag(off_row, events=want).diagram).cardinality)
+        assert (inverse_limit(on_row.diagram).cardinality
+                == inverse_limit(off_row.diagram).cardinality)
     assert len(floor) == 3 and all(e.type_x == "D" for e in floor)
 
 
@@ -1159,7 +1158,7 @@ def test_equal_ends_without_non_simple_step_give_a_constant(monkeypatch):
 
 
 def _end_signatures(s, grid):
-    return tuple(fiber_signatures(rasterize_fibers(s, TIME_SPAN, grid)))
+    return tuple(fiber_signature(f) for f in rasterize_fibers(s, TIME_SPAN, grid))
 
 
 def _check_known_ends(scenarios, **knobs):
@@ -1248,20 +1247,21 @@ def test_interleave_circle():
 
 def test_build_zigzag_split_structure(builtin_events):
     s, events = builtin_events["split"]
-    bundle = build_zigzag(s, events=events)
+    bundle = build_zigzag(s)
+    assert bundle.events == events
     assert bundle.samples == (0.0, 1.0)
     assert bundle.diagram.shape == "interval"
     assert bundle.diagram.fiber_sets == ((1,), (1, 2))
     assert bundle.diagram.cobordism_sets == ((1,),)
     assert bundle.diagram.left_maps == ({1: 1},)
     assert bundle.diagram.right_maps == ({1: 1, 2: 1},)
-    assert bundle.cobordism_events == (events,)
     assert inverse_limit(bundle.diagram).cardinality == 2
 
 
 def test_build_zigzag_close_structure(builtin_events):
     s, events = builtin_events["close"]
-    bundle = build_zigzag(s, events=events)
+    bundle = build_zigzag(s)
+    assert bundle.events == events
     assert len(bundle.samples) == 3
     assert bundle.samples[1] == pytest.approx(0.5, abs=2e-3)
     assert bundle.diagram.fiber_sets == ((1,), (), (1,))
@@ -1271,8 +1271,8 @@ def test_build_zigzag_close_structure(builtin_events):
 def test_split_bundle_boundary_pairs(builtin_events):
     # The pairs are read off the bundle's own uncovered components: one
     # pocket and its wall before the split, two after.
-    s, events = builtin_events["split"]
-    bundle = build_zigzag(s, events=events)
+    s, _ = builtin_events["split"]
+    bundle = build_zigzag(s)
     fibers = [boundary_pairs(f, p) for f, p in zip(bundle.fibers, bundle.fiber_parts)]
     assert [b.count for b in fibers] == [1, 2]
     assert sorted(u for u, _ in fibers[1].pairs) == [1, 2]
@@ -1280,29 +1280,27 @@ def test_split_bundle_boundary_pairs(builtin_events):
     assert cob.pairs == ((1, 1),)
 
 
-def test_build_zigzag_rejects_missed_event(builtin_events):
-    # claiming the span is event-free contradicts the non-bijective tracking
+def test_build_zigzag_rejects_missed_event(builtin_events, monkeypatch):
+    # a scan that misses the event contradicts the non-bijective tracking
     s, _ = builtin_events["split"]
-    with pytest.raises(ResolutionError):
-        build_zigzag(s, events=(), samples=(0.0, 1.0))
+    monkeypatch.setattr(zigzag, "detect_events", lambda *args, **kwargs: ())
+    with pytest.raises(ResolutionError, match="event-free span"):
+        build_zigzag(s)
 
 
-def test_build_zigzag_rejects_crowded_span(builtin_events):
+def test_build_zigzag_rejects_crowded_span(builtin_events, monkeypatch):
+    s, _ = builtin_events["close"]
+    monkeypatch.setattr(zigzag, "interleave", lambda events, time_base: (0.0, 0.9, 1.0))
+    with pytest.raises(SimultaneousEventsError, match="2 events share"):
+        build_zigzag(s)
+
+
+def test_build_zigzag_rejects_sample_on_event(builtin_events, monkeypatch):
     s, events = builtin_events["close"]
-    with pytest.raises(SimultaneousEventsError):
-        build_zigzag(s, events=events, samples=(0.0, 0.9, 1.0))
-
-
-def test_build_zigzag_rejects_sample_on_event(builtin_events):
-    s, events = builtin_events["close"]
-    with pytest.raises(ResolutionError):
-        build_zigzag(s, events=events, samples=(0.0, events[0].time, 1.0))
-
-
-def test_build_zigzag_sample_count_check(builtin_events):
-    s, events = builtin_events["close"]
-    with pytest.raises(ValueError):
-        build_zigzag(s, events=events, samples=(0.0, 1.0))
+    monkeypatch.setattr(zigzag, "interleave",
+                        lambda events_, time_base: (0.0, events[0].time, 1.0))
+    with pytest.raises(ResolutionError, match="straddles a sample time"):
+        build_zigzag(s)
 
 
 # ---------------------------------------------------------------------------
@@ -1342,7 +1340,8 @@ def test_circle_pulse_events_and_samples():
     assert [e.type_x for e in events] == ["N", "D"]
     assert events[0].time == pytest.approx(0.117, abs=2e-3)
     assert events[1].time == pytest.approx(0.883, abs=2e-3)
-    bundle = build_zigzag(s, events=events)
+    bundle = build_zigzag(s)
+    assert bundle.events == events
     assert len(bundle.samples) == 2
     assert bundle.samples[0] == pytest.approx(0.0, abs=1e-3)
     assert bundle.samples[1] == pytest.approx(0.5, abs=1e-3)
