@@ -42,7 +42,7 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, CobordismComplex, CobordismComponents,
                         FiberBoundary, GridSpec, StackGraph, boundary_pairs, bounding_box,
-                        cell_center, domain_masks, grid_for_scenario,
+                        cell_center, domain_masks, first_cells, grid_for_scenario,
                         label_components, rasterize_cobordism, rasterize_fiber,
                         stack_graph, sweep, _Transitions, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
@@ -71,6 +71,9 @@ __all__ = [
 DEFAULT_MAX_ELEMENTS = 10000
 DEFAULT_MAX_WITNESSES = 64
 DEFAULT_ORACLE_SAMPLES = 512
+# Refine levels a witness segment may try past level 0; level k rasterizes
+# the span again at 2 ** k times the grid's fine time samples.
+_MAX_REFINE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +292,16 @@ class _WitnessBuilder:
 
     At refine level 0 a cobordism's graph is the one its space-time
     components were read from in build_zigzag, so the stack is labeled once
-    for both; finer levels rasterize and label the span again. Every graph
-    is cropped to the fenced region's bounding box, the same for each
-    cobordism of a bundle, so paths are searched in cropped coordinates and
-    shifted back to whole-grid cells at the end.
+    for both; finer levels, up to _MAX_REFINE, rasterize and label the span
+    again. Every graph is cropped to the fenced region's bounding box, the
+    same for each cobordism of a bundle, so paths are searched in cropped
+    coordinates and shifted back to whole-grid cells at the end. Every
+    entry of an element is checked against its fiber's count before any
+    search.
     """
 
-    def __init__(self, bundle: ZigzagBundle, max_refine: int = 2) -> None:
+    def __init__(self, bundle: ZigzagBundle) -> None:
         self.bundle = bundle
-        self.max_refine = max_refine
         self.box = bundle.cobordism_parts[0].box
         self._cache: Dict[Tuple[int, int], _CobData] = {}
 
@@ -321,13 +325,12 @@ class _WitnessBuilder:
         bundle = self.bundle
         if len(element) != len(bundle.diagram.fiber_sets):
             raise WitnessError("element length does not match the diagram")
-        first = bundle.fiber_parts[0]
-        cells = np.flatnonzero(first.labels.ravel() == element[0])
-        if cells.size == 0:
+        if not all(0 < int(v) <= len(fs) for v, fs in zip(element, bundle.diagram.fiber_sets)):
             raise WitnessError("element names a missing component")
+        first = bundle.fiber_parts[0].labels
+        cell = int(first_cells(first)[int(element[0]) - 1])
         corner = tuple(b.start or 0 for b in self.box)
-        start = tuple(int(v) - c for v, c in
-                      zip(np.unravel_index(int(cells[0]), first.labels.shape), corner))
+        start = tuple(int(v) - c for v, c in zip(np.unravel_index(cell, first.shape), corner))
 
         closed = bundle.time_base == "circle"
         n = len(bundle.cobordisms)
@@ -337,7 +340,7 @@ class _WitnessBuilder:
             target_label = int(element[i + 1])
             target_cell = start if (closed and i == n - 1) else None
             seg = None
-            for level in range(self.max_refine + 1):
+            for level in range(_MAX_REFINE + 1):
                 seg = _segment(self._data(i, level), cur, target_label, target_cell)
                 if seg is not None:
                     break
@@ -356,10 +359,9 @@ class _WitnessBuilder:
         return Witness(element=tuple(int(v) for v in element), samples=world)
 
 
-def extract_witness(bundle: ZigzagBundle, element: Sequence[int],
-                    max_refine: int = 2) -> Witness:
+def extract_witness(bundle: ZigzagBundle, element: Sequence[int]) -> Witness:
     """Monotone uncovered path through the named component at every sample."""
-    return _WitnessBuilder(bundle, max_refine=max_refine).extract(element)
+    return _WitnessBuilder(bundle).extract(element)
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +613,17 @@ def extract_boundary_data(source: Union[Scenario, ZigzagBundle],
     components of the covered region, per sample.
 
     source is a scenario, whose zigzag is built here, or a built zigzag
-    bundle, whose fibers, cobordisms and uncovered components are reused;
-    grid and the scan knobs apply to a scenario only. Raises KnobError on a
-    scenario that is not two-dimensional.
+    bundle, whose fibers, their boundary pairs (ZigzagBundle.boundaries),
+    cobordisms and uncovered components are reused, so no fiber is labeled
+    here; grid and the scan knobs apply to a scenario only. Raises KnobError
+    on a scenario that is not two-dimensional.
     """
     s = source.scenario if isinstance(source, ZigzagBundle) else source
     if s.dimension != 2:
         raise KnobError("boundary analysis is defined for dimension 2 only")
-    if isinstance(source, ZigzagBundle):
-        bundle = source
-    else:
-        bundle = build_zigzag(s, grid, scan_samples=scan_samples, tol=tol)
-    fiber_pairs = [boundary_pairs(f, p) for f, p in zip(bundle.fibers, bundle.fiber_parts)]
+    bundle = (source if isinstance(source, ZigzagBundle)
+              else build_zigzag(s, grid, scan_samples=scan_samples, tol=tol))
+    fiber_pairs = bundle.boundaries
     cob_pairs = [boundary_pairs(c, p)
                  for c, p in zip(bundle.cobordisms, bundle.cobordism_parts)]
     lefts, rights = [], []
@@ -673,10 +674,8 @@ def analyze_boundary(source: Union[Scenario, BoundaryData],
                      tol: float = DEFAULT_TOL,
                      max_elements: int = DEFAULT_MAX_ELEMENTS) -> AnalysisReport:
     """Existence bound computed from boundary measurements only."""
-    if isinstance(source, BoundaryData):
-        data = source
-    else:
-        data = extract_boundary_data(source, grid, scan_samples=scan_samples, tol=tol)
+    data = (source if isinstance(source, BoundaryData)
+            else extract_boundary_data(source, grid, scan_samples=scan_samples, tol=tol))
     alg = boundary_limit(data, max_elements=max_elements)
     res = alg.result
     diagnostics: Dict[str, object] = {
@@ -920,16 +919,12 @@ def d1_count(s: Scenario, grid: Optional[GridSpec] = None) -> int:
 
 def analyze(s: Scenario, mode: str = "direct", *,
             grid: Optional[GridSpec] = None,
-            cells: int = 128,
-            fine_time_samples: int = 64,
             scan_samples: int = DEFAULT_SCAN_SAMPLES,
             tol: float = DEFAULT_TOL,
             max_elements: int = DEFAULT_MAX_ELEMENTS,
             max_witnesses: int = DEFAULT_MAX_WITNESSES,
             witnesses: bool = True,
             time_samples: int = DEFAULT_ORACLE_SAMPLES) -> AnalysisReport:
-    if grid is None:
-        grid = grid_for_scenario(s, cells=cells, fine_time_samples=fine_time_samples)
     if mode == "direct":
         return analyze_direct(s, grid, scan_samples=scan_samples, tol=tol,
                               max_elements=max_elements,

@@ -519,16 +519,17 @@ class GapSweep:
         The path stands at each sample and station time at the midpoint of
         its gap; between them every gap end is linear, so the straight
         segments stay inside the gap. On a circle base it returns to its
-        start one period later. Raises WitnessError when the element is not
-        a chain of the diagram.
+        start one period later. Raises WitnessError when an entry names a
+        missing component, checked for every entry before the walk, or when
+        the element is not a chain of the diagram.
         """
         if len(element) != len(self.diagram.fiber_sets):
             raise WitnessError("element length does not match the diagram")
+        if not all(0 < int(v) <= len(fs) for v, fs in zip(element, self.diagram.fiber_sets)):
+            raise WitnessError("element names a missing component")
         circle = self.scenario.time_base == "circle"
         n = len(self.samples)
         gap = int(element[0]) - 1
-        if not 0 <= gap < len(self.fibers[0]):
-            raise WitnessError("element names a missing component")
         t = float(self.samples[0])
         start = (self._midpoint(0, gap),)
         out = [(t, start)]

@@ -12,9 +12,11 @@ component's least flat cell index. This is scipy's raster-order numbering,
 used as ndimage.label returns it; a property test pins that assumption.
 Boundary components are adjacency pairs (uncovered component, covered
 component), the discrete counterparts of the boundary curves; see
-BoundaryComponents for the rationale. They are read off the uncovered
-components a complex already has (boundary_pairs), so the uncovered region
-is labeled once for both.
+BoundaryComponents for the rationale. A cobordism's are read off the
+uncovered components it already has (boundary_pairs), so its uncovered
+region is labeled once for both. A fiber's come from the one labeling that
+gives its components and its signature (zigzag._label_fibers). Both rank
+their pairs with _rank_pairs.
 
 The ring test (_simple_flips) says which steps between time slices keep
 the signature, which the event scan reads; the ring certificate
@@ -99,10 +101,6 @@ class GridSpec:
     @property
     def dimension(self) -> int:
         return len(self.shape)
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.prod(self.shape))
 
 
 def grid_for_scenario(s: Scenario, cells: int = 128, fine_time_samples: int = 64,
@@ -989,12 +987,12 @@ class BoundaryComponents:
     thick and stays stable when they are not. Pairs are ranked by their
     least contact cell on the covered side, in raster order.
 
-    A pair's uncovered component is numbered as in the complex's uncovered
-    components (ComponentLabels.labels, CobordismComponents.ends), and its
-    covered one as in covered_labels. A fiber's covered_labels are a
-    whole-grid bitmap (FiberBoundary). A cobordism's pairs cover all its
-    slices, but its covered_labels keep only the end slices, where fibers
-    map in: a (2, *grid shape) stack, [0] the first slice and [-1] the last.
+    These are a cobordism's (boundary_pairs); a fiber's are a FiberBoundary.
+    A pair's uncovered component is numbered as in the cobordism's uncovered
+    components (CobordismComponents), and its covered one as in
+    covered_labels. The pairs cover all its slices, but covered_labels keep
+    only the end slices, where fibers map in: a (2, *grid shape) stack, [0]
+    the first slice and [-1] the last.
     """
 
     count: int
@@ -1003,11 +1001,16 @@ class BoundaryComponents:
 
 
 @dataclass
-class FiberBoundary(BoundaryComponents):
-    """A fiber's boundary components with each pair's representative cells,
-    its least uncovered and least covered contact cell, as whole-grid flat
-    indices."""
+class FiberBoundary:
+    """A fiber's boundary components (see BoundaryComponents), read off the
+    labeling that gives its components and signature (zigzag._label_fibers).
+    Uncovered components are numbered as in its ComponentLabels, covered
+    ones as labeling its covered-with-collar region alone numbers them; each
+    pair's representatives, its least uncovered and least covered contact
+    cell, are whole-grid flat indices."""
 
+    count: int
+    pairs: Tuple[Tuple[int, int], ...]
     rep_uncovered: Tuple[int, ...]
     rep_covered: Tuple[int, ...]
 
@@ -1064,13 +1067,14 @@ def bounding_box(mask: np.ndarray) -> Tuple[slice, ...]:
 
 
 def _rank_pairs(u: np.ndarray, v: np.ndarray, uc: np.ndarray, wc: np.ndarray,
-                nv: int) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray, np.ndarray]:
+                nv: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The (uncovered, covered) component pairs of a list of contacts.
 
     Contact i joins uncovered cell uc[i], of component u[i], to covered
     cell wc[i], of component v[i] <= nv; cells are flat indices in one
-    raster order. Pairs are ranked by their least covered cell. Returns the
-    pairs in rank order and their least uncovered and covered cells.
+    raster order. Pairs are ranked by their least covered cell. Returns, in
+    rank order, each pair's uncovered and covered component and its least
+    uncovered and covered cells.
     """
     key, inv = sorted_unique(u.astype(np.int64) * (nv + 1) + v, return_inverse=True)
     least_uc = np.full(key.size, np.iinfo(np.int64).max, dtype=np.int64)
@@ -1078,31 +1082,14 @@ def _rank_pairs(u: np.ndarray, v: np.ndarray, uc: np.ndarray, wc: np.ndarray,
     np.minimum.at(least_uc, inv, uc)
     np.minimum.at(least_wc, inv, wc)
     order = np.argsort(least_wc, kind="stable")
-    pairs = tuple((int(k // (nv + 1)), int(k % (nv + 1))) for k in key[order])
-    return pairs, least_uc[order], least_wc[order]
+    key = key[order]
+    return key // (nv + 1), key % (nv + 1), least_uc[order], least_wc[order]
 
 
-def boundary_pairs(c: Union[FiberComplex, CobordismComplex],
-                   uncovered: Union[ComponentLabels, CobordismComponents]
-                   ) -> BoundaryComponents:
-    """The boundary components of a complex, given its uncovered components
-    (components(c)); only the covered region is labeled here. A fiber's are
-    a FiberBoundary."""
-    if isinstance(c, FiberComplex):
-        v_lab, nv = label_components(c.disk & ~c.uncovered)
-        # Contacts end on covered cells: covered-with-collar cells off the collar.
-        uc, wc = face_contacts(c.uncovered, c.inside & ~c.uncovered, range(c.uncovered.ndim))
-        pairs, rep_u, rep_w = _rank_pairs(uncovered.labels.ravel()[uc], v_lab.ravel()[wc],
-                                          uc, wc, nv)
-        return FiberBoundary(count=len(pairs), pairs=pairs, covered_labels=v_lab,
-                             rep_uncovered=tuple(rep_u.tolist()),
-                             rep_covered=tuple(rep_w.tolist()))
-    return _cobordism_pairs(c, uncovered)
-
-
-def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
-                     ) -> BoundaryComponents:
-    """boundary_pairs of a cobordism, read off two slice graphs.
+def boundary_pairs(c: CobordismComplex, uncovered: CobordismComponents) -> BoundaryComponents:
+    """The boundary components of a cobordism, given its uncovered components
+    (components(c)), read off two slice graphs. A fiber's come from the
+    labeling that gives its components and signature (zigzag._label_fibers).
 
     The covered-with-collar graph is built on the labeled stack cropped to
     the disk's bounding box, which the collar needs, and carried across
@@ -1137,8 +1124,9 @@ def _cobordism_pairs(c: CobordismComplex, uncovered: CobordismComponents
     u_at = np.unravel_index(u_cell, unc.shape[1:])
     u_cell = np.ravel_multi_index([k + (b.start or 0) - (o.start or 0) for k, b, o
                                    in zip(u_at, box, uncovered.box)], gu.shape)
-    pairs = _rank_pairs(uncovered.component[gu.labels_at(u_step, u_cell)],
-                        comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)[0]
+    u, v, _, _ = _rank_pairs(uncovered.component[gu.labels_at(u_step, u_cell)],
+                             comp_v[gv.labels_at(w_step, w_cell)], uc, wc, nv)
+    pairs = tuple(zip(u.tolist(), v.tolist()))
     covered_labels = np.zeros((2,) + c.disk.shape, dtype=np.int32)
     covered_labels[crop] = [comp_v[gv.labels(0)], comp_v[gv.labels(-1)]]
     return BoundaryComponents(count=len(pairs), pairs=pairs, covered_labels=covered_labels)

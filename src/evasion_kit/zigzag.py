@@ -76,11 +76,11 @@ from scipy import ndimage
 from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
 from .rasterize import (CobordismComplex, CobordismComponents,
-                        ComponentLabels, FiberComplex, GridSpec, _box_flips,
-                        bounding_box, components, coverage_masks,
-                        face_contacts, first_cells, grid_for_scenario,
-                        label_slices, rasterize_cobordism, rasterize_fibers,
-                        sorted_unique)
+                        ComponentLabels, FiberBoundary, FiberComplex, GridSpec,
+                        _box_flips, _rank_pairs, bounding_box, components,
+                        coverage_masks, face_contacts, first_cells,
+                        grid_for_scenario, label_slices, rasterize_cobordism,
+                        rasterize_fibers, sorted_unique)
 from .scenario import TIME_SPAN, Scenario
 
 __all__ = [
@@ -130,27 +130,21 @@ def _rim(disk: np.ndarray) -> np.ndarray:
     return disk & (off[:-2, 1:-1] | off[2:, 1:-1] | off[1:-1, :-2] | off[1:-1, 2:])
 
 
-def _pair_counts(uncovered: np.ndarray, u_lab: np.ndarray, u_tops: np.ndarray,
-                 v_lab: np.ndarray, v_tops: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Per-slice count of distinct (uncovered, covered-with-collar) label pairs.
-
-    The count-only form of rasterize's boundary pairs: a contact is a face
-    neighbor pair of an uncovered cell and a covered cell off the collar.
-    """
-    src, dst = face_contacts(uncovered, covered, range(1, uncovered.ndim))
-    stride = np.int64(v_tops[-1]) + 1
-    keys = u_lab.ravel()[src].astype(np.int64) * stride + v_lab.ravel()[dst]
-    return _per_slice(u_tops, sorted_unique(keys) // stride)
-
-
 def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarray
-                      ) -> Tuple[List[Signature], np.ndarray, np.ndarray]:
+                      ) -> Tuple[List[Signature], np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
     """Signatures of every slice of a 2-D uncovered stack (T, ny, nx), with
-    the stack's uncovered labels and tops (label_slices) they were read off.
+    the stack's uncovered labels and tops (label_slices) and the boundary
+    pairs they were read off.
 
     Callers crop the stack and masks to the disk's bounding box: every
     uncovered cell lies in it, and a disk cell on its edge is a rim cell in
     both frames, so the signatures are those of the whole grid.
+
+    One _rank_pairs call ranks the whole stack's pairs: stack-wide labels
+    each name one slice, and stack-flat indices order by slice first, so
+    each slice's pairs are one run, ranked as labeling it alone ranks them.
+    They are arrays in rank order: slice, uncovered and covered component
+    and representatives (FiberBoundary), all within the slice.
     """
     u_lab, u_tops = label_slices(uncovered)
     covered_with_collar = disk & ~uncovered
@@ -161,10 +155,17 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarra
     # connected to each other and to the grid border. The holes are the
     # covered-with-collar components that do not reach the rim.
     outer = sorted_unique(v_lab[:, _rim(disk)].ravel())
-    b1 = np.diff(v_tops, prepend=0) - _per_slice(v_tops, outer[outer != 0])
-    pb = _pair_counts(uncovered, u_lab, u_tops, v_lab, v_tops,
-                      covered_with_collar & inside)
-    return [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)], u_lab, u_tops
+    v_counts = np.diff(v_tops, prepend=0)
+    b1 = v_counts - _per_slice(v_tops, outer[outer != 0])
+    # Contacts end on covered cells: covered-with-collar cells off the collar.
+    uc, wc = face_contacts(uncovered, covered_with_collar & inside, range(1, uncovered.ndim))
+    u, v, rep_u, rep_w = _rank_pairs(u_lab.ravel()[uc], v_lab.ravel()[wc], uc, wc,
+                                     int(v_tops[-1]))
+    at, rep_w = np.divmod(rep_w, disk.size)
+    pb = np.bincount(at, minlength=len(uncovered))
+    pairs = (at, u - (u_tops - pi0)[at], v - (v_tops - v_counts)[at], rep_u % disk.size, rep_w)
+    sigs = [(int(a), int(b), int(c)) for a, b, c in zip(pi0, b1, pb)]
+    return sigs, u_lab, u_tops, pairs
 
 
 def fiber_signature(f: FiberComplex) -> Signature:
@@ -509,8 +510,9 @@ class ZigzagBundle:
     Fibers sit at the sample times and cobordisms span consecutive samples
     (plus the wrap-around span on a circle base). The diagram's maps send
     each fiber component to the spacetime component containing it.
-    signatures are the 2-D fibers' fiber_signature, read off the labeling
-    that gives fiber_parts; a 1-D bundle carries None.
+    signatures are the 2-D fibers' fiber_signature, and boundaries their
+    boundary pairs, read off the labeling that gives fiber_parts; a 1-D
+    bundle carries None for both.
     """
 
     scenario: Scenario
@@ -521,29 +523,41 @@ class ZigzagBundle:
     fibers: Tuple[FiberComplex, ...]
     fiber_parts: Tuple[ComponentLabels, ...]
     signatures: Optional[Tuple[Signature, ...]]
+    boundaries: Optional[Tuple[FiberBoundary, ...]]
     cobordisms: Tuple[CobordismComplex, ...]
     cobordism_parts: Tuple[CobordismComponents, ...]
     diagram: ZigzagSetDiagram
 
 
 def _label_fibers(fibers: Sequence[FiberComplex]
-                  ) -> Tuple[Tuple[ComponentLabels, ...], Optional[Tuple[Signature, ...]]]:
-    """Each fiber's components(), and in 2-D its fiber_signature, from one
-    labeling of the fibers' stack on the disk's box.
+                  ) -> Tuple[Tuple[ComponentLabels, ...], Optional[Tuple[Signature, ...]],
+                             Optional[Tuple[FiberBoundary, ...]]]:
+    """Each fiber's components(), and in 2-D its fiber_signature and its
+    boundary pairs, from one labeling of the fibers' stack on the disk's box.
 
     The box holds every uncovered cell in raster order, so a slice's labels
     less the tops below it, written back onto the whole grid, are that
-    fiber's label_components. In 1-D only the uncovered region is labeled.
+    fiber's label_components. A fiber's pairs are its slice's run of the
+    stack's pairs (_stack_signatures), whose representatives are mapped back
+    onto the whole grid the same way. In 1-D only the uncovered region is
+    labeled, and there are no signatures or pairs.
     """
     f0 = fibers[0]
     box = bounding_box(f0.disk)
     stack = np.stack([f.uncovered[box] for f in fibers])
-    sigs: Optional[Tuple[Signature, ...]] = None
-    if stack.ndim == 3:
-        signatures, u_lab, u_tops = _stack_signatures(stack, f0.disk[box], f0.inside[box])
-        sigs = tuple(signatures)
-    else:
+    if stack.ndim == 2:
         u_lab, u_tops = label_slices(stack)
+        sigs = bounds = None
+    else:
+        signatures, u_lab, u_tops, (at, u, v, *reps) = _stack_signatures(
+            stack, f0.disk[box], f0.inside[box])
+        sigs = tuple(signatures)
+        whole = np.arange(f0.disk.size).reshape(f0.disk.shape)[box].ravel()
+        rep_u, rep_w = (whole[r].tolist() for r in reps)
+        u, v = u.tolist(), v.tolist()
+        cuts = np.searchsorted(at, np.arange(len(fibers) + 1)).tolist()
+        bounds = tuple(FiberBoundary(b - a, tuple(zip(u[a:b], v[a:b])), tuple(rep_u[a:b]),
+                                     tuple(rep_w[a:b])) for a, b in zip(cuts, cuts[1:]))
     parts = []
     below = 0
     for lab, top in zip(u_lab, u_tops.tolist()):
@@ -551,12 +565,13 @@ def _label_fibers(fibers: Sequence[FiberComplex]
         np.subtract(lab, below, out=labels[box], where=lab > 0)
         parts.append(ComponentLabels(labels=labels, count=top - below))
         below = top
-    return tuple(parts), sigs
+    return tuple(parts), sigs, bounds
 
 
-def _between(ends: Tuple, mids: Tuple) -> Tuple:
-    """mids between the first and the last of ends, which is empty or a pair."""
-    return (*ends[:1], *mids, *ends[1:])
+def _between(ends: Tuple, mids: Optional[Tuple]) -> Optional[Tuple]:
+    """mids between the first and the last of ends, which is empty or a pair;
+    None when mids is (a 1-D bundle's signatures and pairs)."""
+    return None if mids is None else (*ends[:1], *mids, *ends[1:])
 
 
 def _labels_of(parts: Union[ComponentLabels, CobordismComponents]) -> Tuple[int, ...]:
@@ -605,11 +620,11 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
 
     Component tracking across each cobordism is validated: event-free spans
     must restrict bijectively from both ends, spans holding one event from
-    the end the cobordism retracts onto. Boundary mode reads its pairs off
-    the same components (analysis.extract_boundary_data).
+    the end the cobordism retracts onto. Boundary mode reads the fibers'
+    pairs and the cobordisms' components (analysis.extract_boundary_data).
 
-    The sample fibers are labeled once (_label_fibers), which gives both
-    their components and their signatures. On a 2-D interval base the end
+    The sample fibers are labeled once (_label_fibers), which gives their
+    components, signatures and boundary pairs. On a 2-D interval base the end
     samples are the span's endpoints whatever the events are, and they are
     the scan's first and last slices (np.linspace returns both endpoints
     exactly), so those two fibers are rasterized and labeled first and their
@@ -619,21 +634,21 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     if grid is None:
         grid = grid_for_scenario(s)
     ends: Tuple[FiberComplex, ...] = ()
-    end_parts: Tuple[ComponentLabels, ...] = ()
-    end_sigs: Optional[Tuple[Signature, ...]] = None
+    labels: Tuple[Optional[Tuple], ...] = ((), (), ())
     if s.time_base == "interval" and s.dimension == 2:
         ends = tuple(rasterize_fibers(s, TIME_SPAN, grid))
-        end_parts, end_sigs = _label_fibers(ends)
-    events = detect_events(s, grid, scan_samples=scan_samples, tol=tol, ends=end_sigs)
+        labels = _label_fibers(ends)
+    events = detect_events(s, grid, scan_samples=scan_samples, tol=tol,
+                           ends=labels[1] if ends else None)
     samples = tuple(float(t) for t in interleave(events, s.time_base))
 
-    fibers, fiber_parts, signatures = ends, end_parts, end_sigs
+    fibers = ends
     rest = samples[1:-1] if ends else samples
     if rest:
         mid = tuple(rasterize_fibers(s, rest, grid))
-        mid_parts, mid_sigs = _label_fibers(mid)
-        fibers, fiber_parts = _between(ends, mid), _between(end_parts, mid_parts)
-        signatures = None if mid_sigs is None else _between(end_sigs or (), mid_sigs)
+        fibers = _between(ends, mid)
+        labels = tuple(_between(e, m) for e, m in zip(labels, _label_fibers(mid)))
+    fiber_parts, signatures, boundaries = labels
 
     t0, t1 = TIME_SPAN
     span = t1 - t0
@@ -673,6 +688,7 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     return ZigzagBundle(
         scenario=s, grid=grid, time_base=s.time_base,
         samples=samples, events=events, fibers=fibers,
-        fiber_parts=fiber_parts, signatures=signatures, cobordisms=cobordisms,
+        fiber_parts=fiber_parts, signatures=signatures, boundaries=boundaries,
+        cobordisms=cobordisms,
         cobordism_parts=cobordism_parts, diagram=diagram,
     )

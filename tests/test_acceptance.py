@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from boundary_tools import reference_fiber_boundary
 from diagram_tools import brute_force_limit, random_diagram
 from evasion_kit.analysis import (
     analyze,
@@ -29,7 +30,6 @@ from evasion_kit.limit import (
     partition_algebra,
 )
 from evasion_kit.rasterize import (
-    boundary_pairs,
     components,
     grid_for_scenario,
     rasterize_fiber,
@@ -179,7 +179,7 @@ def test_boundary_partitions_dualize_to_components():
         data = extract_boundary_data(s, grid)
         for t, partition in zip(data.sample_times, data.fiber_partitions):
             f = rasterize_fiber(s, t, grid)
-            boundary = boundary_pairs(f, components(f))
+            boundary = reference_fiber_boundary(f)
             by_pocket = {}
             for label, (pocket, _) in enumerate(boundary.pairs, start=1):
                 by_pocket.setdefault(pocket, set()).add(label)
@@ -206,7 +206,7 @@ def test_boundary_partitions_match_fill_reference():
         data = extract_boundary_data(s, grid)
         for t, partition in zip(data.sample_times, data.fiber_partitions):
             f = rasterize_fiber(s, t, grid)
-            boundary = boundary_pairs(f, components(f))
+            boundary = reference_fiber_boundary(f)
             assert partition == fill_partition(f.covered_with_collar, f.covered_boundary, boundary)
             split += len(partition.blocks) > 1
     assert split > 0

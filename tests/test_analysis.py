@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from boundary_tools import reference_fiber_boundary
 from circle_tools import closed, phase_shifted
 from evasion_kit import analysis, rasterize, zigzag
 from evasion_kit.analysis import (
@@ -180,12 +181,20 @@ def test_truncation_reporting():
     assert report.truncated["witnesses"]
 
 
-def test_extract_witness_validates_element(direct_reports):
+def test_extract_witness_validates_element(direct_reports, monkeypatch):
+    # Every entry is checked against its fiber's count before any search:
+    # label 0, the covered cells, names no component either, and no span is
+    # rasterized again for an element that names a missing one.
     bundle = build_zigzag(builtin_scenario("split"))
     with pytest.raises(WitnessError):
         extract_witness(bundle, (1,))
-    with pytest.raises(WitnessError):
-        extract_witness(bundle, (9, 1))
+    rasterized = []
+    monkeypatch.setattr(analysis, "rasterize_cobordism",
+                        lambda *args, **kwargs: rasterized.append(args))
+    for element in ((9, 1), (0, 1), (1, 0), (1, 3)):
+        with pytest.raises(WitnessError, match="element names a missing component"):
+            extract_witness(bundle, element)
+    assert rasterized == []
 
 
 def test_report_document_schema(direct_reports):
@@ -805,6 +814,31 @@ def test_bundle_fibers_match_their_own_labeling(key):
         assert got.count == want.count
         assert got.labels.dtype == want.labels.dtype
         assert np.array_equal(got.labels, want.labels)
+    # Each 2-D fiber's boundary pairs equal the reference's, which labels
+    # the fiber alone.
+    if s.dimension == 2:
+        assert bundle.boundaries == tuple(reference_fiber_boundary(f) for f in bundle.fibers)
+    else:
+        assert bundle.boundaries is None
+
+
+def test_boundary_mode_labels_no_fiber(monkeypatch):
+    # Boundary mode reads each fiber's pairs off the bundle, whose one
+    # labeling of the fibers gave them, and labels no fiber again.
+    calls = []
+    label = rasterize.label_components
+
+    def spy_label(mask):
+        calls.append(mask.shape)
+        return label(mask)
+
+    bundles = [build_zigzag(_scenario(key)) for key in
+               ["split", "close", "annuli", "empty", "full"]
+               + [f"random/{k}" for k in range(1000, 1020)]]
+    monkeypatch.setattr(rasterize, "label_components", spy_label)
+    for bundle in bundles:
+        extract_boundary_data(bundle)
+    assert calls == []
 
 
 def test_oracle_rejects_bad_time_samples():

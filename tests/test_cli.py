@@ -211,6 +211,20 @@ def test_witness_empty_limit_fails(capsys):
     assert _json(err)["error"] == "EvasionError"
 
 
+def test_witness_element_naming_a_missing_component_fails(capsys, tmp_path):
+    # Label 0, the covered cells, names no component, in any entry, and
+    # neither does a label past the fiber's count; in 1-D as in 2-D.
+    path = tmp_path / "merge.json"
+    path.write_text(canonical_json(_merge_doc()))
+    for source, element in (("split", "0,1"), ("split", "1,0"), ("split", "3,1"),
+                            (str(path), "0,1"), (str(path), "1,0"), (str(path), "1,4")):
+        code, out, err = _run(capsys, "witness", source, "--element", element)
+        assert code == 1
+        assert out == ""
+        assert _json(err) == {"error": "WitnessError",
+                              "detail": "element names a missing component"}
+
+
 def test_witness_bad_element_text(capsys):
     code, _, err = _run(capsys, "witness", "split", "--element", "1;2")
     assert code == 2

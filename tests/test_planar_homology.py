@@ -4,7 +4,6 @@ import pytest
 from evasion_kit.planar_homology import HomologyError, alexander_image
 from evasion_kit.rasterize import (
     FiberBoundary,
-    boundary_pairs,
     components,
     count_holes,
     grid_for_scenario,
@@ -12,6 +11,7 @@ from evasion_kit.rasterize import (
     rasterize_fiber,
 )
 from evasion_kit.scenario import builtin_scenario
+from boundary_tools import reference_fiber_boundary
 from hole_tools import fill_partition, reference_holes
 
 
@@ -29,7 +29,7 @@ def _boundary(labels):
     reps = tuple(int(np.flatnonzero(labels.ravel() == k)[0]) for k in range(1, count + 1))
     return FiberBoundary(
         count=count, pairs=tuple((k, k) for k in range(1, count + 1)),
-        covered_labels=np.zeros_like(labels), rep_uncovered=reps, rep_covered=reps)
+        rep_uncovered=reps, rep_covered=reps)
 
 
 def _labels(shape, groups):
@@ -150,7 +150,7 @@ def _fiber(name, t, cells=128):
 
 def test_alexander_image_single_pocket():
     f = _fiber("split", 0.0)
-    b = boundary_pairs(f, components(f))
+    b = reference_fiber_boundary(f)
     assert b.count == 1
     p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
     assert p.blocks == ((1,),)
@@ -158,7 +158,7 @@ def test_alexander_image_single_pocket():
 
 def test_alexander_image_split_pockets():
     f = _fiber("split", 1.0)
-    b = boundary_pairs(f, components(f))
+    b = reference_fiber_boundary(f)
     assert b.count == 2
     p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
     assert p.blocks == ((1,), (2,))
@@ -166,7 +166,7 @@ def test_alexander_image_split_pockets():
 
 def test_alexander_image_empty_boundary():
     f = _fiber("empty", 0.5, cells=64)
-    b = boundary_pairs(f, components(f))
+    b = reference_fiber_boundary(f)
     p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
     assert p.ground == ()
     assert p.blocks == ()
@@ -174,7 +174,7 @@ def test_alexander_image_empty_boundary():
 
 def test_alexander_image_rejects_stray_boundary():
     f = _fiber("split", 0.0)
-    b = boundary_pairs(f, components(f))
+    b = reference_fiber_boundary(f)
     with pytest.raises(HomologyError):
         alexander_image(np.zeros_like(f.covered_with_collar), f.covered_boundary, b)
 
@@ -184,7 +184,7 @@ def test_alexander_blocks_match_pockets():
     for name, t in [("split", 0.0), ("split", 1.0), ("annuli", 0.0),
                     ("annuli", 1.0), ("close", 0.0)]:
         f = _fiber(name, t)
-        b = boundary_pairs(f, components(f))
+        b = reference_fiber_boundary(f)
         p = alexander_image(f.covered_with_collar, f.covered_boundary, b)
         by_pocket = {}
         for label, (pocket, _) in zip(range(1, b.count + 1), b.pairs):

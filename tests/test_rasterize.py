@@ -37,6 +37,9 @@ from evasion_kit.scenario import (
     positions_at,
     random_interval_scenario,
 )
+from evasion_kit.zigzag import _label_fibers
+from boundary_tools import (FACE, reference_boundary_pairs, reference_canonical,
+                            reference_fiber_boundary)
 
 
 def test_grid_spec_validation():
@@ -212,7 +215,7 @@ def test_annuli_start_signature():
     f = rasterize_fiber(s, 0.0, g)
     assert components(f).count == 1
     assert count_holes(f.covered_with_collar) == 1
-    assert boundary_pairs(f, components(f)).count == 3
+    assert _label_fibers([f])[2][0].count == 3
 
 
 def test_boundary_pairs_contacts_are_the_covered_boundary():
@@ -221,11 +224,11 @@ def test_boundary_pairs_contacts_are_the_covered_boundary():
     # pair's representatives are its least contact cells on either side.
     s = builtin_scenario("split")
     g = grid_for_scenario(s, cells=128)
-    for t in (0.0, 0.5, 1.0):
-        f = rasterize_fiber(s, t, g)
-        b = boundary_pairs(f, components(f))
+    fibers = rasterize_fibers(s, (0.0, 0.5, 1.0), g)
+    for f, b in zip(fibers, _label_fibers(fibers)[2]):
         assert isinstance(b, FiberBoundary)
         u_lab = components(f).labels
+        v_lab, _ = label_components(f.covered_with_collar)
         index = {pair: i for i, pair in enumerate(b.pairs)}
         least_u = [f.uncovered.size] * b.count
         least_w = [f.uncovered.size] * b.count
@@ -233,7 +236,7 @@ def test_boundary_pairs_contacts_are_the_covered_boundary():
         for iy, ix in zip(*np.nonzero(f.covered_boundary)):
             for y, x in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1)):
                 if 0 <= y < ny and 0 <= x < nx and f.uncovered[y, x]:
-                    i = index[(int(u_lab[y, x]), int(b.covered_labels[iy, ix]))]
+                    i = index[(int(u_lab[y, x]), int(v_lab[iy, ix]))]
                     least_u[i] = min(least_u[i], y * nx + x)
                     least_w[i] = min(least_w[i], iy * nx + ix)
         assert b.rep_uncovered == tuple(least_u)
@@ -246,7 +249,7 @@ def test_empty_scenario_has_no_boundary():
     g = grid_for_scenario(s, cells=64)
     f = rasterize_fiber(s, 0.5, g)
     assert not f.covered_boundary.any()
-    assert boundary_pairs(f, components(f)).count == 0
+    assert _label_fibers([f])[2][0].count == 0
     assert components(f).count == 1
 
 
@@ -309,26 +312,6 @@ def test_count_holes_hand_bitmaps():
 # ---------------------------------------------------------------------------
 
 
-_FACE = {
-    1: np.ones(3, dtype=bool),
-    2: ndimage.generate_binary_structure(2, 1),
-    3: ndimage.generate_binary_structure(3, 1),
-}
-
-
-def _reference_canonical(labels):
-    """The former relabeling: number components in order of their first cell."""
-    flat = labels.ravel()
-    nz = np.flatnonzero(flat)
-    if nz.size == 0:
-        return labels.astype(np.int32), 0
-    uniq, first = np.unique(flat[nz], return_index=True)
-    order = np.argsort(first, kind="stable")
-    remap = np.zeros(int(uniq.max()) + 1, dtype=np.int32)
-    remap[uniq[order]] = np.arange(1, uniq.size + 1, dtype=np.int32)
-    return remap[labels], int(uniq.size)
-
-
 def _masks(min_dims, max_dims, max_side):
     return arrays(np.bool_, array_shapes(min_dims=min_dims, max_dims=max_dims,
                                          min_side=1, max_side=max_side))
@@ -339,8 +322,8 @@ def _masks(min_dims, max_dims, max_side):
 def test_scipy_labels_are_canonical(mask):
     # label_components (1-D, 2-D, and 3-D with time adjacency) uses scipy's
     # numbering as is; it must equal first-cell order.
-    raw, n = ndimage.label(mask, structure=_FACE[mask.ndim])
-    want, want_n = _reference_canonical(raw)
+    raw, n = ndimage.label(mask, structure=FACE[mask.ndim])
+    want, want_n = reference_canonical(raw)
     got, got_n = label_components(mask)
     assert got.dtype == want.dtype == np.int32
     assert got_n == want_n == n
@@ -354,7 +337,7 @@ def test_scipy_labels_are_canonical(mask):
 def test_scipy_slice_labels_are_canonical(mask):
     raw, _ = ndimage.label(mask, structure=_SLICE_STRUCTS[mask.ndim])
     labels, tops = label_slices(mask)
-    assert np.array_equal(labels, _reference_canonical(raw)[0])
+    assert np.array_equal(labels, reference_canonical(raw)[0])
     assert np.array_equal(labels, raw)
     assert tops[-1] == labels.max(initial=0)
     firsts = [np.flatnonzero(labels.ravel() == label)[0] for label in range(1, tops[-1] + 1)]
@@ -391,58 +374,6 @@ def test_bounding_box():
     assert bounding_box(np.ones(4, dtype=bool)) == (slice(0, 4),)
 
 
-def _reference_boundary_pairs(c, dimension):
-    """The former boundary pairs: per-direction boolean gathers on strided
-    views, relabeled labels, and per-pair cell lists."""
-    stacked = c.uncovered.ndim > dimension
-    disk = c.disk[None] if stacked else c.disk
-    inside = c.inside[None] if stacked else c.inside
-    u_lab, _ = _reference_canonical(ndimage.label(c.uncovered, structure=_FACE[c.uncovered.ndim])[0])
-    v_lab, _ = _reference_canonical(ndimage.label(disk & ~c.uncovered,
-                                                  structure=_FACE[c.uncovered.ndim])[0])
-    collar = np.broadcast_to(disk & ~inside, c.uncovered.shape)
-    shape = c.uncovered.shape
-    ndim = c.uncovered.ndim
-    ps, ws, ucells, wcells = [], [], [], []
-    flat_index = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
-    for axis in range(ndim - dimension, ndim):
-        for sign in (-1, 1):
-            src = [slice(None)] * ndim
-            dst = [slice(None)] * ndim
-            if sign == 1:
-                src[axis] = slice(None, -1)
-                dst[axis] = slice(1, None)
-            else:
-                src[axis] = slice(1, None)
-                dst[axis] = slice(None, -1)
-            pu = u_lab[tuple(src)]
-            pv = v_lab[tuple(dst)]
-            keep = (pu != 0) & (pv != 0) & ~collar[tuple(dst)]
-            ps.append(pu[keep])
-            ws.append(pv[keep])
-            ucells.append(flat_index[tuple(src)][keep])
-            wcells.append(flat_index[tuple(dst)][keep])
-    P, W = np.concatenate(ps), np.concatenate(ws)
-    UC, WC = np.concatenate(ucells), np.concatenate(wcells)
-    if P.size == 0:
-        return dict(pairs=(), rep_uncovered=(), rep_covered=(),
-                    uncovered_labels=u_lab, covered_labels=v_lab)
-    nv = int(v_lab.max())
-    key = P.astype(np.int64) * (nv + 1) + W
-    uniq_key, inv = np.unique(key, return_inverse=True)
-    k = uniq_key.size
-    min_wc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    min_uc = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(min_wc, inv, WC)
-    np.minimum.at(min_uc, inv, UC)
-    order = np.argsort(min_wc, kind="stable")
-    return dict(
-        pairs=tuple((int(uniq_key[i] // (nv + 1)), int(uniq_key[i] % (nv + 1))) for i in order),
-        rep_uncovered=tuple(int(min_uc[i]) for i in order),
-        rep_covered=tuple(int(min_wc[i]) for i in order),
-        uncovered_labels=u_lab, covered_labels=v_lab)
-
-
 def _contact_case(key):
     """Scenario and grid; a key ending in '+edge' has no margin, so the disk
     touches the grid border."""
@@ -461,40 +392,43 @@ _CONTACT_CASES = (["split", "close", "annuli", "empty", "full"]
                   + ["interval/1", "split+edge", "random/1+edge", "interval/1+edge"])
 
 
-def _check_boundary_pairs(c, dimension, reference=None):
-    """boundary_pairs of c against the reference, which labels reference (c
-    by default); a cobordism's reference holds every distinct slice. A
-    fiber's representatives are checked too; a cobordism's covered labels
-    hold its end slices, so they are checked against the reference's
-    slices 0 and -1. The pairs number uncovered components as components(c)
-    does."""
-    reference = reference or c
-    unc = components(c)
-    b = boundary_pairs(c, unc)
-    stacked = c.uncovered.ndim > dimension
-    assert type(b) is (BoundaryComponents if stacked else FiberBoundary)
-    want = _reference_boundary_pairs(reference, dimension)
-    for field in ("pairs",) if stacked else ("pairs", "rep_uncovered", "rep_covered"):
-        assert getattr(b, field) == want[field]
+def _check_cobordism_pairs(cob, dimension, full):
+    """boundary_pairs of a cobordism against the reference, which labels
+    full, the stack of every distinct slice. Its covered labels hold its end
+    slices, so they are checked against the reference's slices 0 and -1,
+    and the pairs number uncovered components as components(cob) does."""
+    unc = components(cob)
+    b = boundary_pairs(cob, unc)
+    assert type(b) is BoundaryComponents
+    want = reference_boundary_pairs(full, dimension)
+    assert b.pairs == want["pairs"]
     assert b.count == len(want["pairs"])
-    steps = [0, reference.uncovered.shape[0] - 1]
+    steps = [0, full.uncovered.shape[0] - 1]
     for got, field in ((b.covered_labels, "covered_labels"),
-                       (np.stack(unc.ends) if stacked else unc.labels, "uncovered_labels")):
-        expected = want[field][steps] if stacked else want[field]
+                       (np.stack(unc.ends), "uncovered_labels")):
+        expected = want[field][steps]
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("key", _CONTACT_CASES)
 def test_boundary_pairs_match_reference(key):
+    # A 2-D fiber's pairs come from the labeling that gives its components
+    # and signature; boundary mode, which reads them, is 2-D only.
     s, g = _contact_case(key)
-    for c in rasterize_fibers(s, [0.0, 0.37, 1.0], g):
-        _check_boundary_pairs(c, s.dimension)
+    if s.dimension == 2:
+        fibers = rasterize_fibers(s, [0.0, 0.37, 1.0], g)
+        parts, _, bounds = _label_fibers(fibers)
+        for f, got, b in zip(fibers, parts, bounds):
+            want = reference_boundary_pairs(f, 2)
+            assert b == reference_fiber_boundary(f)
+            assert got.labels.dtype == want["uncovered_labels"].dtype
+            assert np.array_equal(got.labels, want["uncovered_labels"])
     cob = rasterize_cobordism(s, (0.2, 0.6), g)
     # The reference labels the stack of every distinct slice.
     full = dataclasses.replace(
         cob, uncovered=cob.inside & ~coverage_masks(s, cob.times[cob.kept], g))
-    _check_boundary_pairs(cob, s.dimension, full)
+    _check_cobordism_pairs(cob, s.dimension, full)
 
 
 @settings(max_examples=200, deadline=None)
