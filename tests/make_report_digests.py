@@ -1,6 +1,7 @@
 """Pin the canonical report JSON of a fixed scenario pool by its sha256.
 
-The pool is the builtins, `random` seeds 0-9 and `random_interval_scenario`
+The pool is the builtins, `random` seeds 0-9 and 1000-1019 (the generated
+scenarios of perfbench's `certify` pool) and `random_interval_scenario`
 seeds 0-9. Each scenario gets its direct, oracle and, in dimension 2,
 boundary report at default knobs, and its direct report once more with its
 witnesses removed ("direct_no_witnesses"): a change that moves only
@@ -33,6 +34,7 @@ DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 
 def pool_keys() -> List[str]:
     return (list(BUILTIN_NAMES) + [f"random/{k}" for k in range(10)]
+            + [f"random/{k}" for k in range(1000, 1020)]
             + [f"interval/{k}" for k in range(10)])
 
 
