@@ -42,7 +42,7 @@ from .limit import (AlgebraLimit, PartitionAlgebra, ZigzagAlgebraDiagram,
 from .planar_homology import alexander_image
 from .rasterize import (BoundaryComponents, CobordismComplex, CobordismComponents,
                         FiberBoundary, GridSpec, StackGraph, boundary_pairs, bounding_box,
-                        cell_center, domain_masks, first_cells, grid_for_scenario,
+                        domain_masks, first_cells, grid_for_scenario,
                         label_components, rasterize_cobordism, rasterize_fiber,
                         stack_graph, sweep, _Transitions, _union_roots)
 from .scenario import TIME_SPAN, Scenario, positions_at
@@ -141,58 +141,87 @@ def verify_witness(s: Scenario, w: Witness, eta: float = 0.0) -> bool:
     return bool(np.all(_points_uncovered(s, times, points, eta)))
 
 
+def _padded_bits(mask: np.ndarray) -> int:
+    """A boolean array padded by one False cell on every side, as an int
+    whose bit i is the padded array's flat cell i."""
+    padded = np.zeros(tuple(n + 2 for n in mask.shape), dtype=bool)
+    padded[(slice(1, -1),) * mask.ndim] = mask
+    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+
 def _slice_path(labels: np.ndarray, comp: int, start: Tuple[int, ...],
                 goal: Union[Tuple[int, ...], np.ndarray]) -> List[Tuple[int, ...]]:
     """Cells of a shortest face-adjacent path inside one component, start excluded.
 
     goal is one cell, or a boolean mask of goal cells, of which the path
-    reaches the nearest, the first in raster order among those as near.
-    Breadth-first search over flat indices of the component's mask, padded
-    by one cell outside it on every side so that no step needs a bounds
-    check, one distance at a time. Neighbors are tried axis by axis, the
-    lower one first, and a cell's parent is the cell that discovered it, so
-    the search may stop at the first distance that holds a goal.
+    reaches the nearest, the first in raster order among those as near. Of
+    the shortest paths to that cell it is the one whose steps, each named
+    by its rank in the order axis by axis, the lower neighbor first, read
+    least lexicographically. That is the path a queue search gives when it
+    tries neighbors in that order and a cell's parent is the cell that
+    discovered it: by induction on the distance, such a search discovers
+    each distance's cells in the lexicographic order of their least step
+    sequences, so the first discoverer is the one a least sequence passes.
+
+    The search is a wavefront of bits, one per flat cell of the component's
+    mask padded by one cell outside it on every side, so that a shift by a
+    stride never wraps onto an open cell. Each level is the last one
+    shifted by plus and minus each stride, kept to the cells not yet
+    reached; the search stops at the first level that holds a goal, whose
+    lowest bit is the target. A backward pass keeps each level's cells
+    that lie on a shortest path to the target, and the walk takes at each
+    level the first step, in the order above, onto those cells.
     """
-    free = np.pad(labels == comp, 1)
-    shape = free.shape
-    origin = int(np.ravel_multi_index(tuple(v + 1 for v in start), shape))
+    shape = tuple(n + 2 for n in labels.shape)
+    strides = [int(np.prod(shape[axis + 1:], dtype=np.int64)) for axis in range(len(shape))]
+    origin = sum((v + 1) * s for v, s in zip(start, strides))
     if isinstance(goal, tuple):
-        goals = np.zeros(shape, dtype=bool)
-        goals[tuple(v + 1 for v in goal)] = True
+        goals = 1 << sum((v + 1) * s for v, s in zip(goal, strides))
     else:
         # Padding keeps the raster order of the cells.
-        goals = np.pad(goal, 1)
-    goals = goals.ravel()
-    if goals[origin]:
+        goals = _padded_bits(goal)
+    front = 1 << origin
+    if front & goals:
         return []
-    steps = []
-    for axis in range(len(shape)):
-        stride = int(np.prod(shape[axis + 1:], dtype=np.int64))
-        steps += [-stride, stride]
-    open_cells = free.ravel().tolist()
-    open_cells[origin] = False
-    parents = {origin: origin}
-    level = [origin]
-    hits: List[int] = []
-    while level and not hits:
-        found = []
-        for cur in level:
-            for step in steps:
-                nxt = cur + step
-                if open_cells[nxt]:
-                    open_cells[nxt] = False
-                    parents[nxt] = cur
-                    found.append(nxt)
-        hits = [cell for cell in found if goals.item(cell)]
-        level = found
-    if not hits:
-        raise WitnessError("cells reported in one component are not connected")
-    target = min(hits)
-    path = [target]
-    while path[-1] != origin:
-        path.append(parents[path[-1]])
-    cells = np.unravel_index(np.asarray(path[-2::-1], dtype=np.int64), shape)
-    return [tuple(int(v) - 1 for v in cell) for cell in zip(*cells)]
+    unseen = _padded_bits(labels == comp) & ~front
+    levels = []
+    while not front & goals:
+        spread = 0
+        for s in strides:
+            spread |= (front << s) | (front >> s)
+        front = spread & unseen
+        if not front:
+            raise WitnessError("cells reported in one component are not connected")
+        unseen ^= front
+        levels.append(front)
+
+    hits = front & goals
+    on = hits & -hits
+    ons = [on]
+    for level in levels[-2::-1]:
+        spread = 0
+        for s in strides:
+            spread |= (on << s) | (on >> s)
+        on = spread & level
+        ons.append(on)
+
+    # Each step's bit in a window of 2 * reach + 1 bits centered on the cell.
+    reach = strides[0]
+    window = (1 << (2 * reach + 1)) - 1
+    steps = [(reach + sign * s, axis, sign)
+             for axis, s in enumerate(strides) for sign in (-1, 1)]
+    cur = origin
+    cell = list(start)
+    path = []
+    for on in reversed(ons):
+        near = (on >> (cur - reach)) & window
+        for bit, axis, sign in steps:
+            if near >> bit & 1:
+                cur += bit - reach
+                cell[axis] += sign
+                break
+        path.append(tuple(cell))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +333,7 @@ class _WitnessBuilder:
         self.bundle = bundle
         self.box = bundle.cobordism_parts[0].box
         self._cache: Dict[Tuple[int, int], _CobData] = {}
+        self._starts = first_cells(bundle.fiber_parts[0].labels)
 
     def _data(self, i: int, level: int) -> _CobData:
         key = (i, level)
@@ -327,10 +357,10 @@ class _WitnessBuilder:
             raise WitnessError("element length does not match the diagram")
         if not all(0 < int(v) <= len(fs) for v, fs in zip(element, bundle.diagram.fiber_sets)):
             raise WitnessError("element names a missing component")
-        first = bundle.fiber_parts[0].labels
-        cell = int(first_cells(first)[int(element[0]) - 1])
+        cell = int(self._starts[int(element[0]) - 1])
         corner = tuple(b.start or 0 for b in self.box)
-        start = tuple(int(v) - c for v, c in zip(np.unravel_index(cell, first.shape), corner))
+        shape = bundle.fiber_parts[0].labels.shape
+        start = tuple(int(v) - c for v, c in zip(np.unravel_index(cell, shape), corner))
 
         closed = bundle.time_base == "circle"
         n = len(bundle.cobordisms)
@@ -353,9 +383,12 @@ class _WitnessBuilder:
             samples.extend(seg)
             cur = seg[-1][1] if seg else cur
 
+        # cell_center for every sample at once, in its operand order, so the
+        # floats are the same; a 2-D cell is (iy, ix) and a point (x, y).
         grid = bundle.grid
-        world = tuple((t, cell_center(grid, tuple(v + c for v, c in zip(cell, corner))))
-                      for t, cell in samples)
+        index = np.array([cell for _, cell in samples]) + np.array(corner)
+        points = (np.array(grid.origin) + (index[:, ::-1] + 0.5) * grid.cell_size).tolist()
+        world = tuple((t, tuple(p)) for (t, _), p in zip(samples, points))
         return Witness(element=tuple(int(v) for v in element), samples=world)
 
 
