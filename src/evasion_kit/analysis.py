@@ -666,7 +666,7 @@ def extract_boundary_data(source: Union[Scenario, ZigzagBundle],
     return BoundaryData(
         time_base=bundle.time_base,
         sample_times=bundle.samples,
-        fiber_partitions=tuple(alexander_image(f.covered_with_collar, f.covered_boundary, p)
+        fiber_partitions=tuple(alexander_image(f.covered_with_collar, p)
                                for f, p in zip(bundle.fibers, fiber_pairs)),
         cobordism_counts=tuple(p.count for p in cob_pairs),
         left_maps=tuple(lefts),

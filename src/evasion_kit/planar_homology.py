@@ -1,12 +1,14 @@
 """The duality partition of boundary labels.
 
 Boundary-only reconstruction pairs the boundary components with the homology
-of the covered region. Removing the boundary cells from the covered region
-fattens each uncovered pocket into a hole, a bounded complement component,
-that holds every boundary cell next to the pocket. Each boundary component's
-representative cell therefore lies in exactly one complement component of
-that region, and grouping the labels by that component gives the partition
-whose dual recovers the uncovered components.
+of the covered region. By Alexander duality the complement components of the
+covered region (its holes, and the unbounded component) stand for its first
+cohomology, and the complement is the uncovered region plus the cells off
+the disk. Each boundary component's uncovered-side representative cell lies
+in exactly one complement component, and grouping the labels by that
+component gives the partition whose dual recovers the uncovered components.
+The region is labeled as it is, so a covered wall one cell thick, or a
+diagonal pinch, still keeps the pockets on either side apart.
 """
 
 from __future__ import annotations
@@ -25,27 +27,26 @@ class HomologyError(ValueError):
     """Bad region for the duality partition."""
 
 
-def alexander_image(c_region: np.ndarray, boundary_cells: np.ndarray,
-                    boundary: FiberBoundary) -> PartitionAlgebra:
+def alexander_image(c_region: np.ndarray, boundary: FiberBoundary) -> PartitionAlgebra:
     """Partition of boundary labels by the complement components of c_region.
 
-    c_region is the covered region including the fence collar, and
-    boundary_cells its covered boundary (FiberComplex.covered_boundary),
-    every contact cell of boundary's pairs. Those cells are removed before
-    labeling the complement, so each component's representative cell lies
-    in one complement component: a hole, or the unbounded component. Labels
-    in the same one share a block.
+    c_region is the covered region including the fence collar. Each boundary
+    component's representative is its least uncovered contact cell
+    (FiberBoundary.rep_uncovered), off c_region, so it lies in one
+    complement component: a hole, or the unbounded component. Labels in the
+    same one share a block.
     """
     if c_region.ndim != 2:
         raise HomologyError("boundary reconstruction needs a 2d region")
-    if np.any(boundary_cells & ~c_region):
-        raise HomologyError("boundary cells must lie inside the covered region")
     ground = range(1, boundary.count + 1)
-    labels, _ = _complement_holes(c_region & ~boundary_cells)
+    labels, _ = _complement_holes(c_region)
     nx = c_region.shape[1]
     groups: Dict[int, List[int]] = {}
-    for label, flat in zip(ground, boundary.rep_covered):
+    for label, flat in zip(ground, boundary.rep_uncovered):
         iy, ix = divmod(int(flat), nx)
         # the complement labels carry a one-cell pad on every side
-        groups.setdefault(int(labels[iy + 1, ix + 1]), []).append(label)
+        hole = int(labels[iy + 1, ix + 1])
+        if hole == 0:
+            raise HomologyError("boundary representatives must lie off the covered region")
+        groups.setdefault(hole, []).append(label)
     return partition_algebra(ground, groups.values())

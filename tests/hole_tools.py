@@ -30,19 +30,17 @@ def reference_holes(mask):
     return out
 
 
-def fill_partition(c_region, boundary_cells, boundary):
+def fill_partition(c_region, boundary):
     """Boundary labels grouped by which hole fills hold their representative.
 
-    The holes are those of c_region minus the boundary cells (a bitmap);
-    each hole gives the functional "the representative lies in this hole's
-    fill", and the labels are split into the joint level sets of those
-    functionals.
+    Each hole of c_region gives the functional "the uncovered representative
+    lies in this hole's fill", and the labels are split into the joint level
+    sets of those functionals.
     """
-    region = c_region & ~boundary_cells
-    fills = [fill for _, fill in reference_holes(region)]
+    fills = [fill for _, fill in reference_holes(c_region)]
     groups = {}
-    for label, flat in enumerate(boundary.rep_covered, start=1):
-        cell = np.unravel_index(flat, region.shape)
+    for label, flat in enumerate(boundary.rep_uncovered, start=1):
+        cell = np.unravel_index(flat, c_region.shape)
         key = tuple(bool(fill[cell]) for fill in fills)
         groups.setdefault(key, []).append(label)
     return partition_algebra(range(1, boundary.count + 1), groups.values())

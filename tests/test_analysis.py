@@ -37,6 +37,7 @@ from evasion_kit.analysis import (
 )
 from evasion_kit.errors import KnobError, WitnessError
 from evasion_kit.limit import ZigzagSetDiagram, diagrams_isomorphic, inverse_limit
+from evasion_kit.planar_homology import alexander_image
 from evasion_kit.rasterize import (
     boundary_pairs,
     bounding_box,
@@ -366,6 +367,21 @@ def test_boundary_blind_to_unbounded_pocket(direct_reports):
     assert direct_reports["empty"].limit_cardinality == 1
 
 
+@pytest.mark.parametrize("sensors", [3, 5])
+def test_boundary_partitions_keep_pockets_behind_thin_walls(sensors):
+    # Generic motion pinches the covered region between two pockets down to
+    # a wall a cell thick, or to a diagonal pinch. Every fiber's partition
+    # still has one block per uncovered component that carries a boundary
+    # pair.
+    times = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for seed in range(20):
+        s = random_waypoint_scenario(seed, sensors, 2)
+        fibers = rasterize.rasterize_fibers(s, times, grid_for_scenario(s))
+        for t, f, b in zip(times, fibers, zigzag._label_fibers(fibers)[2]):
+            blocks = alexander_image(f.covered_with_collar, b).blocks
+            assert len(blocks) == len({u for u, _ in b.pairs}), (seed, t)
+
+
 def test_boundary_data_round_trip():
     s = builtin_scenario("split")
     data = extract_boundary_data(s)
@@ -471,6 +487,26 @@ def test_reports_identical_across_hash_seeds():
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+_NO_SPARSE_WORKER = """
+import sys
+from evasion_kit.analysis import analyze_direct
+from evasion_kit.scenario import builtin_scenario
+for s in (builtin_scenario("split"), builtin_scenario("random", 1000)):
+    assert analyze_direct(s).witnesses
+sys.stdout.write(str("scipy.sparse" in sys.modules))
+"""
+
+
+def test_witness_search_imports_no_sparse_graphs():
+    # Importing scipy.sparse.csgraph for its breadth-first search costs
+    # about 9 MiB of resident memory; the witness search does without it.
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _NO_SPARSE_WORKER],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,19 @@ def test_compare_flags_a_cardinality_disagreement(capsys, tmp_path):
     assert doc["agree"] is False
 
 
+def test_compare_counts_pockets_behind_a_thin_wall(capsys, tmp_path):
+    # Most of this scenario's sample fibers hold pockets that a covered wall
+    # one cell thick, or a diagonal pinch, keeps apart; boundary mode counts
+    # them apart and agrees with the other two modes.
+    path = tmp_path / "waypoints.json"
+    path.write_text(canonical_json(scenario_to_document(random_waypoint_scenario(8, 3, 2))))
+    code, out, _ = _run(capsys, "compare", str(path))
+    assert code == 0
+    doc = _json(out)
+    assert doc["limit_cardinality"] == {"boundary": 2, "direct": 2, "oracle": 2}
+    assert doc["agree"] is True
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------

@@ -219,9 +219,8 @@ def test_annuli_start_signature():
 
 
 def test_boundary_pairs_contacts_are_the_covered_boundary():
-    # Every covered boundary cell is a contact of some pair, which
-    # alexander_image relies on when it is handed covered_boundary; each
-    # pair's representatives are its least contact cells on either side.
+    # Every covered boundary cell is a contact of some pair; each pair's
+    # representatives are its least contact cells on either side.
     s = builtin_scenario("split")
     g = grid_for_scenario(s, cells=128)
     fibers = rasterize_fibers(s, (0.0, 0.5, 1.0), g)
