@@ -1209,31 +1209,47 @@ def _path_outcome(fn, labels, comp, start, goal):
 
 
 _PATH_SHAPES = st.one_of(
-    st.tuples(st.integers(1, 40)),
-    st.tuples(st.integers(1, 14), st.integers(1, 14)),
+    st.tuples(st.integers(1, 200)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_slice_path_matches_reference(data):
+    # Goals are one cell, checked against the search that stops at it, or a
+    # mask, checked against the search of the whole component; a mask may
+    # be empty, or miss the component, and then the walk has no end.
     shape = data.draw(_PATH_SHAPES)
-    density = data.draw(st.sampled_from([0.5, 0.7, 0.9]))
-    seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    mask = np.random.default_rng(seed).random(shape) < density
+    density = data.draw(st.sampled_from([0.5, 0.7, 0.9, 0.97]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(shape) < density
     cells = [tuple(int(v) for v in c) for c in np.argwhere(mask)]
     if not cells:
         return
     labels, _ = label_components(mask)
     start = data.draw(st.sampled_from(cells))
     comp = int(labels[start])
-    every = [tuple(int(v) for v in c) for c in np.ndindex(shape)]
-    goal = data.draw(st.one_of(st.just(start), st.sampled_from(cells), st.sampled_from(every)))
-    got = _path_outcome(analysis._slice_path, labels, comp, start, goal)
-    assert got == _path_outcome(_reference_slice_path, labels, comp, start, goal)
-    if goal == start:
-        assert got == []
-    elif labels[goal] != comp:
+    kind = data.draw(st.sampled_from(["cell", "mask", "mask", "off"]))
+    if kind == "cell":
+        every = [tuple(int(v) for v in c) for c in np.ndindex(shape)]
+        own = [c for c in cells if labels[c] == comp]
+        goal = data.draw(st.one_of(st.just(start), st.sampled_from(own),
+                                   st.sampled_from(own), st.sampled_from(every)))
+        got = _path_outcome(analysis._slice_path, labels, comp, start, goal)
+        assert got == _path_outcome(_reference_slice_path, labels, comp, start, goal)
+        if goal == start:
+            assert got == []
+        elif labels[goal] != comp:
+            assert isinstance(got, str)
+        return
+    goals = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.002, 0.002, 0.02, 0.2]))
+    if kind == "off":
+        goals &= labels != comp
+    got = _path_outcome(analysis._slice_path, labels, comp, start, goals)
+    if (goals & (labels == comp)).any():
+        assert got == _reference_nearest_path(labels, comp, start, goals)
+    else:
         assert isinstance(got, str)
 
 
