@@ -88,6 +88,24 @@ class Scenario:
     def sensor_count(self) -> int:
         return len(self.tracks)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dimension, self.center, self.radius, self.sensing_radius,
+                     self.fence_width, self.time_base, self.tracks))
+
+    def __hash__(self) -> int:
+        # Every cached table is looked up by scenario, and hashing the
+        # tracks' nested tuples each time costs more than most lookups save.
+        # The fields never change, so the hash is computed once.
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # A str's hash depends on the interpreter's hash seed, so a pickled
+        # scenario leaves its hash behind and computes it again.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +67,46 @@ def test_random_seeds_differ():
     docs = {canonical_json(scenario_to_document(builtin_scenario("random", seed=k)))
             for k in range(6)}
     assert len(docs) == 6
+
+
+def _field_hash(s):
+    """The hash of a scenario's fields, as a frozen dataclass computes it."""
+    return hash(tuple(getattr(s, f.name) for f in dataclasses.fields(s)))
+
+
+def test_scenario_hash_is_its_fields_hash():
+    s = builtin_scenario("random", seed=3)
+    twin = scenario_from_document(scenario_to_document(s))
+    assert twin == s and twin is not s
+    assert hash(twin) == hash(s) == _field_hash(s)
+    wider = dataclasses.replace(s, sensing_radius=2.0 * s.sensing_radius)
+    assert wider != s
+    assert hash(wider) == _field_hash(wider) != hash(s)
+    assert {s: 1, twin: 2, wider: 3} == {s: 2, wider: 3}
+
+
+_HASH_WORKER = """
+import pickle, sys
+s = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.write(str(hash(s) == hash(tuple(getattr(s, f) for f in s.__dataclass_fields__))))
+"""
+
+
+def test_pickled_scenario_hashes_under_the_loading_seed():
+    # A str's hash depends on the hash seed, so a pickled scenario must not
+    # carry the hash it computed before pickling.
+    s = builtin_scenario("split")
+    hash(s)
+    data = pickle.dumps(s)
+    again = pickle.loads(data)
+    assert again == s and hash(again) == hash(s)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _HASH_WORKER], input=data, env=env,
+                              capture_output=True, check=True)
+        assert proc.stdout == b"True"
 
 
 def test_document_round_trip():
