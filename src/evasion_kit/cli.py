@@ -338,10 +338,17 @@ _COMMANDS = {
 }
 
 
+# A run too large for memory is told which knobs size its arrays.
+_MEMORY_HINT = "lower --cells, --fine-time-samples or --time-samples"
+
+
 def _error_doc(exc: Exception) -> str:
     doc = {"error": type(exc).__name__, "detail": str(exc)}
     if isinstance(exc, ResolutionError):
         doc["hint"] = exc.hint
+    elif isinstance(exc, MemoryError):
+        # numpy raises a private subclass; the contract names the builtin.
+        doc.update(error="MemoryError", hint=_MEMORY_HINT)
     return canonical_json(doc)
 
 
@@ -360,7 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         sys.stderr.write(_error_doc(exc))
         return 1
-    except (EvasionError, LimitError, RasterError, HomologyError) as exc:
+    except (EvasionError, LimitError, RasterError, HomologyError, MemoryError) as exc:
         sys.stderr.write(_error_doc(exc))
         return 1
 

@@ -625,6 +625,26 @@ def test_closed_stdout_is_json_error_without_traceback():
     assert "Exception ignored" not in proc.stderr
 
 
+# Each asks numpy for an array of petabytes, which it refuses at once; a
+# size it could allocate would fill the host's memory first.
+_PETABYTES = "1000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("events", "split", "--cells", _PETABYTES),
+    ("analyze", "split", "--fine-time-samples", _PETABYTES),
+    ("analyze", "split", "--mode", "oracle", "--time-samples", _PETABYTES),
+], ids=["cells", "fine-time-samples", "time-samples"])
+def test_out_of_memory_is_json_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    doc = _json(err)
+    assert doc == {"error": "MemoryError", "detail": doc["detail"],
+                   "hint": "lower --cells, --fine-time-samples or --time-samples"}
+    assert "PiB" in doc["detail"]
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = _run(capsys, "analyze", str(tmp_path / "absent.json"))
     assert code == 2
