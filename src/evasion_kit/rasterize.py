@@ -168,27 +168,17 @@ def domain_masks(s: Scenario, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def sorted_unique(keys: np.ndarray, return_inverse: bool = False
-                  ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D integer array, by sorting and dropping repeats.
 
     On integer keys numpy 2's np.unique takes a hashing path that is several
     times slower than a sort on the few hundred to few thousand keys a stack
-    or cobordism yields. With return_inverse, also returns each key's index
-    into the result.
+    or cobordism yields.
     """
-    if return_inverse:
-        order = np.argsort(keys)
-        key = keys[order]
-    else:
-        key = np.sort(keys)
+    key = np.sort(keys)
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    if not return_inverse:
-        return key[first]
-    inverse = np.empty(key.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return key[first], inverse
+    return key[first]
 
 
 def _in_ball(offsets: Sequence[np.ndarray], r2: float) -> np.ndarray:
@@ -215,27 +205,60 @@ _TIME_SLACK = 2.0 ** -48
 
 @dataclass(frozen=True)
 class _Bands:
-    """Crossing bands of a scenario's moving tracks on a grid.
+    """Crossing bands of a scenario's moving tracks on the cells inside the
+    fence.
 
-    Band i is the closed time interval [lo[i], hi[i]] of the cell whose
-    array-order indices are cells[0][i], ...; bands are sorted by lo, and
-    none is longer than longest.
+    Band i is the closed time interval [lo[i], hi[i]] of the cell whose flat
+    index in the disk's box (_DiskView) is flat[i]; bands are sorted by lo,
+    and none is longer than longest.
     """
 
-    cells: Tuple[np.ndarray, ...]
+    flat: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     longest: float
+
+
+def _rim(disk: np.ndarray) -> np.ndarray:
+    """Disk cells on the grid border or face-adjacent to a cell off the disk."""
+    return disk & ~ndimage.binary_erosion(disk, _face_structure(disk.ndim), border_value=0)
+
+
+@dataclass(frozen=True)
+class _DiskView:
+    """The disk's bounding box in the grid, and the domain cropped to it.
+
+    Every cell inside the fence lies in the box, which keeps their raster
+    order, and a disk cell on its edge is a rim cell in both frames, so the
+    ring test and the signatures read there are those of the whole grid.
+    corner is the box's first cell, and rim is _rim of the cropped disk.
+    """
+
+    box: Tuple[slice, ...]
+    corner: Tuple[int, ...]
+    disk: np.ndarray
+    inside: np.ndarray
+    rim: np.ndarray
+
+
+def _disk_view(disk: np.ndarray, inside: np.ndarray) -> _DiskView:
+    """The _DiskView of a domain's (disk, inside) masks."""
+    box = bounding_box(disk)
+    corner = tuple(b.indices(n)[0] for b, n in zip(box, disk.shape))
+    disk = disk[box]
+    return _DiskView(box, corner, disk, inside[box], _rim(disk))
 
 
 @dataclass(frozen=True)
 class _RasterTables:
     """A scenario's coverage tables on one grid, cached as one entry: the
     union of the balls of the constant tracks, the indices of the other
-    tracks, and their crossing bands (_crossing_bands)."""
+    tracks, the disk's box (view), and the other tracks' crossing bands
+    there (_crossing_bands)."""
 
     static: np.ndarray
     moving: Tuple[int, ...]
+    view: _DiskView
     bands: _Bands
 
 
@@ -253,11 +276,14 @@ def _raster_tables(s: Scenario, grid: GridSpec) -> _RasterTables:
         p = next(iter(pts))
         union |= _in_ball([c - x for c, x in zip(cg, p)], r2)
     union.flags.writeable = False
-    return _RasterTables(union, tuple(moving), _crossing_bands(s, grid, moving))
+    view = _disk_view(*domain_masks(s, grid))
+    return _RasterTables(union, tuple(moving), view, _crossing_bands(s, grid, moving, view))
 
 
-def _crossing_bands(s: Scenario, grid: GridSpec, moving: Sequence[int]) -> _Bands:
-    """Per moving track and cell, the closed times when |f| <= eps.
+def _crossing_bands(s: Scenario, grid: GridSpec, moving: Sequence[int],
+                    view: _DiskView) -> _Bands:
+    """Per moving track and cell inside the fence, the closed times when
+    |f| <= eps, on the disk's box (view).
 
     f(t) = |c - p(t)|^2 - r^2 for the cell center c and the track's exact
     position p(t), and eps = _BAND_SLACK * scale^2. On a linear piece from
@@ -270,7 +296,8 @@ def _crossing_bands(s: Scenario, grid: GridSpec, moving: Sequence[int]) -> _Band
     BoxCoverage.flips). Each piece is cut into sub-pieces of at most one
     window of travel, and a sub-piece tests only the cells within reach of
     it, so each array is about two windows in size, and the table grows
-    with the cells the balls sweep.
+    with the cells the balls sweep. Only the bands of cells inside the
+    fence are kept, since no other cell flips.
     """
     axes = _axis_centers(grid)
     dim = grid.dimension
@@ -320,12 +347,17 @@ def _crossing_bands(s: Scenario, grid: GridSpec, moving: Sequence[int]) -> _Band
                 for ax in range(dim):
                     c = idx[dim - 1 - ax][near[ax]]
                     cells[ax].append(np.concatenate((c, c))[keep])
-    lo = np.concatenate(los)
+    local = [np.concatenate(c) - o for c, o in zip(cells, view.corner)]
+    ok = np.ones(local[0].size, dtype=bool)
+    for c, size in zip(local, view.inside.shape):
+        ok &= (c >= 0) & (c < size)
+    ok[ok] = view.inside[tuple(c[ok] for c in local)]
+    lo = np.concatenate(los)[ok]
     order = np.argsort(lo, kind="stable")
-    hi = np.concatenate(his)[order]
+    hi = np.concatenate(his)[ok][order]
     lo = lo[order]
-    return _Bands(tuple(np.concatenate(c)[order] for c in cells), lo, hi,
-                  float((hi - lo).max(initial=0.0)))
+    flat = np.ravel_multi_index(tuple(c[ok] for c in local), view.inside.shape)[order]
+    return _Bands(flat, lo, hi, float((hi - lo).max(initial=0.0)))
 
 
 def _spread(v: np.ndarray, k: int, dim: int) -> np.ndarray:
@@ -419,10 +451,12 @@ class BoxCoverage:
     def flips(self, inside: np.ndarray) -> Tuple[np.ndarray, ...]:
         """The cells of inside whose coverage changes from each time to the next.
 
-        Returns index arrays (step, *cell) in array order, sorted by step and
-        then in raster order; step k runs from time k to time k + 1, so they
-        are np.nonzero of the step diff of the uncovered stack. The times
-        must not decrease.
+        inside is the fenced region on the disk's box (_DiskView), which
+        must be this coverage's box: the crossing bands are kept for those
+        cells in that box. Returns index arrays (step, *cell) in array
+        order, sorted by step and then in raster order; step k runs from time
+        k to time k + 1, so they are np.nonzero of the step diff of the
+        uncovered stack. The times must not decrease.
 
         The candidates come from the crossing bands (_crossing_bands). A
         cell that flips in step k flips in some moving ball j, since
@@ -446,38 +480,40 @@ class BoxCoverage:
         keeps exactly the flips. The bands grow with the cells the balls
         sweep, not with the times.
         """
+        view = self.tables.view
+        if self.corner != view.corner or not (
+                inside is view.inside or np.array_equal(inside, view.inside)):
+            raise ValueError("flips are read for the fenced region on the disk's box")
         times = self.times
         n = times.size - 1
         if n < 1:
             return tuple(np.zeros(0, dtype=np.intp) for _ in range(inside.ndim + 1))
-        lo, hi, cells = self._bands_meeting(inside)
+        lo, hi, flat = self._bands_meeting()
         first = np.maximum(np.searchsorted(times, lo) - 1, 0)
         count = np.maximum(np.minimum(np.searchsorted(times, hi, side="right") - 1, n - 1)
                            - first + 1, 0)
         step = (np.repeat(first - np.cumsum(count) + count, count)
                 + np.arange(int(count.sum())))
-        flat = np.repeat(np.ravel_multi_index(cells, inside.shape), count)
+        flat = np.repeat(flat, count)
         # A cell may have several bands in one step.
         step, *cells = np.unravel_index(sorted_unique(step * inside.size + flat),
                                         (n,) + inside.shape)
         keep = self.covered(step, cells) != self.covered(step + 1, cells)
         return (step[keep],) + tuple(c[keep] for c in cells)
 
-    def _bands_meeting(self, inside: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-        """The bands of cells of inside that may meet the times, shifted by
-        whole periods on a circle base and widened by _TIME_SLACK: lo, hi
-        and their cells in the box's array order."""
+    def _bands_meeting(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bands that may meet the times, shifted by whole periods on a
+        circle base and widened by _TIME_SLACK: lo, hi and their cells' flat
+        indices in the disk's box."""
         bands = self.tables.bands
-        t_first, t_last = float(self.times.min()), float(self.times.max())
+        t_first, t_last = float(self.times[0]), float(self.times[-1])
         shifts = [0.0]
         if self.circle:
             t0, t1 = TIME_SPAN
             span = t1 - t0
             shifts = span * np.arange(np.floor((t_first - t0) / span) - 1,
                                       np.floor((t_last - t0) / span) + 1)
-        lo, hi = [np.zeros(0)], [np.zeros(0)]
-        cells = [[np.zeros(0, dtype=np.intp)] for _ in range(inside.ndim)]
+        lo, hi, flat = [], [], []
         for m in shifts:
             # Well past the widening below, so the slice drops no band that
             # meets the times once widened.
@@ -485,18 +521,12 @@ class BoxCoverage:
                                         + bands.longest)
             pick = slice(np.searchsorted(bands.lo, t_first - m - bands.longest - pad),
                          np.searchsorted(bands.lo, t_last - m + pad, side="right"))
-            local = [c[pick] - o for c, o in zip(bands.cells, self.corner)]
-            ok = np.ones(local[0].size, dtype=bool)
-            for c, size in zip(local, inside.shape):
-                ok &= (c >= 0) & (c < size)
-            ok[ok] = inside[tuple(c[ok] for c in local)]
-            a = bands.lo[pick][ok] + m
-            b = bands.hi[pick][ok] + m
+            a = bands.lo[pick] + m
+            b = bands.hi[pick] + m
             lo.append(a - _TIME_SLACK * (1.0 + np.abs(a)))
             hi.append(b + _TIME_SLACK * (1.0 + np.abs(b)))
-            for out, c in zip(cells, local):
-                out.append(c[ok])
-        return np.concatenate(lo), np.concatenate(hi), [np.concatenate(c) for c in cells]
+            flat.append(bands.flat[pick])
+        return np.concatenate(lo), np.concatenate(hi), np.concatenate(flat)
 
 
 def coverage_masks(s: Scenario, times: Sequence[float], grid: GridSpec,
@@ -599,7 +629,7 @@ def _ring_test(flips: Tuple[np.ndarray, ...],
 
     Every flip's eight ring cells are read in one call. A flipped cell lies
     on the disk, and it is a rim cell when a face neighbor is off the box or
-    off the disk, as zigzag._rim has it.
+    off the disk, as _rim has it.
     """
     step, y, x = flips
     h, w = disk.shape
@@ -673,42 +703,34 @@ def _flip_anchors(flips: Tuple[np.ndarray, ...],
 class _BoxFlips:
     """A list of times' coverage flips inside the fence, on the disk's box.
 
-    box is the disk's bounding box in the grid, disk and inside are cropped
-    to it, and flips are BoxCoverage.flips(inside): index arrays (step,
-    *cell) in box coordinates, sorted by step and then in raster order.
+    view is the disk's box and the domain cropped to it (_DiskView), and
+    flips are BoxCoverage.flips(view.inside): index arrays (step, *cell) in
+    box coordinates, sorted by step and then in raster order.
     """
 
-    box: Tuple[slice, ...]
-    disk: np.ndarray
-    inside: np.ndarray
+    view: _DiskView
     coverage: BoxCoverage
     flips: Tuple[np.ndarray, ...]
 
     def uncovered(self, slices: np.ndarray, cells: Tuple[np.ndarray, ...]) -> np.ndarray:
         """Whether cell i (index arrays in box order) is uncovered at slices[i]."""
-        return self.inside[cells] & ~self.coverage.covered(slices, cells)
+        return self.view.inside[cells] & ~self.coverage.covered(slices, cells)
 
     def simple(self) -> np.ndarray:
         """_simple_flips of the flips."""
-        return _simple_flips(self.flips, self.uncovered, self.disk, self.inside)
+        return _simple_flips(self.flips, self.uncovered, self.view.disk, self.view.inside)
 
     def anchors(self) -> Tuple[np.ndarray, np.ndarray]:
         """_flip_anchors of the flips."""
-        return _flip_anchors(self.flips, self.uncovered, self.disk, self.inside)
+        return _flip_anchors(self.flips, self.uncovered, self.view.disk, self.view.inside)
 
 
 def _box_flips(s: Scenario, times: Sequence[float], grid: GridSpec) -> _BoxFlips:
-    """The coverage flips between consecutive times, read on the disk's box.
-
-    Every flip lies inside the fence, hence in the disk's box, and a disk
-    cell on its edge is a rim cell in both frames, so the ring test there
-    is that of the whole grid.
-    """
-    disk, inside = domain_masks(s, grid)
-    box = bounding_box(disk)
-    disk, inside = disk[box], inside[box]
-    coverage = BoxCoverage(s, times, grid, box)
-    return _BoxFlips(box, disk, inside, coverage, coverage.flips(inside))
+    """The coverage flips between consecutive times, read on the disk's box
+    (_DiskView), which the scenario's tables on the grid keep."""
+    view = _raster_tables(s, grid).view
+    coverage = BoxCoverage(s, times, grid, view.box)
+    return _BoxFlips(view, coverage, coverage.flips(view.inside))
 
 
 class _Transitions:
@@ -744,7 +766,7 @@ class _Transitions:
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         bf = _box_flips(s, self.times, grid)
-        self.box = bf.box
+        self.view = bf.view
         self.coverage = bf.coverage
         step, *cells = bf.flips
         n = self.times.size
@@ -764,7 +786,7 @@ class _Transitions:
         self.labeled = self.kept[at]
         self.gaps = np.diff(at) > 1
         # Each cell's flips in step order, to follow a cell from step to step.
-        self._shape = bf.disk.shape
+        self._shape = bf.view.disk.shape
         keys = np.ravel_multi_index(cells, self._shape) * n + step
         order = np.argsort(keys)
         self._keys = keys[order]
@@ -785,8 +807,8 @@ class _Transitions:
 
     def _shift(self, box: Tuple[slice, ...]) -> Tuple[int, ...]:
         """How far box's corner lies from the disk's box's, per axis."""
-        return tuple(b.indices(n)[0] - d.indices(n)[0]
-                     for b, d, n in zip(box, self.box, self.grid.shape))
+        return tuple(b.indices(n)[0] - d
+                     for b, d, n in zip(box, self.view.corner, self.grid.shape))
 
     def trail(self, cell: Tuple[int, ...], a: int, b: int, box: Tuple[slice, ...],
               covered: bool = False) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -1076,11 +1098,16 @@ def _rank_pairs(u: np.ndarray, v: np.ndarray, uc: np.ndarray, wc: np.ndarray,
     rank order, each pair's uncovered and covered component and its least
     uncovered and covered cells.
     """
-    key, inv = sorted_unique(u.astype(np.int64) * (nv + 1) + v, return_inverse=True)
-    least_uc = np.full(key.size, np.iinfo(np.int64).max, dtype=np.int64)
-    least_wc = least_uc.copy()
-    np.minimum.at(least_uc, inv, uc)
-    np.minimum.at(least_wc, inv, wc)
+    keys = u.astype(np.int64) * (nv + 1) + v
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    # Each pair is one run of the sorted keys.
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    key = keys[starts]
+    least_uc = np.minimum.reduceat(uc[by_key], starts)
+    least_wc = np.minimum.reduceat(wc[by_key], starts)
     order = np.argsort(least_wc, kind="stable")
     key = key[order]
     return key // (nv + 1), key % (nv + 1), least_uc[order], least_wc[order]
@@ -1103,20 +1130,21 @@ def boundary_pairs(c: CobordismComplex, uncovered: CobordismComponents) -> Bound
     those of the whole stack; only the end slices' covered labels are
     mapped back to the whole grid.
     """
-    box = bounding_box(c.disk)
+    view = c.transitions.view
+    box = view.box
     crop = (slice(None),) + box
     # The crop is a view, and the covered-with-collar stack its one complement.
     unc = c.uncovered[crop]
     size = unc[0].size
     covered = np.logical_not(unc)
-    covered &= c.disk[box]
+    covered &= view.disk
     gv = c.transitions.join(stack_graph(covered), box, covered=True)
     comp_v, nv = _graph_components(gv)
     # Contacts end on covered cells: covered-with-collar cells inside the fence.
     uc, wc = face_contacts(unc, covered, range(1, unc.ndim))
     del covered
     w_step, w_cell = np.divmod(wc, size)
-    keep = c.inside[box].ravel()[w_cell]
+    keep = view.inside.ravel()[w_cell]
     uc, wc, w_step, w_cell = uc[keep], wc[keep], w_step[keep], w_cell[keep]
     # An uncovered cell lies inside the fence, so in the uncovered graph's box.
     gu = uncovered.graph

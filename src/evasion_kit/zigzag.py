@@ -14,8 +14,11 @@ The bisection probes no slice on its own. For each changing scan step it
 lists the midpoints its halving can visit, with its own arithmetic, a few
 levels deep, and reads their signatures as the scan does; the step's end
 signatures are known, so with one step of non-simple flips (see below) the
-table labels nothing. A window is classified from the flips in the disk's
-box, so no whole-grid slice is rasterized either.
+table labels nothing. A window is classified from the flips of the probe
+table that holds its two ends, the scan itself for a step already at or
+below tol: the table's flips in the steps between them whose coverage at
+the two ends differs, which are exactly the window's. So each event's flips
+are read once, and no whole-grid slice is rasterized either.
 
 Between critical values the topology is constant, so the scan labels only
 the slices where it can change. The cells that flip between two slices are
@@ -77,7 +80,8 @@ from .errors import KnobError, ResolutionError, SimultaneousEventsError
 from .limit import ZigzagSetDiagram
 from .rasterize import (CobordismComplex, CobordismComponents,
                         ComponentLabels, FiberBoundary, FiberComplex, GridSpec,
-                        _box_flips, _rank_pairs, bounding_box, components,
+                        _box_flips, _disk_view, _DiskView, _rank_pairs,
+                        _raster_tables, _simple_flips, components,
                         coverage_masks, face_contacts, first_cells,
                         grid_for_scenario, label_slices, rasterize_cobordism,
                         rasterize_fibers, sorted_unique)
@@ -124,21 +128,16 @@ def _per_slice(tops: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.bincount(np.searchsorted(tops, labels), minlength=tops.size)
 
 
-def _rim(disk: np.ndarray) -> np.ndarray:
-    """Disk cells on the grid border or face-adjacent to a cell off the disk."""
-    off = np.pad(~disk, 1, constant_values=True)
-    return disk & (off[:-2, 1:-1] | off[2:, 1:-1] | off[1:-1, :-2] | off[1:-1, 2:])
-
-
-def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarray
+def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarray,
+                      rim: np.ndarray
                       ) -> Tuple[List[Signature], np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
     """Signatures of every slice of a 2-D uncovered stack (T, ny, nx), with
     the stack's uncovered labels and tops (label_slices) and the boundary
-    pairs they were read off.
+    pairs they were read off. rim is _rim(disk).
 
-    Callers crop the stack and masks to the disk's bounding box: every
-    uncovered cell lies in it, and a disk cell on its edge is a rim cell in
-    both frames, so the signatures are those of the whole grid.
+    Callers crop the stack and masks to the disk's bounding box (_DiskView):
+    every uncovered cell lies in it, and a disk cell on its edge is a rim
+    cell in both frames, so the signatures are those of the whole grid.
 
     One _rank_pairs call ranks the whole stack's pairs: stack-wide labels
     each name one slice, and stack-flat indices order by slice first, so
@@ -154,7 +153,7 @@ def _stack_signatures(uncovered: np.ndarray, disk: np.ndarray, inside: np.ndarra
     # covered-with-collar region plus the cells off the disk, which are
     # connected to each other and to the grid border. The holes are the
     # covered-with-collar components that do not reach the rim.
-    outer = sorted_unique(v_lab[:, _rim(disk)].ravel())
+    outer = sorted_unique(v_lab[:, rim].ravel())
     v_counts = np.diff(v_tops, prepend=0)
     b1 = v_counts - _per_slice(v_tops, outer[outer != 0])
     # Contacts end on covered cells: covered-with-collar cells off the collar.
@@ -174,7 +173,51 @@ def fiber_signature(f: FiberComplex) -> Signature:
     (gapsweep)."""
     if f.uncovered.ndim != 2:
         raise ValueError("fiber signatures are read off 2-D fibers only")
-    return _label_fibers([f])[1][0]
+    return _label_fibers([f], _disk_view(f.disk, f.inside))[1][0]
+
+
+class _Table:
+    """Signatures at a list of times, with the coverage flips they were
+    read off, so that a window between two of its times is classified from
+    them (_flip_split) without reading its flips again.
+
+    flips are the times' _box_flips, and at maps each time to its index.
+    """
+
+    def __init__(self, s: Scenario, times: Sequence[float], grid: GridSpec,
+                 ends: Optional[Tuple[Signature, Signature]] = None) -> None:
+        self.times = np.asarray(times, dtype=float)
+        self.at = {t: i for i, t in enumerate(self.times.tolist())}
+        self.flips = _box_flips(s, self.times, grid)
+        self.signatures = self._read(s, grid, ends)
+
+    def _read(self, s: Scenario, grid: GridSpec,
+              ends: Optional[Tuple[Signature, Signature]]) -> List[Signature]:
+        """The signatures at the times (see _signatures)."""
+        times, bf = self.times, self.flips
+        labeled = np.ones(times.size, dtype=bool)
+        if times.size > 1:
+            labeled[1:] = np.bincount(bf.flips[0][~bf.simple()], minlength=times.size - 1) > 0
+        last = times.size
+        if ends is not None:
+            steps = np.flatnonzero(labeled[1:])
+            if not steps.size:
+                if ends[0] == ends[1]:
+                    return [ends[0]] * times.size
+                raise ResolutionError(
+                    f"signature changed across ({times[0]:.6f}, {times[-1]:.6f}) "
+                    "although every coverage flip inside it is simple", hint="raise --cells")
+            last = int(steps[-1]) + 1
+            labeled[0] = labeled[last] = False
+        sigs = []
+        if labeled.any():
+            view = bf.view
+            sigs = _stack_signatures(view.inside & ~coverage_masks(s, times[labeled], grid, view.box),
+                                     view.disk, view.inside, view.rim)[0]
+        if ends is None:
+            return [sigs[i] for i in np.cumsum(labeled) - 1]
+        sigs = [ends[0]] + sigs
+        return [sigs[i] for i in np.cumsum(labeled[:last])] + [ends[1]] * (times.size - last)
 
 
 def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
@@ -206,30 +249,7 @@ def _signatures(s: Scenario, times: Sequence[float], grid: GridSpec,
     signature, so equal ends give that constant, and differing ends
     contradict the certificate and raise ResolutionError.
     """
-    times = np.asarray(times, dtype=float)
-    bf = _box_flips(s, times, grid)
-    labeled = np.ones(times.size, dtype=bool)
-    if times.size > 1:
-        labeled[1:] = np.bincount(bf.flips[0][~bf.simple()], minlength=times.size - 1) > 0
-    last = times.size
-    if ends is not None:
-        steps = np.flatnonzero(labeled[1:])
-        if not steps.size:
-            if ends[0] == ends[1]:
-                return [ends[0]] * times.size
-            raise ResolutionError(
-                f"signature changed across ({times[0]:.6f}, {times[-1]:.6f}) "
-                "although every coverage flip inside it is simple", hint="raise --cells")
-        last = int(steps[-1]) + 1
-        labeled[0] = labeled[last] = False
-    sigs = []
-    if labeled.any():
-        sigs = _stack_signatures(bf.inside & ~coverage_masks(s, times[labeled], grid, bf.box),
-                                 bf.disk, bf.inside)[0]
-    if ends is None:
-        return [sigs[i] for i in np.cumsum(labeled) - 1]
-    sigs = [ends[0]] + sigs
-    return [sigs[i] for i in np.cumsum(labeled[:last])] + [ends[1]] * (times.size - last)
+    return _Table(s, times, grid, ends).signatures
 
 
 def _jump_ok(before: Signature, after: Signature) -> bool:
@@ -252,27 +272,48 @@ _WINDOW_FLOOR = 1e-12
 _TABLE_LEVELS = 5
 
 
-def _flip_split(s: Scenario, grid: GridSpec, a: float, b: float, non_simple: bool = False
+def _clusters(cells: Tuple[np.ndarray, ...]) -> int:
+    """How many face-or-corner clusters the cells form, labeled on their
+    own bounding box."""
+    if not cells[0].size:
+        return 0
+    lo = [c.min() for c in cells]
+    box = np.zeros([int(c.max() - m) + 1 for c, m in zip(cells, lo)], dtype=bool)
+    box[tuple(c - m for c, m in zip(cells, lo))] = True
+    return int(ndimage.label(box, structure=np.ones((3,) * box.ndim, dtype=int))[1])
+
+
+def _flip_split(table: _Table, a: float, b: float, non_simple: bool = False
                 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, int]:
     """Coverage flips across a window, with their direction and cluster count.
 
-    Returns the flipped cells as index arrays in raster order, whether each
-    flips to covered, and how many face-or-corner clusters they form. Every
-    flip lies inside the fence, hence in the disk's box, whose raster order
-    is the grid's; the flips are read there and shifted by its origin. With
-    non_simple, the flips that _simple_flips calls simple are dropped.
+    a and b are two of the table's times, i and j. Returns the flipped
+    cells as index arrays in raster order, whether each flips to covered,
+    and how many face-or-corner clusters they form. Every flip of the
+    window lies inside the fence, so its coverage changes in some step of
+    the table between i and j, whose flips are exact (BoxCoverage.flips):
+    the window's flips are the cells the table flips in steps i .. j - 1
+    whose coverage at i and at j differs. They are read in the disk's box,
+    whose raster order is the grid's, and shifted by its corner. With
+    non_simple, the flips that _simple_flips calls simple across the window,
+    its ring read at i and at j, are dropped.
     """
-    bf = _box_flips(s, [a, b], grid)
+    bf = table.flips
+    view = bf.view
+    i, j = table.at[a], table.at[b]
     step, *cells = bf.flips
+    lo, hi = np.searchsorted(step, (i, j))
+    cells = np.unravel_index(sorted_unique(np.ravel_multi_index(
+        [c[lo:hi] for c in cells], view.inside.shape)), view.inside.shape)
+    before, after = (bf.coverage.covered(np.full(cells[0].size, k), cells) for k in (i, j))
+    flipped = before != after
+    cells, to_covered = tuple(c[flipped] for c in cells), after[flipped]
     if non_simple:
-        keep = ~bf.simple()
-        step, cells = step[keep], [c[keep] for c in cells]
-    to_covered = bf.coverage.covered(step + 1, cells)
-    flips = np.zeros(bf.inside.shape, dtype=bool)
-    flips[tuple(cells)] = True
-    _, n_clusters = ndimage.label(flips, structure=np.ones((3,) * flips.ndim, dtype=int))
-    cells = tuple(c + (sl.start or 0) for c, sl in zip(cells, bf.box))
-    return cells, to_covered, int(n_clusters)
+        ends = np.array([i, j])
+        keep = ~_simple_flips((np.zeros(to_covered.size, dtype=np.intp), *cells),
+                              lambda k, c: bf.uncovered(ends[k], c), view.disk, view.inside)
+        cells, to_covered = tuple(c[keep] for c in cells), to_covered[keep]
+    return tuple(c + o for c, o in zip(cells, view.corner)), to_covered, _clusters(cells)
 
 
 def _ambiguous(to_covered: np.ndarray, n_clusters: int) -> bool:
@@ -290,9 +331,10 @@ def _classified(a: float, b: float, sa: Signature, sb: Signature,
                  type_x="D" if to_covered[0] else "N", before=sa, after=sb)
 
 
-def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
+def _try_classify(table: _Table, a: float, b: float,
                   sa: Signature, sb: Signature) -> Optional[Event]:
-    """Classify the window if its coverage flips are unambiguous.
+    """Classify the window (a, b) of the table if its coverage flips are
+    unambiguous.
 
     A moving sensor covers cells at its leading edge and uncovers them at its
     trailing edge, so a window can hold flips unrelated to the signature
@@ -301,7 +343,7 @@ def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
     jump exceeds one unit: cells of a thin channel flip close together and
     may still separate at a finer width.
     """
-    split = _flip_split(s, grid, a, b)
+    split = _flip_split(table, a, b)
     if not split[1].size:
         raise ResolutionError(
             f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip",
@@ -309,10 +351,10 @@ def _try_classify(s: Scenario, grid: GridSpec, a: float, b: float,
     return _classified(a, b, sa, sb, split)
 
 
-def _classify_at_floor(s: Scenario, grid: GridSpec, a: float, b: float,
+def _classify_at_floor(table: _Table, a: float, b: float,
                        sa: Signature, sb: Signature) -> Event:
-    """Classify a window that cannot be narrowed on its non-simple flips, or
-    raise the right error.
+    """Classify a window of the table that cannot be narrowed on its
+    non-simple flips, or raise the right error.
 
     When a ball's diameter is a whole number of cells, its leading and
     trailing edges cross cell centers at the same instants, so no window
@@ -321,7 +363,7 @@ def _classify_at_floor(s: Scenario, grid: GridSpec, a: float, b: float,
     Flips that cannot be separated otherwise break the distinct-critical-
     values hypothesis.
     """
-    split = _flip_split(s, grid, a, b, non_simple=True)
+    split = _flip_split(table, a, b, non_simple=True)
     if split[1].size:
         event = _classified(a, b, sa, sb, split)
         if event is not None:
@@ -338,10 +380,10 @@ def _classify_at_floor(s: Scenario, grid: GridSpec, a: float, b: float,
 
 
 def _probe_table(s: Scenario, grid: GridSpec, a: float, b: float,
-                 sa: Signature, sb: Signature, tol: float) -> Dict[float, Signature]:
-    """Signatures at the times _bisect can probe in (a, b), by time.
+                 sa: Signature, sb: Signature, tol: float) -> _Table:
+    """The times _bisect can probe in (a, b), with their signatures.
 
-    The times are the midpoints m = 0.5 * (a + b) of _bisect's own
+    The times are a, b and the midpoints m = 0.5 * (a + b) of _bisect's own
     arithmetic, for _TABLE_LEVELS levels, stopping where it stops: at
     b - a <= tol, where it classifies first, or where not a < m < b. A
     window at or below tol is probed only after an ambiguous
@@ -361,33 +403,35 @@ def _probe_table(s: Scenario, grid: GridSpec, a: float, b: float,
                 deeper += [(lo, m), (m, hi)]
         level = deeper
     times.sort()
-    return dict(zip(times, _signatures(s, times, grid, ends=(sa, sb))))
+    return _Table(s, times, grid, ends=(sa, sb))
 
 
 def _bisect(s: Scenario, grid: GridSpec, a: float, b: float,
             sa: Signature, sb: Signature, tol: float,
-            out: List[Event], table: Dict[float, Signature]) -> None:
+            out: List[Event], table: _Table) -> None:
     """Narrow (a, b) to events of width at most tol, appended to out.
 
-    Each probe's signature is read from table, built by _probe_table; a
+    a and b are times of table: the scan, or the probe table (_probe_table)
+    whose probes narrowed the window to them. Each probe's signature is read
+    from it, and each window is classified from its flips (_flip_split); a
     probe missing from it, below the table's last level or below tol after
     an ambiguous classification, builds the next table over (a, b).
     """
     while True:
         if b - a <= tol:
-            event = _try_classify(s, grid, a, b, sa, sb)
+            event = _try_classify(table, a, b, sa, sb)
             if event is None and b - a <= _WINDOW_FLOOR:
-                event = _classify_at_floor(s, grid, a, b, sa, sb)
+                event = _classify_at_floor(table, a, b, sa, sb)
             if event is not None:
                 out.append(event)
                 return
         m = 0.5 * (a + b)
         if not a < m < b:
-            out.append(_classify_at_floor(s, grid, a, b, sa, sb))
+            out.append(_classify_at_floor(table, a, b, sa, sb))
             return
-        if m not in table:
+        if m not in table.at:
             table = _probe_table(s, grid, a, b, sa, sb, tol)
-        sm = table[m]
+        sm = table.signatures[table.at[m]]
         if sm == sa:
             a = m
         elif sm == sb:
@@ -418,7 +462,9 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
     Each changing step is bisected on probe tables (_probe_table): their
     times are the bisection's own midpoints, bit for bit, and their
     signatures are those of labeling each probe alone, so the events are
-    those of probing one slice at a time.
+    those of probing one slice at a time. Each window is classified from
+    the flips of the table that holds its ends, the scan's own for a step
+    already at or below tol, so no flips are read again.
     On a circle time base the closed tracks make the signature at both span
     endpoints agree, so scanning the span once covers the whole loop.
     In dimension 1 the events are the gap sweep's (gapsweep): exact, at
@@ -439,13 +485,12 @@ def detect_events(s: Scenario, grid: Optional[GridSpec] = None,
         from .gapsweep import sweep_gaps  # gapsweep builds on this module
         return sweep_gaps(s, grid).events
     t0, t1 = TIME_SPAN
-    times = np.linspace(t0, t1, scan_samples + 1)
-    sigs = _signatures(s, times, grid, ends=ends)
+    scan = _Table(s, np.linspace(t0, t1, scan_samples + 1), grid, ends=ends)
+    times, sigs = scan.times.tolist(), scan.signatures
     events: List[Event] = []
     for i in range(scan_samples):
         if sigs[i] != sigs[i + 1]:
-            _bisect(s, grid, float(times[i]), float(times[i + 1]),
-                    sigs[i], sigs[i + 1], tol, events, {})
+            _bisect(s, grid, times[i], times[i + 1], sigs[i], sigs[i + 1], tol, events, scan)
     events.sort(key=lambda e: e.window[0])
     for prev, cur in zip(events, events[1:]):
         if cur.window[0] < prev.window[1]:
@@ -529,11 +574,12 @@ class ZigzagBundle:
     diagram: ZigzagSetDiagram
 
 
-def _label_fibers(fibers: Sequence[FiberComplex]
+def _label_fibers(fibers: Sequence[FiberComplex], view: _DiskView
                   ) -> Tuple[Tuple[ComponentLabels, ...], Optional[Tuple[Signature, ...]],
                              Optional[Tuple[FiberBoundary, ...]]]:
     """Each fiber's components(), and in 2-D its fiber_signature and its
-    boundary pairs, from one labeling of the fibers' stack on the disk's box.
+    boundary pairs, from one labeling of the fibers' stack on the disk's box
+    (view, the _DiskView of the fibers' domain).
 
     The box holds every uncovered cell in raster order, so a slice's labels
     less the tops below it, written back onto the whole grid, are that
@@ -543,14 +589,14 @@ def _label_fibers(fibers: Sequence[FiberComplex]
     labeled, and there are no signatures or pairs.
     """
     f0 = fibers[0]
-    box = bounding_box(f0.disk)
+    box = view.box
     stack = np.stack([f.uncovered[box] for f in fibers])
     if stack.ndim == 2:
         u_lab, u_tops = label_slices(stack)
         sigs = bounds = None
     else:
         signatures, u_lab, u_tops, (at, u, v, *reps) = _stack_signatures(
-            stack, f0.disk[box], f0.inside[box])
+            stack, view.disk, view.inside, view.rim)
         sigs = tuple(signatures)
         whole = np.arange(f0.disk.size).reshape(f0.disk.shape)[box].ravel()
         rep_u, rep_w = (whole[r].tolist() for r in reps)
@@ -633,11 +679,12 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     """
     if grid is None:
         grid = grid_for_scenario(s)
+    view = _raster_tables(s, grid).view
     ends: Tuple[FiberComplex, ...] = ()
     labels: Tuple[Optional[Tuple], ...] = ((), (), ())
     if s.time_base == "interval" and s.dimension == 2:
         ends = tuple(rasterize_fibers(s, TIME_SPAN, grid))
-        labels = _label_fibers(ends)
+        labels = _label_fibers(ends, view)
     events = detect_events(s, grid, scan_samples=scan_samples, tol=tol,
                            ends=labels[1] if ends else None)
     samples = tuple(float(t) for t in interleave(events, s.time_base))
@@ -647,7 +694,7 @@ def build_zigzag(s: Scenario, grid: Optional[GridSpec] = None,
     if rest:
         mid = tuple(rasterize_fibers(s, rest, grid))
         fibers = _between(ends, mid)
-        labels = tuple(_between(e, m) for e, m in zip(labels, _label_fibers(mid)))
+        labels = tuple(_between(e, m) for e, m in zip(labels, _label_fibers(mid, view)))
     fiber_parts, signatures, boundaries = labels
 
     t0, t1 = TIME_SPAN

@@ -377,7 +377,8 @@ def test_boundary_partitions_keep_pockets_behind_thin_walls(sensors):
     for seed in range(20):
         s = random_waypoint_scenario(seed, sensors, 2)
         fibers = rasterize.rasterize_fibers(s, times, grid_for_scenario(s))
-        for t, f, b in zip(times, fibers, zigzag._label_fibers(fibers)[2]):
+        for t, f, b in zip(times, fibers, zigzag._label_fibers(
+                fibers, rasterize._raster_tables(s, grid_for_scenario(s)).view)[2]):
             blocks = alexander_image(f.covered_with_collar, b).blocks
             assert len(blocks) == len({u for u, _ in b.pairs}), (seed, t)
 
@@ -800,14 +801,14 @@ def test_direct_mode_labels_each_sample_fiber_once(monkeypatch):
     label = rasterize.label_components
     whole_grid = []
 
-    def spy_stack(uncovered, disk, inside):
+    def spy_stack(uncovered, *masks):
         stacks.append(("fibers" if in_fibers else "scan", uncovered.shape[0]))
-        return stack_signatures(uncovered, disk, inside)
+        return stack_signatures(uncovered, *masks)
 
-    def spy_fibers(fibers):
+    def spy_fibers(fibers, view):
         in_fibers.append(True)
         try:
-            return label_fibers(fibers)
+            return label_fibers(fibers, view)
         finally:
             in_fibers.pop()
 

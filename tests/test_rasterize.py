@@ -15,6 +15,8 @@ from evasion_kit.rasterize import (
     FiberBoundary,
     GridSpec,
     RasterError,
+    _rank_pairs,
+    _raster_tables,
     boundary_pairs,
     bounding_box,
     cell_center,
@@ -215,7 +217,7 @@ def test_annuli_start_signature():
     f = rasterize_fiber(s, 0.0, g)
     assert components(f).count == 1
     assert count_holes(f.covered_with_collar) == 1
-    assert _label_fibers([f])[2][0].count == 3
+    assert _label_fibers([f], _raster_tables(s, g).view)[2][0].count == 3
 
 
 def test_boundary_pairs_contacts_are_the_covered_boundary():
@@ -224,7 +226,7 @@ def test_boundary_pairs_contacts_are_the_covered_boundary():
     s = builtin_scenario("split")
     g = grid_for_scenario(s, cells=128)
     fibers = rasterize_fibers(s, (0.0, 0.5, 1.0), g)
-    for f, b in zip(fibers, _label_fibers(fibers)[2]):
+    for f, b in zip(fibers, _label_fibers(fibers, _raster_tables(s, g).view)[2]):
         assert isinstance(b, FiberBoundary)
         u_lab = components(f).labels
         v_lab, _ = label_components(f.covered_with_collar)
@@ -248,7 +250,7 @@ def test_empty_scenario_has_no_boundary():
     g = grid_for_scenario(s, cells=64)
     f = rasterize_fiber(s, 0.5, g)
     assert not f.covered_boundary.any()
-    assert _label_fibers([f])[2][0].count == 0
+    assert _label_fibers([f], _raster_tables(s, g).view)[2][0].count == 0
     assert components(f).count == 1
 
 
@@ -417,7 +419,7 @@ def test_boundary_pairs_match_reference(key):
     s, g = _contact_case(key)
     if s.dimension == 2:
         fibers = rasterize_fibers(s, [0.0, 0.37, 1.0], g)
-        parts, _, bounds = _label_fibers(fibers)
+        parts, _, bounds = _label_fibers(fibers, _raster_tables(s, g).view)
         for f, got, b in zip(fibers, parts, bounds):
             want = reference_boundary_pairs(f, 2)
             assert b == reference_fiber_boundary(f)
@@ -434,8 +436,39 @@ def test_boundary_pairs_match_reference(key):
 @given(arrays(np.int64, st.integers(0, 5000),
               elements=st.integers(-2 ** 40, 2 ** 40) | st.integers(0, 40)))
 def test_sorted_unique_matches_np_unique(keys):
-    want, want_inverse = np.unique(keys, return_inverse=True)
-    assert np.array_equal(sorted_unique(keys), want)
-    got, inverse = sorted_unique(keys, return_inverse=True)
+    want = np.unique(keys)
+    got = sorted_unique(keys)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(inverse, want_inverse.ravel())
+
+
+def _reference_rank_pairs(u, v, uc, wc, nv):
+    """Each pair's least contacts by np.minimum.at over its keys' inverse."""
+    key, inv = np.unique(u.astype(np.int64) * (nv + 1) + v, return_inverse=True)
+    inv = inv.ravel()
+    least_uc = np.full(key.size, np.iinfo(np.int64).max, dtype=np.int64)
+    least_wc = least_uc.copy()
+    np.minimum.at(least_uc, inv, uc)
+    np.minimum.at(least_wc, inv, wc)
+    order = np.argsort(least_wc, kind="stable")
+    key = key[order]
+    return key // (nv + 1), key % (nv + 1), least_uc[order], least_wc[order]
+
+
+@st.composite
+def _contacts(draw):
+    """Contacts as _stack_signatures hands them over: int32 component
+    labels, and flat contact cells that several contacts may share."""
+    nu, nv = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    n = draw(st.integers(0, 400))
+    cells = st.integers(0, draw(st.sampled_from((50, 10 ** 6))))
+    return (draw(arrays(np.int32, n, elements=st.integers(1, nu))),
+            draw(arrays(np.int32, n, elements=st.integers(1, nv))),
+            draw(arrays(np.intp, n, elements=cells)),
+            draw(arrays(np.intp, n, elements=cells)), nv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contacts())
+def test_rank_pairs_matches_reference(contacts):
+    for got, want in zip(_rank_pairs(*contacts), _reference_rank_pairs(*contacts)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -23,7 +23,6 @@ from evasion_kit import rasterize, zigzag
 from evasion_kit.zigzag import (
     Event,
     _per_slice,
-    _rim,
     _signatures,
     _stack_signatures,
     build_zigzag,
@@ -40,6 +39,7 @@ from evasion_kit.rasterize import (
     ComponentLabels,
     _box_flips,
     _flip_anchors,
+    _rim,
     _simple_flips,
     boundary_pairs,
     bounding_box,
@@ -218,7 +218,7 @@ def test_pair_counts_match_reference(name, seed, margin):
         u_lab, u_tops = label_slices(unc)
         v_lab, _ = label_slices(disk & ~unc)
         want = _reference_pair_counts(unc, u_lab, u_tops, v_lab, disk & ~unc & inside)
-        got = [pb for _, _, pb in _stack_signatures(unc, disk, inside)[0]]
+        got = [pb for _, _, pb in _stack_signatures(unc, disk, inside, _rim(disk))[0]]
         assert got == want.tolist()
 
 
@@ -238,7 +238,7 @@ def test_stack_signatures_single_slice_and_unchanged_stack(name, seed):
         assert _signatures(s, [t], grid) == [expected]
         assert fiber_signature(f) == expected
         repeated = np.repeat(f.uncovered[None], 4, axis=0)
-        assert _stack_signatures(repeated, f.disk, f.inside)[0] == [expected] * 4
+        assert _stack_signatures(repeated, f.disk, f.inside, _rim(f.disk))[0] == [expected] * 4
 
 
 def _reference_stack_signatures(uncovered, disk, inside):
@@ -281,7 +281,7 @@ def _certified_signatures(uncovered, disk, inside):
 
     simple = _simple_flips(flips, read, disk, inside)
     labeled = np.concatenate(([True], np.bincount(flips[0][~simple], minlength=n - 1) > 0))
-    sigs = _stack_signatures(uncovered[labeled], disk, inside)[0]
+    sigs = _stack_signatures(uncovered[labeled], disk, inside, _rim(disk))[0]
     return [sigs[i] for i in np.cumsum(labeled) - 1]
 
 
@@ -980,16 +980,17 @@ def _reference_bisect(s, grid, a, b, sa, sb, tol, out):
             return
 
 
-def _reference_detect_events(s, grid, scan_samples=512, tol=1e-4):
+def _reference_detect_events(s, grid, scan_samples=512, tol=1e-4, bisect=_reference_bisect):
     """detect_events bisecting with one labeled whole slice per probe and
-    classifying each window on two whole-grid fibers."""
+    classifying each window on two whole-grid fibers, or bisecting as the
+    given bisect does."""
     times = np.linspace(0.0, 1.0, scan_samples + 1)
     sigs = _signatures(s, times, grid)
     events = []
     for i in range(scan_samples):
         if sigs[i] != sigs[i + 1]:
-            _reference_bisect(s, grid, float(times[i]), float(times[i + 1]),
-                              sigs[i], sigs[i + 1], tol, events)
+            bisect(s, grid, float(times[i]), float(times[i + 1]),
+                   sigs[i], sigs[i + 1], tol, events)
     events.sort(key=lambda e: e.window[0])
     for prev, cur in zip(events, events[1:]):
         if cur.window[0] < prev.window[1]:
@@ -1086,9 +1087,9 @@ def test_detect_events_labels_few_slices_and_no_whole_grid(monkeypatch):
     stack_signatures = zigzag._stack_signatures
     rasterize = zigzag.rasterize_fibers
 
-    def spy_labels(uncovered, disk, inside):
+    def spy_labels(uncovered, *masks):
         labeled.append(uncovered.shape[0])
-        return stack_signatures(uncovered, disk, inside)
+        return stack_signatures(uncovered, *masks)
 
     def spy_fibers(*args, **kwargs):
         fibers.append(args)
@@ -1145,9 +1146,9 @@ def test_equal_ends_without_non_simple_step_give_a_constant(monkeypatch):
     labeled = []
     stack_signatures = zigzag._stack_signatures
 
-    def spy(uncovered, disk, inside):
+    def spy(uncovered, *masks):
         labeled.append(uncovered.shape[0])
-        return stack_signatures(uncovered, disk, inside)
+        return stack_signatures(uncovered, *masks)
 
     monkeypatch.setattr(zigzag, "_stack_signatures", spy)
     assert _signatures(s, times, grid, ends=((1, 0, 1), (1, 0, 1))) == want
@@ -1188,6 +1189,171 @@ def test_known_ends_scan_matches_the_scan_that_labels_them(family):
 def test_known_ends_scan_matches_off_default_knobs(knobs):
     _check_known_ends(_detection_pool("builtin", ()) + _detection_pool("random", range(10)),
                       **knobs)
+
+
+# ---------------------------------------------------------------------------
+# classification from the probe table, against reading each window fresh
+# ---------------------------------------------------------------------------
+
+
+def _fresh_flip_split(s, grid, a, b, non_simple=False):
+    """The window's flips read fresh with _box_flips, and their clusters
+    counted by labeling the whole box."""
+    bf = _box_flips(s, [a, b], grid)
+    step, *cells = bf.flips
+    if non_simple:
+        keep = ~bf.simple()
+        step, cells = step[keep], [c[keep] for c in cells]
+    to_covered = bf.coverage.covered(step + 1, cells)
+    flips = np.zeros(bf.view.inside.shape, dtype=bool)
+    flips[tuple(cells)] = True
+    _, n_clusters = ndimage.label(flips, structure=np.ones((3,) * flips.ndim, dtype=int))
+    cells = tuple(c + (sl.start or 0) for c, sl in zip(cells, bf.view.box))
+    return cells, to_covered, int(n_clusters)
+
+
+def _fresh_try_classify(s, grid, a, b, sa, sb):
+    split = _fresh_flip_split(s, grid, a, b)
+    if not split[1].size:
+        raise ResolutionError(
+            f"signature changed across ({a:.6f}, {b:.6f}) without a coverage flip",
+            hint="raise --cells")
+    return zigzag._classified(a, b, sa, sb, split)
+
+
+def _fresh_classify_at_floor(s, grid, a, b, sa, sb):
+    split = _fresh_flip_split(s, grid, a, b, non_simple=True)
+    if split[1].size:
+        event = zigzag._classified(a, b, sa, sb, split)
+        if event is not None:
+            return event
+        if zigzag._ambiguous(split[1], split[2]):
+            raise SimultaneousEventsError(
+                f"coverage transitions inside ({a:.12f}, {b:.12f}) cannot "
+                "be separated in time",
+                hint="perturb the scenario: two transitions share one instant")
+    raise ResolutionError(
+        f"resolution too coarse: signature jumped {sa} -> {sb} "
+        f"across ({a:.6f}, {b:.6f})", hint="raise --cells")
+
+
+def _fresh_probe_table(s, grid, a, b, sa, sb, tol):
+    stop = tol if b - a > tol else zigzag._WINDOW_FLOOR
+    times, level = [a, b], [(a, b)]
+    for _ in range(zigzag._TABLE_LEVELS):
+        deeper = []
+        for lo, hi in level:
+            m = 0.5 * (lo + hi)
+            if hi - lo > stop and lo < m < hi:
+                times.append(m)
+                deeper += [(lo, m), (m, hi)]
+        level = deeper
+    times.sort()
+    return dict(zip(times, _signatures(s, times, grid, ends=(sa, sb))))
+
+
+def _fresh_bisect(s, grid, a, b, sa, sb, tol, out, table=None):
+    """_bisect on probe tables of signatures alone, each window classified
+    on its flips read fresh."""
+    table = {} if table is None else table
+    while True:
+        if b - a <= tol:
+            event = _fresh_try_classify(s, grid, a, b, sa, sb)
+            if event is None and b - a <= zigzag._WINDOW_FLOOR:
+                event = _fresh_classify_at_floor(s, grid, a, b, sa, sb)
+            if event is not None:
+                out.append(event)
+                return
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            out.append(_fresh_classify_at_floor(s, grid, a, b, sa, sb))
+            return
+        if m not in table:
+            table = _fresh_probe_table(s, grid, a, b, sa, sb, tol)
+        sm = table[m]
+        if sm == sa:
+            a = m
+        elif sm == sb:
+            b = m
+        else:
+            _fresh_bisect(s, grid, a, m, sa, sm, tol, out, table)
+            _fresh_bisect(s, grid, m, b, sm, sb, tol, out, table)
+            return
+
+
+def _check_fresh_classification(scenarios, **knobs):
+    for s in scenarios:
+        grid = grid_for_scenario(s)
+        want = _outcome(_reference_detect_events, s, grid, bisect=_fresh_bisect, **knobs)
+        assert _outcome(detect_events, s, grid, **knobs) == want
+
+
+@pytest.mark.parametrize("family", ["builtin", "random", "generic"])
+def test_classification_from_the_table_matches_fresh_reads(family):
+    # Events (window, locus, type and signatures) and raised errors (type,
+    # message and hint); most generic runs raise.
+    if family == "builtin":
+        pool = _detection_pool("builtin", ()) + [_pulse_scenario("circle")]
+    elif family == "random":
+        pool = _detection_pool("random", list(range(100)) + list(range(1000, 1020)))
+    else:
+        pool = [random_waypoint_scenario(seed, n, 2) for seed in range(20) for n in (3, 5)]
+    _check_fresh_classification(pool)
+
+
+@pytest.mark.parametrize("knobs", [{"scan_samples": 100}, {"tol": 1e-6}, {"tol": 0.01}],
+                         ids=["scan100", "tol1e-6", "tol0.01"])
+def test_classification_from_the_table_matches_fresh_reads_off_default_knobs(knobs):
+    # A tol of 0.01 is above the scan step, so each window is classified
+    # from the scan's own flips first.
+    _check_fresh_classification(_detection_pool("builtin", ()) + [_pulse_scenario("circle")]
+                                + _detection_pool("random", range(20)), **knobs)
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_scenario("split"),
+                                  lambda: builtin_scenario("random", 1000),
+                                  lambda: _pulse_scenario("circle")],
+                         ids=["split", "random/1000", "pulse"])
+def test_flip_split_reads_every_window_of_a_table(make):
+    # Windows of many steps, where a passing ball's edges flip cells and
+    # flip them back; in a probe table, the first window classified at the
+    # window floor spans the whole table.
+    s = make()
+    grid = grid_for_scenario(s)
+    scan = zigzag._Table(s, np.linspace(0.0, 1.0, 17), grid)
+    event = detect_events(s, grid)[0]
+    a = math.floor(event.window[0] * 512) / 512
+    probes = zigzag._probe_table(s, grid, a, a + 1 / 512, event.before, event.after, 1e-4)
+    for table in (scan, probes):
+        times = table.times.tolist()
+        for i, t in enumerate(times):
+            for u in times[i + 1:]:
+                for non_simple in (False, True):
+                    got = zigzag._flip_split(table, t, u, non_simple)
+                    want = _fresh_flip_split(s, grid, t, u, non_simple)
+                    assert len(got[0]) == len(want[0]) == 2
+                    for g, w in zip(got[0] + got[1:2], want[0] + want[1:2]):
+                        assert np.array_equal(g, w)
+                    assert got[2] == want[2]
+
+
+def test_classification_reads_no_flips_again(monkeypatch):
+    # One read for the scan and one per probe table; random 1000's first
+    # classification is ambiguous, so it takes a second table. Reading each
+    # window's flips again made 3 and 5 reads.
+    reads = []
+    box_flips = zigzag._box_flips
+
+    def spy(s, times, grid):
+        reads.append(len(times))
+        return box_flips(s, times, grid)
+
+    monkeypatch.setattr(zigzag, "_box_flips", spy)
+    for s, want in ((builtin_scenario("split"), [513, 33]),
+                    (builtin_scenario("random", 1000), [513, 33, 33])):
+        reads.clear()
+        assert len(detect_events(s)) == 1
+        assert reads == want
 
 
 # ---------------------------------------------------------------------------
